@@ -1,16 +1,10 @@
 """Model backends: contracts, the toy implementation, and the adapter.
 
-The functions below are the operation surface engines use; they
-delegate to whichever backend object they are handed (toy or remote).
+Engines call the contract methods (``score``, ``train``, ``predict``,
+``encode``, ``fit``) directly on whatever backend objects they are
+handed, in-process toy models or remote ones behind the adapter.
 """
 
-from __future__ import annotations
-
-from typing import Sequence
-
-import numpy as np
-
-from ..prompting import ClozeInput
 from .contracts import Backend, MaskedScorer, SentenceEncoder, TextClassifier
 from .state import load_model, model_from_payload, model_to_payload, save_model
 from .toy import (
@@ -22,59 +16,6 @@ from .toy import (
     default_backend_config,
 )
 
-
-def masked_score(scorer: MaskedScorer, cloze: ClozeInput, candidates: Sequence[str]) -> dict[str, float]:
-    """Score each candidate token for the mask slot of cloze."""
-    return scorer.score(cloze, candidates)
-
-
-def train_mlm(
-    scorer: MaskedScorer,
-    rendered: Sequence[tuple[ClozeInput, str]],
-    steps: int,
-    batch: int,
-    lr: float,
-    seed: int,
-    candidates: Sequence[str] | None = None,
-) -> None:
-    """Train a scorer on (cloze, target token) rows."""
-    scorer.train(rendered, steps, batch, lr, seed, candidates)
-
-
-def classify_train(
-    classifier: TextClassifier,
-    rows: Sequence[tuple[str, Sequence[float]]],
-    steps: int,
-    batch: int,
-    lr: float,
-    seed: int,
-) -> None:
-    """Train a classifier on (text, target distribution) rows."""
-    classifier.train(rows, steps, batch, lr, seed)
-
-
-def classify_predict(classifier: TextClassifier, text: str) -> np.ndarray:
-    """Raw label scores for one text."""
-    return classifier.predict(text)
-
-
-def encode(encoder: SentenceEncoder, text: str) -> np.ndarray:
-    """Embedding for one text."""
-    return encoder.encode(text)
-
-
-def encoder_fit(
-    encoder: SentenceEncoder,
-    triplets: Sequence[tuple[str, str, float]],
-    epochs: int,
-    batch: int,
-    lr: float,
-    seed: int,
-) -> None:
-    """Fit an encoder on (text_a, text_b, similarity) triplets."""
-    encoder.fit(triplets, epochs, batch, lr, seed)
-
-
 __all__ = [
     "Backend",
     "BackendConfig",
@@ -85,15 +26,9 @@ __all__ = [
     "ToyEncoder",
     "ToyMaskedScorer",
     "ToyTextClassifier",
-    "classify_predict",
-    "classify_train",
     "default_backend_config",
-    "encode",
-    "encoder_fit",
     "load_model",
-    "masked_score",
     "model_from_payload",
     "model_to_payload",
     "save_model",
-    "train_mlm",
 ]

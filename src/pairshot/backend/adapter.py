@@ -4,7 +4,9 @@ An external backend is a process that answers one JSON object per line.
 Requests carry an id, a verb, and params; responses echo the id and
 carry either a result or an error.  Verbs: hello, score, train_mlm,
 train_clf, predict, encode, fit_encoder.  Transports: a subprocess pipe
-or a TCP socket.
+or a TCP socket.  An error whose kind names a package error class is
+raised as that class with the server's message; any other kind is
+raised as AdapterError.
 
 The remote side owns the models; the client refers to them by names it
 invents (scorer-1, classifier-2, ...) and ships an init_seed so the
@@ -70,6 +72,10 @@ class SubprocessTransport(_Transport):
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
+        for pipe in (self._proc.stdin, self._proc.stdout):
+            if pipe is not None:
+                pipe.close()
 
 
 class SocketTransport(_Transport):
@@ -102,7 +108,9 @@ def _raise_remote(response: dict) -> None:
     message = response.get("error", "remote backend error")
     exc_type = getattr(errors_module, kind, None)
     if isinstance(exc_type, type) and issubclass(exc_type, PairshotError):
-        raise exc_type(message)
+        # __new__ alone sets the message without the subclass's extra
+        # constructor arguments, which the wire does not carry.
+        raise exc_type.__new__(exc_type, message)
     raise AdapterError(message)
 
 

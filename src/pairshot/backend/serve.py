@@ -6,6 +6,9 @@ transport) or a TCP port:
     python -m pairshot.backend.serve
     python -m pairshot.backend.serve --tcp 9321 --config backend.json
 
+where backend.json holds overrides of the default toy config, such as
+``{"buckets": 1024}``.
+
 Any process speaking the same protocol can stand in for this server,
 which is how transformer-scale backends plug into the engines.
 """
@@ -16,10 +19,11 @@ import argparse
 import json
 import socket
 import sys
+from typing import Iterable, TextIO
 
 from ..errors import PairshotError
 from ..prompting import ClozeInput
-from .toy import BackendConfig, ToyBackend, default_backend_config
+from .toy import ToyBackend, backend_config_with
 
 
 class BackendServer:
@@ -141,9 +145,9 @@ class BackendServer:
         return {"fitted": len(triplets)}
 
 
-def serve_stdio(server: BackendServer) -> None:
-    """One request per stdin line, one response per stdout line."""
-    for line in sys.stdin:
+def _serve_lines(server: BackendServer, lines: Iterable[str], out: TextIO) -> None:
+    """One request per input line, one response per output line."""
+    for line in lines:
         line = line.strip()
         if not line:
             continue
@@ -153,8 +157,13 @@ def serve_stdio(server: BackendServer) -> None:
             response = {"id": None, "ok": False, "error": f"invalid JSON: {exc}", "kind": "AdapterError"}
         else:
             response = server.handle(request)
-        sys.stdout.write(json.dumps(response) + "\n")
-        sys.stdout.flush()
+        out.write(json.dumps(response) + "\n")
+        out.flush()
+
+
+def serve_stdio(server: BackendServer) -> None:
+    """Serve requests from stdin, answering on stdout."""
+    _serve_lines(server, sys.stdin, sys.stdout)
 
 
 def serve_tcp(server: BackendServer, host: str, port: int) -> None:
@@ -165,23 +174,7 @@ def serve_tcp(server: BackendServer, host: str, port: int) -> None:
         while True:
             conn, _ = listener.accept()
             with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                for line in stream:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        request = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        response = {
-                            "id": None,
-                            "ok": False,
-                            "error": f"invalid JSON: {exc}",
-                            "kind": "AdapterError",
-                        }
-                    else:
-                        response = server.handle(request)
-                    stream.write(json.dumps(response) + "\n")
-                    stream.flush()
+                _serve_lines(server, stream, stream)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -190,14 +183,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tcp", type=int, metavar="PORT", help="serve on a TCP port instead of stdio")
     parser.add_argument("--host", default="127.0.0.1")
     args = parser.parse_args(argv)
+    overrides = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        payload["vocabulary"] = tuple(payload["vocabulary"])
-        config = BackendConfig(**payload)
-    else:
-        config = default_backend_config()
-    server = BackendServer(ToyBackend(config))
+            overrides = json.load(fh)
+    server = BackendServer(ToyBackend(backend_config_with(overrides)))
     if args.tcp is not None:
         serve_tcp(server, args.host, args.tcp)
     else:

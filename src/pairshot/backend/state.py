@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataFormatError
-from .toy import BackendConfig, ToyEncoder, ToyMaskedScorer, ToyTextClassifier
+from .toy import ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
 FORMAT = "pairshot-model"
 VERSION = 1
@@ -28,18 +28,6 @@ def array_to_b64(arr: np.ndarray) -> str:
 def array_from_b64(data: str, shape: tuple[int, ...]) -> np.ndarray:
     flat = np.frombuffer(base64.b64decode(data), dtype="<f8")
     return flat.reshape(shape).astype(np.float64)
-
-
-def _config_payload(config: BackendConfig) -> dict:
-    payload = asdict(config)
-    payload["vocabulary"] = list(config.vocabulary)
-    return payload
-
-
-def _config_from_payload(payload: dict) -> BackendConfig:
-    payload = dict(payload)
-    payload["vocabulary"] = tuple(payload["vocabulary"])
-    return BackendConfig(**payload)
 
 
 def model_to_payload(model) -> dict:
@@ -71,7 +59,7 @@ def model_to_payload(model) -> dict:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     body["format"] = FORMAT
     body["version"] = VERSION
-    body["config"] = _config_payload(model.config)
+    body["config"] = asdict(model.config)
     return body
 
 
@@ -81,7 +69,7 @@ def model_from_payload(payload: dict):
         raise DataFormatError("not a model payload")
     if payload.get("version") != VERSION:
         raise DataFormatError(f"unsupported model payload version {payload.get('version')!r}")
-    config = _config_from_payload(payload["config"])
+    config = backend_config_with(payload["config"])
     kind = payload.get("kind")
     if kind == "masked-scorer":
         model = ToyMaskedScorer(config, payload.get("seed", 0))

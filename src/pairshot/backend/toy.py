@@ -15,8 +15,8 @@ Epoch-based callers convert via ceil(len(data) / batch) * epochs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,6 +73,14 @@ def default_backend_config(extra_tokens: Iterable[str] = (), **overrides) -> Bac
         if tok not in tokens:
             tokens.append(tok)
     return BackendConfig(vocabulary=tuple(tokens), **overrides)
+
+
+def backend_config_with(overrides: Mapping[str, object]) -> BackendConfig:
+    """default_backend_config() with the fields named in overrides replaced."""
+    unknown = sorted(set(overrides) - {f.name for f in fields(BackendConfig)})
+    if unknown:
+        raise ValueError(f"unknown backend option(s): {unknown}")
+    return replace(default_backend_config(), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +165,12 @@ class ToyMaskedScorer:
         # Zero init: an untrained scorer gives every candidate score 0.
         self.W = np.zeros((len(config.vocabulary), config.buckets), dtype=np.float64)
         self._sched: dict = {}
-        self.row_access_log: list[int] | None = None
 
     def _rows_for(self, tokens: Sequence[str]) -> np.ndarray:
         missing = [t for t in tokens if t not in self._row]
         if missing:
             raise VocabularyError(f"tokens not in backend vocabulary: {missing}")
-        rows = np.asarray([self._row[t] for t in tokens], dtype=np.int64)
-        if self.row_access_log is not None:
-            self.row_access_log.extend(int(r) for r in rows)
-        return rows
+        return np.asarray([self._row[t] for t in tokens], dtype=np.int64)
 
     def score(self, cloze: ClozeInput, candidates: Sequence[str]) -> dict[str, float]:
         """Scores for each candidate token; only candidate rows are read."""

@@ -16,11 +16,15 @@ from pathlib import Path
 from .data import Dataset, load_dataset, save_dataset, split_no_leakage, validate_dataset
 from .errors import PairshotError
 from .harness import (
+    METHOD_TABLE,
+    METHODS,
     ExperimentConfig,
     build_backend,
+    close_backend,
     emit_table,
     load_sweep_payload,
     render_comparison,
+    run_method,
     run_sweep,
     save_sweep,
 )
@@ -147,24 +151,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
         backend_kind=args.backend,
         engine_options=options,
     )
+    unlabeled = None
+    if args.unlabeled and METHOD_TABLE[args.method].uses_unlabeled:
+        unlabeled = load_dataset(args.unlabeled)
     backend = build_backend(config)
-    from .finetune import FinetuneConfig, run_finetune
-    from .pet import PetConfig, run_pet
-    from .prompting import builtin_pvps
-    from .setfit import SetFitConfig, run_setfit
-
-    if args.method == "finetune":
-        _, report = run_finetune(FinetuneConfig(**options), train, test, backend, args.seed)
-    elif args.method == "setfit":
-        _, report = run_setfit(SetFitConfig(**options), train, test, backend, args.seed)
-    else:
-        unlabeled = load_dataset(args.unlabeled) if args.unlabeled else None
-        pet_config = PetConfig(pvps=tuple(builtin_pvps(train.label_set.task_id)), **options)
-        result = run_pet(
-            pet_config, train, unlabeled, test, backend, args.seed,
+    try:
+        report = run_method(
+            args.method, config.task_id, options, train, unlabeled, test, backend, args.seed,
             artifacts_dir=args.out,
         )
-        report = result.report
+    finally:
+        close_backend(backend)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -301,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     split.set_defaults(func=_cmd_split)
 
     train = sub.add_parser("train", help="train one method once and evaluate")
-    train.add_argument("--method", choices=("finetune", "setfit", "pet"), required=True)
+    train.add_argument("--method", choices=METHODS, required=True)
     train.add_argument("--train", required=True)
     train.add_argument("--test", required=True)
     train.add_argument("--unlabeled")

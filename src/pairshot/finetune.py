@@ -9,6 +9,7 @@ has no unlabeled data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +36,16 @@ class FinetuneConfig:
             raise ValueError("batch and max_len must be positive")
 
 
+def onehot_rows(train: Dataset, separator: str) -> list[tuple[str, Sequence[float]]]:
+    """(joined pair, one-hot target in label order) for each labeled example."""
+    rows: list[tuple[str, Sequence[float]]] = []
+    for ex in train:
+        target = [0.0] * len(train.label_set)
+        target[train.label_set.index(ex.label)] = 1.0
+        rows.append((join_pair(ex.pair, separator), target))
+    return rows
+
+
 def finetune(
     config: FinetuneConfig,
     train: Dataset,
@@ -49,14 +60,9 @@ def finetune(
     """
     if not len(train):
         raise NoDataError("cannot fine-tune on an empty dataset")
-    label_set = train.label_set
     if classifier is None:
-        classifier = backend.create_classifier(label_set.labels, seed)
-    rows = []
-    for ex in train:
-        target = [0.0] * len(label_set)
-        target[label_set.index(ex.label)] = 1.0
-        rows.append((join_pair(ex.pair, backend.separator_token), target))
+        classifier = backend.create_classifier(train.label_set.labels, seed)
+    rows = onehot_rows(train, backend.separator_token)
     lr = backend.default_lr if config.lr is None else config.lr
     classifier.train(rows, config.steps, config.batch, lr, seed)
     return classifier

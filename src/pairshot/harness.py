@@ -12,25 +12,72 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .backend.contracts import Backend
-from .backend.toy import ToyBackend, default_backend_config
+from .backend.toy import ToyBackend, backend_config_with
 from .data import Dataset, normalize_sentence, sample_training_set
-from .errors import DatasetSizeError, InfeasibleSplitError, PairshotError
+from .errors import DatasetSizeError, InfeasibleSplitError
 from .finetune import FinetuneConfig, run_finetune
 from .metrics import EvalReport, ReplicateSummary, aggregate_replicates, format_mean_std
 from .pet import PetConfig, run_pet
-from .prompting import builtin_pvps
 from .setfit import SetFitConfig, run_setfit
 
-METHODS = ("finetune", "setfit", "pet")
+
+class Method(NamedTuple):
+    """How to build a method's engine config and run it once.
+
+    make_config(task_id, **engine_options) builds the engine config;
+    run(engine, train, unlabeled, test, backend, seed, artifacts_dir)
+    returns the test report.  Only methods with uses_unlabeled read the
+    unlabeled pool or write artifacts.
+    """
+
+    make_config: Callable[..., object]
+    run: Callable[..., EvalReport]
+    uses_unlabeled: bool = False
+
+
+def _run_finetune(engine, train, unlabeled, test, backend, seed, artifacts_dir):
+    return run_finetune(engine, train, test, backend, seed)[1]
+
+
+def _run_setfit(engine, train, unlabeled, test, backend, seed, artifacts_dir):
+    return run_setfit(engine, train, test, backend, seed)[1]
+
+
+def _run_pet(engine, train, unlabeled, test, backend, seed, artifacts_dir):
+    return run_pet(engine, train, unlabeled, test, backend, seed, artifacts_dir=artifacts_dir).report
+
+
+METHOD_TABLE: dict[str, Method] = {
+    "finetune": Method(lambda task_id, **options: FinetuneConfig(**options), _run_finetune),
+    "setfit": Method(lambda task_id, **options: SetFitConfig(**options), _run_setfit),
+    "pet": Method(PetConfig.for_task, _run_pet, uses_unlabeled=True),
+}
+METHODS = tuple(METHOD_TABLE)
 DEFAULT_SIZES = (25, 50, 100, 200, 400)
+
+
+def run_method(
+    method: str,
+    task_id: str,
+    engine_options: Mapping[str, object],
+    train: Dataset,
+    unlabeled: Dataset | None,
+    test: Dataset,
+    backend: Backend,
+    seed: int,
+    artifacts_dir: str | Path | None = None,
+) -> EvalReport:
+    """Train one method once on train and return its report on test."""
+    entry = METHOD_TABLE[method]
+    engine = entry.make_config(task_id, **engine_options)
+    return entry.run(engine, train, unlabeled, test, backend, seed, artifacts_dir)
 
 
 @dataclass(frozen=True)
@@ -67,34 +114,13 @@ class ExperimentConfig:
             raise ValueError("unlabeled_size must be non-negative")
 
     def to_payload(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "method": self.method,
-            "sizes": list(self.sizes),
-            "replicates": self.replicates,
-            "test_size": self.test_size,
-            "unlabeled_size": self.unlabeled_size,
-            "seed_base": self.seed_base,
-            "backend_kind": self.backend_kind,
-            "backend_options": dict(self.backend_options),
-            "engine_options": dict(self.engine_options),
-        }
+        payload = asdict(self)
+        payload["sizes"] = list(self.sizes)
+        return payload
 
     @staticmethod
     def from_payload(payload: Mapping[str, object]) -> "ExperimentConfig":
-        known = {
-            "task_id",
-            "method",
-            "sizes",
-            "replicates",
-            "test_size",
-            "unlabeled_size",
-            "seed_base",
-            "backend_kind",
-            "backend_options",
-            "engine_options",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         data = dict(payload)
@@ -114,34 +140,32 @@ def replicate_seed(seed_base: int, replicate_index: int) -> int:
 
 def build_backend(config: ExperimentConfig) -> Backend:
     """Construct the backend named by the config."""
+    options = config.backend_options
     if config.backend_kind == "toy":
-        options = dict(config.backend_options)
-        if options:
-            base = default_backend_config()
-            if "vocabulary" in options:
-                options["vocabulary"] = tuple(options["vocabulary"])
-            merged = {**_backend_config_payload(base), **options}
-            from .backend.toy import BackendConfig
-
-            return ToyBackend(BackendConfig(**merged))
-        return ToyBackend()
+        return ToyBackend(backend_config_with(options))
     if config.backend_kind == "adapter-subprocess":
         from .backend.adapter import connect_subprocess
 
-        return connect_subprocess(config.backend_options["command"])
+        _require_option(config, "command")
+        return connect_subprocess(options["command"])
     if config.backend_kind == "adapter-tcp":
         from .backend.adapter import connect_tcp
 
-        return connect_tcp(
-            config.backend_options.get("host", "127.0.0.1"), int(config.backend_options["port"])
-        )
+        _require_option(config, "port")
+        return connect_tcp(options.get("host", "127.0.0.1"), int(options["port"]))
     raise ValueError(f"unknown backend kind {config.backend_kind!r}")
 
 
-def _backend_config_payload(config) -> dict:
-    payload = asdict(config)
-    payload["vocabulary"] = tuple(payload["vocabulary"])
-    return payload
+def _require_option(config: ExperimentConfig, name: str) -> None:
+    if name not in config.backend_options:
+        raise ValueError(f"backend {config.backend_kind!r} needs the backend option {name!r}")
+
+
+def close_backend(backend: Backend) -> None:
+    """Release a backend's resources (the adapter's server), if it holds any."""
+    close = getattr(backend, "close", None)
+    if close is not None:
+        close()
 
 
 @dataclass
@@ -238,15 +262,13 @@ def _train_cell(
     backend: Backend,
     seed: int,
 ) -> EvalReport:
-    if config.method == "finetune":
-        engine = FinetuneConfig(**config.engine_options)
-        return run_finetune(engine, sample, test, backend, seed)[1]
-    if config.method == "setfit":
-        engine = SetFitConfig(**config.engine_options)
-        return run_setfit(engine, sample, test, backend, seed)[1]
-    engine = PetConfig(pvps=tuple(builtin_pvps(config.task_id)), **config.engine_options)
     pool = None
-    if unlabeled is not None and config.unlabeled_size > 0 and len(unlabeled):
+    if (
+        METHOD_TABLE[config.method].uses_unlabeled
+        and unlabeled is not None
+        and config.unlabeled_size > 0
+        and len(unlabeled)
+    ):
         take = min(config.unlabeled_size, len(unlabeled))
         if take < config.unlabeled_size:
             warnings.warn(
@@ -254,7 +276,9 @@ def _train_cell(
                 f"requested {config.unlabeled_size}, using all of them"
             )
         pool = sample_training_set(unlabeled, take, seed, kind="unlabeled")
-    return run_pet(engine, sample, pool, test, backend, seed).report
+    return run_method(
+        config.method, config.task_id, config.engine_options, sample, pool, test, backend, seed
+    )
 
 
 def run_sweep(
@@ -278,28 +302,33 @@ def run_sweep(
     if len(test) < 1:
         raise DatasetSizeError("test set is empty")
     _assert_disjoint(pool, test)
-    if backend is None:
+    built = backend is None
+    if built:
         backend = build_backend(config)
 
     started = time.perf_counter()
     cells: list[CellResult] = []
-    for size in config.sizes:
-        for replicate in range(config.replicates):
-            seed = replicate_seed(config.seed_base, replicate)
-            cell_start = time.perf_counter()
-            try:
-                sample = sample_training_set(pool, size, seed)
-                report = _train_cell(config, sample, test, unlabeled, backend, seed)
-                cells.append(
-                    CellResult(size, replicate, seed, "ok", report, None,
-                               time.perf_counter() - cell_start)
-                )
-            except Exception as exc:  # keep sweeping; the cell is marked failed
-                cells.append(
-                    CellResult(size, replicate, seed, "failed", None,
-                               f"{type(exc).__name__}: {exc}",
-                               time.perf_counter() - cell_start)
-                )
+    try:
+        for size in config.sizes:
+            for replicate in range(config.replicates):
+                seed = replicate_seed(config.seed_base, replicate)
+                cell_start = time.perf_counter()
+                try:
+                    sample = sample_training_set(pool, size, seed)
+                    report = _train_cell(config, sample, test, unlabeled, backend, seed)
+                    cells.append(
+                        CellResult(size, replicate, seed, "ok", report, None,
+                                   time.perf_counter() - cell_start)
+                    )
+                except Exception as exc:  # keep sweeping; the cell is marked failed
+                    cells.append(
+                        CellResult(size, replicate, seed, "failed", None,
+                                   f"{type(exc).__name__}: {exc}",
+                                   time.perf_counter() - cell_start)
+                    )
+    finally:
+        if built:
+            close_backend(backend)
     summaries: dict[int, ReplicateSummary] = {}
     for size in config.sizes:
         reports = [c.report for c in cells if c.size == size and c.report is not None]

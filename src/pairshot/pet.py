@@ -26,6 +26,7 @@ import numpy as np
 from .backend.contracts import Backend, MaskedScorer, TextClassifier
 from .data import Dataset, LabelSet, SentencePair, SoftLabeledExample, join_pair
 from .errors import EmptyEnsembleError, NoDataError, ShapeError
+from .finetune import onehot_rows
 from .metrics import EvalReport, evaluate_predictions
 from .numerics import argmax_lowest, stable_softmax
 from .prompting import PVP, builtin_pvps, render, verbalizer_tokens
@@ -242,24 +243,28 @@ def soft_label(
     return out
 
 
-def _onehot(index: int, size: int) -> tuple[float, ...]:
-    row = [0.0] * size
-    row[index] = 1.0
-    return tuple(row)
-
-
-def _distill_rows(
+def _distill(
+    members: Sequence[EnsembleMember],
     train: Dataset,
-    softened: Sequence[SoftLabeledExample],
-    separator: str,
-) -> list[tuple[str, Sequence[float]]]:
-    label_set = train.label_set
-    rows: list[tuple[str, Sequence[float]]] = [
-        (join_pair(ex.pair, separator), _onehot(label_set.index(ex.label), len(label_set)))
-        for ex in train
-    ]
-    rows.extend((join_pair(s.pair, separator), s.distribution) for s in softened)
-    return rows
+    unlabeled: Dataset | None,
+    config: PetConfig,
+    classifier: TextClassifier,
+    backend: Backend,
+    seed: int,
+) -> list[SoftLabeledExample]:
+    """Soft-label the pool, train classifier on the union; returns the soft labels."""
+    if not len(train):
+        raise NoDataError("distillation needs labeled examples")
+    softened = (
+        soft_label(members, unlabeled, train.label_set, config, backend)
+        if unlabeled is not None and len(unlabeled)
+        else []
+    )
+    rows = onehot_rows(train, backend.separator_token)
+    rows.extend((join_pair(s.pair, backend.separator_token), s.distribution) for s in softened)
+    lr = _resolve_lr(config.lr, backend)
+    classifier.train(rows, config.distill_steps, config.batch, lr, seed)
+    return softened
 
 
 def distill(
@@ -279,16 +284,7 @@ def distill(
     empty unlabeled pool this reduces exactly to fine-tuning on the
     labeled data under the same seed and step count.
     """
-    if not len(train):
-        raise NoDataError("distillation needs labeled examples")
-    softened = (
-        soft_label(members, unlabeled, train.label_set, config, backend)
-        if unlabeled is not None and len(unlabeled)
-        else []
-    )
-    rows = _distill_rows(train, softened, backend.separator_token)
-    lr = _resolve_lr(config.lr, backend)
-    classifier.train(rows, config.distill_steps, config.batch, lr, seed)
+    _distill(members, train, unlabeled, config, classifier, backend, seed)
     return classifier
 
 
@@ -329,14 +325,7 @@ def run_pet(
     label_set = train.label_set
     classifier = backend.create_classifier(label_set.labels, Rng(seed).derive("distill").next_u64())
     distill_seed = Rng(seed).derive("distill-order").next_u64()
-    softened = (
-        soft_label(members, unlabeled, label_set, config, backend)
-        if unlabeled is not None and len(unlabeled)
-        else []
-    )
-    rows = _distill_rows(train, softened, backend.separator_token)
-    lr = _resolve_lr(config.lr, backend)
-    classifier.train(rows, config.distill_steps, config.batch, lr, distill_seed)
+    softened = _distill(members, train, unlabeled, config, classifier, backend, distill_seed)
 
     golds = [ex.label for ex in test]
     preds = [classifier_predict_label(classifier, ex.pair, backend.separator_token) for ex in test]
@@ -359,7 +348,7 @@ def run_pet(
         "mlm_steps": config.mlm_steps,
         "distill_steps": config.distill_steps,
         "batch": config.batch,
-        "lr": lr,
+        "lr": _resolve_lr(config.lr, backend),
         "max_len": config.max_len,
         "seed": seed,
         "members": len(members),

@@ -12,9 +12,7 @@ question duplicate detection, and requirement conflict detection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -287,50 +285,3 @@ def builtin_pvps(task_id: str) -> list[PVP]:
     if task_id not in table:
         raise UnknownTaskError(f"no built-in task {task_id!r}; known: {sorted(table)}")
     return table[task_id]
-
-
-# ---------------------------------------------------------------------------
-# PVP definition files
-
-
-def pvps_to_json(pvps: list[PVP]) -> str:
-    """Serialize PVPs to the JSON definition format (round-trips with load)."""
-    payload = {
-        "format": "pairshot-pvps",
-        "version": 1,
-        "pvps": [
-            {
-                "id": pvp.id,
-                "pattern": [
-                    {"kind": seg.kind, "text": seg.text} if seg.kind == LITERAL else {"kind": seg.kind}
-                    for seg in pvp.pattern.segments
-                ],
-                "verbalizer": dict(pvp.verbalizer),
-            }
-            for pvp in pvps
-        ],
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True)
-
-
-def load_pvps(path: str | Path) -> list[PVP]:
-    """Load PVPs from a JSON definition file, validating structure."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise VerbalizerError(f"{path}: invalid JSON: {exc}") from exc
-    if payload.get("format") != "pairshot-pvps":
-        raise VerbalizerError(f"{path}: not a PVP definition file")
-    pvps: list[PVP] = []
-    for entry in payload.get("pvps", []):
-        try:
-            segments = tuple(
-                Segment(item["kind"], item.get("text", "")) for item in entry["pattern"]
-            )
-            pvps.append(PVP(entry["id"], PatternTemplate(segments), dict(entry["verbalizer"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise VerbalizerError(f"{path}: bad PVP entry {entry.get('id', '?')!r}: {exc}") from exc
-    if not pvps:
-        raise VerbalizerError(f"{path}: file defines no PVPs")
-    return pvps

@@ -16,8 +16,9 @@ from pairshot.backend.adapter import (
     connect_tcp,
 )
 from pairshot.backend.serve import BackendServer, serve_tcp
+from pairshot import errors
 from pairshot.backend.toy import ToyBackend
-from pairshot.errors import NoDataError, ShapeError, VocabularyError
+from pairshot.errors import NoDataError, PairshotError, ShapeError, VocabularyError
 from pairshot.prompting import ClozeInput
 
 
@@ -265,6 +266,29 @@ class TestTransportSafety:
         with pytest.raises(AdapterError, match="boom"):
             RemoteBackend(transport)
 
+    @pytest.mark.parametrize(
+        "kind",
+        sorted(
+            name
+            for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, PairshotError)
+        ),
+    )
+    def test_every_domain_kind_keeps_its_type_and_message(self, kind):
+        """Kinds whose constructors take extra arguments still surface as themselves."""
+        transport = self.EchoTransport(
+            lambda payload: {
+                "id": payload["id"],
+                "ok": False,
+                "error": "remote said no",
+                "kind": kind,
+            }
+        )
+        with pytest.raises(PairshotError) as info:
+            RemoteBackend(transport)
+        assert type(info.value) is getattr(errors, kind)
+        assert str(info.value) == "remote said no"
+
     def test_non_domain_kind_never_instantiated(self):
         """Only the package's own error types may be raised from wire kinds."""
         transport = self.EchoTransport(
@@ -301,6 +325,19 @@ class TestSubprocessEndToEnd:
             classifier.train(CLF_ROWS, steps=25, batch=2, lr=0.1, seed=3)
             probe = "fine good steady"
             np.testing.assert_array_equal(classifier.predict(probe), local.predict(probe))
+        finally:
+            backend.close()
+
+    def test_partial_config_file_applies_over_defaults(self, tmp_path):
+        """``serve --config`` takes overrides, not a complete config."""
+        config = tmp_path / "backend.json"
+        config.write_text(json.dumps({"buckets": 1024, "embedding_dim": 8}))
+        backend = connect_subprocess(
+            [sys.executable, "-m", "pairshot.backend.serve", "--config", str(config)]
+        )
+        try:
+            assert backend.mask_token == "<mask>"
+            assert backend.create_encoder(seed=0).dim == 8
         finally:
             backend.close()
 

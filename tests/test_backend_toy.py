@@ -12,6 +12,7 @@ from pairshot.backend.state import load_model, save_model
 from pairshot.backend.toy import (
     BackendConfig,
     ToyBackend,
+    ToyMaskedScorer,
     default_backend_config,
 )
 from pairshot.data import SentencePair
@@ -92,16 +93,25 @@ class TestScorerTraining:
             if row not in touched:
                 assert not scorer.W[row].any(), f"row {row} ({vocab[row]}) was written"
 
-    def test_row_access_log_sees_only_candidates(self, backend):
+    def test_row_access_log_sees_only_candidates(self, backend, monkeypatch):
+        accessed = []
+        rows_for = ToyMaskedScorer._rows_for
+
+        def spy(self, tokens):
+            rows = rows_for(self, tokens)
+            accessed.extend(int(r) for r in rows)
+            return rows
+
+        monkeypatch.setattr(ToyMaskedScorer, "_rows_for", spy)
         scorer = backend.create_scorer()
-        scorer.row_access_log = []
         scorer.train(
             yes_no_rendering(6), steps=10, batch=4, lr=0.1, seed=2,
             candidates=["Yes", "No"],
         )
         vocab = scorer.config.vocabulary
         allowed = {vocab.index("Yes"), vocab.index("No")}
-        assert set(scorer.row_access_log) <= allowed
+        assert accessed
+        assert set(accessed) <= allowed
 
     def test_training_is_deterministic(self, backend):
         a = backend.create_scorer(seed=3)

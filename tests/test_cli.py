@@ -5,8 +5,12 @@ import json
 
 import pytest
 
+from pairshot.backend.toy import ToyBackend
 from pairshot.cli import _parse_option, build_parser, main
 from pairshot.data import load_dataset
+from pairshot.finetune import FinetuneConfig, run_finetune
+from pairshot.pet import PetConfig, run_pet
+from pairshot.setfit import SetFitConfig, run_setfit
 from pairshot.ingestion.mock_server import MockBugzillaServer, make_fixture_bugs
 
 
@@ -105,6 +109,57 @@ class TestTrain:
         )
         assert rc == 0
         assert "pet on 80 examples:" in capsys.readouterr().out
+
+
+class TestTrainMatchesLibrary:
+    """``pairshot train`` writes the report the library call produces."""
+
+    def train_report(self, workspace, tmp_path, method, options, unlabeled=False):
+        argv = [
+            "train",
+            "--method", method,
+            "--train", str(workspace["pool"]),
+            "--test", str(workspace["test"]),
+            "--seed", "17",
+            "--out", str(tmp_path),
+        ]
+        if unlabeled:
+            argv += ["--unlabeled", str(workspace["unlabeled"])]
+        for key, value in options.items():
+            argv += ["--option", f"{key}={json.dumps(value)}"]
+        assert main(argv) == 0
+        return (tmp_path / "report.json").read_bytes()
+
+    def datasets(self, workspace):
+        return load_dataset(workspace["pool"]), load_dataset(workspace["test"])
+
+    def test_finetune(self, workspace, tmp_path):
+        options = {"steps": 40, "batch": 4}
+        train, test = self.datasets(workspace)
+        _, report = run_finetune(FinetuneConfig(**options), train, test, ToyBackend(), 17)
+        expected = (report.to_json() + "\n").encode("utf-8")
+        assert self.train_report(workspace, tmp_path, "finetune", options) == expected
+
+    def test_setfit(self, workspace, tmp_path):
+        options = {"R": 2, "batch": 8}
+        train, test = self.datasets(workspace)
+        _, report = run_setfit(SetFitConfig(**options), train, test, ToyBackend(), 17)
+        expected = (report.to_json() + "\n").encode("utf-8")
+        assert self.train_report(workspace, tmp_path, "setfit", options) == expected
+
+    def test_pet_with_unlabeled(self, workspace, tmp_path):
+        options = {"mlm_steps": 10, "distill_steps": 20, "batch": 4}
+        train, test = self.datasets(workspace)
+        unlabeled = load_dataset(workspace["unlabeled"])
+        config = PetConfig.for_task(train.label_set.task_id, **options)
+        result = run_pet(config, train, unlabeled, test, ToyBackend(), 17)
+        expected = (result.report.to_json() + "\n").encode("utf-8")
+        got = self.train_report(workspace, tmp_path, "pet", options, unlabeled=True)
+        assert got == expected
+        metadata = json.loads((tmp_path / "metadata.json").read_text())
+        assert metadata["unlabeled"] == len(unlabeled)
+        soft = (tmp_path / "soft_labeled.jsonl").read_text().splitlines()
+        assert len(soft) == len(unlabeled)
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +366,49 @@ class TestExitCodes:
         rc = main(["report", "--result", str(path)])
         assert rc == 1
         assert "not a sweep result" in capsys.readouterr().err
+
+
+    def test_adapter_backend_without_command_exits_one(self, workspace, capsys):
+        rc = main(
+            [
+                "train",
+                "--method", "finetune",
+                "--train", str(workspace["pool"]),
+                "--test", str(workspace["test"]),
+                "--backend", "adapter-subprocess",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "command" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unknown_backend_option_exits_one(self, workspace, capsys):
+        config = {
+            "task_id": "so_duplicate",
+            "method": "finetune",
+            "sizes": [10],
+            "replicates": 1,
+            "test_size": 30,
+            "backend_options": {"bukets": 1024},
+        }
+        config_path = workspace["root"] / "bad-backend.config.json"
+        config_path.write_text(json.dumps(config))
+        rc = main(
+            [
+                "sweep",
+                "--config", str(config_path),
+                "--pool", str(workspace["pool"]),
+                "--test", str(workspace["test"]),
+                "--out", str(workspace["root"] / "sweeps-bad-backend"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "bukets" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestOptionParsing:

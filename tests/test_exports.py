@@ -1,0 +1,13 @@
+"""Public names: everything a package exports can be imported."""
+
+import pytest
+
+import pairshot
+import pairshot.backend
+
+
+@pytest.mark.parametrize("module", [pairshot, pairshot.backend], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)

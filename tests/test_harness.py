@@ -1,6 +1,7 @@
 """Sweep harness: configs, cell grids, persistence, and tables."""
 
 import json
+import sys
 
 import pytest
 
@@ -115,6 +116,17 @@ class TestBuildBackend:
         with pytest.raises(ValueError, match="quantum"):
             build_backend(small_config(backend_kind="quantum"))
 
+    def test_unknown_toy_option_named(self):
+        with pytest.raises(ValueError, match="bukets"):
+            build_backend(small_config(backend_options={"bukets": 1024}))
+
+    @pytest.mark.parametrize(
+        "kind, option", [("adapter-subprocess", "command"), ("adapter-tcp", "port")]
+    )
+    def test_adapter_kind_names_missing_option(self, kind, option):
+        with pytest.raises(ValueError, match=option):
+            build_backend(small_config(backend_kind=kind))
+
 
 class TestRunSweep:
     def test_grid_shape(self, sweep_result):
@@ -188,6 +200,40 @@ class TestRunSweep:
         with pytest.warns(UserWarning, match="using all of them"):
             result = run_sweep(config, dup_pool, dup_test, dup_unlabeled, backend=ToyBackend())
         assert not result.failed
+
+
+class TestBackendLifetime:
+    def test_sweep_closes_the_backend_it_built(self, dup_pool, dup_test, monkeypatch):
+        """An adapter sweep leaves no server child running behind it."""
+        import pairshot.backend.adapter as adapter
+
+        built = []
+
+        def connect(command):
+            built.append(adapter.RemoteBackend(adapter.SubprocessTransport(command)))
+            return built[-1]
+
+        monkeypatch.setattr(adapter, "connect_subprocess", connect)
+        config = small_config(
+            sizes=(10,),
+            replicates=1,
+            backend_kind="adapter-subprocess",
+            backend_options={"command": [sys.executable, "-m", "pairshot.backend.serve"]},
+        )
+        result = run_sweep(config, dup_pool, dup_test)
+        assert not result.failed
+        assert len(built) == 1
+        assert built[0]._transport._proc.poll() is not None
+
+    def test_sweep_leaves_a_passed_backend_open(self, dup_pool, dup_test):
+        closed = []
+
+        class Closable(ToyBackend):
+            def close(self):
+                closed.append(True)
+
+        run_sweep(small_config(sizes=(10,), replicates=1), dup_pool, dup_test, backend=Closable())
+        assert closed == []
 
 
 class TestPersistence:

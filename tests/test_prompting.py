@@ -1,4 +1,4 @@
-"""Cloze templates: built-in patterns, rendering, truncation, round-trip."""
+"""Cloze templates: built-in patterns, rendering, truncation."""
 
 import pytest
 
@@ -11,8 +11,6 @@ from pairshot.prompting import (
     builtin_pvps,
     builtin_task_ids,
     lit,
-    load_pvps,
-    pvps_to_json,
     render,
     verbalizer_tokens,
     M,
@@ -209,20 +207,3 @@ class TestTruncation:
     def test_untruncated_text_preserves_inner_spacing(self):
         cloze = rendered("so_duplicate", 2, "a  b", "c", max_len=100)
         assert '"a  b"' in cloze.text
-
-
-class TestPvpSerialization:
-    def test_round_trip_all_builtin_tables(self, tmp_path):
-        for task in builtin_task_ids():
-            pvps = builtin_pvps(task)
-            path = tmp_path / f"{task}.pvps.json"
-            path.write_text(pvps_to_json(pvps), encoding="utf-8")
-            again = load_pvps(path)
-            assert len(again) == len(pvps)
-            for a, b in zip(pvps, again):
-                assert a.id == b.id
-                assert dict(a.verbalizer) == dict(b.verbalizer)
-                pair = SentencePair("s1", "s2")
-                assert (
-                    render(a, pair, 64, words).text == render(b, pair, 64, words).text
-                )
