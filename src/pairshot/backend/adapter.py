@@ -15,6 +15,7 @@ server can create them lazily and deterministically.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import subprocess
@@ -79,16 +80,29 @@ class SubprocessTransport(_Transport):
 
 
 class SocketTransport(_Transport):
-    """Talks to a backend listening on a local TCP port."""
+    """Talks to a backend listening on a local TCP port.
+
+    A request that fails or times out on the socket closes the transport
+    and raises AdapterError; every later request raises AdapterError too.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rw", encoding="utf-8", newline="\n")
 
     def request(self, payload: dict) -> dict:
-        self._file.write(json.dumps(payload) + "\n")
-        self._file.flush()
-        line = self._file.readline()
+        if self._file.closed:
+            raise AdapterError("backend socket is closed")
+        try:
+            self._file.write(json.dumps(payload) + "\n")
+            self._file.flush()
+            line = self._file.readline()
+        except OSError as exc:
+            # A timeout can strike mid-line; the stream is out of step with
+            # the server from then on, so no later request may read it.
+            with contextlib.suppress(OSError):
+                self.close()
+            raise AdapterError(f"backend socket failed: {exc}") from exc
         if not line:
             raise AdapterError("backend socket closed")
         try:

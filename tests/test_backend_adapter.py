@@ -12,6 +12,7 @@ import pytest
 from pairshot.backend.adapter import (
     AdapterError,
     RemoteBackend,
+    SocketTransport,
     connect_subprocess,
     connect_tcp,
 )
@@ -310,6 +311,30 @@ class TestTransportSafety:
         )
         with pytest.raises(AdapterError, match="length model"):
             RemoteBackend(transport)
+
+    def test_socket_read_timeout_is_typed_and_closes_transport(self):
+        """A silent TCP backend ends in AdapterError, and the stream is not reused."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        try:
+            transport = SocketTransport("127.0.0.1", listener.getsockname()[1], timeout=0.3)
+            conn, _ = listener.accept()
+            try:
+                with pytest.raises(AdapterError, match="timed out"):
+                    transport.request({"id": 1, "verb": "hello", "params": {}})
+                # The late answer to request 1 must never be read as the
+                # answer to a later request.
+                conn.sendall(b'{"id": 1, "ok": true, "result": {}}\n')
+                started = time.perf_counter()
+                with pytest.raises(AdapterError, match="closed"):
+                    transport.request({"id": 2, "verb": "hello", "params": {}})
+                assert time.perf_counter() - started < 0.3
+                transport.close()
+            finally:
+                conn.close()
+        finally:
+            listener.close()
 
 
 class TestSubprocessEndToEnd:

@@ -1,0 +1,110 @@
+"""Hashed n-gram featurizer: golden equality with a per-gram reference,
+and the safety of the shared bounded cache behind sparse_counts.
+"""
+
+import zlib
+
+import numpy as np
+import pytest
+
+from pairshot.backend import features
+from pairshot.backend.features import Featurizer
+
+TEXTS = [
+    "duplicate bug report: app crashes on startup",
+    "open  file\tdialog  freezes\n",
+    "é",
+    "café crème brûlée",
+    "应用程序在启动时崩溃",
+    "build fails 🚀 after upgrade",
+    "",
+    "   \t\n ",
+    "a",
+    "ab",
+    "abc",
+]
+SETTINGS = [(buckets, order) for buckets in (7, 32768) for order in (1, 2, 3)]
+
+
+def reference_bucket_ids(text, buckets, word_order):
+    """The featurizer's definition, one crc32 of "tag:gram" per occurrence."""
+    out = []
+    words = text.split()
+    for order in range(1, word_order + 1):
+        for i in range(len(words) - order + 1):
+            gram = " ".join(words[i : i + order])
+            out.append(zlib.crc32(f"w{order}:{gram}".encode("utf-8")) % buckets)
+    for order in (3, 4):
+        for i in range(len(text) - order + 1):
+            out.append(zlib.crc32(f"c{order}:{text[i : i + order]}".encode("utf-8")) % buckets)
+    return out
+
+
+def reference_sparse_counts(text, buckets, word_order):
+    counts = {}
+    for b in reference_bucket_ids(text, buckets, word_order):
+        counts[b] = counts.get(b, 0.0) + 1.0
+    if not counts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    idx = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
+    val = np.asarray([counts[int(i)] for i in idx], dtype=np.float64)
+    return idx, val / np.linalg.norm(val)
+
+
+class TestGoldenFeatures:
+    @pytest.mark.parametrize("buckets,word_order", SETTINGS)
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_bucket_ids_match_reference(self, text, buckets, word_order):
+        got = Featurizer(buckets, word_order).bucket_ids(text)
+        assert got == reference_bucket_ids(text, buckets, word_order)
+
+    @pytest.mark.parametrize("buckets,word_order", SETTINGS)
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_sparse_counts_byte_equal_to_reference(self, text, buckets, word_order):
+        idx, val = Featurizer(buckets, word_order).sparse_counts(text)
+        ref_idx, ref_val = reference_sparse_counts(text, buckets, word_order)
+        assert idx.dtype == np.int64 and val.dtype == np.float64
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert val.tobytes() == ref_val.tobytes()
+
+    def test_hashing_scheme_is_pinned(self):
+        assert Featurizer(32768, 2).bucket_ids("open file") == [
+            6476, 11512, 23229, 26360, 15657, 27118, 33, 22009,
+            19659, 18199, 12322, 9004, 27982, 16279, 2475, 1430,
+        ]
+        assert Featurizer(7, 2).bucket_ids("open file") == [
+            2, 4, 1, 0, 5, 3, 4, 3, 5, 6, 2, 4, 6, 0, 5, 5,
+        ]
+
+
+class TestFeatureCache:
+    def test_returned_arrays_are_read_only(self):
+        idx, val = Featurizer(32768, 2).sparse_counts("read only arrays")
+        with pytest.raises(ValueError):
+            idx[0] = 1
+        with pytest.raises(ValueError):
+            val[0] = 0.0
+        empty_idx, empty_val = Featurizer(32768, 2).sparse_counts("")
+        assert not empty_idx.flags.writeable and not empty_val.flags.writeable
+
+    def test_configs_never_share_entries(self):
+        configs = [Featurizer(1024, 2), Featurizer(32768, 2), Featurizer(32768, 3)]
+        text = "same text under three configs"
+        expected = [reference_sparse_counts(text, f.buckets, f.word_order) for f in configs]
+        for _ in range(3):
+            for featurizer, (ref_idx, ref_val) in zip(configs, expected):
+                idx, val = featurizer.sparse_counts(text)
+                assert idx.tobytes() == ref_idx.tobytes()
+                assert val.tobytes() == ref_val.tobytes()
+
+    def test_equal_configs_share_entries(self):
+        text = "shared by equal featurizers"
+        first = Featurizer(32768, 2).sparse_counts(text)
+        second = Featurizer(32768, 2).sparse_counts(text)
+        assert first[0] is second[0] and first[1] is second[1]
+
+    def test_cache_stays_bounded(self):
+        featurizer = Featurizer(32768, 2)
+        for i in range(1000):
+            featurizer.sparse_counts(f"distinct text number {i}")
+        assert features._sparse_counts.cache_info().currsize <= 64
