@@ -3,6 +3,8 @@
 Engines call the contract methods (``score``, ``train``, ``predict``,
 ``encode``, ``fit``) directly on whatever backend objects they are
 handed, in-process toy models or remote ones behind the adapter.
+``score``, ``predict`` and ``encode`` take a whole batch and return one
+row per item.
 """
 
 from .contracts import Backend, MaskedScorer, SentenceEncoder, TextClassifier

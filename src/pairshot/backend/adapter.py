@@ -2,11 +2,23 @@
 
 An external backend is a process that answers one JSON object per line.
 Requests carry an id, a verb, and params; responses echo the id and
-carry either a result or an error.  Verbs: hello, score, train_mlm,
-train_clf, predict, encode, fit_encoder.  Transports: a subprocess pipe
-or a TCP socket.  An error whose kind names a package error class is
-raised as that class with the server's message; any other kind is
-raised as AdapterError.
+carry either a result or an error.  Verbs (protocol 2):
+
+    hello        -> mask_token, separator_token, default_lr, embedding_dim,
+                    length_model, protocol
+    score        clozes[n], candidates[k] -> scores[n][k]
+    predict      labels[k], texts[n]      -> scores[n][k]
+    encode       texts[n]                 -> vectors[n][dim]
+    train_mlm    rows [[cloze, target]], steps, batch, lr, seed, candidates
+    train_clf    labels, rows [[text, distribution]], steps, batch, lr, seed
+    fit_encoder  triplets [[text_a, text_b, similarity]], epochs, batch, lr, seed
+
+Every model verb also carries the model name and its init_seed.  The
+handshake fails unless the backend reports the protocol this client
+speaks.  Transports: a subprocess pipe or a TCP socket, each with a read
+deadline.  An error whose kind names a package error class is raised as
+that class with the server's message; any other kind is raised as
+AdapterError.
 
 The remote side owns the models; the client refers to them by names it
 invents (scorer-1, classifier-2, ...) and ships an init_seed so the
@@ -17,8 +29,12 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import select
 import socket
 import subprocess
+import time
+from dataclasses import asdict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +42,9 @@ import numpy as np
 from .. import errors as errors_module
 from ..errors import PairshotError
 from ..prompting import ClozeInput
+
+
+PROTOCOL_VERSION = 2
 
 
 class AdapterError(PairshotError):
@@ -41,30 +60,68 @@ class _Transport:
 
 
 class SubprocessTransport(_Transport):
-    """Runs the backend as a child process, one JSON line per message."""
+    """Runs the backend as a child process, one JSON line per message.
 
-    def __init__(self, command: Sequence[str]) -> None:
-        self._proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+    A request that fails, or is not written and answered within timeout
+    seconds, kills the child and raises AdapterError; every later
+    request raises AdapterError too.
+    """
+
+    def __init__(self, command: Sequence[str], timeout: float = 60.0) -> None:
+        self._proc = subprocess.Popen(list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        assert self._proc.stdin and self._proc.stdout
+        self._in = self._proc.stdin.fileno()
+        self._out = self._proc.stdout.fileno()
+        # A child that stops reading must not block a large write forever.
+        os.set_blocking(self._in, False)
+        self._timeout = timeout
+        self._pending = b""
 
     def request(self, payload: dict) -> dict:
         if self._proc.poll() is not None:
             raise AdapterError("backend process has exited")
-        assert self._proc.stdin and self._proc.stdout
-        self._proc.stdin.write(json.dumps(payload) + "\n")
-        self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
+        deadline = time.monotonic() + self._timeout
+        try:
+            self._write((json.dumps(payload) + "\n").encode("utf-8"), deadline)
+            line = self._readline(deadline)
+        except OSError as exc:
+            # Out of step with the child from here on: no later request
+            # may read its late answer.
+            self._proc.kill()
+            self.close()
+            raise AdapterError(f"backend process failed: {exc}") from exc
         if not line:
             raise AdapterError("backend process closed its output")
         try:
-            return json.loads(line)
-        except json.JSONDecodeError as exc:
+            return json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise AdapterError(f"backend sent invalid JSON: {line!r}") from exc
+
+    def _wait(self, fd: int, writing: bool, deadline: float) -> None:
+        """Block until fd is ready; TimeoutError past the deadline."""
+        remaining = deadline - time.monotonic()
+        watch = ([], [fd]) if writing else ([fd], [])
+        if remaining <= 0 or not any(select.select(*watch, [], remaining)):
+            raise TimeoutError(f"timed out after {self._timeout:g} s")
+
+    def _write(self, data: bytes, deadline: float) -> None:
+        view = memoryview(data)
+        while view:
+            self._wait(self._in, True, deadline)
+            with contextlib.suppress(BlockingIOError):
+                view = view[os.write(self._in, view) :]
+
+    def _readline(self, deadline: float) -> bytes:
+        """The next line of output, or b"" at its end."""
+        chunks = [self._pending]
+        while b"\n" not in chunks[-1]:
+            self._wait(self._out, False, deadline)
+            chunk = os.read(self._out, 1 << 16)
+            if not chunk:
+                return b""
+            chunks.append(chunk)
+        line, _, self._pending = b"".join(chunks).partition(b"\n")
+        return line
 
     def close(self) -> None:
         if self._proc.poll() is None:
@@ -76,7 +133,8 @@ class SubprocessTransport(_Transport):
                 self._proc.wait()
         for pipe in (self._proc.stdin, self._proc.stdout):
             if pipe is not None:
-                pipe.close()
+                with contextlib.suppress(OSError):
+                    pipe.close()
 
 
 class SocketTransport(_Transport):
@@ -140,6 +198,11 @@ class RemoteBackend:
         self._next_id = 0
         self._counter = 0
         hello = self.call("hello", {})
+        protocol = hello.get("protocol")
+        if protocol != PROTOCOL_VERSION:
+            raise AdapterError(
+                f"backend speaks protocol {protocol!r}, this client speaks {PROTOCOL_VERSION}"
+            )
         self._mask_token = hello["mask_token"]
         self._separator_token = hello["separator_token"]
         self._default_lr = float(hello["default_lr"])
@@ -196,32 +259,37 @@ class RemoteBackend:
         return RemoteEncoder(self, self._fresh_name("encoder"), seed)
 
 
-def _cloze_payload(cloze: ClozeInput) -> dict:
-    return {
-        "text": cloze.text,
-        "mask_position": cloze.mask_position,
-        "segment_boundary": cloze.segment_boundary,
-    }
+def _matrix(rows: object, n: int, k: int) -> np.ndarray:
+    """A result's nested list as an (n, k) float array; AdapterError if it is not one."""
+    try:
+        out = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise AdapterError(f"backend sent a malformed result: {exc}") from exc
+    if out.shape != (n, k) and not (n == 0 and out.size == 0):
+        raise AdapterError(f"backend sent a {out.shape} table, expected ({n}, {k})")
+    return out.reshape(n, k)
 
 
-class RemoteScorer:
+class _RemoteModel:
+    """A model the server holds under a client-chosen name."""
+
     def __init__(self, backend: RemoteBackend, name: str, seed: int) -> None:
         self._backend = backend
         self._name = name
         self._seed = seed
 
-    def score(self, cloze: ClozeInput, candidates: Sequence[str]) -> dict[str, float]:
-        result = self._backend.call(
+    def _call(self, verb: str, **params) -> dict:
+        return self._backend.call(verb, {"model": self._name, "init_seed": self._seed, **params})
+
+
+class RemoteScorer(_RemoteModel):
+    def score(self, clozes: Sequence[ClozeInput], candidates: Sequence[str]) -> np.ndarray:
+        result = self._call(
             "score",
-            {
-                "model": self._name,
-                "init_seed": self._seed,
-                "cloze": _cloze_payload(cloze),
-                "candidates": list(candidates),
-            },
+            clozes=[asdict(cloze) for cloze in clozes],
+            candidates=list(candidates),
         )
-        scores = result["scores"]
-        return {tok: float(scores[tok]) for tok in candidates}
+        return _matrix(result["scores"], len(clozes), len(candidates))
 
     def train(
         self,
@@ -232,39 +300,25 @@ class RemoteScorer:
         seed: int,
         candidates: Sequence[str] | None = None,
     ) -> None:
-        self._backend.call(
+        self._call(
             "train_mlm",
-            {
-                "model": self._name,
-                "init_seed": self._seed,
-                "rows": [[_cloze_payload(cloze), target] for cloze, target in rendered],
-                "steps": steps,
-                "batch": batch,
-                "lr": lr,
-                "seed": seed,
-                "candidates": None if candidates is None else list(candidates),
-            },
+            rows=[[asdict(cloze), target] for cloze, target in rendered],
+            steps=steps,
+            batch=batch,
+            lr=lr,
+            seed=seed,
+            candidates=None if candidates is None else list(candidates),
         )
 
 
-class RemoteClassifier:
+class RemoteClassifier(_RemoteModel):
     def __init__(self, backend: RemoteBackend, name: str, labels: tuple[str, ...], seed: int) -> None:
-        self._backend = backend
-        self._name = name
+        super().__init__(backend, name, seed)
         self.labels = labels
-        self._seed = seed
 
-    def predict(self, text: str) -> np.ndarray:
-        result = self._backend.call(
-            "predict",
-            {
-                "model": self._name,
-                "init_seed": self._seed,
-                "labels": list(self.labels),
-                "text": text,
-            },
-        )
-        return np.asarray(result["scores"], dtype=np.float64)
+    def predict(self, texts: Sequence[str]) -> np.ndarray:
+        result = self._call("predict", labels=list(self.labels), texts=list(texts))
+        return _matrix(result["scores"], len(texts), len(self.labels))
 
     def train(
         self,
@@ -274,34 +328,25 @@ class RemoteClassifier:
         lr: float,
         seed: int,
     ) -> None:
-        self._backend.call(
+        self._call(
             "train_clf",
-            {
-                "model": self._name,
-                "init_seed": self._seed,
-                "labels": list(self.labels),
-                "rows": [[text, list(map(float, dist))] for text, dist in rows],
-                "steps": steps,
-                "batch": batch,
-                "lr": lr,
-                "seed": seed,
-            },
+            labels=list(self.labels),
+            rows=[[text, list(map(float, dist))] for text, dist in rows],
+            steps=steps,
+            batch=batch,
+            lr=lr,
+            seed=seed,
         )
 
 
-class RemoteEncoder:
+class RemoteEncoder(_RemoteModel):
     def __init__(self, backend: RemoteBackend, name: str, seed: int) -> None:
-        self._backend = backend
-        self._name = name
-        self._seed = seed
+        super().__init__(backend, name, seed)
         self.dim = backend._dim
 
-    def encode(self, text: str) -> np.ndarray:
-        result = self._backend.call(
-            "encode",
-            {"model": self._name, "init_seed": self._seed, "text": text},
-        )
-        return np.asarray(result["vector"], dtype=np.float64)
+    def encode(self, texts: Sequence[str]) -> np.ndarray:
+        result = self._call("encode", texts=list(texts))
+        return _matrix(result["vectors"], len(texts), self.dim)
 
     def fit(
         self,
@@ -311,17 +356,13 @@ class RemoteEncoder:
         lr: float,
         seed: int,
     ) -> None:
-        self._backend.call(
+        self._call(
             "fit_encoder",
-            {
-                "model": self._name,
-                "init_seed": self._seed,
-                "triplets": [[a, b, float(sim)] for a, b, sim in triplets],
-                "epochs": epochs,
-                "batch": batch,
-                "lr": lr,
-                "seed": seed,
-            },
+            triplets=[[a, b, float(sim)] for a, b, sim in triplets],
+            epochs=epochs,
+            batch=batch,
+            lr=lr,
+            seed=seed,
         )
 
 

@@ -3,6 +3,10 @@
 Engines only talk to these interfaces.  The bundled toy backend and the
 line-delimited JSON adapter both implement them; a transformer-scale
 backend would plug in the same way.
+
+Inference is batch-first: score, predict and encode take a whole
+sequence and return one row per item, so an engine makes one call per
+model per dataset.  Each row must equal what the item would get alone.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from ..prompting import ClozeInput
 
 @runtime_checkable
 class MaskedScorer(Protocol):
-    """Scores candidate tokens for the mask slot of a cloze input."""
+    """Scores candidate tokens for the mask slot of cloze inputs."""
 
-    def score(self, cloze: ClozeInput, candidates: Sequence[str]) -> dict[str, float]:
+    def score(self, clozes: Sequence[ClozeInput], candidates: Sequence[str]) -> np.ndarray:
+        """(n, k): one row per cloze, one column per candidate, in order."""
         ...
 
     def train(
@@ -39,7 +44,8 @@ class TextClassifier(Protocol):
 
     labels: tuple[str, ...]
 
-    def predict(self, text: str) -> np.ndarray:
+    def predict(self, texts: Sequence[str]) -> np.ndarray:
+        """(n, k): one row per text, columns in label order."""
         ...
 
     def train(
@@ -59,7 +65,8 @@ class SentenceEncoder(Protocol):
 
     dim: int
 
-    def encode(self, text: str) -> np.ndarray:
+    def encode(self, texts: Sequence[str]) -> np.ndarray:
+        """(n, dim): one embedding per text."""
         ...
 
     def fit(

@@ -8,8 +8,8 @@ deterministic everywhere.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from typing import Sequence
 from zlib import crc32
 
 import numpy as np
@@ -33,9 +33,11 @@ class Featurizer:
     Word n-grams run from order 1 up to word_order; character n-grams
     use fixed orders 3 and 4 over the raw text.
 
-    sparse_counts results are cached per (buckets, word_order, text) in
-    a bounded LRU cache shared by all equal featurizers, so the arrays
-    it returns are read-only.
+    sparse_counts returns read-only arrays.  counts_batch featurizes a
+    whole batch and remembers only the batch featurized last, keyed by
+    featurizer config and texts, so models with equal configs that read
+    the same texts one after another (the seeds of one pattern, or a
+    scorer's weighting pass and its training) featurize each text once.
     """
 
     buckets: int
@@ -61,19 +63,28 @@ class Featurizer:
 
     def sparse_counts(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Sorted bucket indices and their L2-normalized counts (read-only)."""
-        return _sparse_counts(self, text)
+        ids = np.asarray(self.bucket_ids(text), dtype=np.int64)
+        idx, counts = np.unique(ids, return_counts=True)
+        val = counts.astype(np.float64)
+        if len(val):
+            val /= np.linalg.norm(val)
+        idx.flags.writeable = False
+        val.flags.writeable = False
+        return idx, val
+
+    def counts_batch(self, texts: Sequence[str]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """sparse_counts of every text, each distinct text featurized once."""
+        global _last_batch
+        key = (self, tuple(texts))
+        last = _last_batch
+        if last is None or last[0] != key:
+            last = _last_batch = None  # hold one batch at a time, never two
+            counts = {text: self.sparse_counts(text) for text in dict.fromkeys(key[1])}
+            last = _last_batch = (key, tuple(counts[text] for text in key[1]))
+        return last[1]
 
 
-# Callers reuse a text within a few dozen featurizations (the seeds of
-# one pattern, or one training set read twice), so a small cache catches
-# that reuse while keeping memory flat.
-@functools.lru_cache(maxsize=64)
-def _sparse_counts(featurizer: Featurizer, text: str) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.asarray(featurizer.bucket_ids(text), dtype=np.int64)
-    idx, counts = np.unique(ids, return_counts=True)
-    val = counts.astype(np.float64)
-    if len(val):
-        val /= np.linalg.norm(val)
-    idx.flags.writeable = False
-    val.flags.writeable = False
-    return idx, val
+# (key, rows) of the last batch.  One entry: engines hand the same batch
+# to several models in a row, and a single batch bounds the memory held
+# by the largest dataset rather than by every dataset seen.
+_last_batch: tuple | None = None

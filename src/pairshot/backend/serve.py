@@ -9,6 +9,11 @@ transport) or a TCP port:
 where backend.json holds overrides of the default toy config, such as
 ``{"buckets": 1024}``.
 
+The verbs and their shapes are listed in ``pairshot.backend.adapter``:
+score, predict and encode answer a whole batch in one response.  Over
+TCP, clients are served one after another and each connection gets its
+own model registry, dropped when the client disconnects.
+
 Any process speaking the same protocol can stand in for this server,
 which is how transformer-scale backends plug into the engines.
 """
@@ -23,6 +28,7 @@ from typing import Iterable, TextIO
 
 from ..errors import PairshotError
 from ..prompting import ClozeInput
+from .adapter import PROTOCOL_VERSION
 from .toy import ToyBackend, backend_config_with
 
 
@@ -35,25 +41,23 @@ class BackendServer:
 
     # -- model registry ----------------------------------------------------
 
-    def _scorer(self, params: dict):
+    def _model(self, params: dict, create):
+        """The model named in params, made with create(init_seed) on first use."""
         name = params["model"]
         if name not in self._models:
-            self._models[name] = self.backend.create_scorer(int(params.get("init_seed", 0)))
+            self._models[name] = create(int(params.get("init_seed", 0)))
         return self._models[name]
+
+    def _scorer(self, params: dict):
+        return self._model(params, self.backend.create_scorer)
 
     def _classifier(self, params: dict):
-        name = params["model"]
-        if name not in self._models:
-            self._models[name] = self.backend.create_classifier(
-                tuple(params["labels"]), int(params.get("init_seed", 0))
-            )
-        return self._models[name]
+        return self._model(
+            params, lambda seed: self.backend.create_classifier(tuple(params["labels"]), seed)
+        )
 
     def _encoder(self, params: dict):
-        name = params["model"]
-        if name not in self._models:
-            self._models[name] = self.backend.create_encoder(int(params.get("init_seed", 0)))
-        return self._models[name]
+        return self._model(params, self.backend.create_encoder)
 
     # -- verbs ---------------------------------------------------------------
 
@@ -86,6 +90,7 @@ class BackendServer:
             "default_lr": self.backend.default_lr,
             "embedding_dim": self.backend.config.embedding_dim,
             "length_model": "whitespace",
+            "protocol": PROTOCOL_VERSION,
         }
 
     @staticmethod
@@ -96,8 +101,8 @@ class BackendServer:
 
     def _verb_score(self, params: dict) -> dict:
         scorer = self._scorer(params)
-        scores = scorer.score(self._cloze(params["cloze"]), params["candidates"])
-        return {"scores": scores}
+        clozes = [self._cloze(cloze) for cloze in params["clozes"]]
+        return {"scores": scorer.score(clozes, params["candidates"]).tolist()}
 
     def _verb_train_mlm(self, params: dict) -> dict:
         scorer = self._scorer(params)
@@ -126,11 +131,11 @@ class BackendServer:
 
     def _verb_predict(self, params: dict) -> dict:
         classifier = self._classifier(params)
-        return {"scores": [float(s) for s in classifier.predict(params["text"])]}
+        return {"scores": classifier.predict(params["texts"]).tolist()}
 
     def _verb_encode(self, params: dict) -> dict:
         encoder = self._encoder(params)
-        return {"vector": [float(x) for x in encoder.encode(params["text"])]}
+        return {"vectors": encoder.encode(params["texts"]).tolist()}
 
     def _verb_fit_encoder(self, params: dict) -> dict:
         encoder = self._encoder(params)
@@ -167,14 +172,18 @@ def serve_stdio(server: BackendServer) -> None:
 
 
 def serve_tcp(server: BackendServer, host: str, port: int) -> None:
-    """Serve clients sequentially over TCP (one in flight at a time)."""
+    """Serve clients sequentially over TCP (one in flight at a time).
+
+    Each connection gets a fresh registry over server's backend, so no
+    client ever sees another client's models.
+    """
     with socket.create_server((host, port)) as listener:
         sys.stderr.write(f"listening on {listener.getsockname()[0]}:{listener.getsockname()[1]}\n")
         sys.stderr.flush()
         while True:
             conn, _ = listener.accept()
             with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                _serve_lines(server, stream, stream)
+                _serve_lines(BackendServer(server.backend), stream, stream)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -172,17 +172,16 @@ class ToyMaskedScorer:
             raise VocabularyError(f"tokens not in backend vocabulary: {missing}")
         return np.asarray([self._row[t] for t in tokens], dtype=np.int64)
 
-    def score(self, cloze: ClozeInput, candidates: Sequence[str]) -> dict[str, float]:
-        """Scores for each candidate token; only candidate rows are read."""
+    def score(self, clozes: Sequence[ClozeInput], candidates: Sequence[str]) -> np.ndarray:
+        """(n, k) scores in candidate order; only candidate rows are read."""
         if not candidates:
             raise VocabularyError("candidate token list is empty")
         rows = self._rows_for(candidates)
-        idx, val = self._featurizer.sparse_counts(cloze.text)
-        if len(idx):
-            scores = self.W[np.ix_(rows, idx)] @ val
-        else:
-            scores = np.zeros(len(rows), dtype=np.float64)
-        return {tok: float(s) for tok, s in zip(candidates, scores)}
+        out = np.zeros((len(clozes), len(rows)), dtype=np.float64)
+        for i, (idx, val) in enumerate(self._featurizer.counts_batch([c.text for c in clozes])):
+            if len(idx):
+                out[i] = self.W[np.ix_(rows, idx)] @ val
+        return out
 
     def train(
         self,
@@ -202,15 +201,14 @@ class ToyMaskedScorer:
             raise NoDataError("train called with no rendered examples")
         targets = [target for _, target in rendered]
         if candidates is None:
-            distinct = {t for t in targets}
-            candidates = sorted(distinct, key=lambda t: self._row.get(t, -1))
+            candidates = sorted(set(targets), key=lambda t: self._row.get(t, -1))
         cand_rows = self._rows_for(candidates)
         position = {tok: k for k, tok in enumerate(candidates)}
         examples = []
-        for cloze, target in rendered:
+        features = self._featurizer.counts_batch([cloze.text for cloze, _ in rendered])
+        for (idx, val), target in zip(features, targets):
             if target not in position:
                 raise VocabularyError(f"target token {target!r} outside candidate set")
-            idx, val = self._featurizer.sparse_counts(cloze.text)
             onehot = np.zeros(len(candidates), dtype=np.float64)
             onehot[position[target]] = 1.0
             examples.append((idx, val, cand_rows, onehot))
@@ -230,12 +228,13 @@ class ToyTextClassifier:
         self.W = np.zeros((len(self.labels), config.buckets), dtype=np.float64)
         self._sched: dict = {}
 
-    def predict(self, text: str) -> np.ndarray:
-        """Raw score per label, in label order."""
-        idx, val = self._featurizer.sparse_counts(text)
-        if not len(idx):
-            return np.zeros(len(self.labels), dtype=np.float64)
-        return self.W[:, idx] @ val
+    def predict(self, texts: Sequence[str]) -> np.ndarray:
+        """(n, k) raw scores, one row per text, columns in label order."""
+        out = np.zeros((len(texts), len(self.labels)), dtype=np.float64)
+        for i, (idx, val) in enumerate(self._featurizer.counts_batch(texts)):
+            if len(idx):
+                out[i] = self.W[:, idx] @ val
+        return out
 
     def train(
         self,
@@ -249,7 +248,8 @@ class ToyTextClassifier:
             raise NoDataError("train called with no rows")
         all_rows = np.arange(len(self.labels), dtype=np.int64)
         examples = []
-        for text, dist in rows:
+        features = self._featurizer.counts_batch([text for text, _ in rows])
+        for (idx, val), (_, dist) in zip(features, rows):
             target = np.asarray(list(dist), dtype=np.float64)
             if target.shape != (len(self.labels),):
                 raise ShapeError(
@@ -258,7 +258,6 @@ class ToyTextClassifier:
                 )
             if (target < 0).any() or abs(float(target.sum()) - 1.0) > 1e-9:
                 raise ShapeError("target distribution entries must be >= 0 and sum to 1")
-            idx, val = self._featurizer.sparse_counts(text)
             examples.append((idx, val, all_rows, target))
         _train_softmax_ce(self.W, examples, steps, batch, lr, seed, self._sched)
 
@@ -292,16 +291,22 @@ class ToyEncoder:
             counts[b] = counts.get(b, 0.0) + 1.0
         return counts
 
-    def encode(self, text: str) -> np.ndarray:
-        """Mean of bucket rows over n-gram occurrences; empty text -> zeros."""
-        counts = self._occurrences(text)
-        total = sum(counts.values())
-        if total == 0:
-            return np.zeros(self.dim, dtype=np.float64)
+    def _mean_row(self, counts: dict[int, float]) -> np.ndarray:
+        """Mean of bucket rows over n-gram occurrences; zeros when there are none."""
         out = np.zeros(self.dim, dtype=np.float64)
-        for bucket, mult in counts.items():
-            out += self._bucket_row(bucket) * mult
-        return out / total
+        total = sum(counts.values())
+        if total:
+            for bucket, mult in counts.items():
+                out += self._bucket_row(bucket) * mult
+            out /= total
+        return out
+
+    def encode(self, texts: Sequence[str]) -> np.ndarray:
+        """(n, dim): the mean bucket row of each text; empty text -> zeros."""
+        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        for i, text in enumerate(texts):
+            out[i] = self._mean_row(self._occurrences(text))
+        return out
 
     def fit(
         self,
@@ -342,12 +347,8 @@ class ToyEncoder:
     ) -> None:
         total_a = sum(counts_a.values())
         total_b = sum(counts_b.values())
-        vec_a = np.zeros(self.dim) if total_a == 0 else sum(
-            (self._bucket_row(b) * m for b, m in counts_a.items()), np.zeros(self.dim)
-        ) / total_a
-        vec_b = np.zeros(self.dim) if total_b == 0 else sum(
-            (self._bucket_row(b) * m for b, m in counts_b.items()), np.zeros(self.dim)
-        ) / total_b
+        vec_a = self._mean_row(counts_a)
+        vec_b = self._mean_row(counts_b)
         norm_a = safe_norm(vec_a, _COSINE_EPS)
         norm_b = safe_norm(vec_b, _COSINE_EPS)
         dot = float(vec_a @ vec_b)
@@ -370,7 +371,8 @@ class ToyEncoder:
         """(cos - target)^2 for one pair; used by gradient checks."""
         from ..numerics import cosine_similarity
 
-        cos = cosine_similarity(self.encode(text_a), self.encode(text_b), _COSINE_EPS)
+        vec_a, vec_b = self.encode([text_a, text_b])
+        cos = cosine_similarity(vec_a, vec_b, _COSINE_EPS)
         return (cos - target) ** 2
 
 

@@ -69,11 +69,11 @@ def finetune(
 
 
 def finetune_predict(
-    classifier: TextClassifier, pair: SentencePair, separator: str
-) -> tuple[str, np.ndarray]:
-    """Predicted label plus raw scores for one pair."""
-    scores = classifier.predict(join_pair(pair, separator))
-    return classifier.labels[argmax_lowest(scores)], scores
+    classifier: TextClassifier, pairs: Sequence[SentencePair], separator: str
+) -> tuple[list[str], np.ndarray]:
+    """Predicted label per pair plus the (n, k) raw scores."""
+    scores = classifier.predict([join_pair(pair, separator) for pair in pairs])
+    return [classifier.labels[argmax_lowest(row)] for row in scores], scores
 
 
 def run_finetune(
@@ -86,7 +86,5 @@ def run_finetune(
     """Train on train, evaluate on test."""
     classifier = finetune(config, train, backend, seed)
     golds = [ex.label for ex in test]
-    preds = [
-        finetune_predict(classifier, ex.pair, backend.separator_token)[0] for ex in test
-    ]
+    preds = finetune_predict(classifier, [ex.pair for ex in test], backend.separator_token)[0]
     return classifier, evaluate_predictions(golds, preds, train.label_set.labels)

@@ -29,7 +29,7 @@ from .errors import EmptyEnsembleError, NoDataError, ShapeError
 from .finetune import onehot_rows
 from .metrics import EvalReport, evaluate_predictions
 from .numerics import argmax_lowest, stable_softmax
-from .prompting import PVP, builtin_pvps, render, verbalizer_tokens
+from .prompting import PVP, ClozeInput, builtin_pvps, render, verbalizer_tokens
 from .rng import Rng
 
 
@@ -81,7 +81,7 @@ class EnsembleMember:
 
 
 def soften(scores: Sequence[float], temperature: float) -> np.ndarray:
-    """Temperature softmax: softmax(scores / temperature).
+    """Temperature softmax: softmax(scores / temperature), row by row.
 
     Stable under additive shifts of the scores and order-preserving for
     any positive temperature.
@@ -91,18 +91,20 @@ def soften(scores: Sequence[float], temperature: float) -> np.ndarray:
     return stable_softmax(np.asarray(scores, dtype=np.float64) / temperature)
 
 
-def aggregate_scores(weights: Sequence[float], score_rows: Sequence[Sequence[float]]) -> np.ndarray:
+def aggregate_scores(weights: Sequence[float], score_rows: Sequence) -> np.ndarray:
     """Weight-averaged label scores across ensemble members.
 
-    All-zero weights fall back to a uniform average with a warning;
-    zero-weight members never influence the result.
+    score_rows holds one entry per member: a label-score row, or an
+    (n, k) matrix for n items, which gives the (n, k) average.  All-zero
+    weights fall back to a uniform average with a warning; zero-weight
+    members never influence the result.
     """
     if len(weights) == 0:
         raise EmptyEnsembleError("cannot aggregate zero ensemble members")
     if len(weights) != len(score_rows):
         raise ShapeError(f"{len(weights)} weights vs {len(score_rows)} score rows")
     rows = np.asarray(score_rows, dtype=np.float64)
-    if rows.ndim != 2:
+    if rows.ndim not in (2, 3):
         raise ShapeError("score rows must share one label dimension")
     w = np.asarray(weights, dtype=np.float64)
     if (w < 0).any():
@@ -112,45 +114,37 @@ def aggregate_scores(weights: Sequence[float], score_rows: Sequence[Sequence[flo
         warnings.warn("all ensemble weights are zero; falling back to uniform weighting")
         w = np.ones_like(w)
         total = w.sum()
-    return (w[:, None] * rows).sum(axis=0) / total
+    w = w.reshape((-1,) + (1,) * (rows.ndim - 1))
+    return (w * rows).sum(axis=0) / total
 
 
-def member_label_scores(
-    member_model: MaskedScorer,
-    pvp: PVP,
-    pair: SentencePair,
-    label_set: LabelSet,
-    config: PetConfig,
-    backend: Backend,
-) -> np.ndarray:
-    """One member's verbalizer-token scores for a pair, in label order."""
-    tokens = verbalizer_tokens(pvp, label_set)
-    cloze = render(
-        pvp, pair, config.max_len, backend.length_fn, backend.mask_token, backend.separator_token
-    )
-    scored = member_model.score(cloze, tokens)
-    return np.asarray([scored[tok] for tok in tokens], dtype=np.float64)
+def render_pairs(
+    pvp: PVP, pairs: Sequence[SentencePair], config: PetConfig, backend: Backend
+) -> list[ClozeInput]:
+    """Every pair rendered through one pattern, in order."""
+    return [
+        render(
+            pvp, pair, config.max_len, backend.length_fn, backend.mask_token, backend.separator_token
+        )
+        for pair in pairs
+    ]
 
 
 def untrained_accuracy(
-    model: MaskedScorer,
-    pvp: PVP,
-    train: Dataset,
-    config: PetConfig,
-    backend: Backend,
+    model: MaskedScorer, clozes: Sequence[ClozeInput], tokens: Sequence[str], train: Dataset
 ) -> float:
     """Accuracy of a scorer on the labeled data, used as its ensemble weight.
 
-    Called before training; argmax ties resolve to the lowest label
-    index, so an all-zero scorer predicts the first label everywhere.
+    clozes are the labeled pairs rendered in order and tokens the
+    verbalizer tokens in label order.  Called before training; argmax
+    ties resolve to the lowest label index, so an all-zero scorer
+    predicts the first label everywhere.
     """
     if not len(train):
         raise NoDataError("cannot weight a member against an empty training set")
-    hits = 0
-    for ex in train:
-        scores = member_label_scores(model, pvp, ex.pair, train.label_set, config, backend)
-        if train.label_set.labels[argmax_lowest(scores)] == ex.label:
-            hits += 1
+    labels = train.label_set.labels
+    scores = model.score(clozes, tokens)
+    hits = sum(labels[argmax_lowest(row)] == ex.label for row, ex in zip(scores, train))
     return hits / len(train)
 
 
@@ -168,7 +162,8 @@ def train_ensemble(
 
     The member's effective training seed mixes the run seed with the
     configured seed so replicate runs decorrelate while the 3x3
-    structure stays intact.
+    structure stays intact.  Each pattern renders the labeled data once
+    for all of its seeds.
     """
     if not len(train):
         raise NoDataError("cannot train an ensemble on an empty dataset")
@@ -176,24 +171,12 @@ def train_ensemble(
     members: list[EnsembleMember] = []
     for pvp in config.pvps:
         tokens = verbalizer_tokens(pvp, train.label_set)
+        clozes = render_pairs(pvp, [ex.pair for ex in train], config, backend)
+        rendered = [(cloze, pvp.verbalizer[ex.label]) for cloze, ex in zip(clozes, train)]
         for config_seed in config.seeds:
             member_seed = Rng(seed).derive("member", pvp.id, config_seed).next_u64()
             model = backend.create_scorer(member_seed)
-            weight = untrained_accuracy(model, pvp, train, config, backend)
-            rendered = [
-                (
-                    render(
-                        pvp,
-                        ex.pair,
-                        config.max_len,
-                        backend.length_fn,
-                        backend.mask_token,
-                        backend.separator_token,
-                    ),
-                    pvp.verbalizer[ex.label],
-                )
-                for ex in train
-            ]
+            weight = untrained_accuracy(model, clozes, tokens, train)
             model.train(rendered, config.mlm_steps, config.batch, lr, member_seed, tokens)
             members.append(EnsembleMember(pvp, config_seed, model, weight))
     return members
@@ -201,30 +184,39 @@ def train_ensemble(
 
 def ensemble_scores(
     members: Sequence[EnsembleMember],
-    pair: SentencePair,
+    pairs: Sequence[SentencePair],
     label_set: LabelSet,
     config: PetConfig,
     backend: Backend,
 ) -> np.ndarray:
-    """Aggregated label scores of the whole ensemble for one pair."""
+    """(n, k) aggregated label scores of the whole ensemble.
+
+    Consecutive members of one pattern (all its seeds, as train_ensemble
+    orders them) score one rendering of the pairs.
+    """
     if not members:
         raise EmptyEnsembleError("cannot score with zero ensemble members")
-    rows = [
-        member_label_scores(m.model, m.pvp, pair, label_set, config, backend) for m in members
-    ]
+    rows = []
+    pvp = None
+    for m in members:
+        if m.pvp is not pvp:
+            pvp = m.pvp
+            clozes = render_pairs(pvp, pairs, config, backend)
+            tokens = verbalizer_tokens(pvp, label_set)
+        rows.append(m.model.score(clozes, tokens))
     return aggregate_scores([m.weight for m in members], rows)
 
 
 def ensemble_predict(
     members: Sequence[EnsembleMember],
-    pair: SentencePair,
+    pairs: Sequence[SentencePair],
     label_set: LabelSet,
     config: PetConfig,
     backend: Backend,
-) -> str:
-    """Ensemble argmax label for one pair (ties to the lowest index)."""
-    scores = ensemble_scores(members, pair, label_set, config, backend)
-    return label_set.labels[argmax_lowest(scores)]
+) -> list[str]:
+    """Ensemble argmax label per pair (ties to the lowest index)."""
+    scores = ensemble_scores(members, pairs, label_set, config, backend)
+    return [label_set.labels[argmax_lowest(row)] for row in scores]
 
 
 def soft_label(
@@ -235,12 +227,11 @@ def soft_label(
     backend: Backend,
 ) -> list[SoftLabeledExample]:
     """Temperature-softened ensemble distributions for an unlabeled pool."""
-    out: list[SoftLabeledExample] = []
-    for ex in unlabeled:
-        scores = ensemble_scores(members, ex.pair, label_set, config, backend)
-        dist = soften(scores, config.temperature)
-        out.append(SoftLabeledExample(ex.pair, tuple(float(p) for p in dist)))
-    return out
+    pairs = [ex.pair for ex in unlabeled]
+    dists = soften(ensemble_scores(members, pairs, label_set, config, backend), config.temperature)
+    return [
+        SoftLabeledExample(pair, tuple(float(p) for p in dist)) for pair, dist in zip(pairs, dists)
+    ]
 
 
 def _distill(
@@ -301,9 +292,12 @@ class PetRunResult:
     metadata: dict
 
 
-def classifier_predict_label(classifier: TextClassifier, pair: SentencePair, separator: str) -> str:
-    scores = classifier.predict(join_pair(pair, separator))
-    return classifier.labels[argmax_lowest(scores)]
+def classifier_predict_label(
+    classifier: TextClassifier, pairs: Sequence[SentencePair], separator: str
+) -> list[str]:
+    """The classifier's argmax label per pair (ties to the lowest index)."""
+    scores = classifier.predict([join_pair(pair, separator) for pair in pairs])
+    return [classifier.labels[argmax_lowest(row)] for row in scores]
 
 
 def run_pet(
@@ -328,12 +322,13 @@ def run_pet(
     softened = _distill(members, train, unlabeled, config, classifier, backend, distill_seed)
 
     golds = [ex.label for ex in test]
-    preds = [classifier_predict_label(classifier, ex.pair, backend.separator_token) for ex in test]
+    pairs = [ex.pair for ex in test]
+    preds = classifier_predict_label(classifier, pairs, backend.separator_token)
     report_distilled = evaluate_predictions(golds, preds, label_set.labels)
 
     ensemble_report = None
     if evaluate_ensemble:
-        ens_preds = [ensemble_predict(members, ex.pair, label_set, config, backend) for ex in test]
+        ens_preds = ensemble_predict(members, pairs, label_set, config, backend)
         ensemble_report = evaluate_predictions(golds, ens_preds, label_set.labels)
 
     member_weights = [

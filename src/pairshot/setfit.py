@@ -183,21 +183,23 @@ def setfit_fit(
             lr,
             Rng(seed).derive("encoder-fit").next_u64(),
         )
-    X = np.stack([encoder.encode(join_pair(ex.pair, separator)) for ex in train.examples])
+    X = encoder.encode([join_pair(ex.pair, separator) for ex in train.examples])
     y = np.asarray([train.label_set.index(ex.label) for ex in train.examples], dtype=np.int64)
     head = LogisticHead(len(train.label_set), encoder.dim).fit(X, y)
     return SetFitModel(encoder, head, train.label_set.labels, separator)
 
 
-def setfit_predict(model: SetFitModel, pair: SentencePair) -> tuple[str, np.ndarray]:
-    """Predicted label and the full probability vector for one pair."""
-    embedding = model.encoder.encode(join_pair(pair, model.separator))
-    if embedding.shape != (model.head.dim,):
+def setfit_predict(
+    model: SetFitModel, pairs: Sequence[SentencePair]
+) -> tuple[list[str], np.ndarray]:
+    """Predicted label per pair and the (n, k) class probabilities."""
+    embeddings = model.encoder.encode([join_pair(pair, model.separator) for pair in pairs])
+    if embeddings.shape != (len(pairs), model.head.dim):
         raise ShapeError(
-            f"encoder produced dim {embedding.shape}, head expects {model.head.dim}"
+            f"encoder produced shape {embeddings.shape}, head expects dim {model.head.dim}"
         )
-    probs = model.head.predict_proba(embedding)
-    return model.labels[argmax_lowest(probs)], probs
+    probs = model.head.predict_proba(embeddings)
+    return [model.labels[argmax_lowest(row)] for row in probs], probs
 
 
 def run_setfit(
@@ -210,7 +212,7 @@ def run_setfit(
     """Fit on train, evaluate on test."""
     model = setfit_fit(config, train, backend, seed)
     golds = [ex.label for ex in test]
-    preds = [setfit_predict(model, ex.pair)[0] for ex in test]
+    preds = setfit_predict(model, [ex.pair for ex in test])[0]
     return model, evaluate_predictions(golds, preds, train.label_set.labels)
 
 

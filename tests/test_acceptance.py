@@ -379,11 +379,11 @@ class TestDistillationEquivalence:
             seed=77,
         )
         separator = backend.separator_token
-        for ex in test500:
-            label_d, scores_d = finetune_predict(distilled, ex.pair, separator)
-            label_f, scores_f = finetune_predict(tuned, ex.pair, separator)
-            assert label_d == label_f
-            np.testing.assert_array_equal(scores_d, scores_f)
+        pairs = [ex.pair for ex in test500]
+        labels_d, scores_d = finetune_predict(distilled, pairs, separator)
+        labels_f, scores_f = finetune_predict(tuned, pairs, separator)
+        assert labels_d == labels_f
+        np.testing.assert_array_equal(scores_d, scores_f)
 
 
 class TestEngineQualityAndDeterminism:

@@ -13,12 +13,15 @@ from pairshot.backend.adapter import (
     AdapterError,
     RemoteBackend,
     SocketTransport,
+    SubprocessTransport,
     connect_subprocess,
     connect_tcp,
 )
 from pairshot.backend.serve import BackendServer, serve_tcp
 from pairshot import errors
 from pairshot.backend.toy import ToyBackend
+from pairshot.data import Dataset
+from pairshot.pet import PetConfig, run_pet
 from pairshot.errors import NoDataError, PairshotError, ShapeError, VocabularyError
 from pairshot.prompting import ClozeInput
 
@@ -82,9 +85,10 @@ class TestServerVerbs:
         assert result["default_lr"] == 0.1
         assert result["embedding_dim"] == 32
         assert result["length_model"] == "whitespace"
+        assert result["protocol"] == 2
 
     def test_score_round_trip(self, server):
-        """A score request returns one float per candidate token."""
+        """A score request returns one row per cloze, one float per candidate token."""
         response = server.handle(
             {
                 "id": 2,
@@ -92,15 +96,18 @@ class TestServerVerbs:
                 "params": {
                     "model": "scorer-a",
                     "init_seed": 0,
-                    "cloze": {"text": "alpha beta <mask>", "mask_position": 2},
+                    "clozes": [
+                        {"text": "alpha beta <mask>", "mask_position": 2},
+                        {"text": "gamma <mask>", "mask_position": 1},
+                    ],
                     "candidates": ["Yes", "No"],
                 },
             }
         )
         assert response["ok"] is True
         scores = response["result"]["scores"]
-        assert set(scores) == {"Yes", "No"}
-        assert all(isinstance(v, float) for v in scores.values())
+        assert [len(row) for row in scores] == [2, 2]
+        assert all(isinstance(v, float) for row in scores for v in row)
 
     def test_models_persist_across_requests(self, server):
         """Training updates the named model that later requests address."""
@@ -120,9 +127,9 @@ class TestServerVerbs:
         trained = server.handle({"id": 3, "verb": "train_clf", "params": train})
         assert trained["result"] == {"trained": 4}
         predict = dict(params)
-        predict["text"] = "fine good steady"
+        predict["texts"] = ["fine good steady"]
         response = server.handle({"id": 4, "verb": "predict", "params": predict})
-        scores = response["result"]["scores"]
+        (scores,) = response["result"]["scores"]
         assert len(scores) == 2
         assert scores[0] > scores[1]
 
@@ -153,7 +160,7 @@ class TestServerVerbs:
                 "params": {
                     "model": "scorer-b",
                     "init_seed": 0,
-                    "cloze": {"text": "alpha <mask>", "mask_position": 1},
+                    "clozes": [{"text": "alpha <mask>", "mask_position": 1}],
                     "candidates": ["NotAToken"],
                 },
             }
@@ -179,7 +186,9 @@ class TestRemoteMatchesLocal:
         remote_scorer = remote.create_scorer(seed=0)
         remote_scorer.train(SCORER_ROWS, steps=12, batch=2, lr=0.1, seed=9, candidates=["Yes", "No"])
         probe = cloze("fast reply sharp answer <mask>")
-        assert remote_scorer.score(probe, ["Yes", "No"]) == local.score(probe, ["Yes", "No"])
+        np.testing.assert_array_equal(
+            remote_scorer.score([probe], ["Yes", "No"]), local.score([probe], ["Yes", "No"])
+        )
 
     def test_classifier_parity(self, remote):
         local = ToyBackend().create_classifier(("Neutral", "Duplicate"), seed=0)
@@ -188,22 +197,24 @@ class TestRemoteMatchesLocal:
         assert remote_clf.labels == ("Neutral", "Duplicate")
         remote_clf.train(CLF_ROWS, steps=10, batch=2, lr=0.1, seed=3)
         probe = "good steady signal"
-        np.testing.assert_array_equal(remote_clf.predict(probe), local.predict(probe))
+        np.testing.assert_array_equal(remote_clf.predict([probe]), local.predict([probe]))
 
     def test_encoder_parity(self, remote):
         local = ToyBackend().create_encoder(seed=0)
         remote_enc = remote.create_encoder(seed=0)
         assert remote_enc.dim == local.dim
-        np.testing.assert_array_equal(remote_enc.encode("hello world"), local.encode("hello world"))
+        np.testing.assert_array_equal(
+            remote_enc.encode(["hello world"]), local.encode(["hello world"])
+        )
         local.fit(TRIPLETS, epochs=2, batch=2, lr=0.05, seed=4)
         remote_enc.fit(TRIPLETS, epochs=2, batch=2, lr=0.05, seed=4)
-        np.testing.assert_array_equal(remote_enc.encode("fast reply"), local.encode("fast reply"))
+        np.testing.assert_array_equal(remote_enc.encode(["fast reply"]), local.encode(["fast reply"]))
 
     def test_remote_errors_surface_as_typed_exceptions(self, remote):
         """Error kinds map back onto the same exception classes engines catch."""
         scorer = remote.create_scorer(seed=0)
         with pytest.raises(VocabularyError):
-            scorer.score(cloze("alpha <mask>"), ["NotAToken"])
+            scorer.score([cloze("alpha <mask>")], ["NotAToken"])
         classifier = remote.create_classifier(("A", "B"), seed=0)
         with pytest.raises(ShapeError):
             classifier.train([("text", [0.5, 0.2])], steps=1, batch=1, lr=0.1, seed=0)
@@ -217,8 +228,59 @@ class TestRemoteMatchesLocal:
         second = remote.create_scorer(seed=0)
         first.train(SCORER_ROWS, steps=12, batch=2, lr=0.1, seed=9, candidates=["Yes", "No"])
         probe = cloze("fast reply sharp answer <mask>")
-        untouched = second.score(probe, ["Yes", "No"])
-        assert untouched["Yes"] == untouched["No"] == 0.0
+        np.testing.assert_array_equal(second.score([probe], ["Yes", "No"]), [[0.0, 0.0]])
+
+
+class CountingTransport(DirectTransport):
+    def __init__(self, server):
+        super().__init__(server)
+        self.verbs = []
+
+    def request(self, payload):
+        self.verbs.append(payload["verb"])
+        return super().request(payload)
+
+
+class TestRemotePetRun:
+    """run_pet through the adapter: same outputs, one request per model per dataset."""
+
+    CONFIG = PetConfig.for_task("so_duplicate", mlm_steps=20, distill_steps=40, batch=8)
+
+    def run(self, backend, train, unlabeled, test, out):
+        return run_pet(
+            self.CONFIG, train, unlabeled, test, backend, seed=7,
+            evaluate_ensemble=True, artifacts_dir=out,
+        )
+
+    def test_remote_run_equals_local_run(self, dup_train, dup_unlabeled, dup_test, tmp_path):
+        local = self.run(ToyBackend(), dup_train, dup_unlabeled, dup_test, tmp_path / "local")
+        remote = self.run(
+            RemoteBackend(DirectTransport(BackendServer())),
+            dup_train, dup_unlabeled, dup_test, tmp_path / "remote",
+        )
+        assert remote.report.to_json() == local.report.to_json()
+        assert remote.ensemble_report.to_json() == local.ensemble_report.to_json()
+        assert remote.member_weights == local.member_weights
+        assert remote.metadata == local.metadata
+        for name in ("soft_labeled.jsonl", "member_weights.json", "metadata.json"):
+            assert (tmp_path / "remote" / name).read_bytes() == (
+                tmp_path / "local" / name
+            ).read_bytes()
+
+    def test_request_count_does_not_grow_with_the_data(
+        self, dup_train, dup_unlabeled, dup_test, tmp_path
+    ):
+        """hello, 9 x (weigh + train), 9 soft-label scores, distill, predict, 9 ensemble scores."""
+        counts = []
+        for keep in (len(dup_unlabeled), 7):
+            unlabeled = Dataset(dup_unlabeled.examples[:keep], dup_unlabeled.label_set, "unlabeled")
+            test = Dataset(dup_test.examples[: keep + 3], dup_test.label_set, "test")
+            transport = CountingTransport(BackendServer())
+            self.run(RemoteBackend(transport), dup_train, unlabeled, test, tmp_path / str(keep))
+            counts.append(len(transport.verbs))
+            assert transport.verbs.count("score") == 27
+            assert transport.verbs.count("train_mlm") == 9
+        assert counts == [39, 39]
 
 
 class TestTransportSafety:
@@ -241,6 +303,7 @@ class TestTransportSafety:
             "default_lr": 0.1,
             "embedding_dim": 32,
             "length_model": "whitespace",
+            "protocol": 2,
         }
 
     def test_mismatched_response_id_rejected(self):
@@ -312,6 +375,37 @@ class TestTransportSafety:
         with pytest.raises(AdapterError, match="length model"):
             RemoteBackend(transport)
 
+    @pytest.mark.parametrize("reported", [None, 1, 3, "2"])
+    def test_protocol_mismatch_rejected_naming_both_versions(self, reported):
+        """A backend that omits the protocol or speaks another one fails the handshake."""
+
+        class OtherProtocolServer(BackendServer):
+            def _verb_hello(self, params):
+                result = super()._verb_hello(params)
+                if reported is None:
+                    del result["protocol"]
+                else:
+                    result["protocol"] = reported
+                return result
+
+        with pytest.raises(AdapterError) as info:
+            RemoteBackend(DirectTransport(OtherProtocolServer()))
+        message = str(info.value)
+        assert "\n" not in message
+        assert f"protocol {reported!r}" in message and "speaks 2" in message
+
+    def test_malformed_score_table_rejected(self):
+        """A result of the wrong shape is an AdapterError, not a bad array."""
+
+        def respond(payload):
+            if payload["verb"] == "hello":
+                return {"id": payload["id"], "ok": True, "result": self.hello_result()}
+            return {"id": payload["id"], "ok": True, "result": {"scores": [[0.5]]}}
+
+        scorer = RemoteBackend(self.EchoTransport(respond)).create_scorer(seed=0)
+        with pytest.raises(AdapterError, match="expected"):
+            scorer.score([cloze("a <mask>"), cloze("b <mask>")], ["Yes", "No"])
+
     def test_socket_read_timeout_is_typed_and_closes_transport(self):
         """A silent TCP backend ends in AdapterError, and the stream is not reused."""
         listener = socket.socket()
@@ -337,6 +431,49 @@ class TestTransportSafety:
             listener.close()
 
 
+# Answers the handshake, then reads requests and never answers them.
+SILENT_BACKEND = """
+import json, sys, time
+request = json.loads(sys.stdin.readline())
+result = {"mask_token": "<mask>", "separator_token": "||", "default_lr": 0.1,
+          "embedding_dim": 32, "length_model": "whitespace", "protocol": 2}
+print(json.dumps({"id": request["id"], "ok": True, "result": result}), flush=True)
+for line in sys.stdin:
+    time.sleep(30)
+"""
+
+
+class TestSubprocessDeadline:
+    def test_hung_backend_times_out_kills_child_and_fails_fast(self):
+        transport = SubprocessTransport([sys.executable, "-c", SILENT_BACKEND], timeout=0.5)
+        try:
+            classifier = RemoteBackend(transport).create_classifier(("A", "B"), seed=0)
+            started = time.perf_counter()
+            with pytest.raises(AdapterError, match="timed out"):
+                classifier.predict(["no answer comes"])
+            assert time.perf_counter() - started < 10
+            assert transport._proc.poll() is not None
+            started = time.perf_counter()
+            with pytest.raises(AdapterError):
+                classifier.predict(["later request"])
+            assert time.perf_counter() - started < 0.5
+        finally:
+            transport.close()
+
+    def test_backend_that_stops_reading_times_out_on_a_large_request(self):
+        """A request larger than the pipe buffer cannot block the write forever."""
+        transport = SubprocessTransport([sys.executable, "-c", SILENT_BACKEND], timeout=0.5)
+        try:
+            classifier = RemoteBackend(transport).create_classifier(("A", "B"), seed=0)
+            started = time.perf_counter()
+            with pytest.raises(AdapterError, match="timed out"):
+                classifier.predict(["x" * 100] * 20_000)
+            assert time.perf_counter() - started < 10
+            assert transport._proc.poll() is not None
+        finally:
+            transport.close()
+
+
 class TestSubprocessEndToEnd:
     def test_subprocess_backend_round_trip(self):
         """A spawned stdio server behaves exactly like the in-process backend."""
@@ -349,7 +486,7 @@ class TestSubprocessEndToEnd:
             classifier = backend.create_classifier(("Neutral", "Duplicate"), seed=0)
             classifier.train(CLF_ROWS, steps=25, batch=2, lr=0.1, seed=3)
             probe = "fine good steady"
-            np.testing.assert_array_equal(classifier.predict(probe), local.predict(probe))
+            np.testing.assert_array_equal(classifier.predict([probe]), local.predict([probe]))
         finally:
             backend.close()
 
@@ -368,27 +505,50 @@ class TestSubprocessEndToEnd:
 
     def test_tcp_backend_round_trip(self):
         """The same protocol works over a TCP socket."""
-        probe_sock = socket.socket()
-        probe_sock.bind(("127.0.0.1", 0))
-        port = probe_sock.getsockname()[1]
-        probe_sock.close()
-        thread = threading.Thread(
-            target=serve_tcp, args=(BackendServer(), "127.0.0.1", port), daemon=True
-        )
-        thread.start()
-        backend = None
-        for _ in range(50):
-            try:
-                backend = connect_tcp("127.0.0.1", port)
-                break
-            except OSError:
-                time.sleep(0.05)
-        assert backend is not None, "TCP backend never came up"
+        backend = connect_tcp("127.0.0.1", start_tcp_server())
         try:
             local = ToyBackend().create_encoder(seed=2)
             encoder = backend.create_encoder(seed=2)
             np.testing.assert_array_equal(
-                encoder.encode("hello world"), local.encode("hello world")
+                encoder.encode(["hello world"]), local.encode(["hello world"])
             )
         finally:
             backend.close()
+
+    def test_tcp_clients_never_share_models(self):
+        """A second client's fresh model is untouched by the first client's training."""
+        port = start_tcp_server()
+        first = connect_tcp("127.0.0.1", port)
+        try:
+            trained = first.create_classifier(("Neutral", "Duplicate"), seed=5)
+            trained.train(CLF_ROWS, steps=25, batch=2, lr=0.1, seed=3)
+            assert trained.predict(["fine good steady"]).any()
+        finally:
+            first.close()
+        second = connect_tcp("127.0.0.1", port)
+        try:
+            fresh = second.create_classifier(("Neutral", "Duplicate"), seed=5)
+            local = ToyBackend().create_classifier(("Neutral", "Duplicate"), seed=5)
+            probe = ["fine good steady"]
+            np.testing.assert_array_equal(fresh.predict(probe), local.predict(probe))
+        finally:
+            second.close()
+
+
+def start_tcp_server() -> int:
+    """Start serve_tcp on a free local port in a daemon thread; return the port."""
+    probe_sock = socket.socket()
+    probe_sock.bind(("127.0.0.1", 0))
+    port = probe_sock.getsockname()[1]
+    probe_sock.close()
+    thread = threading.Thread(
+        target=serve_tcp, args=(BackendServer(), "127.0.0.1", port), daemon=True
+    )
+    thread.start()
+    for _ in range(50):
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+            return port
+        except OSError:
+            time.sleep(0.05)
+    raise AssertionError("TCP backend never came up")

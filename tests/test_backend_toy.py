@@ -43,18 +43,18 @@ def yes_no_rendering(n: int):
 class TestScorerBasics:
     def test_untrained_scores_are_all_zero(self, backend):
         scorer = backend.create_scorer(seed=1)
-        scores = scorer.score(cloze("anything at all"), ["Yes", "No"])
-        assert scores == {"Yes": 0.0, "No": 0.0}
+        scores = scorer.score([cloze("anything at all")], ["Yes", "No"])
+        np.testing.assert_array_equal(scores, [[0.0, 0.0]])
 
     def test_unknown_candidate_token_raises(self, backend):
         scorer = backend.create_scorer()
         with pytest.raises(VocabularyError):
-            scorer.score(cloze("text"), ["NotInVocabulary"])
+            scorer.score([cloze("text")], ["NotInVocabulary"])
 
     def test_empty_candidates_raise(self, backend):
         scorer = backend.create_scorer()
         with pytest.raises(VocabularyError):
-            scorer.score(cloze("text"), [])
+            scorer.score([cloze("text")], [])
 
     def test_train_requires_data(self, backend):
         scorer = backend.create_scorer()
@@ -74,10 +74,12 @@ class TestScorerTraining:
     def test_learns_a_separable_cloze_task(self, backend):
         scorer = backend.create_scorer(seed=3)
         scorer.train(yes_no_rendering(24), steps=200, batch=8, lr=0.1, seed=5)
-        good = scorer.score(cloze("service healthy fast stable run90"), ["Yes", "No"])
-        bad = scorer.score(cloze("crash broken slow failure run91"), ["Yes", "No"])
-        assert good["Yes"] > good["No"]
-        assert bad["No"] > bad["Yes"]
+        good, bad = scorer.score(
+            [cloze("service healthy fast stable run90"), cloze("crash broken slow failure run91")],
+            ["Yes", "No"],
+        )
+        assert good[0] > good[1]
+        assert bad[1] > bad[0]
 
     def test_only_candidate_rows_are_touched(self, backend):
         """Training with an explicit candidate set must leave every other
@@ -144,7 +146,7 @@ class TestScorerTraining:
 class TestClassifier:
     def test_untrained_prediction_is_all_zeros(self, backend):
         clf = backend.create_classifier(["Neutral", "Duplicate"])
-        np.testing.assert_array_equal(clf.predict("any text"), [0.0, 0.0])
+        np.testing.assert_array_equal(clf.predict(["any text"]), [[0.0, 0.0]])
 
     def test_needs_two_labels(self, backend):
         with pytest.raises(ShapeError):
@@ -168,8 +170,7 @@ class TestClassifier:
             else:
                 rows.append((f"beta noise marker{i}", (0.1, 0.9)))
         clf.train(rows, steps=200, batch=8, lr=0.1, seed=1)
-        a_scores = clf.predict("alpha signal marker98")
-        b_scores = clf.predict("beta noise marker99")
+        a_scores, b_scores = clf.predict(["alpha signal marker98", "beta noise marker99"])
         assert a_scores[0] > a_scores[1]
         assert b_scores[1] > b_scores[0]
 
@@ -186,23 +187,23 @@ class TestClassifier:
 class TestEncoder:
     def test_empty_text_is_the_zero_vector(self, backend):
         enc = backend.create_encoder()
-        np.testing.assert_array_equal(enc.encode(""), np.zeros(enc.dim))
+        np.testing.assert_array_equal(enc.encode([""]), np.zeros((1, enc.dim)))
 
     def test_encoding_is_touch_order_independent(self, backend):
         first = backend.create_encoder(seed=4)
         second = backend.create_encoder(seed=4)
         t1, t2 = "how to parse json", "decode bytes in python"
-        a1 = first.encode(t1).copy()
-        first.encode(t2)
-        second.encode(t2)
-        a2 = second.encode(t1)
+        a1 = first.encode([t1])
+        first.encode([t2])
+        second.encode([t2])
+        a2 = second.encode([t1])
         np.testing.assert_array_equal(a1, a2)
 
     def test_untrained_encoding_depends_only_on_seeds(self):
         enc_a = ToyBackend().create_encoder(seed=4)
         enc_b = ToyBackend().create_encoder(seed=4)
         text = "identical everywhere"
-        np.testing.assert_array_equal(enc_a.encode(text), enc_b.encode(text))
+        np.testing.assert_array_equal(enc_a.encode([text]), enc_b.encode([text]))
 
     def test_fit_pulls_same_class_pairs_together(self, backend):
         enc = backend.create_encoder(seed=1)
@@ -211,11 +212,11 @@ class TestEncoder:
         pos = ("install package with pip", "pip package installation")
         neg = ("install package with pip", "draw a chart with colors")
         triplets = [(pos[0], pos[1], 1.0), (neg[0], neg[1], 0.0)] * 4
-        before_pos = cosine_similarity(enc.encode(pos[0]), enc.encode(pos[1]))
-        before_neg = cosine_similarity(enc.encode(neg[0]), enc.encode(neg[1]))
+        before_pos = cosine_similarity(*enc.encode(pos))
+        before_neg = cosine_similarity(*enc.encode(neg))
         enc.fit(triplets, epochs=30, batch=4, lr=0.5, seed=2)
-        after_pos = cosine_similarity(enc.encode(pos[0]), enc.encode(pos[1]))
-        after_neg = cosine_similarity(enc.encode(neg[0]), enc.encode(neg[1]))
+        after_pos = cosine_similarity(*enc.encode(pos))
+        after_neg = cosine_similarity(*enc.encode(neg))
         # Squared error against the similarity targets (1 and 0) shrinks.
         assert (after_pos - 1.0) ** 2 < (before_pos - 1.0) ** 2
         assert after_neg**2 < before_neg**2
@@ -288,8 +289,8 @@ class TestWholeBackend:
         out = render(pvp, pair, 64, backend.length_fn,
                      backend.mask_token, backend.separator_token)
         scorer = backend.create_scorer()
-        scores = scorer.score(out, ["No", "Yes"])
-        assert set(scores) == {"No", "Yes"}
+        scores = scorer.score([out], ["No", "Yes"])
+        assert scores.shape == (1, 2)
 
 
 class TestStateRoundTrip:
@@ -300,7 +301,9 @@ class TestStateRoundTrip:
         save_model(scorer, path)
         again = load_model(path)
         probe = cloze("service healthy fast stable run77")
-        assert scorer.score(probe, ["Yes", "No"]) == again.score(probe, ["Yes", "No"])
+        np.testing.assert_array_equal(
+            scorer.score([probe], ["Yes", "No"]), again.score([probe], ["Yes", "No"])
+        )
 
     def test_scorer_round_trip_preserves_schedule(self, backend, tmp_path):
         data = yes_no_rendering(8)
@@ -322,7 +325,7 @@ class TestStateRoundTrip:
         save_model(clf, path)
         again = load_model(path)
         assert again.labels == ("Neutral", "Duplicate")
-        np.testing.assert_array_equal(clf.predict("probe text"), again.predict("probe text"))
+        np.testing.assert_array_equal(clf.predict(["probe text"]), again.predict(["probe text"]))
 
     def test_encoder_round_trip(self, backend, tmp_path):
         enc = backend.create_encoder(seed=9)
@@ -330,5 +333,54 @@ class TestStateRoundTrip:
         path = tmp_path / "enc.json"
         save_model(enc, path)
         again = load_model(path)
-        for text in ("a b", "x y", "completely new text"):
-            np.testing.assert_array_equal(enc.encode(text), again.encode(text))
+        texts = ["a b", "x y", "completely new text"]
+        np.testing.assert_array_equal(enc.encode(texts), again.encode(texts))
+
+
+class TestBatchContract:
+    """A batch row is bit-equal to scoring its item alone, in any batch."""
+
+    TEXTS = [
+        "service healthy fast stable run3",
+        "crash broken slow failure run4",
+        "",
+        "service healthy fast stable run3",
+        "an unseen probe sentence",
+        "x",
+    ]
+
+    @staticmethod
+    def batches(items):
+        """The items reversed, rotated, doubled and cut into a subset."""
+        return [items[::-1], items[2:] + items[:2], items + items, items[1::2]]
+
+    def assert_rows_match_singles(self, run, items):
+        alone = {i: run([item]) for i, item in enumerate(items)}
+        for batch in self.batches(list(range(len(items)))):
+            out = run([items[i] for i in batch])
+            assert out.shape[0] == len(batch)
+            for row, i in zip(out, batch):
+                assert row.tobytes() == alone[i][0].tobytes()
+
+    def test_scorer_rows(self, backend):
+        scorer = backend.create_scorer(seed=3)
+        scorer.train(yes_no_rendering(12), steps=40, batch=4, lr=0.1, seed=5)
+        clozes = [cloze(text) for text in self.TEXTS]
+        self.assert_rows_match_singles(lambda batch: scorer.score(batch, ["No", "Yes"]), clozes)
+
+    def test_classifier_rows(self, backend):
+        clf = backend.create_classifier(["A", "B", "C"])
+        rows = [(f"text {i} kind {i % 3}", np.eye(3)[i % 3]) for i in range(12)]
+        clf.train(rows, steps=30, batch=4, lr=0.1, seed=1)
+        self.assert_rows_match_singles(clf.predict, self.TEXTS)
+
+    def test_encoder_rows(self, backend):
+        enc = backend.create_encoder(seed=6)
+        enc.fit([(self.TEXTS[0], self.TEXTS[1], 0.0)] * 3, epochs=2, batch=2, lr=0.3, seed=4)
+        self.assert_rows_match_singles(enc.encode, self.TEXTS)
+
+    def test_empty_batches_have_zero_rows(self, backend):
+        assert backend.create_scorer().score([], ["Yes", "No"]).shape == (0, 2)
+        assert backend.create_classifier(["A", "B"]).predict([]).shape == (0, 2)
+        enc = backend.create_encoder()
+        assert enc.encode([]).shape == (0, enc.dim)

@@ -1,5 +1,5 @@
 """Hashed n-gram featurizer: golden equality with a per-gram reference,
-and the safety of the shared bounded cache behind sparse_counts.
+and the safety of the one-batch memo behind counts_batch.
 """
 
 import zlib
@@ -97,14 +97,51 @@ class TestFeatureCache:
                 assert idx.tobytes() == ref_idx.tobytes()
                 assert val.tobytes() == ref_val.tobytes()
 
-    def test_equal_configs_share_entries(self):
-        text = "shared by equal featurizers"
-        first = Featurizer(32768, 2).sparse_counts(text)
-        second = Featurizer(32768, 2).sparse_counts(text)
-        assert first[0] is second[0] and first[1] is second[1]
+    def test_equal_configs_share_the_batch_entry(self):
+        texts = ["shared by equal featurizers", "and a second text"]
+        first = Featurizer(32768, 2).counts_batch(texts)
+        second = Featurizer(32768, 2).counts_batch(list(texts))
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(first, second))
 
-    def test_cache_stays_bounded(self):
+    def test_batch_rows_equal_sparse_counts_for_every_config(self):
+        configs = [Featurizer(1024, 2), Featurizer(32768, 2), Featurizer(32768, 3)]
+        texts = ["same text under three configs", "", "same text under three configs"]
+        for _ in range(2):
+            for featurizer in configs:
+                for text, (idx, val) in zip(texts, featurizer.counts_batch(texts)):
+                    ref_idx, ref_val = reference_sparse_counts(
+                        text, featurizer.buckets, featurizer.word_order
+                    )
+                    assert idx.tobytes() == ref_idx.tobytes()
+                    assert val.tobytes() == ref_val.tobytes()
+
+    def test_memo_holds_one_batch(self):
         featurizer = Featurizer(32768, 2)
         for i in range(1000):
-            featurizer.sparse_counts(f"distinct text number {i}")
-        assert features._sparse_counts.cache_info().currsize <= 64
+            featurizer.counts_batch([f"distinct text number {i}", "repeated text"])
+        key, rows = features._last_batch
+        assert key == (featurizer, ("distinct text number 999", "repeated text"))
+        assert len(rows) == 2
+
+
+class TestFeaturizedOnce:
+    def test_three_scorers_featurize_each_distinct_text_once(self, monkeypatch):
+        """The seeds of one pattern score one cloze list: one sparse_counts per text."""
+        from pairshot.backend.toy import ToyBackend
+        from pairshot.prompting import ClozeInput
+
+        calls = []
+        sparse_counts = Featurizer.sparse_counts
+
+        def spy(self, text):
+            calls.append(text)
+            return sparse_counts(self, text)
+
+        monkeypatch.setattr(Featurizer, "sparse_counts", spy)
+        texts = [f"probe {i} for the featurized-once check <mask>" for i in range(5)]
+        clozes = [ClozeInput(text, len(text) - 6) for text in texts + texts[:2]]
+        backend = ToyBackend()
+        for seed in (1, 2, 3):
+            scores = backend.create_scorer(seed).score(clozes, ["Yes", "No"])
+            assert scores.shape == (7, 2)
+        assert sorted(calls) == sorted(texts)

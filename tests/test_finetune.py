@@ -13,9 +13,9 @@ class TestFinetune:
         """Zero steps leave the zero-initialized classifier in place; all
         scores tie and the first label wins everywhere."""
         clf = finetune(FinetuneConfig(steps=0), dup_train, backend, seed=1)
-        label, scores = finetune_predict(clf, dup_test[0].pair, backend.separator_token)
-        assert label == dup_train.label_set.labels[0]
-        np.testing.assert_array_equal(scores, np.zeros(len(scores)))
+        labels, scores = finetune_predict(clf, [dup_test[0].pair], backend.separator_token)
+        assert labels == [dup_train.label_set.labels[0]]
+        np.testing.assert_array_equal(scores, np.zeros((1, len(dup_train.label_set))))
 
     def test_learns_separable_task(self, dup_train, dup_test, backend):
         _, report = run_finetune(
@@ -69,11 +69,11 @@ class TestDistillationEquivalence:
         distilled = distill(members, dup_train, None, pet_config, clf, backend, seed=seed)
 
         np.testing.assert_array_equal(ft.W, distilled.W)
-        for ex in dup_test:
-            ft_label, ft_scores = finetune_predict(ft, ex.pair, backend.separator_token)
-            d_label, d_scores = finetune_predict(distilled, ex.pair, backend.separator_token)
-            assert ft_label == d_label
-            np.testing.assert_array_equal(ft_scores, d_scores)
+        pairs = [ex.pair for ex in dup_test]
+        ft_labels, ft_scores = finetune_predict(ft, pairs, backend.separator_token)
+        d_labels, d_scores = finetune_predict(distilled, pairs, backend.separator_token)
+        assert ft_labels == d_labels
+        np.testing.assert_array_equal(ft_scores, d_scores)
 
     def test_nonempty_pool_breaks_the_identity(
         self, dup_train, dup_unlabeled, dup_test, backend

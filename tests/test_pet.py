@@ -11,13 +11,14 @@ from pairshot.pet import (
     PetConfig,
     aggregate_scores,
     ensemble_predict,
+    render_pairs,
     run_pet,
     soft_label,
     soften,
     train_ensemble,
     untrained_accuracy,
 )
-from pairshot.prompting import builtin_pvps
+from pairshot.prompting import builtin_pvps, verbalizer_tokens
 from pairshot.rng import Rng
 
 
@@ -141,7 +142,9 @@ class TestEnsembleTraining:
         config = PetConfig.for_task("so_duplicate", mlm_steps=5, batch=4)
         pvp = config.pvps[0]
         model = backend.create_scorer(seed=123)
-        acc = untrained_accuracy(model, pvp, dup_train, config, backend)
+        clozes = render_pairs(pvp, [ex.pair for ex in dup_train], config, backend)
+        tokens = verbalizer_tokens(pvp, dup_train.label_set)
+        acc = untrained_accuracy(model, clozes, tokens, dup_train)
         first_label = dup_train.label_set.labels[0]
         expected = sum(1 for ex in dup_train if ex.label == first_label) / len(dup_train)
         assert acc == pytest.approx(expected)
@@ -151,12 +154,10 @@ class TestEnsembleTraining:
     ):
         config = PetConfig.for_task("so_duplicate", mlm_steps=150, batch=8)
         members = train_ensemble(config, dup_train, backend, seed=1000)
-        hits = sum(
-            1
-            for ex in dup_test
-            if ensemble_predict(members, ex.pair, dup_test.label_set, config, backend)
-            == ex.label
+        preds = ensemble_predict(
+            members, [ex.pair for ex in dup_test], dup_test.label_set, config, backend
         )
+        hits = sum(1 for pred, ex in zip(preds, dup_test) if pred == ex.label)
         assert hits / len(dup_test) > 0.8
 
 

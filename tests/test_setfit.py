@@ -122,8 +122,8 @@ class TestSetFitPipeline:
 
     def test_predict_returns_probabilities(self, dup_train, dup_test, backend):
         model = setfit_fit(SetFitConfig(R=3, epochs=1, batch=8), dup_train, backend, seed=2)
-        label, probs = setfit_predict(model, dup_test[0].pair)
-        assert label in dup_train.label_set.labels
+        labels, probs = setfit_predict(model, [dup_test[0].pair])
+        assert labels[0] in dup_train.label_set.labels
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
     def test_save_load_round_trip(self, tmp_path, dup_train, dup_test, backend):
@@ -132,11 +132,11 @@ class TestSetFitPipeline:
         save_setfit(model, path)
         again = load_setfit(path)
         assert again.labels == model.labels
-        for ex in list(dup_test)[:10]:
-            l1, p1 = setfit_predict(model, ex.pair)
-            l2, p2 = setfit_predict(again, ex.pair)
-            assert l1 == l2
-            np.testing.assert_array_equal(p1, p2)
+        pairs = [ex.pair for ex in list(dup_test)[:10]]
+        l1, p1 = setfit_predict(model, pairs)
+        l2, p2 = setfit_predict(again, pairs)
+        assert l1 == l2
+        np.testing.assert_array_equal(p1, p2)
 
     def test_epochs_zero_skips_encoder_tuning(self, dup_train, backend):
         """With epochs=0 the encoder stays at its deterministic init, but
@@ -144,4 +144,4 @@ class TestSetFitPipeline:
         model = setfit_fit(SetFitConfig(R=3, epochs=0, batch=8), dup_train, backend, seed=2)
         fresh = backend.create_encoder(seed=model.encoder.seed)
         probe = "any text to embed"
-        np.testing.assert_array_equal(model.encoder.encode(probe), fresh.encode(probe))
+        np.testing.assert_array_equal(model.encoder.encode([probe]), fresh.encode([probe]))
