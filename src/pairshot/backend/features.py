@@ -38,6 +38,8 @@ class Featurizer:
     featurizer config and texts, so models with equal configs that read
     the same texts one after another (the seeds of one pattern, or a
     scorer's weighting pass and its training) featurize each text once.
+    A batch read for the last time (a classifier's test set) is passed
+    with keep=False and is not held after the call.
     """
 
     buckets: int
@@ -72,8 +74,14 @@ class Featurizer:
         val.flags.writeable = False
         return idx, val
 
-    def counts_batch(self, texts: Sequence[str]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """sparse_counts of every text, each distinct text featurized once."""
+    def counts_batch(
+        self, texts: Sequence[str], keep: bool = True
+    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """sparse_counts of every text, each distinct text featurized once.
+
+        keep=False marks the batch's last use, such as a test set that is
+        predicted once: the memo is left empty rather than holding it.
+        """
         global _last_batch
         key = (self, tuple(texts))
         last = _last_batch
@@ -81,6 +89,8 @@ class Featurizer:
             last = _last_batch = None  # hold one batch at a time, never two
             counts = {text: self.sparse_counts(text) for text in dict.fromkeys(key[1])}
             last = _last_batch = (key, tuple(counts[text] for text in key[1]))
+        if not keep:
+            _last_batch = None
         return last[1]
 
 

@@ -61,7 +61,10 @@ class BackendServer:
 
     # -- verbs ---------------------------------------------------------------
 
-    def handle(self, request: dict) -> dict:
+    def handle(self, request: object) -> dict:
+        if not isinstance(request, dict):
+            error = "request must be a JSON object"
+            return {"id": None, "ok": False, "error": error, "kind": "AdapterError"}
         request_id = request.get("id")
         try:
             verb = request.get("verb")
@@ -94,6 +97,14 @@ class BackendServer:
         }
 
     @staticmethod
+    def _list(params: dict, key: str) -> list:
+        """params[key], which must be a JSON array (a string would iterate as characters)."""
+        value = params[key]
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+        return value
+
+    @staticmethod
     def _cloze(payload: dict) -> ClozeInput:
         return ClozeInput(
             payload["text"], payload.get("mask_position", -1), payload.get("segment_boundary")
@@ -101,8 +112,8 @@ class BackendServer:
 
     def _verb_score(self, params: dict) -> dict:
         scorer = self._scorer(params)
-        clozes = [self._cloze(cloze) for cloze in params["clozes"]]
-        return {"scores": scorer.score(clozes, params["candidates"]).tolist()}
+        clozes = [self._cloze(cloze) for cloze in self._list(params, "clozes")]
+        return {"scores": scorer.score(clozes, self._list(params, "candidates")).tolist()}
 
     def _verb_train_mlm(self, params: dict) -> dict:
         scorer = self._scorer(params)
@@ -131,11 +142,11 @@ class BackendServer:
 
     def _verb_predict(self, params: dict) -> dict:
         classifier = self._classifier(params)
-        return {"scores": classifier.predict(params["texts"]).tolist()}
+        return {"scores": classifier.predict(self._list(params, "texts")).tolist()}
 
     def _verb_encode(self, params: dict) -> dict:
         encoder = self._encoder(params)
-        return {"vectors": encoder.encode(params["texts"]).tolist()}
+        return {"vectors": encoder.encode(self._list(params, "texts")).tolist()}
 
     def _verb_fit_encoder(self, params: dict) -> dict:
         encoder = self._encoder(params)

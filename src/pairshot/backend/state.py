@@ -53,7 +53,7 @@ def model_to_payload(model) -> dict:
         body = {
             "kind": "sentence-encoder",
             "seed": model.seed,
-            "rows": {str(bucket): array_to_b64(row) for bucket, row in sorted(model._table.items())},
+            "rows": {str(bucket): array_to_b64(row) for bucket, row in model.bucket_rows().items()},
         }
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
@@ -83,10 +83,13 @@ def model_from_payload(payload: dict):
         return model
     if kind == "sentence-encoder":
         model = ToyEncoder(config, payload.get("seed", 0))
-        model._table = {
+        rows = {
             int(bucket): array_from_b64(row, (config.embedding_dim,))
             for bucket, row in payload.get("rows", {}).items()
         }
+        if any(not 0 <= bucket < config.buckets for bucket in rows):
+            raise DataFormatError(f"encoder row bucket outside [0, {config.buckets})")
+        model.load_bucket_rows(rows)
         return model
     raise DataFormatError(f"unknown model kind {kind!r}")
 

@@ -9,11 +9,18 @@ generators, whose streams we do not control.
 
 Reference constants are the widely published SplitMix64 ones
 (gamma 0x9E3779B97F4A7C15 and the two finalizer multipliers).
+
+:meth:`Rng.derive_uniform_rows` runs the same arithmetic on numpy
+``uint64`` arrays, whose multiplication wraps modulo 2**64 just as the
+scalar code masks with ``_MASK64``, so bulk draws equal scalar ones bit
+for bit.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence, TypeVar
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -24,6 +31,16 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 T = TypeVar("T")
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array (wrapping arithmetic)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -115,3 +132,28 @@ class Rng:
             z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
             h = z ^ (z >> 31)
         return Rng(h)
+
+    def derive_uniform_rows(self, tags: np.ndarray, n: int, low: float, high: float) -> np.ndarray:
+        """(len(tags), n): row i is n draws of self.derive(int(tags[i])).uniform(low, high).
+
+        tags are non-negative integers below 2**64, so the 16-byte
+        little-endian form derive hashes is their 8 low bytes followed
+        by 8 zero bytes.
+        """
+        tags = np.asarray(tags)
+        if tags.size and tags.min() < 0:
+            raise ValueError("derive_uniform_rows takes non-negative tags")
+        tags = tags.astype(np.uint64)
+        h = np.full(tags.shape, _FNV_OFFSET, dtype=np.uint64)
+        for shift in range(0, 64, 8):
+            h = (h ^ ((tags >> np.uint64(shift)) & np.uint64(0xFF))) * np.uint64(_FNV_PRIME)
+        for _ in range(8):
+            h = h * np.uint64(_FNV_PRIME)
+        seeds = _mix64((h ^ np.uint64(self._seed)) + np.uint64(_GAMMA))
+        z = _mix64(seeds[:, None] + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA))
+        z >>= np.uint64(11)
+        out = z.astype(np.float64)
+        out *= 2.0**-53
+        out *= high - low
+        out += low
+        return out

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -168,6 +169,54 @@ class TestServerVerbs:
         assert response["ok"] is False
         assert response["kind"] == "VocabularyError"
         assert response["id"] == 8
+
+    @pytest.mark.parametrize("request_line", [[1, 2], "hello", 7, None])
+    def test_non_object_request_is_protocol_error(self, server, request_line):
+        assert server.handle(request_line) == {
+            "id": None,
+            "ok": False,
+            "error": "request must be a JSON object",
+            "kind": "AdapterError",
+        }
+
+    @pytest.mark.parametrize(
+        "verb, params",
+        [
+            ("encode", {"model": "e", "texts": "abc"}),
+            ("predict", {"model": "c", "labels": ["A", "B"], "texts": "abc"}),
+            ("score", {"model": "s", "clozes": {"text": "a <mask>"}, "candidates": ["Yes"]}),
+            ("score", {"model": "s", "clozes": [], "candidates": "Yes"}),
+        ],
+    )
+    def test_batch_fields_must_be_lists(self, server, verb, params):
+        """A string is not silently read as a batch of one-character texts."""
+        response = server.handle({"id": 9, "verb": verb, "params": params})
+        assert response["ok"] is False
+        assert response["kind"] == "AdapterError"
+        assert "must be a list" in response["error"]
+
+    def test_stdio_server_survives_malformed_lines(self):
+        """Non-object and non-list inputs get an error answer; the server keeps serving."""
+        lines = [
+            "[1,2]",
+            json.dumps({"id": 2, "verb": "encode", "params": {"model": "e", "texts": "abc"}}),
+            json.dumps({"id": 9, "verb": "hello"}),
+        ]
+        done = subprocess.run(
+            [sys.executable, "-m", "pairshot.backend.serve"],
+            input="\n".join(lines) + "\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        responses = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [(r["id"], r["ok"], r.get("kind")) for r in responses] == [
+            (None, False, "AdapterError"),
+            (2, False, "AdapterError"),
+            (9, True, None),
+        ]
 
 
 class TestRemoteMatchesLocal:

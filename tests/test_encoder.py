@@ -1,0 +1,181 @@
+"""Toy sentence encoder: bulk-drawn bucket rows, paged storage, chunked encode.
+
+LoopEncoder keeps the encoder as it was written before rows were drawn
+in bulk: a dict of rows drawn one float at a time from Rng, a per-text
+encode loop, and a fit that draws rows as the gradient loop reaches
+them.  The vectorized encoder must match it byte for byte.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from pairshot.backend import toy
+from pairshot.backend.state import model_from_payload, model_to_payload
+from pairshot.backend.toy import _ENCODE_CHUNK, ToyEncoder, _Schedule, default_backend_config
+from pairshot.errors import DataFormatError
+from pairshot.rng import Rng
+
+
+class LoopEncoder(ToyEncoder):
+    """Reference: scalar row draws into a dict, one text at a time."""
+
+    def __init__(self, config, seed=0):
+        super().__init__(config, seed)
+        self._table = {}
+
+    def _bucket_row(self, bucket):
+        row = self._table.get(bucket)
+        if row is None:
+            rng = Rng(self.config.seed).derive("encoder", self.seed, "bucket", bucket)
+            row = np.asarray([rng.uniform(-0.5, 0.5) for _ in range(self.dim)])
+            self._table[bucket] = row
+        return row
+
+    def bucket_rows(self):
+        return dict(sorted(self._table.items()))
+
+    def encode(self, texts):
+        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        for i, text in enumerate(texts):
+            out[i] = self._mean_row(self._occurrences(text))
+        return out
+
+    def fit(self, triplets, epochs, batch, lr, seed):
+        occurrences = [
+            (self._occurrences(a), self._occurrences(b), float(t)) for a, b, t in triplets
+        ]
+        steps = math.ceil(len(triplets) / batch) * epochs
+        schedule = _Schedule(len(triplets), batch, seed)
+        for step in range(steps):
+            members = schedule.batch_indices(step)
+            scale = lr / len(members)
+            updates = {}
+            for i in members:
+                counts_a, counts_b, target = occurrences[i]
+                self._pair_gradient(counts_a, counts_b, target, updates)
+            for bucket, grad in updates.items():
+                self._table[bucket] = self._bucket_row(bucket) - scale * grad
+
+
+WORDS = "open file crash fix slow query || panic alpha beta é 数据".split()
+
+
+def make_texts(n, seed=3):
+    rng = Rng(seed)
+    texts = [" ".join(rng.choice(WORDS) for _ in range(rng.randbelow(12))) for _ in range(n)]
+    return texts + ["", "x", "é", " ", "open file || open file open file"]
+
+
+def payload_bytes(encoder):
+    return json.dumps(model_to_payload(encoder), sort_keys=True).encode("utf-8")
+
+
+def pair(config=None, seed=7):
+    config = config or default_backend_config()
+    return ToyEncoder(config, seed), LoopEncoder(config, seed)
+
+
+@pytest.fixture(params=[5, toy._PAGE_ROWS], ids=["5-row-pages", "default-pages"])
+def page_rows(request, monkeypatch):
+    """Run with tiny pages too, so rows cross many page boundaries."""
+    monkeypatch.setattr(toy, "_PAGE_ROWS", request.param)
+    return request.param
+
+
+def assert_same_model(encoder, reference):
+    assert sorted(encoder.bucket_rows()) == sorted(reference.bucket_rows())
+    assert payload_bytes(encoder) == payload_bytes(reference)
+
+
+class TestBulkRows:
+    @pytest.mark.parametrize("config_seed", [0, 5, 2**63])
+    @pytest.mark.parametrize("encoder_seed", [0, 17, 2**64 - 1])
+    @pytest.mark.parametrize("dim", [1, 32])
+    def test_rows_equal_scalar_draws(self, config_seed, encoder_seed, dim):
+        config = default_backend_config(seed=config_seed, embedding_dim=dim)
+        encoder = ToyEncoder(config, encoder_seed)
+        buckets = [0, 255, 256, config.buckets - 1]
+        encoder._slots(np.array(buckets, dtype=np.int64))
+        assert sorted(encoder.bucket_rows()) == buckets
+        for bucket in buckets:
+            rng = Rng(config_seed).derive("encoder", encoder_seed, "bucket", bucket)
+            expected = np.asarray([rng.uniform(-0.5, 0.5) for _ in range(dim)])
+            assert encoder._bucket_row(bucket).tobytes() == expected.tobytes()
+
+    def test_negative_tags_rejected(self):
+        with pytest.raises(ValueError):
+            Rng(0).derive_uniform_rows(np.array([3, -1]), 4, -0.5, 0.5)
+
+
+class TestBatchedEncode:
+    TEXTS = make_texts(40)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            TEXTS,
+            TEXTS[::-1],
+            TEXTS[7:] + TEXTS[:7],
+            TEXTS + TEXTS,
+            [],
+            ["", "", "y"],
+        ],
+        ids=["plain", "reversed", "rotated", "duplicated", "empty", "short"],
+    )
+    def test_encode_equals_per_text_loop(self, batch, page_rows):
+        encoder, reference = pair()
+        assert encoder.encode(batch).tobytes() == reference.encode(batch).tobytes()
+        assert_same_model(encoder, reference)
+
+    def test_batches_straddling_chunk_boundaries(self, page_rows):
+        """A repeated text and the empty text land on both sides of a chunk boundary."""
+        texts = make_texts(2 * _ENCODE_CHUNK + 3, seed=11)
+        texts[_ENCODE_CHUNK - 1] = texts[_ENCODE_CHUNK] = texts[0]
+        texts[2 * _ENCODE_CHUNK] = ""
+        encoder, reference = pair(default_backend_config(buckets=997, embedding_dim=3), seed=2)
+        assert encoder.encode(texts).tobytes() == reference.encode(texts).tobytes()
+        assert_same_model(encoder, reference)
+        assert len(encoder._pages) == -(-encoder._count // page_rows)
+        # Rows drawn by the first batch are reused, not redrawn, by a second.
+        again = texts[_ENCODE_CHUNK - 5 :] + ["a new text only now"]
+        assert encoder.encode(again).tobytes() == reference.encode(again).tobytes()
+        assert_same_model(encoder, reference)
+
+
+class TestFit:
+    TRIPLETS = [
+        (a, b, float(i % 2)) for i, (a, b) in enumerate(zip(make_texts(30), make_texts(30, 4)))
+    ]
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_fit_equals_reference(self, epochs, page_rows):
+        encoder, reference = pair(seed=2**64 - 1)
+        for model in (encoder, reference):
+            model.fit(self.TRIPLETS, epochs=epochs, batch=4, lr=0.3, seed=5)
+        assert_same_model(encoder, reference)
+        probe = make_texts(20, seed=9)
+        assert encoder.encode(probe).tobytes() == reference.encode(probe).tobytes()
+        assert_same_model(encoder, reference)
+
+    def test_fit_after_encode_and_round_trip(self, page_rows):
+        encoder, reference = pair()
+        for model in (encoder, reference):
+            model.encode(make_texts(15, seed=8))
+            model.fit(self.TRIPLETS, epochs=2, batch=3, lr=0.2, seed=1)
+        assert_same_model(encoder, reference)
+        loaded = model_from_payload(model_to_payload(encoder))
+        assert payload_bytes(loaded) == payload_bytes(encoder)
+        probe = make_texts(10, seed=12)
+        assert loaded.encode(probe).tobytes() == reference.encode(probe).tobytes()
+
+
+def test_payload_row_outside_the_table_rejected():
+    encoder = ToyEncoder(default_backend_config(buckets=64), 0)
+    encoder.encode(["some text"])
+    payload = model_to_payload(encoder)
+    payload["rows"]["64"] = next(iter(payload["rows"].values()))
+    with pytest.raises(DataFormatError):
+        model_from_payload(payload)

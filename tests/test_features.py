@@ -123,6 +123,17 @@ class TestFeatureCache:
         assert key == (featurizer, ("distinct text number 999", "repeated text"))
         assert len(rows) == 2
 
+    def test_classifier_predict_leaves_the_memo_empty(self):
+        """A test set is predicted once, so predict does not keep it alive."""
+        from pairshot.backend.toy import ToyBackend
+
+        clf = ToyBackend().create_classifier(["A", "B"])
+        clf.train([("a training text", [1.0, 0.0])], steps=1, batch=1, lr=0.1, seed=0)
+        assert features._last_batch is not None
+        scores = clf.predict(["a test text", "another test text"])
+        assert scores.shape == (2, 2)
+        assert features._last_batch is None
+
 
 class TestFeaturizedOnce:
     def test_three_scorers_featurize_each_distinct_text_once(self, monkeypatch):
