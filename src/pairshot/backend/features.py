@@ -26,6 +26,27 @@ def _tag_seed(tag: str) -> int:
 _CHAR_SEEDS = tuple((order, _tag_seed(f"c{order}")) for order in _CHAR_ORDERS)
 
 
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """Sparse rows in CSR form: row i is indices, values[indptr[i] : indptr[i + 1]]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def take(self, members: Sequence[int]) -> SparseRows:
+        """The rows at members, in that order."""
+        members = np.asarray(members, dtype=np.int64)
+        starts = self.indptr[members]
+        lengths = self.indptr[members + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return SparseRows(indptr, self.indices[positions], self.values[positions])
+
+
 @dataclass(frozen=True)
 class Featurizer:
     """Extracts sparse hashed n-gram counts from text.
@@ -33,11 +54,12 @@ class Featurizer:
     Word n-grams run from order 1 up to word_order; character n-grams
     use fixed orders 3 and 4 over the raw text.
 
-    sparse_counts returns read-only arrays.  counts_batch featurizes a
-    whole batch and remembers only the batch featurized last, keyed by
-    featurizer config and texts, so models with equal configs that read
-    the same texts one after another (the seeds of one pattern, or a
-    scorer's weighting pass and its training) featurize each text once.
+    sparse_counts returns read-only arrays.  counts_batch stacks a whole
+    batch into read-only SparseRows, one row per text, and remembers only
+    the batch featurized last, keyed by featurizer config and texts, so
+    models with equal configs that read the same texts one after another
+    (the seeds of one pattern, or a scorer's weighting pass and its
+    training) featurize each text once.
     A batch read for the last time (a classifier's test set) is passed
     with keep=False and is not held after the call.
     """
@@ -74,10 +96,27 @@ class Featurizer:
         val.flags.writeable = False
         return idx, val
 
-    def counts_batch(
-        self, texts: Sequence[str], keep: bool = True
-    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """sparse_counts of every text, each distinct text featurized once.
+    def _stack(self, texts: Sequence[str]) -> SparseRows:
+        """sparse_counts of every text as one read-only CSR, written straight into
+        buffers sized by n-gram counts, so their unwritten tails are never paged in."""
+        bound = sum(self.word_order * len(t.split()) + len(_CHAR_ORDERS) * len(t) for t in texts)
+        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+        indices, values = np.empty(bound, dtype=np.int64), np.empty(bound)
+        first: dict[str, slice] = {}
+        for i, text in enumerate(texts):
+            row = first.get(text)
+            idx, val = self.sparse_counts(text) if row is None else (indices[row], values[row])
+            end = indptr[i] + len(idx)
+            indices[indptr[i] : end], values[indptr[i] : end] = idx, val
+            first.setdefault(text, slice(indptr[i], end))
+            indptr[i + 1] = end
+        rows = SparseRows(indptr, indices[: indptr[-1]], values[: indptr[-1]])
+        for array in (rows.indptr, rows.indices, rows.values):
+            array.flags.writeable = False
+        return rows
+
+    def counts_batch(self, texts: Sequence[str], keep: bool = True) -> SparseRows:
+        """sparse_counts of every text stacked, each distinct text featurized once.
 
         keep=False marks the batch's last use, such as a test set that is
         predicted once: the memo is left empty rather than holding it.
@@ -87,8 +126,7 @@ class Featurizer:
         last = _last_batch
         if last is None or last[0] != key:
             last = _last_batch = None  # hold one batch at a time, never two
-            counts = {text: self.sparse_counts(text) for text in dict.fromkeys(key[1])}
-            last = _last_batch = (key, tuple(counts[text] for text in key[1]))
+            last = _last_batch = (key, self._stack(key[1]))
         if not keep:
             _last_batch = None
         return last[1]

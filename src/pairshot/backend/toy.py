@@ -8,8 +8,10 @@ point is to exercise every engine contract cheaply and reproducibly:
 same seed, same machine, same results, with gradients simple enough to
 verify against finite differences.
 
-Step accounting: one step is one optimizer update on one minibatch.
-Epoch-based callers convert via ceil(len(data) / batch) * epochs.
+Step accounting: one step is one optimizer update on one minibatch, the
+mean gradient at the weights the step starts from, written once; a step
+with non-finite scores, cosines or update raises NumericError and writes
+nothing.  Epoch-based callers convert via ceil(len(data) / batch) * epochs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,13 +27,14 @@ from ..errors import NoDataError, NumericError, ShapeError, VocabularyError
 from ..numerics import safe_norm, stable_softmax
 from ..prompting import ClozeInput
 from ..rng import Rng
-from .features import Featurizer
+from .features import Featurizer, SparseRows
 
 _COSINE_EPS = 1e-12
 # Texts per vectorized encode block: bounds the (texts, distinct buckets)
 # work arrays.  Encoding 1000 pairs in 256-text blocks doubled the traced
 # peak of 64-text blocks (11.5 vs 5.7 MB) for no measurable speed.
 _ENCODE_CHUNK = 64
+_SCORE_ROWS = 64  # rows per block of _linear_scores: bounds its terms array
 # Encoder rows per storage page.  Pages are allocated once and never
 # regrown, so row views stay valid and a growing table leaves no
 # copies behind in the allocator's heap.
@@ -121,43 +124,67 @@ class _Schedule:
         return self._order[slot * self.batch : (slot + 1) * self.batch]
 
 
-def _train_softmax_ce(
-    W: np.ndarray,
-    examples: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-    steps: int,
-    batch: int,
-    lr: float,
-    seed: int,
-    sched_state: dict,
-) -> None:
-    """SGD on cross-entropy of a softmax over selected rows of W.
+def _linear_scores(W: np.ndarray, rows: np.ndarray, x: SparseRows) -> np.ndarray:
+    """(len(x), len(rows)) scores W[rows] . x_i, each summed over its own slice
+    alone, so a row scores the same in any batch; an empty row scores 0."""
+    out = np.zeros((len(x), len(rows)), dtype=np.float64)
+    for start in range(0, len(x), _SCORE_ROWS):
+        bounds = x.indptr[start : start + _SCORE_ROWS + 1]
+        filled = np.flatnonzero(np.diff(bounds))
+        if len(filled):
+            terms = W[rows[:, None], x.indices[bounds[0] : bounds[-1]]]
+            terms *= x.values[bounds[0] : bounds[-1]]
+            out[start + filled] = np.add.reduceat(terms, bounds[filled] - bounds[0], axis=1).T
+    return out
 
-    Each example is (feature idx, feature values, candidate row ids as a
-    (k, 1) column, target distribution over those candidates); the column
-    broadcasts against idx to gather and update the (k, len(idx)) block.
-    Training resumes the step counter when called again with the same
-    seed and data size, so two consecutive calls of s1 and s2 steps
-    match one call of s1 + s2.
+
+def _softmax_ce_gradient(W: np.ndarray, x: SparseRows, targets: np.ndarray) -> tuple:
+    """The buckets x uses and, there, the gradient on W of the mean over x_i
+    of cross-entropy(targets[i], softmax(W . x_i)): mean_i (p_i - t_i) x_i^T."""
+    scores = _linear_scores(W, np.arange(len(W)), x)
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite scores during training; lower the learning rate")
+    residual = stable_softmax(scores) - targets
+    terms = np.repeat(residual, np.diff(x.indptr), axis=0).T * x.values
+    width = W.shape[1]
+    buckets = np.flatnonzero(np.bincount(x.indices, minlength=width))
+    grad = np.array([np.bincount(x.indices, weights, minlength=width)[buckets] for weights in terms])
+    return buckets, grad / len(x)
+
+
+def _train_softmax_ce(
+    W: np.ndarray, rows: np.ndarray, features: SparseRows, targets: np.ndarray,
+    steps: int, batch: int, lr: float, seed: int, sched_state: dict,
+) -> None:
+    """Minibatch SGD on the cross-entropy of a softmax over W[rows].
+
+    features holds one row per example, targets the (n, k) distributions.
+    A step gathers its batch B, scores it at the weights it starts from
+    and writes W[rows] -= lr / |B| * sum_B (p - t) x^T once, so the order
+    inside a batch does not matter.  Training resumes the step counter
+    when called again with the same seed and data size, so two calls of
+    s1 and s2 steps match one call of s1 + s2.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    n = len(examples)
-    if sched_state.get("seed") == seed and sched_state.get("n") == n:
-        start = sched_state["step"]
-    else:
-        start = 0
+    n = len(features)
+    start = sched_state["step"] if (sched_state.get("seed"), sched_state.get("n")) == (seed, n) else 0
     schedule = _Schedule(n, batch, seed)
-    for step in range(start, start + steps):
-        rows = schedule.batch_indices(step)
-        scale = lr / len(rows)
-        for i in rows:
-            idx, val, cands, target = examples[i]
-            picked = W[cands, idx]
-            scores = picked @ val
-            if not np.all(np.isfinite(scores)):
-                raise NumericError("non-finite scores during training; lower the learning rate")
-            probs = stable_softmax(scores)
-            W[cands, idx] = picked - np.outer((probs - target) * scale, val)
+    # Steps read and write only the columns the data has: train on that
+    # block of W[rows], with features re-indexed into it, and copy it back.
+    columns = np.flatnonzero(np.bincount(features.indices, minlength=W.shape[1]))
+    local = SparseRows(features.indptr, np.searchsorted(columns, features.indices), features.values)
+    block = W[rows[:, None], columns]
+    try:
+        for step in range(start, start + steps):
+            members = schedule.batch_indices(step)
+            touched, grad = _softmax_ce_gradient(block, local.take(members), targets[members])
+            update = lr * grad
+            if not np.isfinite(update).all():
+                raise NumericError("non-finite update during training; lower the learning rate")
+            block[:, touched] -= update
+    finally:
+        W[rows[:, None], columns] = block
     sched_state.update(seed=seed, n=n, step=start + steps)
 
 
@@ -187,12 +214,8 @@ class ToyMaskedScorer:
         """(n, k) scores in candidate order; only candidate rows are read."""
         if not candidates:
             raise VocabularyError("candidate token list is empty")
-        rows = self._rows_for(candidates)[:, None]
-        out = np.zeros((len(clozes), len(rows)), dtype=np.float64)
-        for i, (idx, val) in enumerate(self._featurizer.counts_batch([c.text for c in clozes])):
-            if len(idx):
-                out[i] = self.W[rows, idx] @ val
-        return out
+        rows = self._rows_for(candidates)
+        return _linear_scores(self.W, rows, self._featurizer.counts_batch([c.text for c in clozes]))
 
     def train(
         self,
@@ -213,17 +236,14 @@ class ToyMaskedScorer:
         targets = [target for _, target in rendered]
         if candidates is None:
             candidates = sorted(set(targets), key=lambda t: self._row.get(t, -1))
-        cand_rows = self._rows_for(candidates)[:, None]
+        rows = self._rows_for(candidates)
         position = {tok: k for k, tok in enumerate(candidates)}
-        examples = []
+        outside = [target for target in targets if target not in position]
+        if outside:
+            raise VocabularyError(f"target token {outside[0]!r} outside candidate set")
+        onehot = np.eye(len(candidates))[[position[target] for target in targets]]
         features = self._featurizer.counts_batch([cloze.text for cloze, _ in rendered])
-        for (idx, val), target in zip(features, targets):
-            if target not in position:
-                raise VocabularyError(f"target token {target!r} outside candidate set")
-            onehot = np.zeros(len(candidates), dtype=np.float64)
-            onehot[position[target]] = 1.0
-            examples.append((idx, val, cand_rows, onehot))
-        _train_softmax_ce(self.W, examples, steps, batch, lr, seed, self._sched)
+        _train_softmax_ce(self.W, rows, features, onehot, steps, batch, lr, seed, self._sched)
 
 
 class ToyTextClassifier:
@@ -241,11 +261,8 @@ class ToyTextClassifier:
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
         """(n, k) raw scores, one row per text, columns in label order."""
-        out = np.zeros((len(texts), len(self.labels)), dtype=np.float64)
-        for i, (idx, val) in enumerate(self._featurizer.counts_batch(texts, keep=False)):
-            if len(idx):
-                out[i] = self.W[:, idx] @ val
-        return out
+        rows = np.arange(len(self.labels))
+        return _linear_scores(self.W, rows, self._featurizer.counts_batch(texts, keep=False))
 
     def train(
         self,
@@ -257,20 +274,17 @@ class ToyTextClassifier:
     ) -> None:
         if not rows:
             raise NoDataError("train called with no rows")
-        all_rows = np.arange(len(self.labels), dtype=np.int64)[:, None]
-        examples = []
-        features = self._featurizer.counts_batch([text for text, _ in rows])
-        for (idx, val), (_, dist) in zip(features, rows):
-            target = np.asarray(list(dist), dtype=np.float64)
-            if target.shape != (len(self.labels),):
-                raise ShapeError(
-                    f"target distribution has {target.shape[0] if target.ndim else 0} entries, "
-                    f"expected {len(self.labels)}"
-                )
-            if (target < 0).any() or abs(float(target.sum()) - 1.0) > 1e-9:
+        k = len(self.labels)
+        targets = [np.asarray(list(dist), dtype=np.float64) for _, dist in rows]
+        for target in targets:
+            if target.shape != (k,):
+                n = target.shape[0] if target.ndim else 0
+                raise ShapeError(f"target distribution has {n} entries, expected {k}")
+            if not (target >= 0).all() or abs(float(target.sum()) - 1.0) > 1e-9:
                 raise ShapeError("target distribution entries must be >= 0 and sum to 1")
-            examples.append((idx, val, all_rows, target))
-        _train_softmax_ce(self.W, examples, steps, batch, lr, seed, self._sched)
+        x = self._featurizer.counts_batch([text for text, _ in rows])
+        targets = np.array(targets)
+        _train_softmax_ce(self.W, np.arange(k), x, targets, steps, batch, lr, seed, self._sched)
 
 
 class ToyEncoder:
@@ -314,20 +328,22 @@ class ToyEncoder:
         self._append(missing, lambda part: self._rng.derive_uniform_rows(part, self.dim, -0.5, 0.5))
         return self._slot[buckets]
 
+    def _by_page(self, slots: np.ndarray) -> Iterator[tuple]:
+        """(page, offsets in it, mask over slots) for each page that slots reach."""
+        page, offset = np.divmod(slots, _PAGE_ROWS)
+        for p in np.unique(page):
+            yield self._pages[p], offset[page == p], page == p
+
     def _gather(self, slots: np.ndarray) -> np.ndarray:
         """(len(slots), dim) copy of the rows at slots."""
-        page, offset = np.divmod(slots, _PAGE_ROWS)
         out = np.empty((len(slots), self.dim), dtype=np.float64)
-        for p in np.unique(page):
-            picked = page == p
-            out[picked] = self._pages[p][offset[picked]]
+        for rows, offsets, picked in self._by_page(slots):
+            out[picked] = rows[offsets]
         return out
 
     def _bucket_row(self, bucket: int) -> np.ndarray:
-        """The row of bucket, drawn on first use: a view, as pages never move."""
+        """The drawn row of bucket: a view, as pages never move."""
         slot = self._slot[bucket]
-        if slot < 0:
-            slot = self._slots(np.array([bucket]))[0]
         return self._pages[slot // _PAGE_ROWS][slot % _PAGE_ROWS]
 
     def bucket_rows(self) -> dict[int, np.ndarray]:
@@ -341,45 +357,11 @@ class ToyEncoder:
         buckets = np.fromiter(rows, dtype=np.int64, count=len(rows))
         self._append(buckets, lambda part: np.array([rows[b] for b in part.tolist()]))
 
-    def _occurrences(self, text: str) -> dict[int, float]:
-        counts: dict[int, float] = {}
-        for b in self._featurizer.bucket_ids(text):
-            counts[b] = counts.get(b, 0.0) + 1.0
-        return counts
-
-    def _mean_row(self, counts: dict[int, float]) -> np.ndarray:
-        """Mean of bucket rows over n-gram occurrences; zeros when there are none."""
-        out = np.zeros(self.dim, dtype=np.float64)
-        total = sum(counts.values())
-        if total:
-            for bucket, mult in counts.items():
-                out += self._bucket_row(bucket) * mult
-            out /= total
-        return out
-
-    def encode(self, texts: Sequence[str]) -> np.ndarray:
-        """(n, dim): the mean bucket row of each text; empty text -> zeros."""
-        texts = list(texts)
-        out = np.zeros((len(texts), self.dim), dtype=np.float64)
-        for start in range(0, len(texts), _ENCODE_CHUNK):
-            chunk = texts[start : start + _ENCODE_CHUNK]
-            out[start : start + len(chunk)] = self._mean_rows(
-                [self._featurizer.bucket_ids(text) for text in chunk]
-            )
-        return out
-
-    def _mean_rows(self, id_lists: list[list[int]]) -> np.ndarray:
-        """_mean_row of each text's bucket ids, with the same additions in the same order.
-
-        Row t adds bucket rows times multiplicity in the order of each
-        bucket's first occurrence in id_lists[t], then divides by the
-        occurrence count, exactly as _mean_row does.
-        """
+    def _table(self, texts: Sequence[str]) -> SparseRows:
+        """Row t: the distinct buckets of texts[t] in first-occurrence order, with multiplicities."""
+        id_lists = [self._featurizer.bucket_ids(text) for text in texts]
         n = len(id_lists)
         lengths = np.fromiter(map(len, id_lists), dtype=np.int64, count=n)
-        out = np.zeros((n, self.dim), dtype=np.float64)
-        if not lengths.any():
-            return out
         ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64, count=int(lengths.sum()))
         owner = np.repeat(np.arange(n), lengths)
         # Distinct (text, bucket) pairs, put back in first-occurrence order.
@@ -388,21 +370,41 @@ class ToyEncoder:
         )
         order = np.argsort(first)
         text, bucket = np.divmod(keys[order], self.config.buckets)
-        distinct = np.bincount(text, minlength=n)
-        column = np.arange(len(text)) - (np.cumsum(distinct) - distinct)[text]
-        width = int(distinct.max())
-        slots, local = np.unique(self._slots(bucket), return_inverse=True)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(text, minlength=n))))
+        return SparseRows(indptr, bucket, mult[order])
+
+    def _mean_rows(self, table: SparseRows) -> np.ndarray:
+        """(len(table), dim) mean bucket rows over each text's n-gram occurrences.
+
+        Row t adds bucket rows times multiplicity in table order, then
+        divides by the occurrence count, exactly as a per-text loop does.
+        """
+        n = len(table)
+        out = np.zeros((n, self.dim), dtype=np.float64)
+        distinct = np.diff(table.indptr)
+        text = np.repeat(np.arange(n), distinct)
+        column = np.arange(len(text)) - table.indptr[text]
+        width = int(distinct.max(initial=0))
+        slots, local = np.unique(self._slots(table.indices), return_inverse=True)
         rows = self._gather(slots)
         row = np.zeros((n, width), dtype=np.int64)
         weight = np.zeros((n, width), dtype=np.float64)
-        live = np.zeros((n, width), dtype=bool)
         row[text, column] = local
-        weight[text, column] = mult[order]
-        live[text, column] = True
+        weight[text, column] = table.values
+        live = weight > 0  # every multiplicity is at least 1
         for k in range(width):
             added = rows[row[:, k]] * weight[:, k, None]
             np.add(out, added, out=out, where=live[:, k, None])
-        out /= np.maximum(lengths, 1)[:, None]
+        out /= np.maximum(np.bincount(text, weights=table.values, minlength=n), 1)[:, None]
+        return out
+
+    def encode(self, texts: Sequence[str]) -> np.ndarray:
+        """(n, dim): the mean bucket row of each text; empty text -> zeros."""
+        texts = list(texts)
+        out = np.zeros((len(texts), self.dim), dtype=np.float64)
+        for start in range(0, len(texts), _ENCODE_CHUNK):
+            chunk = texts[start : start + _ENCODE_CHUNK]
+            out[start : start + len(chunk)] = self._mean_rows(self._table(chunk))
         return out
 
     def fit(
@@ -413,43 +415,43 @@ class ToyEncoder:
         lr: float,
         seed: int,
     ) -> None:
-        """Minimize mean (cos(e_a, e_b) - target)^2 by SGD on bucket rows."""
+        """Minimize mean (cos(e_a, e_b) - target)^2 by minibatch SGD on bucket rows.
+
+        A step spreads each text's _pair_gradient over its buckets by
+        multiplicity / occurrence count and sums the shares per bucket
+        with one np.add.at, in the order of a per-pair loop.
+        """
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
         if not triplets:
             raise NoDataError("fit called with no triplets")
-        occurrences = []
-        for text_a, text_b, target in triplets:
-            if not math.isfinite(target):
-                raise ShapeError("similarity targets must be finite")
-            occurrences.append((self._occurrences(text_a), self._occurrences(text_b), float(target)))
+        targets = [float(target) for _, _, target in triplets]
+        if not all(map(math.isfinite, targets)):
+            raise ShapeError("similarity targets must be finite")
+        # Rows 2i and 2i + 1 are the texts of triplet i.
+        table = self._table([text for a, b, _ in triplets for text in (a, b)])
         steps = math.ceil(len(triplets) / batch) * epochs
-        if steps:
-            # Every triplet is visited, so draw every row the loop reads up front.
-            touched = [bucket for pair in occurrences for counts in pair[:2] for bucket in counts]
-            self._slots(np.array(touched, dtype=np.int64))
         schedule = _Schedule(len(triplets), batch, seed)
         for step in range(steps):
             members = schedule.batch_indices(step)
-            scale = lr / len(members)
-            updates: dict[int, np.ndarray] = {}
-            for i in members:
-                counts_a, counts_b, target = occurrences[i]
-                self._pair_gradient(counts_a, counts_b, target, updates)
-            for bucket, grad in updates.items():
-                self._bucket_row(bucket)[:] -= scale * grad
+            part = table.take([row for i in members for row in (2 * i, 2 * i + 1)])
+            vectors = self._mean_rows(part)
+            pairs = zip(vectors.reshape(-1, 2, self.dim), members)
+            grads = np.concatenate([self._pair_gradient(a, b, targets[i]) for (a, b), i in pairs])
+            text = np.repeat(np.arange(len(part)), np.diff(part.indptr))
+            totals = np.bincount(text, weights=part.values, minlength=len(part))
+            buckets, at = np.unique(part.indices, return_inverse=True)
+            update = np.zeros((len(buckets), self.dim), dtype=np.float64)
+            np.add.at(update, at, grads[text] * (part.values / totals[text])[:, None])
+            update *= lr / len(members)
+            if not np.isfinite(update).all():
+                raise NumericError("non-finite encoder update; lower the learning rate")
+            for rows, offsets, picked in self._by_page(self._slot[buckets]):
+                rows[offsets] -= update[picked]
 
-    def _pair_gradient(
-        self,
-        counts_a: dict[int, float],
-        counts_b: dict[int, float],
-        target: float,
-        updates: dict[int, np.ndarray],
-    ) -> None:
-        total_a = sum(counts_a.values())
-        total_b = sum(counts_b.values())
-        vec_a = self._mean_row(counts_a)
-        vec_b = self._mean_row(counts_b)
+    @staticmethod
+    def _pair_gradient(vec_a: np.ndarray, vec_b: np.ndarray, target: float) -> tuple:
+        """Gradients of (cos(vec_a, vec_b) - target)^2 with respect to vec_a and vec_b."""
         norm_a = safe_norm(vec_a, _COSINE_EPS)
         norm_b = safe_norm(vec_b, _COSINE_EPS)
         dot = float(vec_a @ vec_b)
@@ -459,22 +461,7 @@ class ToyEncoder:
         dldc = 2.0 * (cos - target)
         grad_a = dldc * (vec_b / (norm_a * norm_b) - dot * vec_a / (norm_a**3 * norm_b))
         grad_b = dldc * (vec_a / (norm_a * norm_b) - dot * vec_b / (norm_b**3 * norm_a))
-        if total_a:
-            for bucket, mult in counts_a.items():
-                contribution = grad_a * (mult / total_a)
-                updates[bucket] = updates.get(bucket, 0) + contribution
-        if total_b:
-            for bucket, mult in counts_b.items():
-                contribution = grad_b * (mult / total_b)
-                updates[bucket] = updates.get(bucket, 0) + contribution
-
-    def pair_loss(self, text_a: str, text_b: str, target: float) -> float:
-        """(cos - target)^2 for one pair; used by gradient checks."""
-        from ..numerics import cosine_similarity
-
-        vec_a, vec_b = self.encode([text_a, text_b])
-        cos = cosine_similarity(vec_a, vec_b, _COSINE_EPS)
-        return (cos - target) ** 2
+        return grad_a, grad_b
 
 
 class ToyBackend:

@@ -180,7 +180,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     unlabeled = load_dataset(args.unlabeled) if args.unlabeled else None
     result = run_sweep(config, pool, test, unlabeled)
     path = save_sweep(result, args.out, name=args.name)
-    print(emit_table(result, metric=args.metric))
+    print(emit_table(result.to_payload(), metric=args.metric))
     print(f"result written to {path}")
     if result.failed:
         failed = sum(1 for c in result.cells if c.status != "ok")
@@ -192,27 +192,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     payloads = [load_sweep_payload(path) for path in args.result]
     if len(payloads) == 1 and args.format != "compare":
-        payload = payloads[0]
-        from .metrics import ReplicateSummary
-
-        config = ExperimentConfig.from_payload(payload["config"])
-        summaries = {
-            int(size): ReplicateSummary(
-                count=entry["count"], means=entry["means"], stds=entry["stds"]
-            )
-            for size, entry in payload["summaries"].items()
-        }
-        from .harness import CellResult, SweepResult
-
-        cells = [
-            CellResult(
-                c["size"], c["replicate"], c["seed"], c["status"],
-                None, c.get("error"), 0.0,
-            )
-            for c in payload["cells"]
-        ]
-        result = SweepResult(config, cells, summaries, 0.0)
-        print(emit_table(result, metric=args.metric, fmt=args.format))
+        print(emit_table(payloads[0], metric=args.metric, fmt=args.format))
     else:
         print(render_comparison(payloads, metric=args.metric))
     return 0

@@ -386,34 +386,27 @@ def load_sweep_payload(path: str | Path) -> dict:
 # Tables
 
 
-def emit_table(result: SweepResult, metric: str = "accuracy", fmt: str = "text") -> str:
-    """Render per-size summaries as text, JSON, or CSV."""
+def emit_table(payload: dict, metric: str = "accuracy", fmt: str = "text") -> str:
+    """Render the per-size summaries of a sweep result payload as text, JSON, or CSV."""
+    config = payload["config"]
     rows = []
-    for size in result.config.sizes:
-        summary = result.summaries.get(size)
-        ok = [c for c in result.cells if c.size == size and c.status == "ok"]
-        total = [c for c in result.cells if c.size == size]
-        if summary is None:
-            rows.append({"size": size, "mean": None, "std": None, "count": 0, "of": len(total)})
-        else:
-            rows.append(
-                {
-                    "size": size,
-                    "mean": summary.means[metric],
-                    "std": summary.stds[metric],
-                    "count": len(ok),
-                    "of": len(total),
-                }
-            )
+    for size in config["sizes"]:
+        statuses = [c["status"] for c in payload["cells"] if c["size"] == size]
+        row = {"size": size, "mean": None, "std": None, "count": 0, "of": len(statuses)}
+        summary = payload["summaries"].get(str(size))
+        if summary is not None:
+            row.update(mean=summary["means"][metric], std=summary["stds"][metric])
+            row["count"] = statuses.count("ok")
+        rows.append(row)
     if fmt == "json":
-        payload = {
-            "task_id": result.config.task_id,
-            "method": result.config.method,
-            "backend": result.config.backend_kind,
+        table = {
+            "task_id": config["task_id"],
+            "method": config["method"],
+            "backend": config["backend_kind"],
             "metric": metric,
             "rows": rows,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(table, sort_keys=True, indent=2)
     if fmt == "csv":
         lines = [f"size,{metric}_mean,{metric}_std,replicates"]
         for row in rows:
@@ -423,8 +416,8 @@ def emit_table(result: SweepResult, metric: str = "accuracy", fmt: str = "text")
         return "\n".join(lines)
     if fmt == "text":
         header = (
-            f"task={result.config.task_id} method={result.config.method} "
-            f"backend={result.config.backend_kind} metric={metric}"
+            f"task={config['task_id']} method={config['method']} "
+            f"backend={config['backend_kind']} metric={metric}"
         )
         lines = [header]
         for row in rows:

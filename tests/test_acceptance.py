@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from pairshot.backend.toy import ToyBackend
+from pairshot.backend.toy import _COSINE_EPS, ToyBackend
 from pairshot.data import Dataset, LabeledExample, LabelSet, SentencePair, split_no_leakage
 from pairshot.errors import PairshotError
 from pairshot.finetune import FinetuneConfig, finetune, finetune_predict, run_finetune
@@ -28,6 +28,7 @@ from pairshot.ingestion.mock_server import MockBugzillaServer, make_fixture_bugs
 from pairshot.ingestion.stackoverflow import ingest_stackoverflow_exports
 from pairshot.logistic import gradients, objective
 from pairshot.metrics import evaluate_predictions, format_mean_std
+from pairshot.numerics import cosine_similarity
 from pairshot.pet import (
     PetConfig,
     aggregate_scores,
@@ -277,6 +278,11 @@ class TestLeakageFreeSplits:
         assert entangled_universes >= 90  # the property is exercised, not vacuous
 
 
+def pair_loss(encoder, text_a, text_b, target):
+    """(cos(e_a, e_b) - target)^2 at the encoder's current rows."""
+    return (cosine_similarity(*encoder.encode([text_a, text_b]), _COSINE_EPS) - target) ** 2
+
+
 class TestGradientChecks:
     def test_encoder_pair_loss_gradient_matches_finite_differences(self):
         """50 random probes of the squared-cosine-error gradient agree with
@@ -295,12 +301,16 @@ class TestGradientChecks:
                 words[rng.randbelow(len(words))] for _ in range(2 + rng.randbelow(3))
             )
             target = float(rng.randbelow(2))
-            counts_a = encoder._occurrences(text_a)
-            counts_b = encoder._occurrences(text_b)
-            if not counts_a or not counts_b:
+            ids_a = encoder._featurizer.bucket_ids(text_a)
+            ids_b = encoder._featurizer.bucket_ids(text_b)
+            if not ids_a or not ids_b:
                 continue
+            grads = encoder._pair_gradient(*encoder.encode([text_a, text_b]), target)
+            # Each n-gram occurrence carries 1 / (its text's count) of that text's gradient.
             updates = {}
-            encoder._pair_gradient(counts_a, counts_b, target, updates)
+            for ids, grad in zip((ids_a, ids_b), grads):
+                for b in ids:
+                    updates[b] = updates.get(b, 0) + grad / len(ids)
             buckets = sorted(updates)
             bucket = buckets[rng.randbelow(len(buckets))]
             dim = rng.randbelow(encoder.dim)
@@ -309,9 +319,9 @@ class TestGradientChecks:
             row = encoder._bucket_row(bucket)
             original = row[dim]
             row[dim] = original + h
-            loss_plus = encoder.pair_loss(text_a, text_b, target)
+            loss_plus = pair_loss(encoder, text_a, text_b, target)
             row[dim] = original - h
-            loss_minus = encoder.pair_loss(text_a, text_b, target)
+            loss_minus = pair_loss(encoder, text_a, text_b, target)
             row[dim] = original
             numeric = (loss_plus - loss_minus) / (2 * h)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-8)
@@ -448,7 +458,7 @@ class TestSweepHarnessDefaults:
         assert len(result.cells) == 15
         assert not result.failed
         assert sorted(result.summaries) == [25, 50, 100, 200, 400]
-        lines = emit_table(result, fmt="text").splitlines()
+        lines = emit_table(result.to_payload(), fmt="text").splitlines()
         assert len(lines) == 6
         for line, size in zip(lines[1:], (25, 50, 100, 200, 400)):
             assert line.strip().startswith(str(size))

@@ -1,22 +1,27 @@
 """Toy backend: linear scorer/classifier, bucket-embedding encoder.
 
 Covers zero-init behavior, candidate-row isolation, deterministic
-resumable training, state round-trips, and a finite-difference check of
-the cosine-MSE encoder gradient.
+resumable training, true minibatch steps, non-finite steps that write
+nothing, state round-trips, and finite-difference checks of the
+softmax cross-entropy and cosine-MSE encoder gradients.
 """
 
 import numpy as np
 import pytest
 
+from pairshot.backend.features import Featurizer
 from pairshot.backend.state import load_model, save_model
 from pairshot.backend.toy import (
     BackendConfig,
     ToyBackend,
+    _COSINE_EPS,
     ToyMaskedScorer,
+    _softmax_ce_gradient,
     default_backend_config,
 )
 from pairshot.data import SentencePair
 from pairshot.errors import NoDataError, NumericError, ShapeError, VocabularyError
+from pairshot.numerics import cosine_similarity, stable_softmax
 from pairshot.prompting import builtin_pvps, render
 from pairshot.rng import Rng
 
@@ -141,6 +146,97 @@ class TestScorerTraining:
         scorer = backend.create_scorer()
         with pytest.raises(NumericError):
             scorer.train(data, steps=10, batch=2, lr=float("inf"), seed=0)
+        assert np.isfinite(scorer.W).all()  # the failing step wrote nothing
+
+
+def dense_features(config, texts):
+    """(n, buckets) dense rows of the toy models' sparse features."""
+    featurizer = Featurizer(config.buckets, config.word_order)
+    X = np.zeros((len(texts), config.buckets))
+    for i, text in enumerate(texts):
+        idx, val = featurizer.sparse_counts(text)
+        X[i, idx] = val
+    return X
+
+
+def mean_ce_loss(W, X, T):
+    """Mean over the rows of X of cross-entropy(T, softmax(W . x)), dense."""
+    scores = X @ W.T
+    log_probs = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
+    return float(-(T * log_probs).sum(axis=1).mean())
+
+
+def mean_ce_gradient(W, rows, X, T):
+    """Mean over the rows of X of d cross-entropy / d W[rows], dense."""
+    probs = stable_softmax(X @ W[rows].T)
+    return (probs - T).T @ X / len(X)
+
+
+class TestMinibatchStep:
+    """One step is one update by the mean gradient at the step's starting W."""
+
+    TEXTS = [
+        "shared alpha signal one",
+        "shared alpha signal two",
+        "shared beta noise one",
+        "shared beta noise two",
+        "shared gamma marker",
+        "alpha beta gamma shared",
+    ]
+
+    @staticmethod
+    def start_weights(model, rows):
+        W = np.random.default_rng(4).normal(scale=0.3, size=(len(rows), model.config.buckets))
+        model.W[rows] = W
+        return model.W.copy()
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4], [2, 0, 5, 4, 1, 3]])
+    def test_classifier_step_is_the_mean_gradient(self, backend, order):
+        targets = np.eye(3)[[0, 0, 1, 1, 2, 2]] * 0.8 + 0.2 / 3
+        clf = backend.create_classifier(["A", "B", "C"])
+        rows = np.arange(3)
+        W0 = self.start_weights(clf, rows)
+        data = [(self.TEXTS[i], tuple(targets[i])) for i in order]
+        clf.train(data, steps=1, batch=len(data), lr=0.5, seed=3)
+        X = dense_features(clf.config, self.TEXTS)
+        expected = W0 - 0.5 * mean_ce_gradient(W0, rows, X, targets)
+        np.testing.assert_allclose(clf.W, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [4, 2, 0, 5, 3, 1]])
+    def test_scorer_step_is_the_mean_gradient(self, backend, order):
+        tokens = ["Yes", "No", "Yes", "No", "Yes", "No"]
+        scorer = backend.create_scorer()
+        vocab = scorer.config.vocabulary
+        rows = np.array([vocab.index("Yes"), vocab.index("No")])
+        W0 = self.start_weights(scorer, rows)
+        data = [(cloze(self.TEXTS[i]), tokens[i]) for i in order]
+        scorer.train(data, steps=1, batch=len(data), lr=0.5, seed=3, candidates=["Yes", "No"])
+        X = dense_features(scorer.config, [cloze(text).text for text in self.TEXTS])
+        T = np.array([[1.0, 0.0] if token == "Yes" else [0.0, 1.0] for token in tokens])
+        expected = W0.copy()
+        expected[rows] -= 0.5 * mean_ce_gradient(W0, rows, X, T)
+        np.testing.assert_allclose(scorer.W, expected, rtol=1e-12, atol=1e-14)
+
+
+class TestNonFiniteSteps:
+    """A step with non-finite scores, cosines or updates raises before it writes
+    (the scorer's case is test_non_finite_learning_rate_raises_numeric_error)."""
+
+    def test_classifier_weights_and_predictions_stay_finite(self, backend):
+        clf = backend.create_classifier(["A", "B"])
+        data = [("shared alpha", (1.0, 0.0)), ("shared beta", (0.0, 1.0))]
+        with pytest.raises(NumericError):
+            clf.train(data, steps=10, batch=2, lr=float("inf"), seed=0)
+        assert np.isfinite(clf.W).all()
+        assert np.isfinite(clf.predict(["shared alpha", "shared beta"])).all()
+
+    def test_encoder_rows_stay_finite(self, backend):
+        enc = backend.create_encoder(seed=3)
+        triplets = [("shared alpha", "shared beta", 1.0), ("shared alpha", "other text", 0.0)]
+        with pytest.raises(NumericError):
+            enc.fit(triplets, epochs=3, batch=2, lr=float("inf"), seed=0)
+        assert all(np.isfinite(row).all() for row in enc.bucket_rows().values())
+        assert np.isfinite(enc.encode(["shared alpha", "other text"])).all()
 
 
 class TestClassifier:
@@ -160,6 +256,8 @@ class TestClassifier:
             clf.train([("t", (1.0,))], steps=1, batch=1, lr=0.1, seed=0)
         with pytest.raises(ShapeError):
             clf.train([("t", (-0.1, 1.1))], steps=1, batch=1, lr=0.1, seed=0)
+        with pytest.raises(ShapeError):
+            clf.train([("t", (float("nan"), float("nan")))], steps=1, batch=1, lr=0.1, seed=0)
 
     def test_learns_soft_targets(self, backend):
         clf = backend.create_classifier(["A", "B"])
@@ -226,6 +324,11 @@ class TestEncoder:
             backend.create_encoder().fit([], epochs=1, batch=4, lr=0.1, seed=0)
 
 
+def pair_loss(encoder, text_a, text_b, target):
+    """(cos(e_a, e_b) - target)^2 at the encoder's current rows."""
+    return (cosine_similarity(*encoder.encode([text_a, text_b]), _COSINE_EPS) - target) ** 2
+
+
 class TestEncoderGradientCheck:
     def test_analytic_gradient_matches_central_differences(self):
         """50 random probes: the per-bucket analytic gradient of the
@@ -241,12 +344,16 @@ class TestEncoderGradientCheck:
             text_a = " ".join(rng.choice(words) for _ in range(2 + rng.randbelow(3)))
             text_b = " ".join(rng.choice(words) for _ in range(2 + rng.randbelow(3)))
             target = float(rng.randbelow(2))
-            counts_a = enc._occurrences(text_a)
-            counts_b = enc._occurrences(text_b)
-            if not counts_a or not counts_b:
+            ids_a = enc._featurizer.bucket_ids(text_a)
+            ids_b = enc._featurizer.bucket_ids(text_b)
+            if not ids_a or not ids_b:
                 continue
-            updates: dict[int, np.ndarray] = {}
-            enc._pair_gradient(counts_a, counts_b, target, updates)
+            grads = enc._pair_gradient(*enc.encode([text_a, text_b]), target)
+            # Each n-gram occurrence carries 1 / (its text's count) of that text's gradient.
+            updates = {}
+            for ids, grad in zip((ids_a, ids_b), grads):
+                for b in ids:
+                    updates[b] = updates.get(b, 0) + grad / len(ids)
             buckets = sorted(updates)
             bucket = buckets[rng.randbelow(len(buckets))]
             dim = rng.randbelow(enc.dim)
@@ -255,12 +362,41 @@ class TestEncoderGradientCheck:
             row = enc._bucket_row(bucket)
             original = row[dim]
             row[dim] = original + h
-            loss_plus = enc.pair_loss(text_a, text_b, target)
+            loss_plus = pair_loss(enc, text_a, text_b, target)
             row[dim] = original - h
-            loss_minus = enc.pair_loss(text_a, text_b, target)
+            loss_minus = pair_loss(enc, text_a, text_b, target)
             row[dim] = original
             numeric = (loss_plus - loss_minus) / (2 * h)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-8)
+            checked += 1
+
+
+class TestSoftmaxCeGradientCheck:
+    def test_mean_minibatch_gradient_matches_central_differences(self):
+        """50 random probes: the mean minibatch cross-entropy gradient that
+        a softmax-CE step applies agrees with central finite differences
+        to 1e-6 relative."""
+        words = ["alpha", "beta", "gamma", "delta", "omega", "query", "panic"]
+        rng = np.random.default_rng(11)
+        config = default_backend_config(buckets=64)
+        featurizer = Featurizer(config.buckets, config.word_order)
+        checked = 0
+        while checked < 50:
+            m, k = int(rng.integers(1, 6)), int(rng.integers(2, 4))
+            texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 5)))) for _ in range(m)]
+            W = rng.normal(scale=0.5, size=(k, config.buckets))
+            T = rng.dirichlet(np.ones(k), size=m)
+            buckets, grad = _softmax_ce_gradient(W, featurizer.counts_batch(texts), T)
+            if not len(buckets):
+                continue
+            X = dense_features(config, texts)
+            j, c = int(rng.integers(0, k)), int(rng.integers(0, len(buckets)))
+            h = 1e-6
+            plus, minus = W.copy(), W.copy()
+            plus[j, buckets[c]] += h
+            minus[j, buckets[c]] -= h
+            numeric = (mean_ce_loss(plus, X, T) - mean_ce_loss(minus, X, T)) / (2 * h)
+            np.testing.assert_allclose(grad[j, c], numeric, rtol=1e-6, atol=1e-9)
             checked += 1
 
 

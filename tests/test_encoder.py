@@ -1,9 +1,11 @@
 """Toy sentence encoder: bulk-drawn bucket rows, paged storage, chunked encode.
 
 LoopEncoder keeps the encoder as it was written before rows were drawn
-in bulk: a dict of rows drawn one float at a time from Rng, a per-text
-encode loop, and a fit that draws rows as the gradient loop reaches
-them.  The vectorized encoder must match it byte for byte.
+in bulk and training was vectorized: a dict of rows drawn one float at
+a time from Rng, per-text occurrence dicts, a per-text encode loop, and
+a fit that takes each pair's gradient bucket by bucket into a dict and
+draws rows as the gradient loop reaches them.  The vectorized encoder
+must match it byte for byte.
 """
 
 import json
@@ -16,6 +18,7 @@ from pairshot.backend import toy
 from pairshot.backend.state import model_from_payload, model_to_payload
 from pairshot.backend.toy import _ENCODE_CHUNK, ToyEncoder, _Schedule, default_backend_config
 from pairshot.errors import DataFormatError
+from pairshot.numerics import safe_norm
 from pairshot.rng import Rng
 
 
@@ -24,18 +27,54 @@ class LoopEncoder(ToyEncoder):
 
     def __init__(self, config, seed=0):
         super().__init__(config, seed)
-        self._table = {}
+        self._rows = {}
 
     def _bucket_row(self, bucket):
-        row = self._table.get(bucket)
+        row = self._rows.get(bucket)
         if row is None:
             rng = Rng(self.config.seed).derive("encoder", self.seed, "bucket", bucket)
             row = np.asarray([rng.uniform(-0.5, 0.5) for _ in range(self.dim)])
-            self._table[bucket] = row
+            self._rows[bucket] = row
         return row
 
     def bucket_rows(self):
-        return dict(sorted(self._table.items()))
+        return dict(sorted(self._rows.items()))
+
+    def _occurrences(self, text):
+        counts = {}
+        for b in self._featurizer.bucket_ids(text):
+            counts[b] = counts.get(b, 0.0) + 1.0
+        return counts
+
+    def _mean_row(self, counts):
+        """Mean of bucket rows over n-gram occurrences; zeros when there are none."""
+        out = np.zeros(self.dim, dtype=np.float64)
+        total = sum(counts.values())
+        if total:
+            for bucket, mult in counts.items():
+                out += self._bucket_row(bucket) * mult
+            out /= total
+        return out
+
+    def _accumulate_pair(self, counts_a, counts_b, target, updates):
+        """Add one pair's per-bucket gradient to updates, in occurrence order."""
+        total_a = sum(counts_a.values())
+        total_b = sum(counts_b.values())
+        vec_a = self._mean_row(counts_a)
+        vec_b = self._mean_row(counts_b)
+        norm_a = safe_norm(vec_a, toy._COSINE_EPS)
+        norm_b = safe_norm(vec_b, toy._COSINE_EPS)
+        dot = float(vec_a @ vec_b)
+        cos = dot / (norm_a * norm_b)
+        dldc = 2.0 * (cos - target)
+        grad_a = dldc * (vec_b / (norm_a * norm_b) - dot * vec_a / (norm_a**3 * norm_b))
+        grad_b = dldc * (vec_a / (norm_a * norm_b) - dot * vec_b / (norm_b**3 * norm_a))
+        if total_a:
+            for bucket, mult in counts_a.items():
+                updates[bucket] = updates.get(bucket, 0) + grad_a * (mult / total_a)
+        if total_b:
+            for bucket, mult in counts_b.items():
+                updates[bucket] = updates.get(bucket, 0) + grad_b * (mult / total_b)
 
     def encode(self, texts):
         out = np.zeros((len(texts), self.dim), dtype=np.float64)
@@ -55,9 +94,9 @@ class LoopEncoder(ToyEncoder):
             updates = {}
             for i in members:
                 counts_a, counts_b, target = occurrences[i]
-                self._pair_gradient(counts_a, counts_b, target, updates)
+                self._accumulate_pair(counts_a, counts_b, target, updates)
             for bucket, grad in updates.items():
-                self._table[bucket] = self._bucket_row(bucket) - scale * grad
+                self._rows[bucket] = self._bucket_row(bucket) - scale * grad
 
 
 WORDS = "open file crash fix slow query || panic alpha beta é 数据".split()

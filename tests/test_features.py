@@ -101,14 +101,20 @@ class TestFeatureCache:
         texts = ["shared by equal featurizers", "and a second text"]
         first = Featurizer(32768, 2).counts_batch(texts)
         second = Featurizer(32768, 2).counts_batch(list(texts))
-        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(first, second))
+        assert first is second
+        for array in (first.indptr, first.indices, first.values):
+            assert not array.flags.writeable
 
     def test_batch_rows_equal_sparse_counts_for_every_config(self):
         configs = [Featurizer(1024, 2), Featurizer(32768, 2), Featurizer(32768, 3)]
         texts = ["same text under three configs", "", "same text under three configs"]
         for _ in range(2):
             for featurizer in configs:
-                for text, (idx, val) in zip(texts, featurizer.counts_batch(texts)):
+                rows = featurizer.counts_batch(texts)
+                assert len(rows) == len(texts)
+                for i, text in enumerate(texts):
+                    idx = rows.indices[rows.indptr[i] : rows.indptr[i + 1]]
+                    val = rows.values[rows.indptr[i] : rows.indptr[i + 1]]
                     ref_idx, ref_val = reference_sparse_counts(
                         text, featurizer.buckets, featurizer.word_order
                     )
@@ -133,6 +139,20 @@ class TestFeatureCache:
         scores = clf.predict(["a test text", "another test text"])
         assert scores.shape == (2, 2)
         assert features._last_batch is None
+
+
+class TestSparseRows:
+    ROWS = features.SparseRows(
+        np.array([0, 2, 2, 3]), np.array([3, 5, 1]), np.array([0.5, 1.5, 2.0])
+    )
+
+    def test_take_returns_the_rows_asked_for(self):
+        assert len(self.ROWS) == 3
+        picked = self.ROWS.take([2, 1, 0, 2])
+        assert picked.indptr.tolist() == [0, 1, 1, 3, 4]
+        assert picked.indices.tolist() == [1, 3, 5, 1]
+        assert picked.values.tolist() == [2.0, 0.5, 1.5, 2.0]
+        assert len(self.ROWS.take([])) == 0
 
 
 class TestFeaturizedOnce:

@@ -274,7 +274,7 @@ class TestPersistence:
 
 class TestTables:
     def test_text_table_lists_each_size(self, sweep_result):
-        text = emit_table(sweep_result, fmt="text")
+        text = emit_table(sweep_result.to_payload(), fmt="text")
         lines = text.splitlines()
         assert "task=so_duplicate method=finetune backend=toy metric=accuracy" == lines[0]
         assert len(lines) == 3
@@ -282,13 +282,13 @@ class TestTables:
         assert "±" in lines[1]
 
     def test_json_table_structure(self, sweep_result):
-        payload = json.loads(emit_table(sweep_result, fmt="json"))
+        payload = json.loads(emit_table(sweep_result.to_payload(), fmt="json"))
         assert payload["metric"] == "accuracy"
         assert [row["size"] for row in payload["rows"]] == [10, 20]
         assert all(row["count"] == 2 and row["of"] == 2 for row in payload["rows"])
 
     def test_csv_table_structure(self, sweep_result):
-        lines = emit_table(sweep_result, metric="macro_f1", fmt="csv").splitlines()
+        lines = emit_table(sweep_result.to_payload(), metric="macro_f1", fmt="csv").splitlines()
         assert lines[0] == "size,macro_f1_mean,macro_f1_std,replicates"
         assert len(lines) == 3
         first = lines[1].split(",")
@@ -298,12 +298,12 @@ class TestTables:
     def test_failed_sizes_marked_in_text(self, dup_pool, dup_test):
         config = small_config(engine_options={"bogus_knob": 1})
         result = run_sweep(config, dup_pool, dup_test, backend=ToyBackend())
-        text = emit_table(result, fmt="text")
+        text = emit_table(result.to_payload(), fmt="text")
         assert "failed" in text
 
     def test_unknown_format_rejected(self, sweep_result):
         with pytest.raises(ValueError, match="latex"):
-            emit_table(sweep_result, fmt="latex")
+            emit_table(sweep_result.to_payload(), fmt="latex")
 
 
 def comparison_payload(task, backend_kind, means_by_size, method="finetune"):
