@@ -15,10 +15,14 @@ carry either a result or an error.  Verbs (protocol 2):
 
 Every model verb also carries the model name and its init_seed.  The
 handshake fails unless the backend reports the protocol this client
-speaks.  Transports: a subprocess pipe or a TCP socket, each with a read
-deadline.  An error whose kind names a package error class is raised as
-that class with the server's message; any other kind is raised as
-AdapterError.
+speaks.  One transport carries the lines, over a child's pipes or a TCP
+socket alike: each request has a deadline that covers writing it and
+reading the whole answer, and any failure closes the transport with an
+AdapterError.  An error whose kind names a package error class is raised
+as that class with the server's message; any other kind is raised as
+AdapterError.  The toy server (``pairshot.backend.serve``) answers a
+line that is not UTF-8 JSON with an AdapterError, and its TCP loop
+outlives a client whose connection fails.
 
 The remote side owns the models; the client refers to them by names it
 invents (scorer-1, classifier-2, ...) and ships an init_seed so the
@@ -45,57 +49,49 @@ from ..prompting import ClozeInput
 
 
 PROTOCOL_VERSION = 2
+_TIMEOUT_S = 60.0
 
 
 class AdapterError(PairshotError):
     """Transport failure or protocol violation talking to a backend."""
 
 
-class _Transport:
-    def request(self, payload: dict) -> dict:
-        raise NotImplementedError
+class LineTransport:
+    """One JSON line per message over a read fd and a write fd.
 
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class SubprocessTransport(_Transport):
-    """Runs the backend as a child process, one JSON line per message.
-
-    A request that fails, or is not written and answered within timeout
-    seconds, kills the child and raises AdapterError; every later
-    request raises AdapterError too.
+    A request has timeout seconds to be written and answered in full.
+    A request that fails -- an OSError, the deadline, the end of the
+    backend's output, or an answer that is not UTF-8 JSON -- closes the
+    transport and raises AdapterError; every later request raises
+    AdapterError at once.  close() runs release, which frees whatever
+    owns the fds: a child process or a socket.
     """
 
-    def __init__(self, command: Sequence[str], timeout: float = 60.0) -> None:
-        self._proc = subprocess.Popen(list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        assert self._proc.stdin and self._proc.stdout
-        self._in = self._proc.stdin.fileno()
-        self._out = self._proc.stdout.fileno()
-        # A child that stops reading must not block a large write forever.
-        os.set_blocking(self._in, False)
+    def __init__(
+        self, read_fd: int, write_fd: int, release: Callable[[], None], timeout: float = _TIMEOUT_S
+    ) -> None:
+        self._read_fd = read_fd
+        self._write_fd = write_fd
+        self._release = release
         self._timeout = timeout
         self._pending = b""
+        self._closed = False
+        # A backend that stops reading must not block a large write forever.
+        os.set_blocking(write_fd, False)
 
     def request(self, payload: dict) -> dict:
-        if self._proc.poll() is not None:
-            raise AdapterError("backend process has exited")
+        if self._closed:
+            raise AdapterError("backend connection is closed")
         deadline = time.monotonic() + self._timeout
         try:
             self._write((json.dumps(payload) + "\n").encode("utf-8"), deadline)
             line = self._readline(deadline)
-        except OSError as exc:
-            # Out of step with the child from here on: no later request
-            # may read its late answer.
-            self._proc.kill()
-            self.close()
-            raise AdapterError(f"backend process failed: {exc}") from exc
-        if not line:
-            raise AdapterError("backend process closed its output")
-        try:
             return json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise AdapterError(f"backend sent invalid JSON: {line!r}") from exc
+        except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            # Out of step with the backend from here on: no later request
+            # may read its late answer.
+            self.close()
+            raise AdapterError(f"backend request failed: {exc}") from exc
 
     def _wait(self, fd: int, writing: bool, deadline: float) -> None:
         """Block until fd is ready; TimeoutError past the deadline."""
@@ -107,72 +103,43 @@ class SubprocessTransport(_Transport):
     def _write(self, data: bytes, deadline: float) -> None:
         view = memoryview(data)
         while view:
-            self._wait(self._in, True, deadline)
+            self._wait(self._write_fd, True, deadline)
             with contextlib.suppress(BlockingIOError):
-                view = view[os.write(self._in, view) :]
+                view = view[os.write(self._write_fd, view) :]
 
     def _readline(self, deadline: float) -> bytes:
-        """The next line of output, or b"" at its end."""
+        """The next line of output; EOFError at its end."""
         chunks = [self._pending]
         while b"\n" not in chunks[-1]:
-            self._wait(self._out, False, deadline)
-            chunk = os.read(self._out, 1 << 16)
-            if not chunk:
-                return b""
-            chunks.append(chunk)
+            self._wait(self._read_fd, False, deadline)
+            # A socket's fd is non-blocking: a spurious wake-up reads nothing.
+            with contextlib.suppress(BlockingIOError):
+                chunk = os.read(self._read_fd, 1 << 16)
+                if not chunk:
+                    raise EOFError("the backend closed its output")
+                chunks.append(chunk)
         line, _, self._pending = b"".join(chunks).partition(b"\n")
         return line
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-        for pipe in (self._proc.stdin, self._proc.stdout):
-            if pipe is not None:
-                with contextlib.suppress(OSError):
-                    pipe.close()
+        if not self._closed:
+            self._closed = True
+            self._release()
 
 
-class SocketTransport(_Transport):
-    """Talks to a backend listening on a local TCP port.
-
-    A request that fails or times out on the socket closes the transport
-    and raises AdapterError; every later request raises AdapterError too.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rw", encoding="utf-8", newline="\n")
-
-    def request(self, payload: dict) -> dict:
-        if self._file.closed:
-            raise AdapterError("backend socket is closed")
+def _stop_child(proc: subprocess.Popen) -> None:
+    """Terminate proc (kill it if it lingers), reap it and close its pipes."""
+    if proc.poll() is None:
+        proc.terminate()
         try:
-            self._file.write(json.dumps(payload) + "\n")
-            self._file.flush()
-            line = self._file.readline()
-        except OSError as exc:
-            # A timeout can strike mid-line; the stream is out of step with
-            # the server from then on, so no later request may read it.
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    for pipe in (proc.stdin, proc.stdout):
+        if pipe is not None:
             with contextlib.suppress(OSError):
-                self.close()
-            raise AdapterError(f"backend socket failed: {exc}") from exc
-        if not line:
-            raise AdapterError("backend socket closed")
-        try:
-            return json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AdapterError(f"backend sent invalid JSON: {line!r}") from exc
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+                pipe.close()
 
 
 def _raise_remote(response: dict) -> None:
@@ -193,7 +160,7 @@ class RemoteBackend:
     engines cannot tell the difference.
     """
 
-    def __init__(self, transport: _Transport) -> None:
+    def __init__(self, transport: LineTransport) -> None:
         self._transport = transport
         self._next_id = 0
         self._counter = 0
@@ -368,9 +335,14 @@ class RemoteEncoder(_RemoteModel):
 
 def connect_subprocess(command: Sequence[str]) -> RemoteBackend:
     """Spawn a backend process and complete the handshake."""
-    return RemoteBackend(SubprocessTransport(command))
+    proc = subprocess.Popen(list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    assert proc.stdin and proc.stdout
+    return RemoteBackend(
+        LineTransport(proc.stdout.fileno(), proc.stdin.fileno(), lambda: _stop_child(proc))
+    )
 
 
 def connect_tcp(host: str, port: int) -> RemoteBackend:
     """Connect to a backend serving the protocol over TCP."""
-    return RemoteBackend(SocketTransport(host, port))
+    sock = socket.create_connection((host, port), timeout=_TIMEOUT_S)
+    return RemoteBackend(LineTransport(sock.fileno(), sock.fileno(), sock.close))

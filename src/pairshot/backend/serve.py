@@ -1,7 +1,7 @@
 """Server side of the backend protocol, hosting the toy models.
 
-Run as a module to expose a toy backend over stdio (the subprocess
-transport) or a TCP port:
+Run as a module to expose a toy backend over stdio (as a child of
+``connect_subprocess``) or a TCP port:
 
     python -m pairshot.backend.serve
     python -m pairshot.backend.serve --tcp 9321 --config backend.json
@@ -12,7 +12,10 @@ where backend.json holds overrides of the default toy config, such as
 The verbs and their shapes are listed in ``pairshot.backend.adapter``:
 score, predict and encode answer a whole batch in one response.  Over
 TCP, clients are served one after another and each connection gets its
-own model registry, dropped when the client disconnects.
+own model registry, dropped when the client disconnects.  A line that
+is not UTF-8 JSON gets an AdapterError answer, and a client whose
+connection fails, by a reset or a broken pipe, ends only its own
+connection.
 
 Any process speaking the same protocol can stand in for this server,
 which is how transformer-scale backends plug into the engines.
@@ -21,10 +24,11 @@ which is how transformer-scale backends plug into the engines.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import socket
 import sys
-from typing import Iterable, TextIO
+from typing import BinaryIO, Iterable
 
 from ..errors import PairshotError
 from ..prompting import ClozeInput
@@ -161,39 +165,40 @@ class BackendServer:
         return {"fitted": len(triplets)}
 
 
-def _serve_lines(server: BackendServer, lines: Iterable[str], out: TextIO) -> None:
+def _serve_lines(server: BackendServer, lines: Iterable[bytes], out: BinaryIO) -> None:
     """One request per input line, one response per output line."""
     for line in lines:
         line = line.strip()
         if not line:
             continue
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
+            request = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             response = {"id": None, "ok": False, "error": f"invalid JSON: {exc}", "kind": "AdapterError"}
         else:
             response = server.handle(request)
-        out.write(json.dumps(response) + "\n")
+        out.write((json.dumps(response) + "\n").encode("utf-8"))
         out.flush()
 
 
 def serve_stdio(server: BackendServer) -> None:
     """Serve requests from stdin, answering on stdout."""
-    _serve_lines(server, sys.stdin, sys.stdout)
+    _serve_lines(server, sys.stdin.buffer, sys.stdout.buffer)
 
 
 def serve_tcp(server: BackendServer, host: str, port: int) -> None:
     """Serve clients sequentially over TCP (one in flight at a time).
 
     Each connection gets a fresh registry over server's backend, so no
-    client ever sees another client's models.
+    client ever sees another client's models.  A connection that fails
+    ends alone; the server goes on to the next client.
     """
     with socket.create_server((host, port)) as listener:
         sys.stderr.write(f"listening on {listener.getsockname()[0]}:{listener.getsockname()[1]}\n")
         sys.stderr.flush()
         while True:
             conn, _ = listener.accept()
-            with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
+            with conn, contextlib.suppress(OSError), conn.makefile("rwb") as stream:
                 _serve_lines(BackendServer(server.backend), stream, stream)
 
 

@@ -87,6 +87,10 @@ class ExperimentConfig:
     engine_options feed the method's config constructor (for the
     prompt-ensemble method, patterns come from the task's built-ins and
     are not an option here).
+
+    test_size is recorded in the result (and its config hash) but
+    nothing reads it: a sweep evaluates every pair of the test file it
+    is given.  The field stays because existing config files carry it.
     """
 
     task_id: str
@@ -196,7 +200,7 @@ class SweepResult:
     def cell_seconds(self) -> float:
         return sum(cell.seconds for cell in self.cells)
 
-    def to_payload(self, include_timing: bool = False) -> dict:
+    def to_payload(self) -> dict:
         cells = []
         for cell in self.cells:
             entry: dict = {
@@ -209,10 +213,8 @@ class SweepResult:
                 entry["report"] = json.loads(cell.report.to_json())
             if cell.error is not None:
                 entry["error"] = cell.error
-            if include_timing:
-                entry["seconds"] = cell.seconds
             cells.append(entry)
-        payload = {
+        return {
             "format": "pairshot-sweep",
             "version": 1,
             "config": self.config.to_payload(),
@@ -227,13 +229,10 @@ class SweepResult:
                 for size, summary in sorted(self.summaries.items())
             },
         }
-        if include_timing:
-            payload["wall_seconds"] = self.wall_seconds
-        return payload
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         """Canonical JSON; deterministic for a deterministic backend."""
-        return json.dumps(self.to_payload(include_timing), sort_keys=True)
+        return json.dumps(self.to_payload(), sort_keys=True)
 
 
 def _assert_disjoint(pool: Dataset, test: Dataset) -> None:

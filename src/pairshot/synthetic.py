@@ -84,28 +84,3 @@ def synthetic_unlabeled(task_id: str, n_pairs: int, seed: int, serial_prefix: st
     labeled = synthetic_pool(task_id, n_pairs, seed, "train", serial_prefix)
     stripped = tuple(LabeledExample(ex.pair, None) for ex in labeled.examples)
     return Dataset(stripped, labeled.label_set, "unlabeled")
-
-
-def synthetic_requirements(n_pairs: int, seed: int, serial_prefix: str = "r") -> Dataset:
-    """Requirement-styled three-class fixture data (conflict task shape).
-
-    Stands in for proprietary requirement datasets in tests: same label
-    set and JSON-lines shape, synthetic content.
-    """
-    label_set = builtin_label_set("srs_conflict")
-    rng = Rng(seed).derive("synthetic-requirements", serial_prefix)
-    examples = []
-    for i in range(n_pairs):
-        label = label_set.labels[i % len(label_set)]
-        subject = rng.choice(_SUBJECTS)
-        obj = rng.choice(_OBJECTS)
-        u = f"the system shall let the {subject} store the {obj} within {rng.randbelow(9) + 1} seconds case {serial_prefix}{i}a"
-        if label == "Duplicate":
-            v = f"the {subject} must be able to store the {obj} promptly case {serial_prefix}{i}b"
-        elif label == "Conflict":
-            v = f"the system shall not allow the {subject} to store the {obj} case {serial_prefix}{i}b"
-        else:
-            other = rng.choice([o for o in _OBJECTS if o != obj])
-            v = f"the display shall show the {other} revision history case {serial_prefix}{i}b"
-        examples.append(LabeledExample(SentencePair(u, v), label))
-    return Dataset(tuple(examples), label_set, "train")

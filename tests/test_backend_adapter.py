@@ -1,7 +1,9 @@
 """Backend protocol: server verbs, client adapter, and transports."""
 
+import contextlib
 import json
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -12,9 +14,9 @@ import pytest
 
 from pairshot.backend.adapter import (
     AdapterError,
+    LineTransport,
     RemoteBackend,
-    SocketTransport,
-    SubprocessTransport,
+    _stop_child,
     connect_subprocess,
     connect_tcp,
 )
@@ -198,21 +200,22 @@ class TestServerVerbs:
     def test_stdio_server_survives_malformed_lines(self):
         """Non-object and non-list inputs get an error answer; the server keeps serving."""
         lines = [
-            "[1,2]",
-            json.dumps({"id": 2, "verb": "encode", "params": {"model": "e", "texts": "abc"}}),
-            json.dumps({"id": 9, "verb": "hello"}),
+            b"[1,2]",
+            b"\xff\xfe",
+            b'{"id": 2, "verb": "encode", "params": {"model": "e", "texts": "abc"}}',
+            b'{"id": 9, "verb": "hello"}',
         ]
         done = subprocess.run(
             [sys.executable, "-m", "pairshot.backend.serve"],
-            input="\n".join(lines) + "\n",
+            input=b"\n".join(lines) + b"\n",
             capture_output=True,
-            text=True,
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stderr == ""
+        assert done.stderr == b""
         responses = [json.loads(line) for line in done.stdout.splitlines()]
         assert [(r["id"], r["ok"], r.get("kind")) for r in responses] == [
+            (None, False, "AdapterError"),
             (None, False, "AdapterError"),
             (2, False, "AdapterError"),
             (9, True, None),
@@ -461,7 +464,7 @@ class TestTransportSafety:
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
         try:
-            transport = SocketTransport("127.0.0.1", listener.getsockname()[1], timeout=0.3)
+            transport = tcp_transport(listener.getsockname()[1], timeout=0.3)
             conn, _ = listener.accept()
             try:
                 with pytest.raises(AdapterError, match="timed out"):
@@ -479,6 +482,66 @@ class TestTransportSafety:
         finally:
             listener.close()
 
+    def test_tcp_deadline_covers_the_whole_request(self):
+        """A backend that drips its answer byte by byte cannot hold a request past the deadline."""
+
+        def drip(conn):
+            for byte in b'{"id": 1}'.ljust(19) + b"\n":
+                conn.sendall(bytes([byte]))
+                time.sleep(0.1)
+
+        transport = tcp_transport(one_shot_backend(drip), timeout=0.3)
+        try:
+            started = time.perf_counter()
+            with pytest.raises(AdapterError, match="timed out"):
+                transport.request({"id": 1, "verb": "hello", "params": {}})
+            assert time.perf_counter() - started < 1.0
+            started = time.perf_counter()
+            with pytest.raises(AdapterError):
+                transport.request({"id": 2, "verb": "hello", "params": {}})
+            assert time.perf_counter() - started < 0.3
+        finally:
+            transport.close()
+
+    def test_tcp_reply_that_is_not_utf8_is_typed(self):
+        transport = tcp_transport(one_shot_backend(lambda conn: conn.sendall(b"\xff\xfe\n")), 5)
+        try:
+            with pytest.raises(AdapterError):
+                transport.request({"id": 1, "verb": "hello", "params": {}})
+        finally:
+            transport.close()
+
+
+def tcp_transport(port: int, timeout: float) -> LineTransport:
+    """A transport to a local TCP backend, as connect_tcp builds it, with its own timeout."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
+    return LineTransport(sock.fileno(), sock.fileno(), sock.close, timeout)
+
+
+def subprocess_transport(command, timeout: float) -> tuple[subprocess.Popen, LineTransport]:
+    """A child and a transport over its pipes, as connect_subprocess builds them."""
+    proc = subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    transport = LineTransport(
+        proc.stdout.fileno(), proc.stdin.fileno(), lambda: _stop_child(proc), timeout
+    )
+    return proc, transport
+
+
+def one_shot_backend(answer) -> int:
+    """Listen on a free local port; answer(conn) serves the first request; return the port."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            # The client may hang up first; the test judges the client side.
+            with conn, contextlib.suppress(OSError):
+                conn.recv(1 << 16)
+                answer(conn)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener.getsockname()[1]
+
 
 # Answers the handshake, then reads requests and never answers them.
 SILENT_BACKEND = """
@@ -494,14 +557,14 @@ for line in sys.stdin:
 
 class TestSubprocessDeadline:
     def test_hung_backend_times_out_kills_child_and_fails_fast(self):
-        transport = SubprocessTransport([sys.executable, "-c", SILENT_BACKEND], timeout=0.5)
+        proc, transport = subprocess_transport([sys.executable, "-c", SILENT_BACKEND], timeout=0.5)
         try:
             classifier = RemoteBackend(transport).create_classifier(("A", "B"), seed=0)
             started = time.perf_counter()
             with pytest.raises(AdapterError, match="timed out"):
                 classifier.predict(["no answer comes"])
             assert time.perf_counter() - started < 10
-            assert transport._proc.poll() is not None
+            assert proc.poll() is not None
             started = time.perf_counter()
             with pytest.raises(AdapterError):
                 classifier.predict(["later request"])
@@ -511,14 +574,14 @@ class TestSubprocessDeadline:
 
     def test_backend_that_stops_reading_times_out_on_a_large_request(self):
         """A request larger than the pipe buffer cannot block the write forever."""
-        transport = SubprocessTransport([sys.executable, "-c", SILENT_BACKEND], timeout=0.5)
+        proc, transport = subprocess_transport([sys.executable, "-c", SILENT_BACKEND], timeout=0.5)
         try:
             classifier = RemoteBackend(transport).create_classifier(("A", "B"), seed=0)
             started = time.perf_counter()
             with pytest.raises(AdapterError, match="timed out"):
                 classifier.predict(["x" * 100] * 20_000)
             assert time.perf_counter() - started < 10
-            assert transport._proc.poll() is not None
+            assert proc.poll() is not None
         finally:
             transport.close()
 
@@ -583,6 +646,22 @@ class TestSubprocessEndToEnd:
         finally:
             second.close()
 
+    def test_tcp_server_outlives_clients_that_fail(self):
+        """Bad bytes get an error answer, a reset ends one connection; the next client is served."""
+        port = start_tcp_server()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as bad:
+            bad.sendall(b"\xff\xfe\n")
+            answer = bad.makefile("rb").readline()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as resetting:
+            # Linger 0: close sends a reset instead of an orderly shutdown.
+            resetting.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        backend = connect_tcp("127.0.0.1", port)
+        try:
+            assert backend.mask_token == "<mask>"
+        finally:
+            backend.close()
+        answer = json.loads(answer)
+        assert (answer["id"], answer["ok"], answer["kind"]) == (None, False, "AdapterError")
 
 def start_tcp_server() -> int:
     """Start serve_tcp on a free local port in a daemon thread; return the port."""

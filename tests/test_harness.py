@@ -1,6 +1,7 @@
 """Sweep harness: configs, cell grids, persistence, and tables."""
 
 import json
+import subprocess
 import sys
 
 import pytest
@@ -155,9 +156,6 @@ class TestRunSweep:
         payload = sweep_result.to_payload()
         assert "wall_seconds" not in payload
         assert all("seconds" not in cell for cell in payload["cells"])
-        timed = sweep_result.to_payload(include_timing=True)
-        assert "wall_seconds" in timed
-        assert all("seconds" in cell for cell in timed["cells"])
 
     def test_failed_cells_recorded_not_fatal(self, dup_pool, dup_test):
         """A cell whose engine config is invalid is marked failed; the sweep finishes."""
@@ -210,8 +208,13 @@ class TestBackendLifetime:
         built = []
 
         def connect(command):
-            built.append(adapter.RemoteBackend(adapter.SubprocessTransport(command)))
-            return built[-1]
+            proc = subprocess.Popen(list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+            built.append(proc)
+            return adapter.RemoteBackend(
+                adapter.LineTransport(
+                    proc.stdout.fileno(), proc.stdin.fileno(), lambda: adapter._stop_child(proc)
+                )
+            )
 
         monkeypatch.setattr(adapter, "connect_subprocess", connect)
         config = small_config(
@@ -223,7 +226,7 @@ class TestBackendLifetime:
         result = run_sweep(config, dup_pool, dup_test)
         assert not result.failed
         assert len(built) == 1
-        assert built[0]._transport._proc.poll() is not None
+        assert built[0].poll() is not None
 
     def test_sweep_leaves_a_passed_backend_open(self, dup_pool, dup_test):
         closed = []
