@@ -14,10 +14,11 @@ carry either a result or an error.  Verbs (protocol 2):
     fit_encoder  triplets [[text_a, text_b, similarity]], epochs, batch, lr, seed
 
 Every model verb also carries the model name and its init_seed.  The
-handshake fails unless the backend reports the protocol this client
-speaks.  One transport carries the lines, over a child's pipes or a TCP
-socket alike: each request has a deadline that covers writing it and
-reading the whole answer, and any failure closes the transport with an
+handshake fails unless the backend sends every hello field and the
+protocol this client speaks, and a failed handshake closes the transport.
+One transport carries the lines, over a child's pipes or a TCP socket
+alike: each request has a deadline that covers writing it and reading
+the whole answer, and any failure closes the transport with an
 AdapterError.  An error whose kind names a package error class is raised
 as that class with the server's message; any other kind is raised as
 AdapterError.  The toy server (``pairshot.backend.serve``) answers a
@@ -164,19 +165,24 @@ class RemoteBackend:
         self._transport = transport
         self._next_id = 0
         self._counter = 0
-        hello = self.call("hello", {})
-        protocol = hello.get("protocol")
-        if protocol != PROTOCOL_VERSION:
-            raise AdapterError(
-                f"backend speaks protocol {protocol!r}, this client speaks {PROTOCOL_VERSION}"
-            )
-        self._mask_token = hello["mask_token"]
-        self._separator_token = hello["separator_token"]
-        self._default_lr = float(hello["default_lr"])
-        self._dim = int(hello["embedding_dim"])
-        length_model = hello.get("length_model", "whitespace")
-        if length_model != "whitespace":
-            raise AdapterError(f"unsupported length model {length_model!r}")
+        try:
+            hello = self.call("hello", {})
+            protocol = hello.get("protocol")
+            if protocol != PROTOCOL_VERSION:
+                raise AdapterError(
+                    f"backend speaks protocol {protocol!r}, this client speaks {PROTOCOL_VERSION}"
+                )
+            self._mask_token = hello["mask_token"]
+            self._separator_token = hello["separator_token"]
+            self._default_lr = float(hello["default_lr"])
+            self._dim = int(hello["embedding_dim"])
+            length_model = hello.get("length_model", "whitespace")
+            if length_model != "whitespace":
+                raise AdapterError(f"unsupported length model {length_model!r}")
+        except BaseException:
+            # The caller gets no backend to close: stop the child or socket here.
+            transport.close()
+            raise
 
     def call(self, verb: str, params: dict) -> dict:
         self._next_id += 1

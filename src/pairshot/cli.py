@@ -126,7 +126,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     ratio = None
     if args.class_ratio:
-        ratio = {k: float(v) for k, v in json.loads(args.class_ratio).items()}
+        ratio = json.loads(args.class_ratio)
+        if not isinstance(ratio, dict) or any(type(v) not in (int, float) for v in ratio.values()):
+            raise ValueError(f"--class-ratio must be a JSON object of numbers: {args.class_ratio}")
     pool, test = split_no_leakage(
         dataset, args.train_pool, args.test, seed=args.seed, test_class_ratio=ratio
     )
@@ -324,10 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PairshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (PairshotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -463,6 +463,22 @@ def save_dataset(
     return manifest_path
 
 
+def read_pair_lines(path: Path) -> Iterator[tuple[int, SentencePair, dict]]:
+    """(line number, pair, record) per non-blank line; labels are the caller's to check."""
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in "uv")):
+                raise DataFormatError(f"{path}:{lineno}: u and v must be strings")
+            yield lineno, SentencePair(record["u"], record["v"]), record
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset written by save_dataset, validating as it goes."""
     path = Path(path)
@@ -478,21 +494,11 @@ def load_dataset(path: str | Path) -> Dataset:
     label_set = LabelSet(tuple(manifest["labels"]), manifest["task_id"])
     kind = manifest["kind"]
     examples: list[LabeledExample] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record.get("u"), str) or not isinstance(record.get("v"), str):
-                raise DataFormatError(f"{path}:{lineno}: u and v must be strings")
-            label = record.get("label")
-            if label is not None and label not in label_set:
-                raise DataFormatError(f"{path}:{lineno}: unknown label {label!r}")
-            examples.append(LabeledExample(SentencePair(record["u"], record["v"]), label))
+    for lineno, pair, record in read_pair_lines(path):
+        label = record.get("label")
+        if label is not None and label not in label_set:
+            raise DataFormatError(f"{path}:{lineno}: unknown label {label!r}")
+        examples.append(LabeledExample(pair, label))
     try:
         return Dataset(tuple(examples), label_set, kind)
     except ValueError as exc:

@@ -27,13 +27,12 @@ class FinetuneConfig:
     steps: int = 1000
     batch: int = 16
     lr: float | None = None
-    max_len: int = 256
 
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
-        if self.batch <= 0 or self.max_len <= 0:
-            raise ValueError("batch and max_len must be positive")
+        if self.batch <= 0:
+            raise ValueError("batch must be positive")
 
 
 def onehot_rows(train: Dataset, separator: str) -> list[tuple[str, Sequence[float]]]:

@@ -124,13 +124,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_payload(payload: Mapping[str, object]) -> "ExperimentConfig":
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"a sweep config must be a JSON object, got {type(payload).__name__}")
         unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(payload)
-        if "sizes" in data:
-            data["sizes"] = tuple(data["sizes"])
-        return ExperimentConfig(**data)  # type: ignore[arg-type]
+        try:
+            return ExperimentConfig(**payload)  # type: ignore[arg-type]
+        except TypeError as exc:
+            raise ValueError(f"sweep config field has the wrong type: {exc}") from exc
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_payload(), sort_keys=True)

@@ -18,7 +18,6 @@ from .srs import load_requirement_pairs
 from .stackoverflow import (
     DUPLICATE_COLUMNS,
     NEUTRAL_COLUMNS,
-    QuestionRecord,
     StackOverflowReport,
     ingest_stackoverflow_exports,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "FetchResult",
     "IngestionWindow",
     "MockBugzillaServer",
-    "QuestionRecord",
     "StackOverflowReport",
     "build_dependency_pairs",
     "build_duplicate_pairs",

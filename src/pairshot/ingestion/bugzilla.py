@@ -4,7 +4,8 @@ The client pages backwards from the newest bug inside a creation-time
 window, requesting exactly the seven fields the rest of the pipeline
 consumes.  Pair construction turns duplicate-resolution links into
 Duplicate pairs, dependency links into Entailment pairs (u depends on
-v), and samples Neutral pairs uniformly from unlinked open bugs.
+v), and samples Neutral pairs uniformly from unlinked open bugs with
+Rng.sample_pairs, which never lists the candidate pairs.
 Summaries, not descriptions, become the sentences.
 """
 
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import requests
 
-from ..data import Dataset, LabeledExample, LabelSet, SentencePair
+from ..data import Dataset, LabeledExample, SentencePair
 from ..errors import DatasetSizeError, IngestError
 from ..prompting import builtin_label_set
 from ..rng import Rng
@@ -247,14 +248,6 @@ def build_dependency_pairs(records: Sequence[BugRecord]) -> LinkPairReport:
     return _link_pairs(records, lambda r: r.depends_on)
 
 
-def _linked_id_pairs(records: Sequence[BugRecord]) -> set[frozenset[int]]:
-    linked: set[frozenset[int]] = set()
-    for record in records:
-        for target in (*record.dupe_of, *record.depends_on):
-            linked.add(frozenset((record.id, target)))
-    return linked
-
-
 def build_neutral_pairs(
     records: Sequence[BugRecord],
     n: int,
@@ -269,43 +262,28 @@ def build_neutral_pairs(
     if n < 0:
         raise DatasetSizeError("neutral pair count must be non-negative")
     open_records = [r for r in records if r.is_open]
-    linked = _linked_id_pairs(records)
+    positions: dict[int, list[int]] = {}
+    for i, record in enumerate(open_records):
+        positions.setdefault(record.id, []).append(i)
+    excluded = {
+        (min(i, j), max(i, j))
+        for record in records
+        for target in (*record.dupe_of, *record.depends_on)
+        for i in positions.get(record.id, ())
+        for j in positions.get(target, ())
+        if i != j
+    }
     m = len(open_records)
-    open_ids = {r.id for r in open_records}
-    excluded = sum(1 for pair in linked if len(pair) == 2 and pair <= open_ids)
-    allowed_total = m * (m - 1) // 2 - excluded
+    allowed_total = m * (m - 1) // 2 - len(excluded)
     if n > allowed_total:
         raise DatasetSizeError(
             f"requested {n} neutral pairs but only {allowed_total} unlinked open pairs exist"
         )
     rng = Rng(seed).derive("neutral-pairs")
-    chosen: list[tuple[str, str]] = []
-    if allowed_total <= 200_000:
-        candidates = [
-            (i, j)
-            for i in range(m)
-            for j in range(i + 1, m)
-            if frozenset((open_records[i].id, open_records[j].id)) not in linked
-        ]
-        picked = rng.sample(candidates, n)
-    else:
-        seen: set[tuple[int, int]] = set()
-        picked = []
-        while len(picked) < n:
-            i = rng.randbelow(m)
-            j = rng.randbelow(m)
-            if i == j:
-                continue
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                continue
-            if frozenset((open_records[key[0]].id, open_records[key[1]].id)) in linked:
-                continue
-            seen.add(key)
-            picked.append(key)
-    for i, j in picked:
-        chosen.append((open_records[i].summary, open_records[j].summary))
-    return chosen
+    return [
+        (open_records[i].summary, open_records[j].summary)
+        for i, j in rng.sample_pairs(m, n, excluded)
+    ]
 
 
 @dataclass

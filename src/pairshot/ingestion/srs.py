@@ -8,10 +8,9 @@ synthetic requirement generator instead of real data.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from ..data import Dataset, LabeledExample, SentencePair
+from ..data import Dataset, LabeledExample, read_pair_lines
 from ..errors import DataFormatError
 from ..prompting import builtin_label_set
 
@@ -21,24 +20,14 @@ def load_requirement_pairs(path: str | Path) -> Dataset:
     path = Path(path)
     label_set = builtin_label_set("srs_conflict")
     examples: list[LabeledExample] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record.get("u"), str) or not isinstance(record.get("v"), str):
-                raise DataFormatError(f"{path}:{lineno}: u and v must be strings")
-            label = record.get("label")
-            if label not in label_set:
-                raise DataFormatError(
-                    f"{path}:{lineno}: label {label!r} is not one of {list(label_set.labels)} "
-                    "(labels are case-sensitive)"
-                )
-            examples.append(LabeledExample(SentencePair(record["u"], record["v"]), label))
+    for lineno, pair, record in read_pair_lines(path):
+        label = record.get("label")
+        if label not in label_set:
+            raise DataFormatError(
+                f"{path}:{lineno}: label {label!r} is not one of {list(label_set.labels)} "
+                "(labels are case-sensitive)"
+            )
+        examples.append(LabeledExample(pair, label))
     if not examples:
         raise DataFormatError(f"{path}: file contains no records")
     return Dataset(tuple(examples), label_set, "train")

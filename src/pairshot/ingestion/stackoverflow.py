@@ -3,7 +3,8 @@
 Two exports feed the pipeline: a duplicates export (closed-as-duplicate
 questions joined to their targets) and a neutral export (answered open
 questions).  Duplicate pairs come from the question/target title
-columns; Neutral pairs are sampled uniformly from the neutral titles.
+columns; Neutral pairs are sampled uniformly from the neutral title
+pairs by Rng.sample_pairs, which never lists them.
 Rows failing the python-tag or creation-window checks are rejected and
 counted rather than aborting the run.
 """
@@ -14,6 +15,7 @@ import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from ..data import Dataset, LabeledExample, SentencePair
 from ..errors import DatasetSizeError, ParseError
@@ -41,15 +43,6 @@ NEUTRAL_COLUMNS = ("id", "title", "creationdate", "body")
 DEFAULT_WINDOW = IngestionWindow("2008-07-31", "2021-12-31")
 
 
-@dataclass(frozen=True)
-class QuestionRecord:
-    id: int
-    title: str
-    creation_date: str
-    tags: str
-    body: str
-
-
 @dataclass
 class StackOverflowReport:
     duplicate_pairs: int
@@ -66,10 +59,14 @@ def _has_python_tag(tags: str) -> bool:
     return "python" in tags.lower()
 
 
-def _check_columns(path: Path, fieldnames: list[str] | None, required: tuple[str, ...]) -> None:
-    missing = [c for c in required if fieldnames is None or c not in fieldnames]
-    if missing:
-        raise ParseError(f"{path}: missing required columns {missing}")
+def _export_rows(path: str | Path, required: tuple[str, ...]) -> Iterator[dict[str, str]]:
+    """The rows of a CSV export, once its header has every required column."""
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in required if reader.fieldnames is None or c not in reader.fieldnames]
+        if missing:
+            raise ParseError(f"{path}: missing required columns {missing}")
+        yield from reader
 
 
 def ingest_stackoverflow_exports(
@@ -88,57 +85,49 @@ def ingest_stackoverflow_exports(
     """
     if neutral_ratio < 0:
         raise ValueError("neutral_ratio must be non-negative")
-    duplicates_file = Path(duplicates_file)
-    neutral_file = Path(neutral_file)
     rejected_tag = 0
     rejected_window = 0
     malformed = 0
 
     duplicate_pairs: list[tuple[str, str]] = []
-    with duplicates_file.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        _check_columns(duplicates_file, reader.fieldnames, DUPLICATE_COLUMNS)
-        for row in reader:
-            try:
-                int(row["id"])
-                title = row["title"]
-                dup_title = row["duptitle"]
-                created = row["creationdate"]
-                dup_created = row["dupcreationdate"]
-                tags = row["tags"]
-            except (KeyError, TypeError, ValueError):
-                malformed += 1
-                continue
-            if not title or not dup_title or not created:
-                malformed += 1
-                continue
-            if not _has_python_tag(tags):
-                rejected_tag += 1
-                continue
-            if not window.contains(created) or (dup_created and not window.contains(dup_created)):
-                rejected_window += 1
-                continue
-            duplicate_pairs.append((title, dup_title))
+    for row in _export_rows(duplicates_file, DUPLICATE_COLUMNS):
+        try:
+            int(row["id"])
+            title = row["title"]
+            dup_title = row["duptitle"]
+            created = row["creationdate"]
+            dup_created = row["dupcreationdate"]
+            tags = row["tags"]
+        except (KeyError, TypeError, ValueError):
+            malformed += 1
+            continue
+        if not title or not dup_title or not created:
+            malformed += 1
+            continue
+        if not _has_python_tag(tags):
+            rejected_tag += 1
+            continue
+        if not window.contains(created) or (dup_created and not window.contains(dup_created)):
+            rejected_window += 1
+            continue
+        duplicate_pairs.append((title, dup_title))
 
     neutral_titles: list[str] = []
-    with neutral_file.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        _check_columns(neutral_file, reader.fieldnames, NEUTRAL_COLUMNS)
-        for row in reader:
-            try:
-                int(row["id"])
-                title = row["title"]
-                created = row["creationdate"]
-            except (KeyError, TypeError, ValueError):
-                malformed += 1
-                continue
-            if not title or not created:
-                malformed += 1
-                continue
-            if not window.contains(created):
-                rejected_window += 1
-                continue
-            neutral_titles.append(title)
+    for row in _export_rows(neutral_file, NEUTRAL_COLUMNS):
+        try:
+            int(row["id"])
+            title = row["title"]
+            created = row["creationdate"]
+        except (KeyError, TypeError, ValueError):
+            malformed += 1
+            continue
+        if not title or not created:
+            malformed += 1
+            continue
+        if not window.contains(created):
+            rejected_window += 1
+            continue
+        neutral_titles.append(title)
 
     n_neutral = round(neutral_ratio * len(duplicate_pairs))
     total_neutral_pairs = len(neutral_titles) * (len(neutral_titles) - 1) // 2
@@ -147,11 +136,9 @@ def ingest_stackoverflow_exports(
             f"requested {n_neutral} neutral pairs but only {total_neutral_pairs} title pairs exist"
         )
     rng = Rng(seed).derive("so-neutral")
-    candidates = [
-        (i, j) for i in range(len(neutral_titles)) for j in range(i + 1, len(neutral_titles))
-    ]
     neutral_pairs = [
-        (neutral_titles[i], neutral_titles[j]) for i, j in rng.sample(candidates, n_neutral)
+        (neutral_titles[i], neutral_titles[j])
+        for i, j in rng.sample_pairs(len(neutral_titles), n_neutral)
     ]
 
     label_set = builtin_label_set("so_duplicate")

@@ -10,6 +10,10 @@ generators, whose streams we do not control.
 Reference constants are the widely published SplitMix64 ones
 (gamma 0x9E3779B97F4A7C15 and the two finalizer multipliers).
 
+Every "k of n items" draw goes through :meth:`Rng.sample` and every
+"k of m * (m - 1) / 2 pairs" draw through :meth:`Rng.sample_pairs`;
+neither lists what it draws from.
+
 :meth:`Rng.derive_uniform_rows` runs the same arithmetic on numpy
 ``uint64`` arrays, whose multiplication wraps modulo 2**64 just as the
 scalar code masks with ``_MASK64``, so bulk draws equal scalar ones bit
@@ -18,6 +22,8 @@ for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from math import isqrt
 from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
@@ -86,27 +92,49 @@ class Rng:
             if draw < limit:
                 return draw % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def shuffled(self, items: Iterable[T]) -> list[T]:
+        """A Fisher-Yates shuffled copy of items."""
         out = list(items)
-        self.shuffle(out)
+        for i in range(len(out) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            out[i], out[j] = out[j], out[i]
         return out
 
     def sample(self, items: Sequence[T], k: int) -> list[T]:
-        """k distinct elements, uniformly without replacement, in draw order."""
+        """k distinct elements, uniformly, in draw order; O(k) even for a huge range.
+
+        A partial Fisher-Yates that keeps only the positions its swaps moved.
+        """
         n = len(items)
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} items from {n}")
-        indices = list(range(n))
+        moved: dict[int, int] = {}
+        out: list[T] = []
         for i in range(k):
             j = i + self.randbelow(n - i)
-            indices[i], indices[j] = indices[j], indices[i]
-        return [items[indices[i]] for i in range(k)]
+            out.append(items[moved.get(j, j)])
+            moved[j] = moved.pop(i, i)
+        return out
+
+    def sample_pairs(
+        self, m: int, k: int, excluded: Iterable[tuple[int, int]] = ()
+    ) -> list[tuple[int, int]]:
+        """self.sample(every pair i < j < m not in excluded, lexicographically, k).
+
+        Only ranks are drawn; each becomes its pair without the list being
+        built.  The r-th allowed pair's rank is r plus the number of excluded
+        ranks with at most r allowed ranks below them (skips).
+        """
+        total = m * (m - 1) // 2
+        ranks = sorted({i * (2 * m - i - 1) // 2 + j - i - 1 for i, j in excluded if 0 <= i < j < m})
+        skips = [rank - t for t, rank in enumerate(ranks)]
+        pairs = []
+        for r in self.sample(range(total - len(skips)), k):
+            rank = r + bisect_right(skips, r)
+            # Row i starts at rank i * (2m - i - 1) / 2; rows hold 1, 2, 3, ... pairs from the end.
+            i = m - 1 - (1 + isqrt(8 * (total - 1 - rank) + 1)) // 2
+            pairs.append((i, rank - i * (2 * m - i - 1) // 2 + i + 1))
+        return pairs
 
     def choice(self, items: Sequence[T]) -> T:
         if not items:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -69,7 +68,6 @@ class SetFitConfig:
     epochs: int = 1
     batch: int = 16
     lr: float | None = None
-    max_len: int = 256
     separator: str | None = None
 
     def __post_init__(self) -> None:
@@ -77,8 +75,8 @@ class SetFitConfig:
             raise ValueError("R must be non-negative")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.batch <= 0 or self.max_len <= 0:
-            raise ValueError("batch and max_len must be positive")
+        if self.batch <= 0:
+            raise ValueError("batch must be positive")
 
 
 def generate_contrastive(
@@ -117,12 +115,14 @@ def generate_contrastive(
                 f"class {lab!r} has no cross-class partners for negative pairs", lab
             )
 
-        positives = list(combinations(bucket, 2))
+        n_pos = len(bucket) * (len(bucket) - 1) // 2
         pos_rng = rng.derive("pos", lab)
-        chosen_pos = pos_rng.sample(positives, min(R, len(positives)))
+        chosen_pos = [
+            (bucket[a], bucket[b]) for a, b in pos_rng.sample_pairs(len(bucket), min(R, n_pos))
+        ]
         if len(chosen_pos) < R:
             warnings.warn(
-                f"class {lab!r}: only {len(positives)} distinct positive pairs for R={R}; "
+                f"class {lab!r}: only {n_pos} distinct positive pairs for R={R}; "
                 "sampling the remainder with replacement"
             )
             while len(chosen_pos) < R:
@@ -130,12 +130,16 @@ def generate_contrastive(
                 b = bucket[pos_rng.randbelow(len(bucket))]
                 if a != b:
                     chosen_pos.append((a, b))
-        negatives = [(i, j) for i in bucket for j in others]
+        # Negatives are the pairs (bucket[a], others[b]), ranked a * len(others) + b.
+        n_neg = len(bucket) * len(others)
         neg_rng = rng.derive("neg", lab)
-        chosen_neg = neg_rng.sample(negatives, min(R, len(negatives)))
+        chosen_neg = []
+        for t in neg_rng.sample(range(n_neg), min(R, n_neg)):
+            a, b = divmod(t, len(others))
+            chosen_neg.append((bucket[a], others[b]))
         if len(chosen_neg) < R:
             warnings.warn(
-                f"class {lab!r}: only {len(negatives)} distinct negative pairs for R={R}; "
+                f"class {lab!r}: only {n_neg} distinct negative pairs for R={R}; "
                 "sampling the remainder with replacement"
             )
             while len(chosen_neg) < R:

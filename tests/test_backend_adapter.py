@@ -2,6 +2,8 @@
 
 import contextlib
 import json
+import os
+import signal
 import socket
 import struct
 import subprocess
@@ -584,6 +586,65 @@ class TestSubprocessDeadline:
             assert proc.poll() is not None
         finally:
             transport.close()
+
+
+# Writes its pid to argv[1], answers the handshake with an old protocol, then sleeps.
+OLD_PROTOCOL_BACKEND = """
+import json, os, sys, time
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(os.getpid()))
+request = json.loads(sys.stdin.readline())
+result = {"mask_token": "<mask>", "separator_token": "||", "default_lr": 0.1,
+          "embedding_dim": 32, "length_model": "whitespace", "protocol": 1}
+print(json.dumps({"id": request["id"], "ok": True, "result": result}), flush=True)
+time.sleep(60)
+"""
+
+
+class TestRefusedHandshake:
+    def test_subprocess_child_is_stopped_and_reaped(self, tmp_path):
+        pid_file = tmp_path / "pid"
+        with pytest.raises(AdapterError, match="protocol 1"):
+            connect_subprocess([sys.executable, "-c", OLD_PROTOCOL_BACKEND, str(pid_file)])
+        pid = int(pid_file.read_text())
+        try:
+            # A reaped child's pid is gone; a running or zombie one still answers signal 0.
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        finally:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_tcp_socket_is_closed(self):
+        after_reply: list[bytes] = []
+
+        def refuse(conn):
+            result = dict(TestTransportSafety().hello_result(), protocol=1)
+            conn.sendall(json.dumps({"id": 1, "ok": True, "result": result}).encode() + b"\n")
+            conn.settimeout(5)
+            after_reply.append(conn.recv(1))
+
+        port = one_shot_backend(refuse)
+        # info keeps the failed call's frames, and so any socket they hold, alive.
+        with pytest.raises(AdapterError, match="protocol 1") as info:
+            connect_tcp("127.0.0.1", port)
+        for _ in range(100):
+            if after_reply:
+                break
+            time.sleep(0.05)
+        assert after_reply == [b""]
+
+    def test_missing_hello_field_closes_the_transport(self):
+        result = TestTransportSafety().hello_result()
+        del result["embedding_dim"]
+        closed = []
+        transport = TestTransportSafety.EchoTransport(
+            lambda payload: {"id": payload["id"], "ok": True, "result": result}
+        )
+        transport.close = lambda: closed.append(True)
+        with pytest.raises(KeyError, match="embedding_dim"):
+            RemoteBackend(transport)
+        assert closed == [True]
 
 
 class TestSubprocessEndToEnd:

@@ -367,6 +367,52 @@ class TestExitCodes:
         assert rc == 1
         assert "not a sweep result" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ['[1]', '{"Neutral": null, "Duplicate": 1}'])
+    def test_class_ratio_that_is_not_an_object_of_numbers_exits_one(
+        self, workspace, tmp_path, capsys, ratio
+    ):
+        rc = main(
+            [
+                "split",
+                "--data", str(workspace["root"] / "data" / "so_duplicate.pool.jsonl"),
+                "--train-pool", "60",
+                "--test", "20",
+                "--class-ratio", ratio,
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "class-ratio" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            5,
+            {"task_id": "so_duplicate", "method": "finetune", "sizes": 5},
+            {"task_id": "so_duplicate", "method": "finetune", "replicates": "3"},
+            {"method": "finetune"},
+        ],
+    )
+    def test_sweep_config_that_is_not_a_valid_object_exits_one(
+        self, workspace, tmp_path, capsys, config
+    ):
+        config_path = tmp_path / "bad.config.json"
+        config_path.write_text(json.dumps(config))
+        rc = main(
+            [
+                "sweep",
+                "--config", str(config_path),
+                "--pool", str(workspace["pool"]),
+                "--test", str(workspace["test"]),
+                "--out", str(tmp_path / "sweeps"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "config" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_adapter_backend_without_command_exits_one(self, workspace, capsys):
         rc = main(

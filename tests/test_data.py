@@ -260,6 +260,17 @@ class TestSerialization:
             load_dataset(path)
         assert "5" in str(err.value)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", "7", '{"u": "a", "v": null}'])
+    def test_line_that_is_not_a_pair_object_is_located(self, tmp_path, dup_pool, line):
+        path = tmp_path / "pool.jsonl"
+        save_dataset(dup_pool, path)
+        lines = path.read_text().splitlines()
+        lines[2] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}:3: u and v must be strings"
+
     def test_synthetic_pools_have_disjoint_sentences(self):
         a = synthetic_pool("so_duplicate", 50, seed=1, serial_prefix="a")
         b = synthetic_pool("so_duplicate", 50, seed=1, kind="test", serial_prefix="b")

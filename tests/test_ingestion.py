@@ -344,6 +344,29 @@ class TestNeutralPairs:
         keys = {frozenset(p) for p in pairs}
         assert len(keys) == 60
 
+    def test_space_above_two_hundred_thousand_pairs(self):
+        """800 open bugs hold 319,600 pairs less the links; draws stay exact and link-free."""
+        records = [
+            open_bug(
+                i,
+                f"bug {i}",
+                depends_on=[i - 1] if i % 2 else [],
+                dupe_of=[i - 7] if i % 5 == 0 and i >= 7 else [],
+            )
+            for i in range(800)
+        ]
+        records.append(open_bug(900, "closed", resolution="FIXED"))
+        linked = {
+            frozenset((r.summary, f"bug {t}")) for r in records for t in (*r.depends_on, *r.dupe_of)
+        }
+        first = build_neutral_pairs(records, 5000, seed=3)
+        assert first == build_neutral_pairs(records, 5000, seed=3)
+        assert first != build_neutral_pairs(records, 5000, seed=4)
+        keys = {frozenset(p) for p in first}
+        assert len(keys) == 5000
+        assert not keys & linked
+        assert all(len(key) == 2 and "closed" not in key for key in keys)
+
 
 class TestTaskDatasets:
     def test_duplicate_task_mixes_links_with_neutrals(self, fetched):

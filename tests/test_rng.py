@@ -1,6 +1,7 @@
 """Deterministic generator: reference values, statistics, derivation."""
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,77 @@ class TestShuffleAndSample:
             picked = Rng(seed).sample(list(range(4)), 3)
             seen.add(frozenset(picked))
         assert len(seen) == 4
+
+
+def reference_sample(rng, items, k):
+    """The list-based partial Fisher-Yates that Rng.sample must reproduce draw for draw."""
+    n = len(items)
+    indices = list(range(n))
+    for i in range(k):
+        j = i + rng.randbelow(n - i)
+        indices[i], indices[j] = indices[j], indices[i]
+    return [items[indices[i]] for i in range(k)]
+
+
+class TestSampleMatchesReference:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 100, 1000])
+    def test_lists_and_ranges(self, n):
+        for seed in range(50):
+            for k in sorted({0, 1, n // 2, n}):
+                if k > n:
+                    continue
+                expected = reference_sample(Rng(seed), [f"item{i}" for i in range(n)], k)
+                assert Rng(seed).sample([f"item{i}" for i in range(n)], k) == expected
+                ranks = Rng(seed).sample(range(n), k)
+                assert [f"item{i}" for i in ranks] == expected
+
+    def test_stream_position_after_sample_matches(self):
+        """sample consumes exactly the draws the reference does."""
+        ours, ref = Rng(3), Rng(3)
+        ours.sample(range(40), 15)
+        reference_sample(ref, list(range(40)), 15)
+        assert ours.next_u64() == ref.next_u64()
+
+    def test_memory_grows_with_k_not_with_the_range(self):
+        tracemalloc.start()
+        try:
+            picked = Rng(1).sample(range(1_000_000), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(picked)) == 5 and all(0 <= x < 1_000_000 for x in picked)
+        assert peak < 100_000
+
+
+class TestSamplePairs:
+    @pytest.mark.parametrize("m", range(41))
+    def test_equals_sample_over_the_explicit_list(self, m):
+        every = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        picker = Rng(1000 + m)
+        for trial in range(4):
+            excluded = set(picker.sample(every, picker.randbelow(len(every) + 1)))
+            if trial == 3:
+                # Entries that are not pairs i < j < m exclude nothing.
+                excluded |= {(m, m + 1), (2, 1), (0, 0), (-1, 0)}
+            allowed = [pair for pair in every if pair not in excluded]
+            for seed in range(3):
+                for k in sorted({0, 1, len(allowed) // 2, len(allowed)}):
+                    if k > len(allowed):
+                        continue
+                    expected = Rng(seed).sample(allowed, k)
+                    assert Rng(seed).sample_pairs(m, k, excluded) == expected
+
+    def test_too_many_pairs_raises(self):
+        with pytest.raises(ValueError):
+            Rng(0).sample_pairs(4, 6, excluded=[(0, 1)])
+
+    def test_large_space_draws_distinct_valid_pairs(self):
+        m = 1_000_000
+        excluded = {(0, 1), (5, 9), (m - 2, m - 1)}
+        picked = Rng(8).sample_pairs(m, 2000, excluded)
+        assert len(set(picked)) == 2000
+        assert all(0 <= i < j < m and (i, j) not in excluded for i, j in picked)
+        assert picked == Rng(8).sample_pairs(m, 2000, excluded)
 
 
 class TestDerive:

@@ -1,6 +1,7 @@
 """Question-pair CSV ingestion: fixtures, filters, and column contracts."""
 
 import csv
+import tracemalloc
 
 import pytest
 
@@ -144,6 +145,29 @@ class TestNeutralRatio:
     def test_negative_ratio_rejected(self, fixture_paths):
         with pytest.raises(ValueError):
             ingest_stackoverflow_exports(*fixture_paths, seed=0, neutral_ratio=-1.0)
+
+
+class TestNeutralSampleMemory:
+    def test_two_thousand_titles_stay_under_ten_megabytes(self, tmp_path):
+        """Drawing 50 neutral pairs never lists the 1,999,000 title pairs."""
+        duplicates = write_csv(
+            tmp_path / "dups.csv",
+            DUPLICATE_COLUMNS,
+            [duplicate_row(i, f"Question {i}") for i in range(50)],
+        )
+        neutral = write_csv(
+            tmp_path / "neutral.csv",
+            NEUTRAL_COLUMNS,
+            [[i, f"Neutral title {i}", "2020-06-01 12:00:00", "body"] for i in range(2000)],
+        )
+        tracemalloc.start()
+        try:
+            _, report = ingest_stackoverflow_exports(duplicates, neutral, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.neutral_pairs == 50
+        assert peak < 10 * 2**20
 
 
 class TestWindowChecks:
