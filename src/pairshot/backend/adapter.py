@@ -14,8 +14,9 @@ carry either a result or an error.  Verbs (protocol 2):
     fit_encoder  triplets [[text_a, text_b, similarity]], epochs, batch, lr, seed
 
 Every model verb also carries the model name and its init_seed.  The
-handshake fails unless the backend sends every hello field and the
-protocol this client speaks, and a failed handshake closes the transport.
+handshake fails with an AdapterError naming the field unless the backend
+sends every hello field with its JSON type and the protocol this client
+speaks, and a failed handshake closes the transport.
 One transport carries the lines, over a child's pipes or a TCP socket
 alike: each request has a deadline that covers writing it and reading
 the whole answer, and any failure closes the transport with an
@@ -51,6 +52,13 @@ from ..prompting import ClozeInput
 
 PROTOCOL_VERSION = 2
 _TIMEOUT_S = 60.0
+# The hello fields every backend must send, with their JSON types.
+_HELLO_FIELDS = {
+    "mask_token": str,
+    "separator_token": str,
+    "default_lr": (int, float),
+    "embedding_dim": int,
+}
 
 
 class AdapterError(PairshotError):
@@ -62,8 +70,9 @@ class LineTransport:
 
     A request has timeout seconds to be written and answered in full.
     A request that fails -- an OSError, the deadline, the end of the
-    backend's output, or an answer that is not UTF-8 JSON -- closes the
-    transport and raises AdapterError; every later request raises
+    backend's output, or an answer that is not UTF-8 JSON or that the
+    parser refuses for its nesting depth or a number's length -- closes
+    the transport and raises AdapterError; every later request raises
     AdapterError at once.  close() runs release, which frees whatever
     owns the fds: a child process or a socket.
     """
@@ -84,11 +93,13 @@ class LineTransport:
         if self._closed:
             raise AdapterError("backend connection is closed")
         deadline = time.monotonic() + self._timeout
+        # ValueError covers bad UTF-8, bad JSON and integers past the digit
+        # limit; RecursionError, nesting past the parser's depth.
         try:
             self._write((json.dumps(payload) + "\n").encode("utf-8"), deadline)
             line = self._readline(deadline)
             return json.loads(line.decode("utf-8"))
-        except (OSError, EOFError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, EOFError, ValueError, RecursionError) as exc:
             # Out of step with the backend from here on: no later request
             # may read its late answer.
             self.close()
@@ -172,10 +183,14 @@ class RemoteBackend:
                 raise AdapterError(
                     f"backend speaks protocol {protocol!r}, this client speaks {PROTOCOL_VERSION}"
                 )
+            for name, kinds in _HELLO_FIELDS.items():
+                value = hello.get(name)
+                if not isinstance(value, kinds) or isinstance(value, bool):
+                    raise AdapterError(f"hello field {name!r} is missing or mistyped: {value!r}")
             self._mask_token = hello["mask_token"]
             self._separator_token = hello["separator_token"]
             self._default_lr = float(hello["default_lr"])
-            self._dim = int(hello["embedding_dim"])
+            self._dim = hello["embedding_dim"]
             length_model = hello.get("length_model", "whitespace")
             if length_model != "whitespace":
                 raise AdapterError(f"unsupported length model {length_model!r}")
@@ -217,10 +232,6 @@ class RemoteBackend:
     @property
     def default_lr(self) -> float:
         return self._default_lr
-
-    @property
-    def length_fn(self) -> Callable[[str], int]:
-        return lambda text: len(text.split())
 
     def create_scorer(self, seed: int = 0) -> "RemoteScorer":
         return RemoteScorer(self, self._fresh_name("scorer"), seed)

@@ -11,7 +11,7 @@ model per dataset.  Each row must equal what the item would get alone.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -82,7 +82,12 @@ class SentenceEncoder(Protocol):
 
 @runtime_checkable
 class Backend(Protocol):
-    """Factory plus the token/length conventions engines must respect."""
+    """Factory plus the token conventions engines must respect.
+
+    Lengths are whitespace-token counts on every backend: prompt
+    rendering counts them itself, and the adapter refuses a remote
+    backend that declares any other length model.
+    """
 
     @property
     def mask_token(self) -> str:
@@ -96,10 +101,6 @@ class Backend(Protocol):
     def default_lr(self) -> float:
         ...
 
-    @property
-    def length_fn(self) -> Callable[[str], int]:
-        ...
-
     def create_scorer(self, seed: int = 0) -> MaskedScorer:
         ...
 
@@ -108,3 +109,8 @@ class Backend(Protocol):
 
     def create_encoder(self, seed: int = 0) -> SentenceEncoder:
         ...
+
+
+def resolve_lr(lr: float | None, backend: Backend) -> float:
+    """The learning rate a config asks for; None means the backend default."""
+    return backend.default_lr if lr is None else lr

@@ -13,7 +13,8 @@ The verbs and their shapes are listed in ``pairshot.backend.adapter``:
 score, predict and encode answer a whole batch in one response.  Over
 TCP, clients are served one after another and each connection gets its
 own model registry, dropped when the client disconnects.  A line that
-is not UTF-8 JSON gets an AdapterError answer, and a client whose
+is not UTF-8 JSON, or that the parser refuses for its nesting depth or
+a number's length, gets an AdapterError answer, and a client whose
 connection fails, by a reset or a broken pipe, ends only its own
 connection.
 
@@ -171,9 +172,11 @@ def _serve_lines(server: BackendServer, lines: Iterable[bytes], out: BinaryIO) -
         line = line.strip()
         if not line:
             continue
+        # ValueError covers bad UTF-8, bad JSON and integers past the digit
+        # limit; RecursionError, nesting past the parser's depth.
         try:
             request = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             response = {"id": None, "ok": False, "error": f"invalid JSON: {exc}", "kind": "AdapterError"}
         else:
             response = server.handle(request)

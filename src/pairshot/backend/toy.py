@@ -484,10 +484,6 @@ class ToyBackend:
         # backends will want their own, far smaller default.
         return 0.1
 
-    @property
-    def length_fn(self) -> Callable[[str], int]:
-        return _whitespace_length
-
     def create_scorer(self, seed: int = 0) -> ToyMaskedScorer:
         return ToyMaskedScorer(self.config, seed)
 
@@ -496,7 +492,3 @@ class ToyBackend:
 
     def create_encoder(self, seed: int = 0) -> ToyEncoder:
         return ToyEncoder(self.config, seed)
-
-
-def _whitespace_length(text: str) -> int:
-    return len(text.split())

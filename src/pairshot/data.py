@@ -8,9 +8,10 @@ definition the split, deduplication, and overlap checks all share.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -123,6 +124,15 @@ class SoftLabeledExample:
         total = sum(self.distribution)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"distribution sums to {total!r}, expected 1 within 1e-9")
+
+
+def shared_sentences(a: Iterable[LabeledExample], b: Iterable[LabeledExample]) -> set[str]:
+    """Normalized sentences that occur on either side of a pair in both a and b."""
+
+    def sentences(examples: Iterable[LabeledExample]) -> set[str]:
+        return {normalize_sentence(s) for ex in examples for s in (ex.pair.u, ex.pair.v)}
+
+    return sentences(a) & sentences(b)
 
 
 def join_pair(pair: SentencePair, separator: str) -> str:
@@ -248,9 +258,11 @@ def _max_achievable_test(sizes: Sequence[int], train_pool_size: int) -> int:
 
 def _quota_counts(weights: Mapping[str, float], labels: Sequence[str], total: int) -> dict[str, int]:
     """Integer per-label targets from ratio weights via largest remainder."""
-    missing = [lab for lab in labels if lab not in weights]
-    if missing:
-        raise ValueError(f"class ratio missing labels: {missing}")
+    if set(weights) != set(labels):
+        raise ValueError(f"class ratio labels {sorted(weights)} are not the label set {list(labels)}")
+    bad = [lab for lab in labels if not 0 <= float(weights[lab]) < math.inf]
+    if bad:
+        raise ValueError(f"class ratio weights must be finite and non-negative: {bad}")
     scale = sum(float(weights[lab]) for lab in labels)
     if scale <= 0:
         raise ValueError("class ratio weights must sum to a positive value")
@@ -357,18 +369,11 @@ def split_no_leakage(
             raise fail(f"class quota unsatisfiable for {sorted(short)}")
         test_idx = [idx for lab in all_pairs.label_set.labels for idx in buckets[lab][: counts[lab]]]
         test_idx = rng.shuffled(test_idx)
-    train_idx = train_side[:train_pool_size]
-
-    test_sentences = {
-        normalize_sentence(s) for i in test_idx for s in (examples[i].pair.u, examples[i].pair.v)
-    }
-    for i in train_idx:
-        for s in (examples[i].pair.u, examples[i].pair.v):
-            if normalize_sentence(s) in test_sentences:
-                raise AssertionError("leakage check failed; component grouping is broken")
-
-    train = Dataset(tuple(examples[i] for i in train_idx), all_pairs.label_set, "train")
-    test = Dataset(tuple(examples[i] for i in test_idx), all_pairs.label_set, "test")
+    label_set = all_pairs.label_set
+    train = Dataset(tuple(examples[i] for i in train_side[:train_pool_size]), label_set, "train")
+    test = Dataset(tuple(examples[i] for i in test_idx), label_set, "test")
+    if shared_sentences(train, test):
+        raise AssertionError("leakage check failed; component grouping is broken")
     return train, test
 
 
@@ -489,8 +494,11 @@ def load_dataset(path: str | Path) -> Dataset:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    if manifest.get("format") != "pairshot-dataset":
+    if not isinstance(manifest, dict) or manifest.get("format") != "pairshot-dataset":
         raise DataFormatError(f"{manifest_path} is not a pairshot dataset manifest")
+    for key, kind in (("task_id", str), ("kind", str), ("labels", list)):
+        if not isinstance(manifest.get(key), kind):
+            raise DataFormatError(f"manifest {manifest_path} needs a {kind.__name__} {key!r}")
     label_set = LabelSet(tuple(manifest["labels"]), manifest["task_id"])
     kind = manifest["kind"]
     examples: list[LabeledExample] = []

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend.contracts import Backend, TextClassifier
+from .backend.contracts import Backend, TextClassifier, resolve_lr
 from .data import Dataset, SentencePair, join_pair
 from .errors import NoDataError
 from .metrics import EvalReport, evaluate_predictions
@@ -62,8 +62,7 @@ def finetune(
     if classifier is None:
         classifier = backend.create_classifier(train.label_set.labels, seed)
     rows = onehot_rows(train, backend.separator_token)
-    lr = backend.default_lr if config.lr is None else config.lr
-    classifier.train(rows, config.steps, config.batch, lr, seed)
+    classifier.train(rows, config.steps, config.batch, resolve_lr(config.lr, backend), seed)
     return classifier
 
 

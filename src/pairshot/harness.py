@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .backend.contracts import Backend
 from .backend.toy import ToyBackend, backend_config_with
-from .data import Dataset, normalize_sentence, sample_training_set
+from .data import Dataset, sample_training_set, shared_sentences
 from .errors import DatasetSizeError, InfeasibleSplitError
 from .finetune import FinetuneConfig, run_finetune
 from .metrics import EvalReport, ReplicateSummary, aggregate_replicates, format_mean_std
@@ -238,15 +238,7 @@ class SweepResult:
 
 
 def _assert_disjoint(pool: Dataset, test: Dataset) -> None:
-    pool_sentences = {
-        normalize_sentence(s) for ex in pool for s in (ex.pair.u, ex.pair.v)
-    }
-    clashes = {
-        normalize_sentence(s)
-        for ex in test
-        for s in (ex.pair.u, ex.pair.v)
-        if normalize_sentence(s) in pool_sentences
-    }
+    clashes = shared_sentences(pool, test)
     if clashes:
         sample = sorted(clashes)[:3]
         raise InfeasibleSplitError(
@@ -378,8 +370,11 @@ def save_sweep(result: SweepResult, out_dir: str | Path, name: str = "sweep") ->
 
 def load_sweep_payload(path: str | Path) -> dict:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "pairshot-sweep":
+    if not isinstance(payload, dict) or payload.get("format") != "pairshot-sweep":
         raise ValueError(f"{path} is not a sweep result file")
+    missing = [key for key in ("config", "cells", "summaries") if key not in payload]
+    if missing:
+        raise ValueError(f"sweep result {path} lacks {missing}")
     return payload
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend.contracts import Backend, MaskedScorer, TextClassifier
+from .backend.contracts import Backend, MaskedScorer, TextClassifier, resolve_lr
 from .data import Dataset, LabelSet, SentencePair, SoftLabeledExample, join_pair
 from .errors import EmptyEnsembleError, NoDataError, ShapeError
 from .finetune import onehot_rows
@@ -123,9 +123,7 @@ def render_pairs(
 ) -> list[ClozeInput]:
     """Every pair rendered through one pattern, in order."""
     return [
-        render(
-            pvp, pair, config.max_len, backend.length_fn, backend.mask_token, backend.separator_token
-        )
+        render(pvp, pair, config.max_len, backend.mask_token, backend.separator_token)
         for pair in pairs
     ]
 
@@ -148,10 +146,6 @@ def untrained_accuracy(
     return hits / len(train)
 
 
-def _resolve_lr(config_lr: float | None, backend: Backend) -> float:
-    return backend.default_lr if config_lr is None else config_lr
-
-
 def train_ensemble(
     config: PetConfig,
     train: Dataset,
@@ -167,7 +161,7 @@ def train_ensemble(
     """
     if not len(train):
         raise NoDataError("cannot train an ensemble on an empty dataset")
-    lr = _resolve_lr(config.lr, backend)
+    lr = resolve_lr(config.lr, backend)
     members: list[EnsembleMember] = []
     for pvp in config.pvps:
         tokens = verbalizer_tokens(pvp, train.label_set)
@@ -234,48 +228,27 @@ def soft_label(
     ]
 
 
-def _distill(
-    members: Sequence[EnsembleMember],
-    train: Dataset,
-    unlabeled: Dataset | None,
-    config: PetConfig,
-    classifier: TextClassifier,
-    backend: Backend,
-    seed: int,
-) -> list[SoftLabeledExample]:
-    """Soft-label the pool, train classifier on the union; returns the soft labels."""
-    if not len(train):
-        raise NoDataError("distillation needs labeled examples")
-    softened = (
-        soft_label(members, unlabeled, train.label_set, config, backend)
-        if unlabeled is not None and len(unlabeled)
-        else []
-    )
-    rows = onehot_rows(train, backend.separator_token)
-    rows.extend((join_pair(s.pair, backend.separator_token), s.distribution) for s in softened)
-    lr = _resolve_lr(config.lr, backend)
-    classifier.train(rows, config.distill_steps, config.batch, lr, seed)
-    return softened
-
-
 def distill(
-    members: Sequence[EnsembleMember],
     train: Dataset,
-    unlabeled: Dataset | None,
+    softened: Sequence[SoftLabeledExample],
     config: PetConfig,
     classifier: TextClassifier,
     backend: Backend,
     seed: int = 0,
 ) -> TextClassifier:
-    """Train a classifier on labeled one-hots plus soft-labeled unlabeled data.
+    """Train a classifier on labeled one-hots plus the soft-labeled pool.
 
-    Labeled rows keep exact one-hot targets (no temperature); only the
-    unlabeled pool receives softened ensemble distributions.  The union
-    is mixed uniformly by the trainer's per-pass shuffle, so with an
-    empty unlabeled pool this reduces exactly to fine-tuning on the
+    Labeled rows keep exact one-hot targets (no temperature); softened
+    holds the pool's ensemble distributions, as soft_label returns them.
+    The union is mixed uniformly by the trainer's per-pass shuffle, so
+    with nothing softened this reduces exactly to fine-tuning on the
     labeled data under the same seed and step count.
     """
-    _distill(members, train, unlabeled, config, classifier, backend, seed)
+    if not len(train):
+        raise NoDataError("distillation needs labeled examples")
+    rows = onehot_rows(train, backend.separator_token)
+    rows.extend((join_pair(s.pair, backend.separator_token), s.distribution) for s in softened)
+    classifier.train(rows, config.distill_steps, config.batch, resolve_lr(config.lr, backend), seed)
     return classifier
 
 
@@ -318,8 +291,13 @@ def run_pet(
     members = train_ensemble(config, train, backend, seed)
     label_set = train.label_set
     classifier = backend.create_classifier(label_set.labels, Rng(seed).derive("distill").next_u64())
+    softened = (
+        soft_label(members, unlabeled, label_set, config, backend)
+        if unlabeled is not None and len(unlabeled)
+        else []
+    )
     distill_seed = Rng(seed).derive("distill-order").next_u64()
-    softened = _distill(members, train, unlabeled, config, classifier, backend, distill_seed)
+    distill(train, softened, config, classifier, backend, distill_seed)
 
     golds = [ex.label for ex in test]
     pairs = [ex.pair for ex in test]
@@ -343,7 +321,7 @@ def run_pet(
         "mlm_steps": config.mlm_steps,
         "distill_steps": config.distill_steps,
         "batch": config.batch,
-        "lr": _resolve_lr(config.lr, backend),
+        "lr": resolve_lr(config.lr, backend),
         "max_len": config.max_len,
         "seed": seed,
         "members": len(members),

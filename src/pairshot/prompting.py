@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .data import LabelSet, SentencePair
 from .errors import BudgetError, UnknownTaskError, VerbalizerError
@@ -140,12 +140,12 @@ def render(
     pvp: PVP,
     pair: SentencePair,
     max_len: int,
-    length_fn: Callable[[str], int],
     mask_token: str = "<mask>",
     separator_token: str = "||",
 ) -> ClozeInput:
     """Instantiate a pattern for one pair, truncating to the length budget.
 
+    Length is the number of whitespace tokens of the rendered text.
     When the full render exceeds max_len, whitespace tokens are removed
     from the end of whichever sentence currently has more of them
     (alternating on ties) until the render fits.  Literals, the mask,
@@ -153,13 +153,13 @@ def render(
     budget a BudgetError is raised.
     """
     cloze = _assemble(pvp.pattern.segments, pair.u, pair.v, mask_token, separator_token)
-    if length_fn(cloze.text) <= max_len:
+    if len(cloze.text.split()) <= max_len:
         return cloze
 
-    skeleton = _assemble(pvp.pattern.segments, "", "", mask_token, separator_token)
-    if length_fn(skeleton.text) > max_len:
+    skeleton = _assemble(pvp.pattern.segments, "", "", mask_token, separator_token).text.split()
+    if len(skeleton) > max_len:
         raise BudgetError(
-            f"pattern {pvp.id!r} skeleton needs {length_fn(skeleton.text)} units, budget is {max_len}"
+            f"pattern {pvp.id!r} skeleton needs {len(skeleton)} units, budget is {max_len}"
         )
 
     u_tokens = pair.u.split()
@@ -169,7 +169,7 @@ def render(
         cloze = _assemble(
             pvp.pattern.segments, " ".join(u_tokens), " ".join(v_tokens), mask_token, separator_token
         )
-        if length_fn(cloze.text) <= max_len:
+        if len(cloze.text.split()) <= max_len:
             return cloze
         if len(u_tokens) > len(v_tokens):
             pick = "u"

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend.contracts import Backend, SentenceEncoder
+from .backend.contracts import Backend, SentenceEncoder, resolve_lr
 from .data import Dataset, SentencePair, join_pair
 from .errors import DataFormatError, InfeasibleTripletsError, NoDataError, ShapeError
 from .logistic import LogisticHead
@@ -68,7 +68,6 @@ class SetFitConfig:
     epochs: int = 1
     batch: int = 16
     lr: float | None = None
-    separator: str | None = None
 
     def __post_init__(self) -> None:
         if self.R < 0:
@@ -172,11 +171,13 @@ def setfit_fit(
     backend: Backend,
     seed: int = 0,
 ) -> SetFitModel:
-    """Contrastive-tune an encoder, then fit the classification head."""
+    """Contrastive-tune an encoder, then fit the classification head.
+
+    Pairs are joined into one text with the backend's separator token.
+    """
     if not len(train):
         raise NoDataError("cannot fit on an empty dataset")
-    separator = config.separator if config.separator is not None else backend.separator_token
-    lr = backend.default_lr if config.lr is None else config.lr
+    separator = backend.separator_token
     encoder = backend.create_encoder(Rng(seed).derive("encoder").next_u64())
     triplets = generate_contrastive(train, config.R, seed, separator)
     if triplets and config.epochs > 0:
@@ -184,7 +185,7 @@ def setfit_fit(
             [(t.text_a, t.text_b, t.similarity) for t in triplets],
             config.epochs,
             config.batch,
-            lr,
+            resolve_lr(config.lr, backend),
             Rng(seed).derive("encoder-fit").next_u64(),
         )
     X = encoder.encode([join_pair(ex.pair, separator) for ex in train.examples])

@@ -35,7 +35,6 @@ from pairshot.pet import (
     distill,
     run_pet,
     soften,
-    train_ensemble,
 )
 from pairshot.prompting import builtin_pvps
 from pairshot.rng import Rng
@@ -372,11 +371,9 @@ class TestDistillationEquivalence:
         step count predicts identically to plain fine-tuning."""
         config = pet_config(mlm_steps=50, distill_steps=200)
         backend = ToyBackend()
-        members = train_ensemble(config, train50, backend, seed=5)
         distilled = distill(
-            members,
             train50,
-            None,
+            [],
             config,
             backend.create_classifier(train50.label_set.labels, 77),
             backend,

@@ -54,6 +54,12 @@ TRIPLETS = [
 ]
 
 
+# Lines that are valid JSON syntax but that json.loads refuses: nesting
+# deeper than its recursion limit (RecursionError), and an integer longer
+# than its digit limit (ValueError).
+UNPARSABLE_LINES = (b"[" * 100_000, b"1" * 5_000)
+
+
 class DirectTransport:
     """In-process transport that still round-trips JSON like the wire would."""
 
@@ -200,10 +206,12 @@ class TestServerVerbs:
         assert "must be a list" in response["error"]
 
     def test_stdio_server_survives_malformed_lines(self):
-        """Non-object and non-list inputs get an error answer; the server keeps serving."""
+        """Non-object and non-list inputs, and lines the JSON parser refuses,
+        get an error answer; the server keeps serving."""
         lines = [
             b"[1,2]",
             b"\xff\xfe",
+            *UNPARSABLE_LINES,
             b'{"id": 2, "verb": "encode", "params": {"model": "e", "texts": "abc"}}',
             b'{"id": 9, "verb": "hello"}',
         ]
@@ -219,6 +227,8 @@ class TestServerVerbs:
         assert [(r["id"], r["ok"], r.get("kind")) for r in responses] == [
             (None, False, "AdapterError"),
             (None, False, "AdapterError"),
+            (None, False, "AdapterError"),
+            (None, False, "AdapterError"),
             (2, False, "AdapterError"),
             (9, True, None),
         ]
@@ -231,7 +241,6 @@ class TestRemoteMatchesLocal:
         assert remote.mask_token == "<mask>"
         assert remote.separator_token == "||"
         assert remote.default_lr == 0.1
-        assert remote.length_fn("a b  c") == 3
 
     def test_scorer_parity(self, remote):
         """Remote and local scorers trained identically emit identical scores."""
@@ -588,6 +597,31 @@ class TestSubprocessDeadline:
             transport.close()
 
 
+# Answers its first request with the line in argv[1], then waits.
+FIXED_ANSWER_BACKEND = """
+import sys, time
+sys.stdin.readline()
+sys.stdout.write(sys.argv[1] + "\\n")
+sys.stdout.flush()
+time.sleep(60)
+"""
+
+
+class TestUnparsableAnswer:
+    @pytest.mark.parametrize("line", UNPARSABLE_LINES, ids=["deep-nesting", "long-integer"])
+    def test_answer_json_cannot_parse_is_typed_and_reaps_the_child(self, line):
+        command = [sys.executable, "-c", FIXED_ANSWER_BACKEND, line.decode()]
+        proc, transport = subprocess_transport(command, timeout=10)
+        try:
+            with pytest.raises(AdapterError):
+                transport.request({"id": 1, "verb": "hello", "params": {}})
+            assert proc.poll() is not None
+            with pytest.raises(AdapterError):
+                transport.request({"id": 2, "verb": "hello", "params": {}})
+        finally:
+            transport.close()
+
+
 # Writes its pid to argv[1], answers the handshake with an old protocol, then sleeps.
 OLD_PROTOCOL_BACKEND = """
 import json, os, sys, time
@@ -599,6 +633,10 @@ result = {"mask_token": "<mask>", "separator_token": "||", "default_lr": 0.1,
 print(json.dumps({"id": request["id"], "ok": True, "result": result}), flush=True)
 time.sleep(60)
 """
+
+
+# Marks a hello field the backend leaves out.
+MISSING = object()
 
 
 class TestRefusedHandshake:
@@ -642,7 +680,35 @@ class TestRefusedHandshake:
             lambda payload: {"id": payload["id"], "ok": True, "result": result}
         )
         transport.close = lambda: closed.append(True)
-        with pytest.raises(KeyError, match="embedding_dim"):
+        with pytest.raises(AdapterError, match="embedding_dim"):
+            RemoteBackend(transport)
+        assert closed == [True]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mask_token", MISSING),
+            ("separator_token", MISSING),
+            ("default_lr", MISSING),
+            ("default_lr", "fast"),
+            ("default_lr", True),
+            ("embedding_dim", 2.5),
+            ("embedding_dim", "32"),
+            ("mask_token", 7),
+            ("separator_token", ["||"]),
+        ],
+        ids=lambda value: "missing" if value is MISSING else None,
+    )
+    def test_bad_hello_field_is_named_and_closes_the_transport(self, field, value):
+        result = dict(TestTransportSafety().hello_result(), **{field: value})
+        if value is MISSING:
+            del result[field]
+        closed = []
+        transport = TestTransportSafety.EchoTransport(
+            lambda payload: {"id": payload["id"], "ok": True, "result": result}
+        )
+        transport.close = lambda: closed.append(True)
+        with pytest.raises(AdapterError, match=field):
             RemoteBackend(transport)
         assert closed == [True]
 
@@ -708,11 +774,14 @@ class TestSubprocessEndToEnd:
             second.close()
 
     def test_tcp_server_outlives_clients_that_fail(self):
-        """Bad bytes get an error answer, a reset ends one connection; the next client is served."""
+        """Bad bytes and lines the JSON parser refuses get an error answer, a reset
+        ends one connection; the next client is served."""
         port = start_tcp_server()
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as bad:
-            bad.sendall(b"\xff\xfe\n")
-            answer = bad.makefile("rb").readline()
+        answers = []
+        for line in (b"\xff\xfe", *UNPARSABLE_LINES):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as bad:
+                bad.sendall(line + b"\n")
+                answers.append(json.loads(bad.makefile("rb").readline()))
         with socket.create_connection(("127.0.0.1", port), timeout=5) as resetting:
             # Linger 0: close sends a reset instead of an orderly shutdown.
             resetting.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
@@ -721,8 +790,8 @@ class TestSubprocessEndToEnd:
             assert backend.mask_token == "<mask>"
         finally:
             backend.close()
-        answer = json.loads(answer)
-        assert (answer["id"], answer["ok"], answer["kind"]) == (None, False, "AdapterError")
+        for answer in answers:
+            assert (answer["id"], answer["ok"], answer["kind"]) == (None, False, "AdapterError")
 
 def start_tcp_server() -> int:
     """Start serve_tcp on a free local port in a daemon thread; return the port."""

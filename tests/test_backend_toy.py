@@ -9,6 +9,7 @@ softmax cross-entropy and cosine-MSE encoder gradients.
 import numpy as np
 import pytest
 
+from pairshot.backend.contracts import resolve_lr
 from pairshot.backend.features import Featurizer
 from pairshot.backend.state import load_model, save_model
 from pairshot.backend.toy import (
@@ -401,11 +402,14 @@ class TestSoftmaxCeGradientCheck:
 
 
 class TestWholeBackend:
-    def test_tokens_and_length_model(self, backend):
+    def test_tokens(self, backend):
         assert backend.mask_token == "<mask>"
         assert backend.separator_token == "||"
         assert backend.default_lr == pytest.approx(0.1)
-        assert backend.length_fn("three short words") == 3
+
+    def test_resolve_lr_defaults_to_the_backend(self, backend):
+        assert resolve_lr(None, backend) == backend.default_lr
+        assert resolve_lr(0.5, backend) == 0.5
 
     def test_vocabulary_covers_builtin_verbalizers(self, backend):
         vocab = set(backend.config.vocabulary)
@@ -422,8 +426,7 @@ class TestWholeBackend:
     def test_scoring_a_rendered_builtin_pattern(self, backend):
         pvp = builtin_pvps("so_duplicate")[2]
         pair = SentencePair("how to sort a list", "sorting lists in place")
-        out = render(pvp, pair, 64, backend.length_fn,
-                     backend.mask_token, backend.separator_token)
+        out = render(pvp, pair, 64, backend.mask_token, backend.separator_token)
         scorer = backend.create_scorer()
         scores = scorer.score([out], ["No", "Yes"])
         assert scores.shape == (1, 2)

@@ -387,6 +387,84 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "ratio, named",
+        [
+            ('{"Neutral": -1, "Duplicate": 2}', "Neutral"),
+            ('{"Neutral": 1, "Duplicate": 1, "Bogus": 5}', "Bogus"),
+            ('{"Neutral": Infinity, "Duplicate": 1}', "Neutral"),
+        ],
+    )
+    def test_class_ratio_with_a_bad_weight_exits_one(
+        self, workspace, tmp_path, capsys, ratio, named
+    ):
+        rc = main(
+            [
+                "split",
+                "--data", str(workspace["root"] / "data" / "so_duplicate.pool.jsonl"),
+                "--train-pool", "60",
+                "--test", "20",
+                "--class-ratio", ratio,
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "class ratio" in err and named in err
+        assert len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [],
+            "pairshot-dataset",
+            {"format": "pairshot-dataset", "kind": "train", "labels": ["Neutral", "Duplicate"]},
+            {"format": "pairshot-dataset", "task_id": 5, "kind": "train",
+             "labels": ["Neutral", "Duplicate"]},
+            {"format": "pairshot-dataset", "task_id": "so_duplicate",
+             "labels": ["Neutral", "Duplicate"]},
+            {"format": "pairshot-dataset", "task_id": "so_duplicate", "kind": "train"},
+            {"format": "pairshot-dataset", "task_id": "so_duplicate", "kind": "train",
+             "labels": "Neutral,Duplicate"},
+        ],
+    )
+    def test_malformed_manifest_exits_one(self, tmp_path, capsys, manifest):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(json.dumps({"u": "a", "v": "b", "label": "Neutral"}) + "\n")
+        (tmp_path / "bad.manifest.json").write_text(json.dumps(manifest))
+        rc = main(
+            [
+                "split", "--data", str(data), "--train-pool", "1", "--test", "1",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "manifest" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            "pairshot-sweep",
+            {"format": "pairshot-sweep"},
+            {"format": "pairshot-sweep", "cells": [], "summaries": {}},
+            {"format": "pairshot-sweep", "config": {}, "summaries": {}},
+            {"format": "pairshot-sweep", "config": {}, "cells": []},
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "compare"])
+    def test_report_on_a_malformed_result_exits_one(self, tmp_path, capsys, payload, fmt):
+        path = tmp_path / "bad.result.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["report", "--result", str(path), "--format", fmt])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "config",
         [
             5,

@@ -15,6 +15,7 @@ from pairshot.data import (
     normalize_sentence,
     sample_training_set,
     save_dataset,
+    shared_sentences,
     split_no_leakage,
     validate_dataset,
 )
@@ -51,6 +52,19 @@ class TestNormalization:
     def test_join_pair_inserts_separator(self):
         pair = SentencePair("left side", "right side")
         assert join_pair(pair, "||") == "left side || right side"
+
+
+class TestSharedSentences:
+    def test_normalized_sentences_on_either_side(self):
+        a = make_dataset([(("open  file", "close file"), "Neutral")])
+        b = make_dataset([(("save file", " open file "), "Duplicate"), (("x", "y"), "Neutral")])
+        assert shared_sentences(a, b) == {"open file"}
+        assert shared_sentences(b, a) == {"open file"}
+
+    def test_disjoint_sets_share_nothing(self):
+        a = make_dataset([(("a", "b"), "Neutral")])
+        b = make_dataset([(("c", "d"), "Neutral")])
+        assert shared_sentences(a, b) == set()
 
 
 class TestValidation:
@@ -158,6 +172,20 @@ class TestSplitSmallFixtures:
         for example in test:
             counts[example.label] = counts.get(example.label, 0) + 1
         assert counts == {"Neutral": 6, "Duplicate": 3}
+
+    @pytest.mark.parametrize(
+        "ratio, named",
+        [
+            ({"Neutral": -1, "Duplicate": 2}, "Neutral"),
+            ({"Neutral": 1, "Duplicate": 1, "Bogus": 5}, "Bogus"),
+            ({"Neutral": 1, "Duplicate": float("nan")}, "Duplicate"),
+        ],
+    )
+    def test_bad_class_ratio_weight_is_named(self, ratio, named):
+        pairs = [(f"u{i}", f"v{i}") for i in range(40)]
+        data = make_dataset(alternating(pairs))
+        with pytest.raises(ValueError, match=named):
+            split_no_leakage(data, train_pool_size=10, test_size=9, seed=1, test_class_ratio=ratio)
 
 
 class TestSplitLeakageProperty:

@@ -5,7 +5,7 @@ import pytest
 
 from pairshot.errors import NoDataError
 from pairshot.finetune import FinetuneConfig, finetune, finetune_predict, run_finetune
-from pairshot.pet import PetConfig, distill, train_ensemble
+from pairshot.pet import PetConfig, distill, soft_label, train_ensemble
 
 
 class TestFinetune:
@@ -64,9 +64,8 @@ class TestDistillationEquivalence:
         pet_config = PetConfig.for_task(
             "so_duplicate", mlm_steps=10, distill_steps=steps, batch=batch
         )
-        members = train_ensemble(pet_config, dup_train, backend, seed=seed)
         clf = backend.create_classifier(dup_train.label_set.labels, seed)
-        distilled = distill(members, dup_train, None, pet_config, clf, backend, seed=seed)
+        distilled = distill(dup_train, [], pet_config, clf, backend, seed=seed)
 
         np.testing.assert_array_equal(ft.W, distilled.W)
         pairs = [ex.pair for ex in dup_test]
@@ -86,8 +85,7 @@ class TestDistillationEquivalence:
             "so_duplicate", mlm_steps=10, distill_steps=steps, batch=batch
         )
         members = train_ensemble(pet_config, dup_train, backend, seed=seed)
+        softened = soft_label(members, dup_unlabeled, dup_train.label_set, pet_config, backend)
         clf = backend.create_classifier(dup_train.label_set.labels, seed)
-        distilled = distill(
-            members, dup_train, dup_unlabeled, pet_config, clf, backend, seed=seed
-        )
+        distilled = distill(dup_train, softened, pet_config, clf, backend, seed=seed)
         assert not np.array_equal(ft.W, distilled.W)

@@ -168,6 +168,12 @@ class TestRunSweep:
         assert result.summaries == {}
         json.loads(result.to_json())
 
+    def test_setfit_separator_option_fails_its_cell(self, dup_pool, dup_test):
+        config = small_config(method="setfit", engine_options={"separator": " | "})
+        result = run_sweep(config, dup_pool, dup_test, backend=ToyBackend())
+        assert all(cell.status == "failed" for cell in result.cells)
+        assert all(cell.error.startswith("TypeError") for cell in result.cells)
+
     def test_label_set_mismatch_rejected(self, dup_pool):
         other_test = synthetic_pool(
             "bugzilla_entailment", 30, seed=9, kind="test", serial_prefix="x"

@@ -10,6 +10,7 @@ from pairshot.errors import EmptyEnsembleError, ShapeError
 from pairshot.pet import (
     PetConfig,
     aggregate_scores,
+    distill,
     ensemble_predict,
     render_pairs,
     run_pet,
@@ -197,6 +198,22 @@ class TestRunPet:
         first = run_pet(config, dup_train, dup_unlabeled, dup_test, backend, seed=1000)
         second = run_pet(config, dup_train, dup_unlabeled, dup_test, backend, seed=1000)
         assert first.report.to_json() == second.report.to_json()
+
+    def test_distills_the_soft_labels_of_its_ensemble(
+        self, dup_train, dup_unlabeled, dup_test, backend
+    ):
+        """run_pet is train_ensemble, soft_label, then distill over those soft labels."""
+        config = PetConfig.for_task("so_duplicate", mlm_steps=20, distill_steps=40, batch=8)
+        result = run_pet(config, dup_train, dup_unlabeled, dup_test, backend, seed=1000)
+        members = train_ensemble(config, dup_train, backend, seed=1000)
+        softened = soft_label(members, dup_unlabeled, dup_train.label_set, config, backend)
+        classifier = backend.create_classifier(
+            dup_train.label_set.labels, Rng(1000).derive("distill").next_u64()
+        )
+        seed = Rng(1000).derive("distill-order").next_u64()
+        distill(dup_train, softened, config, classifier, backend, seed)
+        np.testing.assert_array_equal(result.classifier.W, classifier.W)
+        assert result.soft_labeled == len(softened) == len(dup_unlabeled)
 
     def test_artifacts_written(self, tmp_path, dup_train, dup_test, backend):
         config = PetConfig.for_task("so_duplicate", mlm_steps=5, distill_steps=10, batch=8)

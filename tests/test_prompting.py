@@ -26,7 +26,7 @@ def words(text: str) -> int:
 
 def rendered(task, pvp_index, u, v, max_len=64):
     pvp = builtin_pvps(task)[pvp_index]
-    return render(pvp, SentencePair(u, v), max_len=max_len, length_fn=words)
+    return render(pvp, SentencePair(u, v), max_len=max_len)
 
 
 class TestBuiltinTables:

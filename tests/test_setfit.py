@@ -102,6 +102,13 @@ class TestTripletCounts:
 
 
 class TestSetFitPipeline:
+    def test_pairs_are_joined_with_the_backend_separator(self, dup_train):
+        from pairshot.backend.toy import ToyBackend, default_backend_config
+
+        backend = ToyBackend(default_backend_config(("<sep>",), separator_token="<sep>"))
+        model = setfit_fit(SetFitConfig(R=2, epochs=1, batch=8), dup_train, backend, seed=2)
+        assert model.separator == "<sep>"
+
     def test_learns_separable_task(self, dup_pool, dup_test, backend):
         from pairshot.data import sample_training_set
 
