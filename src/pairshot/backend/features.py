@@ -1,20 +1,34 @@
 """Hashed character-and-word n-gram features for the toy backend.
 
 Hashing uses crc32 with a per-family tag so a word unigram and a char
-trigram with the same bytes land in different buckets.  crc32 is stable
-across platforms and Python versions, which keeps feature extraction
-deterministic everywhere.
+trigram with the same bytes land in different buckets: an n-gram's
+bucket is crc32(f"{tag}:{gram}".encode("utf-8")) % buckets.  crc32 is
+stable across platforms and Python versions, which keeps feature
+extraction deterministic everywhere.
+
+Featurizer._occurrences hashes a whole batch at once.  It lays the
+texts and their space-joined words out in one UTF-8 buffer, describes
+every n-gram as a (byte start, byte length, tag seed) window, and runs
+the reflected table-driven crc32 over all windows together in numpy,
+longest first, so byte step j touches only the windows still running.
+The result equals zlib.crc32 bit for bit.  Texts are hashed in chunks
+of at most _CHUNK_CHARS characters, which bounds the window arrays.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 from zlib import crc32
 
 import numpy as np
 
 _CHAR_ORDERS = (3, 4)
+# Characters per hashing chunk (a longer text is one chunk alone).  A
+# chunk's work arrays take about 350 bytes per character.
+_CHUNK_CHARS = 2048
 
 
 def _tag_seed(tag: str) -> int:
@@ -24,6 +38,77 @@ def _tag_seed(tag: str) -> int:
 
 
 _CHAR_SEEDS = tuple((order, _tag_seed(f"c{order}")) for order in _CHAR_ORDERS)
+
+
+def _crc_table() -> np.ndarray:
+    """The 256-entry table of the reflected crc32 polynomial 0xEDB88320."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        shifted = table >> np.uint32(1)
+        table = np.where(table & np.uint32(1), shifted ^ np.uint32(0xEDB88320), shifted)
+    return table
+
+
+_CRC_TABLE = _crc_table()
+_ALL_ONES = np.uint32(0xFFFFFFFF)
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[i], ..., starts[i] + lengths[i] - 1 for every i, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+
+
+def _windows(units: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Windows of order consecutive units inside each run of units[i] units,
+    runs laid end to end: (run of every window, its first unit)."""
+    counts = np.maximum(units - order + 1, 0)
+    return np.repeat(np.arange(len(units)), counts), _spans(np.cumsum(units) - units, counts)
+
+
+def _crc32(
+    buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seeds: np.ndarray
+) -> np.ndarray:
+    """zlib.crc32(buf[starts[i] : starts[i] + lengths[i]], seeds[i]) for every i."""
+    order = np.argsort(-lengths)
+    pos = starts[order]
+    crc = seeds[order] ^ _ALL_ONES
+    # Windows still running at byte step j: a prefix, as the longest come first.
+    active = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
+    for a in active.tolist():
+        low = crc[:a].astype(np.uint8)
+        low ^= buf[pos[:a]]
+        crc[:a] >>= np.uint32(8)
+        crc[:a] ^= _CRC_TABLE[low]
+        pos[:a] += 1
+    out = np.empty_like(crc)
+    out[order] = crc ^ _ALL_ONES
+    return out
+
+
+def _unpaged(n: int, dtype) -> np.ndarray:
+    """An uninitialized array of n items whose unwritten pages are never
+    resident: from 128 KiB up it is an anonymous mapping of its own, never
+    heap memory that the allocator has handed out and touched before.
+    Smaller arrays come from the heap, as a mapping each would use up the
+    process's limit on mappings."""
+    size = n * np.dtype(dtype).itemsize
+    if size < 1 << 17:
+        return np.empty(n, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype)
+
+
+def _chunks(texts: Sequence[str]) -> Iterator[tuple[int, int]]:
+    """(lo, hi) ranges covering texts in order, each of at most _CHUNK_CHARS
+    characters unless it holds a single text."""
+    lo = size = 0
+    for hi, text in enumerate(texts):
+        if size + len(text) > _CHUNK_CHARS and hi > lo:
+            yield lo, hi
+            lo, size = hi, 0
+        size += len(text)
+    if lo < len(texts):
+        yield lo, len(texts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +127,8 @@ class SparseRows:
         members = np.asarray(members, dtype=np.int64)
         starts = self.indptr[members]
         lengths = self.indptr[members + 1] - starts
+        positions = _spans(starts, lengths)
         indptr = np.concatenate(([0], np.cumsum(lengths)))
-        positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
         return SparseRows(indptr, self.indices[positions], self.values[positions])
 
 
@@ -69,47 +154,96 @@ class Featurizer:
 
     def bucket_ids(self, text: str) -> list[int]:
         """Bucket of every n-gram occurrence, in occurrence order."""
-        buckets = self.buckets
-        out: list[int] = []
-        words = text.split()
-        for order in range(1, self.word_order + 1):
-            seed = _tag_seed(f"w{order}")
-            out += [
-                crc32(" ".join(words[i : i + order]).encode("utf-8"), seed) % buckets
-                for i in range(len(words) - order + 1)
-            ]
-        for order, seed in _CHAR_SEEDS:
-            out += [
-                crc32(text[i : i + order].encode("utf-8"), seed) % buckets
-                for i in range(len(text) - order + 1)
-            ]
-        return out
+        return self._occurrences([text])[1].tolist()
 
     def sparse_counts(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Sorted bucket indices and their L2-normalized counts (read-only)."""
-        ids = np.asarray(self.bucket_ids(text), dtype=np.int64)
-        idx, counts = np.unique(ids, return_counts=True)
-        val = counts.astype(np.float64)
-        if len(val):
-            val /= np.linalg.norm(val)
-        idx.flags.writeable = False
-        val.flags.writeable = False
-        return idx, val
+        rows = self._stack([text])
+        return rows.indices, rows.values
+
+    def _occurrences(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Every n-gram bucket of every text as CSR (indptr, ids): row t lists
+        bucket_ids(texts[t]), word n-grams by order, then char 3- and 4-grams."""
+        indptr, ids = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for lo, hi in _chunks(texts):
+            chunk_indptr, chunk_ids = self._hash_chunk(texts[lo:hi])
+            indptr.append(chunk_indptr[1:] + indptr[-1][-1])
+            ids.append(chunk_ids)
+        return np.concatenate(indptr), np.concatenate(ids)
+
+    def _hash_chunk(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """_occurrences of texts in one pass over one buffer."""
+        n = len(texts)
+        splits = [text.split() for text in texts]
+        raw = "".join(texts).encode("utf-8")
+        # Every word followed by one space: the buffer's spaces after raw
+        # are exactly the word ends, as split() leaves no whitespace in words.
+        words = " ".join(chain.from_iterable(splits))
+        buf = np.frombuffer(raw + (words + " " if words else "").encode("utf-8"), dtype=np.uint8)
+        # Byte offset of every raw character (its UTF-8 lead byte), and the end.
+        char_at = np.append(np.flatnonzero((buf[: len(raw)] & 0xC0) != 0x80), len(raw))
+        word_end = np.flatnonzero(buf[len(raw) :] == 0x20) + len(raw)
+        word_start = np.concatenate(([len(raw)], word_end[:-1] + 1))
+        chars = np.fromiter(map(len, texts), dtype=np.int64, count=n)
+        nwords = np.fromiter(map(len, splits), dtype=np.int64, count=n)
+        # Per family: units per text, each unit's first byte and end byte.
+        families = [
+            (nwords, word_start, word_end, order, _tag_seed(f"w{order}"))
+            for order in range(1, self.word_order + 1)
+        ] + [(chars, char_at[:-1], char_at[1:], order, seed) for order, seed in _CHAR_SEEDS]
+        owner, starts, ends, seeds = [], [], [], []
+        for units, unit_start, unit_end, order, seed in families:
+            text, first = _windows(units, order)
+            owner.append(text)
+            starts.append(unit_start[first])
+            ends.append(unit_end[first + order - 1])
+            seeds.append(np.full(len(first), seed, dtype=np.uint32))
+        # Windows come family by family; a stable sort by text puts each
+        # text's windows together and keeps bucket_ids order inside it.
+        owner = np.concatenate(owner)
+        by_text = np.argsort(owner, kind="stable")
+        start, end, tag_seed = (np.concatenate(arrays)[by_text] for arrays in (starts, ends, seeds))
+        hashes = _crc32(buf, start, end - start, tag_seed)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+        return indptr, hashes.astype(np.int64) % self.buckets
 
     def _stack(self, texts: Sequence[str]) -> SparseRows:
-        """sparse_counts of every text as one read-only CSR, written straight into
-        buffers sized by n-gram counts, so their unwritten tails are never paged in."""
+        """sparse_counts of every text as one read-only CSR.
+
+        Each distinct text is hashed once, chunk by chunk in first-occurrence
+        order; a chunk's texts, and every later copy of a text seen so far,
+        are written straight into buffers sized by n-gram counts, so their
+        unwritten tails are never paged in.
+        """
+        n = len(texts)
+        row_of: dict[str, int] = {}
+        text_row = np.fromiter((row_of.setdefault(t, len(row_of)) for t in texts), np.int64, n)
+        distinct = list(row_of)
+        first = np.unique(text_row, return_index=True)[1]  # first text of each distinct row
         bound = sum(self.word_order * len(t.split()) + len(_CHAR_ORDERS) * len(t) for t in texts)
-        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-        indices, values = np.empty(bound, dtype=np.int64), np.empty(bound)
-        first: dict[str, slice] = {}
-        for i, text in enumerate(texts):
-            row = first.get(text)
-            idx, val = self.sparse_counts(text) if row is None else (indices[row], values[row])
-            end = indptr[i] + len(idx)
-            indices[indptr[i] : end], values[indptr[i] : end] = idx, val
-            first.setdefault(text, slice(indptr[i], end))
-            indptr[i + 1] = end
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indices, values = _unpaged(bound, np.int64), _unpaged(bound, np.float64)
+        nnz = np.empty(len(distinct), dtype=np.int64)
+        done = 0
+        for lo, hi in _chunks(distinct):
+            occ_indptr, ids = self._occurrences(distinct[lo:hi])
+            owner = np.repeat(np.arange(hi - lo), np.diff(occ_indptr))
+            keys, counts = np.unique(owner * self.buckets + ids, return_counts=True)
+            row, idx = np.divmod(keys, self.buckets)
+            nnz[lo:hi] = np.bincount(row, minlength=hi - lo)
+            # The sum of squared integer counts is exact: this equals np.linalg.norm.
+            norms = np.sqrt(np.bincount(row, counts * counts, minlength=hi - lo))
+            # Texts up to the next chunk's first text read only rows hashed by now.
+            end = first[hi] if hi < len(distinct) else n
+            indptr[done + 1 : end + 1] = indptr[done] + np.cumsum(nnz[text_row[done:end]])
+            written = _spans(indptr[first[lo:hi]], nnz[lo:hi])
+            indices[written], values[written] = idx, counts / norms[row]
+            copies = done + np.flatnonzero(first[text_row[done:end]] != np.arange(done, end))
+            lengths = nnz[text_row[copies]]
+            source = _spans(indptr[first[text_row[copies]]], lengths)
+            target = _spans(indptr[copies], lengths)
+            indices[target], values[target] = indices[source], values[source]
+            done = end
         rows = SparseRows(indptr, indices[: indptr[-1]], values[: indptr[-1]])
         for array in (rows.indptr, rows.indices, rows.values):
             array.flags.writeable = False

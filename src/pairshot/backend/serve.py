@@ -212,10 +212,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     args = parser.parse_args(argv)
     overrides = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    server = BackendServer(ToyBackend(backend_config_with(overrides)))
+    try:
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError(f"{args.config}: backend config must be a JSON object")
+        server = BackendServer(ToyBackend(backend_config_with(overrides)))
+    except (PairshotError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.tcp is not None:
         serve_tcp(server, args.host, args.tcp)
     else:

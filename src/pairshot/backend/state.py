@@ -65,7 +65,7 @@ def model_to_payload(model) -> dict:
 
 def model_from_payload(payload: dict):
     """Rebuild a model from model_to_payload output."""
-    if payload.get("format") != FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise DataFormatError("not a model payload")
     if payload.get("version") != VERSION:
         raise DataFormatError(f"unsupported model payload version {payload.get('version')!r}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -359,11 +358,9 @@ class ToyEncoder:
 
     def _table(self, texts: Sequence[str]) -> SparseRows:
         """Row t: the distinct buckets of texts[t] in first-occurrence order, with multiplicities."""
-        id_lists = [self._featurizer.bucket_ids(text) for text in texts]
-        n = len(id_lists)
-        lengths = np.fromiter(map(len, id_lists), dtype=np.int64, count=n)
-        ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64, count=int(lengths.sum()))
-        owner = np.repeat(np.arange(n), lengths)
+        indptr, ids = self._featurizer._occurrences(texts)
+        n = len(texts)
+        owner = np.repeat(np.arange(n), np.diff(indptr))
         # Distinct (text, bucket) pairs, put back in first-occurrence order.
         keys, first, mult = np.unique(
             owner * self.config.buckets + ids, return_index=True, return_counts=True

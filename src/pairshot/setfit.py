@@ -255,8 +255,11 @@ def load_setfit(path: str | Path) -> SetFitModel:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if payload.get("format") != "pairshot-setfit":
+    if not isinstance(payload, dict) or payload.get("format") != "pairshot-setfit":
         raise DataFormatError(f"{path} is not a setfit bundle")
+    missing = [key for key in ("encoder", "head", "labels", "separator") if key not in payload]
+    if missing:
+        raise DataFormatError(f"{path}: setfit bundle lacks {missing}")
     encoder = model_from_payload(payload["encoder"])
     head_data = payload["head"]
     head = LogisticHead(head_data["n_classes"], head_data["dim"], head_data["l2"])

@@ -742,6 +742,20 @@ class TestSubprocessEndToEnd:
         finally:
             backend.close()
 
+    @pytest.mark.parametrize(
+        "content", [None, "[1]", "not json {", '"buckets"', "7", '{"buckets": -1}']
+    )
+    def test_bad_config_file_is_one_error_line(self, tmp_path, capsys, content):
+        """A missing, unparsable or non-object --config ends in one error: line."""
+        from pairshot.backend import serve
+
+        config = tmp_path / "backend.json"
+        if content is not None:
+            config.write_text(content, encoding="utf-8")
+        assert serve.main(["--config", str(config)]) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_tcp_backend_round_trip(self):
         """The same protocol works over a TCP socket."""
         backend = connect_tcp("127.0.0.1", start_tcp_server())

@@ -21,7 +21,13 @@ from pairshot.backend.toy import (
     default_backend_config,
 )
 from pairshot.data import SentencePair
-from pairshot.errors import NoDataError, NumericError, ShapeError, VocabularyError
+from pairshot.errors import (
+    DataFormatError,
+    NoDataError,
+    NumericError,
+    ShapeError,
+    VocabularyError,
+)
 from pairshot.numerics import cosine_similarity, stable_softmax
 from pairshot.prompting import builtin_pvps, render
 from pairshot.rng import Rng
@@ -474,6 +480,12 @@ class TestStateRoundTrip:
         again = load_model(path)
         texts = ["a b", "x y", "completely new text"]
         np.testing.assert_array_equal(enc.encode(texts), again.encode(texts))
+
+    def test_payload_that_is_not_an_object_is_a_data_format_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1]", encoding="utf-8")
+        with pytest.raises(DataFormatError):
+            load_model(path)
 
 
 class TestBatchContract:

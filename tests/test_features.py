@@ -6,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairshot.backend import features
 from pairshot.backend.features import Featurizer
@@ -157,18 +159,18 @@ class TestSparseRows:
 
 class TestFeaturizedOnce:
     def test_three_scorers_featurize_each_distinct_text_once(self, monkeypatch):
-        """The seeds of one pattern score one cloze list: one sparse_counts per text."""
+        """The seeds of one pattern score one cloze list: each distinct text is hashed once."""
         from pairshot.backend.toy import ToyBackend
         from pairshot.prompting import ClozeInput
 
         calls = []
-        sparse_counts = Featurizer.sparse_counts
+        occurrences = Featurizer._occurrences
 
-        def spy(self, text):
-            calls.append(text)
-            return sparse_counts(self, text)
+        def spy(self, texts):
+            calls.extend(texts)
+            return occurrences(self, texts)
 
-        monkeypatch.setattr(Featurizer, "sparse_counts", spy)
+        monkeypatch.setattr(Featurizer, "_occurrences", spy)
         texts = [f"probe {i} for the featurized-once check <mask>" for i in range(5)]
         clozes = [ClozeInput(text, len(text) - 6) for text in texts + texts[:2]]
         backend = ToyBackend()
@@ -176,3 +178,58 @@ class TestFeaturizedOnce:
             scores = backend.create_scorer(seed).score(clozes, ["Yes", "No"])
             assert scores.shape == (7, 2)
         assert sorted(calls) == sorted(texts)
+
+
+def assert_batch_equals_reference(featurizer, texts):
+    indptr, ids = featurizer._occurrences(texts)
+    rows = featurizer.counts_batch(texts, keep=False)
+    assert len(indptr) == len(rows.indptr) == len(texts) + 1
+    for i, text in enumerate(texts):
+        expected = reference_bucket_ids(text, featurizer.buckets, featurizer.word_order)
+        assert ids[indptr[i] : indptr[i + 1]].tolist() == expected
+        ref_idx, ref_val = reference_sparse_counts(text, featurizer.buckets, featurizer.word_order)
+        assert rows.indices[rows.indptr[i] : rows.indptr[i + 1]].tobytes() == ref_idx.tobytes()
+        assert rows.values[rows.indptr[i] : rows.indptr[i + 1]].tobytes() == ref_val.tobytes()
+
+
+class TestBatchHashing:
+    """_occurrences hashes a whole batch with a numpy crc32; it must equal
+    the per-gram zlib reference byte for byte, chunk boundaries included."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        texts=st.lists(
+            st.text() | st.sampled_from(["", " ", "\t\n ", "ab", "é 应", "a b c"]), max_size=12
+        ),
+        chunk=st.sampled_from([1, 5, 40, features._CHUNK_CHARS]),
+        setting=st.sampled_from(SETTINGS),
+    )
+    def test_batches_equal_the_zlib_reference(self, texts, chunk, setting):
+        # Repeats make duplicates that straddle chunks once the chunks are small.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "_CHUNK_CHARS", chunk)
+            assert_batch_equals_reference(Featurizer(*setting), texts + texts[::2])
+
+    @pytest.mark.parametrize("buckets,word_order", SETTINGS)
+    def test_no_window_crosses_a_text_boundary(self, buckets, word_order, monkeypatch):
+        featurizer = Featurizer(buckets, word_order)
+        for chunk in (1, features._CHUNK_CHARS):
+            monkeypatch.setattr(features, "_CHUNK_CHARS", chunk)
+            for texts in (["ab", "cd"], ["x y", "z"], ["", "abc", "", "d e"], ["  ", "é", "ab"]):
+                assert_batch_equals_reference(featurizer, texts)
+        # "abc" and the word bigram "y z" would only appear across a boundary.
+        _, ids = Featurizer(32768, 2)._occurrences(["ab", "cd", "x y", "z"])
+        across = [zlib.crc32(b"c3:abc") % 32768, zlib.crc32(b"w2:y z") % 32768]
+        assert not set(across) & set(ids.tolist())
+
+    def test_empty_batch(self):
+        indptr, ids = Featurizer(7, 2)._occurrences([])
+        assert indptr.tolist() == [0] and ids.tolist() == []
+        assert len(Featurizer(7, 2).counts_batch([], keep=False)) == 0
+
+    def test_lone_surrogate_still_raises(self):
+        for texts in (["\ud800"], ["fine", "bad \udfff text"]):
+            with pytest.raises(UnicodeEncodeError):
+                Featurizer(32768, 2)._occurrences(texts)
+            with pytest.raises(UnicodeEncodeError):
+                Featurizer(32768, 2).counts_batch(texts, keep=False)

@@ -1,10 +1,12 @@
 """Contrastive pair generation and the encoder-plus-head pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
 from pairshot.data import Dataset, LabeledExample, LabelSet, SentencePair
-from pairshot.errors import InfeasibleTripletsError
+from pairshot.errors import DataFormatError, InfeasibleTripletsError
 from pairshot.setfit import (
     SetFitConfig,
     generate_contrastive,
@@ -144,6 +146,27 @@ class TestSetFitPipeline:
         l2, p2 = setfit_predict(again, pairs)
         assert l1 == l2
         np.testing.assert_array_equal(p1, p2)
+
+    @pytest.mark.parametrize(
+        "damage", ["not an object", "encoder", "head", "labels", "separator", "encoder=[1]"]
+    )
+    def test_malformed_bundle_is_a_data_format_error(self, tmp_path, dup_train, backend, damage):
+        """A bundle or encoder payload that is not an object, or a bundle that
+        lacks a part, is refused as DataFormatError."""
+        path = tmp_path / "setfit.json"
+        if damage == "not an object":
+            path.write_text("[1]", encoding="utf-8")
+        else:
+            model = setfit_fit(SetFitConfig(R=3, epochs=1, batch=8), dup_train, backend, seed=2)
+            save_setfit(model, path)
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            if damage == "encoder=[1]":
+                payload["encoder"] = [1]
+            else:
+                del payload[damage]
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError):
+            load_setfit(path)
 
     def test_epochs_zero_skips_encoder_tuning(self, dup_train, backend):
         """With epochs=0 the encoder stays at its deterministic init, but
