@@ -13,6 +13,8 @@ the reflected table-driven crc32 over all windows together in numpy,
 longest first, so byte step j touches only the windows still running.
 The result equals zlib.crc32 bit for bit.  Texts are hashed in chunks
 of at most _CHUNK_CHARS characters, which bounds the window arrays.
+Featurizer._stack hashes each distinct text of a batch once into one CSR
+and, only when the batch repeats a text, takes the batch's rows from it.
 """
 
 from __future__ import annotations
@@ -210,41 +212,31 @@ class Featurizer:
     def _stack(self, texts: Sequence[str]) -> SparseRows:
         """sparse_counts of every text as one read-only CSR.
 
-        Each distinct text is hashed once, chunk by chunk in first-occurrence
-        order; a chunk's texts, and every later copy of a text seen so far,
-        are written straight into buffers sized by n-gram counts, so their
-        unwritten tails are never paged in.
+        Each distinct text is hashed once, chunk by chunk, straight into
+        buffers sized by the distinct texts' n-gram bound, so their unwritten
+        tails are never paged in.  A batch that repeats a text then takes
+        its rows from the distinct ones.
         """
         n = len(texts)
         row_of: dict[str, int] = {}
         text_row = np.fromiter((row_of.setdefault(t, len(row_of)) for t in texts), np.int64, n)
         distinct = list(row_of)
-        first = np.unique(text_row, return_index=True)[1]  # first text of each distinct row
-        bound = sum(self.word_order * len(t.split()) + len(_CHAR_ORDERS) * len(t) for t in texts)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        bound = sum(self.word_order * len(t.split()) + len(_CHAR_ORDERS) * len(t) for t in distinct)
+        indptr = np.zeros(len(distinct) + 1, dtype=np.int64)
         indices, values = _unpaged(bound, np.int64), _unpaged(bound, np.float64)
-        nnz = np.empty(len(distinct), dtype=np.int64)
-        done = 0
         for lo, hi in _chunks(distinct):
             occ_indptr, ids = self._occurrences(distinct[lo:hi])
             owner = np.repeat(np.arange(hi - lo), np.diff(occ_indptr))
             keys, counts = np.unique(owner * self.buckets + ids, return_counts=True)
             row, idx = np.divmod(keys, self.buckets)
-            nnz[lo:hi] = np.bincount(row, minlength=hi - lo)
+            indptr[lo + 1 : hi + 1] = indptr[lo] + np.cumsum(np.bincount(row, minlength=hi - lo))
             # The sum of squared integer counts is exact: this equals np.linalg.norm.
             norms = np.sqrt(np.bincount(row, counts * counts, minlength=hi - lo))
-            # Texts up to the next chunk's first text read only rows hashed by now.
-            end = first[hi] if hi < len(distinct) else n
-            indptr[done + 1 : end + 1] = indptr[done] + np.cumsum(nnz[text_row[done:end]])
-            written = _spans(indptr[first[lo:hi]], nnz[lo:hi])
+            written = slice(indptr[lo], indptr[hi])
             indices[written], values[written] = idx, counts / norms[row]
-            copies = done + np.flatnonzero(first[text_row[done:end]] != np.arange(done, end))
-            lengths = nnz[text_row[copies]]
-            source = _spans(indptr[first[text_row[copies]]], lengths)
-            target = _spans(indptr[copies], lengths)
-            indices[target], values[target] = indices[source], values[source]
-            done = end
         rows = SparseRows(indptr, indices[: indptr[-1]], values[: indptr[-1]])
+        if len(distinct) < n:
+            rows = rows.take(text_row)
         for array in (rows.indptr, rows.indices, rows.values):
             array.flags.writeable = False
         return rows

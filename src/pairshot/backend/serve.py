@@ -216,8 +216,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{args.config}: backend config must be a JSON object")
         server = BackendServer(ToyBackend(backend_config_with(overrides)))
     except (PairshotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

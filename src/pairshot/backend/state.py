@@ -11,10 +11,11 @@ import base64
 import json
 from dataclasses import asdict
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from ..errors import DataFormatError
+from ..errors import DataFormatError, PairshotError
 from .toy import ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
 FORMAT = "pairshot-model"
@@ -25,9 +26,26 @@ def array_to_b64(arr: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
-def array_from_b64(data: str, shape: tuple[int, ...]) -> np.ndarray:
-    flat = np.frombuffer(base64.b64decode(data), dtype="<f8")
-    return flat.reshape(shape).astype(np.float64)
+def array_from_b64(data: str, shape: Sequence[int], name: str) -> np.ndarray:
+    """The float64 array of this shape stored in data, the payload field
+    name; DataFormatError if data and shape do not make one."""
+    try:
+        if any(type(n) is not int or n < 0 for n in shape):
+            raise ValueError("the shape is not a list of non-negative integers")
+        flat = np.frombuffer(base64.b64decode(data), dtype="<f8")
+        return flat.reshape(tuple(shape)).astype(np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{name!r} is not an array of shape {shape!r}: {exc}") from exc
+
+
+def payload_fields(payload: object, names: Sequence[str], what: str) -> list:
+    """payload[name] for every name; DataFormatError naming what is missing."""
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{what} is not a JSON object")
+    missing = [name for name in names if name not in payload]
+    if missing:
+        raise DataFormatError(f"{what} lacks {missing}")
+    return [payload[name] for name in names]
 
 
 def model_to_payload(model) -> dict:
@@ -69,23 +87,32 @@ def model_from_payload(payload: dict):
         raise DataFormatError("not a model payload")
     if payload.get("version") != VERSION:
         raise DataFormatError(f"unsupported model payload version {payload.get('version')!r}")
-    config = backend_config_with(payload["config"])
+    (overrides,) = payload_fields(payload, ["config"], "model payload")
+    try:
+        config = backend_config_with(overrides)
+    except (PairshotError, ValueError) as exc:
+        raise DataFormatError(f"model payload 'config' is refused: {exc}") from exc
     kind = payload.get("kind")
-    if kind == "masked-scorer":
-        model = ToyMaskedScorer(config, payload.get("seed", 0))
-        model.W = array_from_b64(payload["weights"], tuple(payload["shape"]))
-        model._sched = dict(payload.get("schedule", {}))
-        return model
-    if kind == "text-classifier":
-        model = ToyTextClassifier(config, tuple(payload["labels"]), payload.get("seed", 0))
-        model.W = array_from_b64(payload["weights"], tuple(payload["shape"]))
+    if kind in ("masked-scorer", "text-classifier"):
+        weights, shape = payload_fields(payload, ["weights", "shape"], "model payload")
+        if kind == "masked-scorer":
+            model = ToyMaskedScorer(config, payload.get("seed", 0))
+        else:
+            (labels,) = payload_fields(payload, ["labels"], "model payload")
+            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+                raise DataFormatError("model payload 'labels' is not a list of strings")
+            model = ToyTextClassifier(config, tuple(labels), payload.get("seed", 0))
+        model.W = array_from_b64(weights, shape, "weights")
         model._sched = dict(payload.get("schedule", {}))
         return model
     if kind == "sentence-encoder":
         model = ToyEncoder(config, payload.get("seed", 0))
+        stored = payload.get("rows", {})
+        if not isinstance(stored, dict) or not all(key.isdecimal() for key in stored):
+            raise DataFormatError("model payload 'rows' is not an object keyed by bucket")
         rows = {
-            int(bucket): array_from_b64(row, (config.embedding_dim,))
-            for bucket, row in payload.get("rows", {}).items()
+            int(bucket): array_from_b64(row, (config.embedding_dim,), "rows")
+            for bucket, row in stored.items()
         }
         if any(not 0 <= bucket < config.buckets for bucket in rows):
             raise DataFormatError(f"encoder row bucket outside [0, {config.buckets})")

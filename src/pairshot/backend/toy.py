@@ -59,7 +59,21 @@ class BackendConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
+        vocabulary = self.vocabulary
+        if (
+            isinstance(vocabulary, str)
+            or not isinstance(vocabulary, Sequence)
+            or not all(isinstance(token, str) for token in vocabulary)
+        ):
+            raise ValueError("vocabulary must be a sequence of strings")
+        object.__setattr__(self, "vocabulary", tuple(vocabulary))
+        for name, kind in (
+            ("mask_token", str), ("separator_token", str), ("embedding_dim", int),
+            ("word_order", int), ("buckets", int), ("seed", int),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if len(set(self.vocabulary)) != len(self.vocabulary):
             raise ValueError("vocabulary tokens must be distinct")
         for required in (self.mask_token, self.separator_token):
@@ -88,6 +102,8 @@ def default_backend_config(extra_tokens: Iterable[str] = (), **overrides) -> Bac
 
 def backend_config_with(overrides: Mapping[str, object]) -> BackendConfig:
     """default_backend_config() with the fields named in overrides replaced."""
+    if not isinstance(overrides, Mapping):
+        raise ValueError(f"backend options must be a JSON object, got {overrides!r}")
     unknown = sorted(set(overrides) - {f.name for f in fields(BackendConfig)})
     if unknown:
         raise ValueError(f"unknown backend option(s): {unknown}")

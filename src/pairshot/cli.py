@@ -143,24 +143,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train = load_dataset(args.train)
     test = load_dataset(args.test)
     options = dict(args.option or [])
-    config = ExperimentConfig(
-        task_id=train.label_set.task_id,
-        method=args.method,
-        sizes=(len(train),),
-        replicates=1,
-        test_size=max(1, len(test)),
-        seed_base=args.seed,
-        backend_kind=args.backend,
-        engine_options=options,
-    )
     unlabeled = None
     if args.unlabeled and METHOD_TABLE[args.method].uses_unlabeled:
         unlabeled = load_dataset(args.unlabeled)
-    backend = build_backend(config)
+    backend = build_backend(args.backend, {})
     try:
         report = run_method(
-            args.method, config.task_id, options, train, unlabeled, test, backend, args.seed,
-            artifacts_dir=args.out,
+            args.method, train.label_set.task_id, options, train, unlabeled, test, backend,
+            args.seed, artifacts_dir=args.out,
         )
     finally:
         close_backend(backend)
@@ -286,7 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--unlabeled")
     train.add_argument("--backend", default="toy")
     train.add_argument("--seed", type=int, default=1000)
-    train.add_argument("--out")
+    train.add_argument(
+        "--out", metavar="DIR",
+        help="directory for report.json and, for pet, the run's artifacts",
+    )
     train.add_argument(
         "--option", action="append", type=_parse_option, metavar="KEY=VALUE",
         help="engine option, repeatable (values parsed as JSON when possible)",

@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError("test_size must be at least 1")
         if self.unlabeled_size < 0:
             raise ValueError("unlabeled_size must be non-negative")
+        if not isinstance(self.backend_options, dict) or not isinstance(self.engine_options, dict):
+            raise ValueError("config backend_options and engine_options must be JSON objects")
 
     def to_payload(self) -> dict:
         payload = asdict(self)
@@ -144,27 +146,26 @@ def replicate_seed(seed_base: int, replicate_index: int) -> int:
     return seed_base * 1000 + replicate_index
 
 
-def build_backend(config: ExperimentConfig) -> Backend:
-    """Construct the backend named by the config."""
-    options = config.backend_options
-    if config.backend_kind == "toy":
+def build_backend(kind: str, options: Mapping[str, object]) -> Backend:
+    """Construct the backend of this kind from its backend options."""
+    if kind == "toy":
         return ToyBackend(backend_config_with(options))
-    if config.backend_kind == "adapter-subprocess":
+    if kind == "adapter-subprocess":
         from .backend.adapter import connect_subprocess
 
-        _require_option(config, "command")
+        _require_option(kind, options, "command")
         return connect_subprocess(options["command"])
-    if config.backend_kind == "adapter-tcp":
+    if kind == "adapter-tcp":
         from .backend.adapter import connect_tcp
 
-        _require_option(config, "port")
+        _require_option(kind, options, "port")
         return connect_tcp(options.get("host", "127.0.0.1"), int(options["port"]))
-    raise ValueError(f"unknown backend kind {config.backend_kind!r}")
+    raise ValueError(f"unknown backend kind {kind!r}")
 
 
-def _require_option(config: ExperimentConfig, name: str) -> None:
-    if name not in config.backend_options:
-        raise ValueError(f"backend {config.backend_kind!r} needs the backend option {name!r}")
+def _require_option(kind: str, options: Mapping[str, object], name: str) -> None:
+    if name not in options:
+        raise ValueError(f"backend {kind!r} needs the backend option {name!r}")
 
 
 def close_backend(backend: Backend) -> None:
@@ -297,7 +298,7 @@ def run_sweep(
     _assert_disjoint(pool, test)
     built = backend is None
     if built:
-        backend = build_backend(config)
+        backend = build_backend(config.backend_kind, config.backend_options)
 
     started = time.perf_counter()
     cells: list[CellResult] = []

@@ -248,7 +248,7 @@ def save_setfit(model: SetFitModel, path: str | Path) -> None:
 
 
 def load_setfit(path: str | Path) -> SetFitModel:
-    from .backend.state import array_from_b64, model_from_payload
+    from .backend.state import array_from_b64, model_from_payload, payload_fields
 
     path = Path(path)
     try:
@@ -257,12 +257,21 @@ def load_setfit(path: str | Path) -> SetFitModel:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != "pairshot-setfit":
         raise DataFormatError(f"{path} is not a setfit bundle")
-    missing = [key for key in ("encoder", "head", "labels", "separator") if key not in payload]
-    if missing:
-        raise DataFormatError(f"{path}: setfit bundle lacks {missing}")
-    encoder = model_from_payload(payload["encoder"])
-    head_data = payload["head"]
-    head = LogisticHead(head_data["n_classes"], head_data["dim"], head_data["l2"])
-    head.W = array_from_b64(head_data["W"], (head_data["n_classes"], head_data["dim"]))
-    head.b = array_from_b64(head_data["b"], (head_data["n_classes"],))
-    return SetFitModel(encoder, head, tuple(payload["labels"]), payload["separator"])
+    encoder_data, head_data, labels, separator = payload_fields(
+        payload, ["encoder", "head", "labels", "separator"], f"{path}: setfit bundle"
+    )
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels + [separator]):
+        raise DataFormatError(f"{path}: setfit bundle labels and separator must be strings")
+    encoder = model_from_payload(encoder_data)
+    n_classes, dim, l2, W, b = payload_fields(
+        head_data, ["n_classes", "dim", "l2", "W", "b"], f"{path}: setfit head"
+    )
+    if type(n_classes) is not int or type(dim) is not int or type(l2) not in (int, float):
+        raise DataFormatError(
+            f"{path}: setfit head needs integer n_classes and dim and a numeric l2,"
+            f" got {n_classes!r}, {dim!r} and {l2!r}"
+        )
+    head = LogisticHead(n_classes, dim, l2)
+    head.W = array_from_b64(W, (n_classes, dim), "W")
+    head.b = array_from_b64(b, (n_classes,), "b")
+    return SetFitModel(encoder, head, tuple(labels), separator)

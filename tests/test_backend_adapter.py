@@ -743,16 +743,22 @@ class TestSubprocessEndToEnd:
             backend.close()
 
     @pytest.mark.parametrize(
-        "content", [None, "[1]", "not json {", '"buckets"', "7", '{"buckets": -1}']
+        "content",
+        [
+            None, "[1]", "not json {", '"buckets"', "7", '{"buckets": -1}',
+            '{"buckets": "x"}', '{"embedding_dim": 2.5}', '{"word_order": true}',
+            '{"seed": null}', '{"separator_token": 1}', '{"vocabulary": ["<mask>", "||", 3]}',
+        ],
     )
     def test_bad_config_file_is_one_error_line(self, tmp_path, capsys, content):
-        """A missing, unparsable or non-object --config ends in one error: line."""
+        """A missing, unparsable or non-object --config, or one with a field of
+        the wrong type, ends in one error: line and exit status 1."""
         from pairshot.backend import serve
 
         config = tmp_path / "backend.json"
         if content is not None:
             config.write_text(content, encoding="utf-8")
-        assert serve.main(["--config", str(config)]) != 0
+        assert serve.main(["--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 

@@ -11,13 +11,14 @@ import pytest
 
 from pairshot.backend.contracts import resolve_lr
 from pairshot.backend.features import Featurizer
-from pairshot.backend.state import load_model, save_model
+from pairshot.backend.state import load_model, model_from_payload, model_to_payload, save_model
 from pairshot.backend.toy import (
     BackendConfig,
     ToyBackend,
     _COSINE_EPS,
     ToyMaskedScorer,
     _softmax_ce_gradient,
+    backend_config_with,
     default_backend_config,
 )
 from pairshot.data import SentencePair
@@ -429,6 +430,25 @@ class TestWholeBackend:
         with pytest.raises(VocabularyError):
             BackendConfig(vocabulary=("a", "b"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("buckets", "x"),
+            ("buckets", True),
+            ("embedding_dim", 2.5),
+            ("word_order", None),
+            ("seed", "0"),
+            ("mask_token", 5),
+            ("separator_token", None),
+            ("vocabulary", "<mask>||"),
+            ("vocabulary", ["<mask>", "||", 3]),
+            ("vocabulary", 7),
+        ],
+    )
+    def test_config_field_of_the_wrong_type_is_a_value_error_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            backend_config_with({field: value})
+
     def test_scoring_a_rendered_builtin_pattern(self, backend):
         pvp = builtin_pvps("so_duplicate")[2]
         pair = SentencePair("how to sort a list", "sorting lists in place")
@@ -486,6 +506,47 @@ class TestStateRoundTrip:
         path.write_text("[1]", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("config", None),
+            ("weights", None),
+            ("shape", None),
+            ("labels", None),
+            ("weights", "size"),
+            ("shape", [-1]),
+            ("shape", 7),
+            ("weights", 7),
+            ("labels", 7),
+            ("config", [1]),
+            ("config", {"bukets": 1024}),
+            ("config", {"buckets": "x"}),
+            ("config", {"vocabulary": ["no mask token"]}),
+        ],
+    )
+    def test_malformed_classifier_payload_is_a_data_format_error(self, field, damage):
+        """A missing or malformed field, a weights blob whose size does not
+        match the shape, or a refused config ends in DataFormatError naming
+        the field, never in a KeyError or TypeError."""
+        payload = model_to_payload(ToyBackend().create_classifier(["Neutral", "Duplicate"]))
+        if damage is None:
+            del payload[field]
+        elif damage == "size":
+            payload["shape"] = [payload["shape"][0], payload["shape"][1] - 1]
+        else:
+            payload[field] = damage
+        with pytest.raises(DataFormatError, match=field):
+            model_from_payload(payload)
+
+    @pytest.mark.parametrize("rows", [[1], {"x": "AAAA"}, {"0": 7}])
+    def test_malformed_encoder_rows_are_a_data_format_error(self, backend, rows):
+        encoder = backend.create_encoder()
+        encoder.encode(["some text"])
+        payload = model_to_payload(encoder)
+        payload["rows"] = rows
+        with pytest.raises(DataFormatError, match="rows"):
+            model_from_payload(payload)
 
 
 class TestBatchContract:

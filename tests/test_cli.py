@@ -471,6 +471,9 @@ class TestExitCodes:
             {"task_id": "so_duplicate", "method": "finetune", "sizes": 5},
             {"task_id": "so_duplicate", "method": "finetune", "replicates": "3"},
             {"method": "finetune"},
+            {"task_id": "so_duplicate", "method": "finetune", "backend_kind": "adapter-tcp",
+             "backend_options": 5},
+            {"task_id": "so_duplicate", "method": "finetune", "engine_options": [1]},
         ],
     )
     def test_sweep_config_that_is_not_a_valid_object_exits_one(
@@ -532,6 +535,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "bukets" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"buckets": "x"},
+            {"embedding_dim": 2.5},
+            {"word_order": True},
+            {"seed": "0"},
+            {"mask_token": 5},
+            {"vocabulary": ["<mask>", "||", 3]},
+        ],
+    )
+    def test_mistyped_backend_option_exits_one(self, workspace, tmp_path, capsys, options):
+        """A backend option of the wrong type ends in one error line naming it."""
+        config = {
+            "task_id": "so_duplicate",
+            "method": "finetune",
+            "sizes": [10],
+            "replicates": 1,
+            "backend_options": options,
+        }
+        config_path = tmp_path / "mistyped-backend.config.json"
+        config_path.write_text(json.dumps(config))
+        rc = main(
+            [
+                "sweep",
+                "--config", str(config_path),
+                "--pool", str(workspace["pool"]),
+                "--test", str(workspace["test"]),
+                "--out", str(tmp_path / "sweeps"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and next(iter(options)) in err
         assert len(err.strip().splitlines()) == 1
 
 

@@ -114,6 +114,8 @@ class TestFeatureCache:
             for featurizer in configs:
                 rows = featurizer.counts_batch(texts)
                 assert len(rows) == len(texts)
+                for array in (rows.indptr, rows.indices, rows.values):
+                    assert not array.flags.writeable
                 for i, text in enumerate(texts):
                     idx = rows.indices[rows.indptr[i] : rows.indptr[i + 1]]
                     val = rows.values[rows.indptr[i] : rows.indptr[i + 1]]

@@ -103,30 +103,29 @@ class TestReplicateSeed:
 
 class TestBuildBackend:
     def test_toy_default(self):
-        backend = build_backend(small_config())
+        backend = build_backend("toy", {})
         assert isinstance(backend, ToyBackend)
         assert backend.config.embedding_dim == 32
 
     def test_toy_options_merge_over_defaults(self):
-        config = small_config(backend_options={"embedding_dim": 8})
-        backend = build_backend(config)
+        backend = build_backend("toy", {"embedding_dim": 8})
         assert backend.config.embedding_dim == 8
         assert backend.config.mask_token == "<mask>"
 
     def test_unknown_backend_kind_rejected(self):
         with pytest.raises(ValueError, match="quantum"):
-            build_backend(small_config(backend_kind="quantum"))
+            build_backend("quantum", {})
 
     def test_unknown_toy_option_named(self):
         with pytest.raises(ValueError, match="bukets"):
-            build_backend(small_config(backend_options={"bukets": 1024}))
+            build_backend("toy", {"bukets": 1024})
 
     @pytest.mark.parametrize(
         "kind, option", [("adapter-subprocess", "command"), ("adapter-tcp", "port")]
     )
     def test_adapter_kind_names_missing_option(self, kind, option):
         with pytest.raises(ValueError, match=option):
-            build_backend(small_config(backend_kind=kind))
+            build_backend(kind, {})
 
 
 class TestRunSweep:

@@ -148,11 +148,16 @@ class TestSetFitPipeline:
         np.testing.assert_array_equal(p1, p2)
 
     @pytest.mark.parametrize(
-        "damage", ["not an object", "encoder", "head", "labels", "separator", "encoder=[1]"]
+        "damage",
+        [
+            "not an object", "encoder", "head", "labels", "separator", "encoder=[1]",
+            "labels=7", 'labels=["Neutral", 1]', "separator=null",
+        ],
     )
     def test_malformed_bundle_is_a_data_format_error(self, tmp_path, dup_train, backend, damage):
         """A bundle or encoder payload that is not an object, or a bundle that
-        lacks a part, is refused as DataFormatError."""
+        lacks a part or holds labels or a separator that are not strings, is
+        refused as DataFormatError."""
         path = tmp_path / "setfit.json"
         if damage == "not an object":
             path.write_text("[1]", encoding="utf-8")
@@ -160,12 +165,51 @@ class TestSetFitPipeline:
             model = setfit_fit(SetFitConfig(R=3, epochs=1, batch=8), dup_train, backend, seed=2)
             save_setfit(model, path)
             payload = json.loads(path.read_text(encoding="utf-8"))
-            if damage == "encoder=[1]":
-                payload["encoder"] = [1]
+            if "=" in damage:
+                key, value = damage.split("=")
+                payload[key] = json.loads(value)
             else:
                 del payload[damage]
             path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataFormatError):
+            load_setfit(path)
+
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("head", {}),
+            ("n_classes", None),
+            ("dim", None),
+            ("l2", None),
+            ("W", None),
+            ("b", None),
+            ("W", "size"),
+            ("n_classes", "2"),
+            ("dim", 2.5),
+            ("l2", "x"),
+        ],
+    )
+    def test_malformed_head_is_a_data_format_error(
+        self, tmp_path, dup_train, backend, field, damage
+    ):
+        """A head that lacks a field, holds one of the wrong type, or whose
+        weights do not match its shape is refused as DataFormatError naming
+        the field."""
+        path = tmp_path / "setfit.json"
+        model = setfit_fit(SetFitConfig(R=3, epochs=1, batch=8), dup_train, backend, seed=2)
+        save_setfit(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        head = payload["head"]
+        if field == "head":
+            payload["head"] = damage
+        elif damage is None:
+            del head[field]
+        elif damage == "size":
+            head["dim"] -= 1
+        else:
+            head[field] = damage
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=field):
             load_setfit(path)
 
     def test_epochs_zero_skips_encoder_tuning(self, dup_train, backend):
