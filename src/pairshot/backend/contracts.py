@@ -111,6 +111,12 @@ class Backend(Protocol):
         ...
 
 
+def check_lr(lr: object) -> None:
+    """TypeError unless lr is a number or None (the backend default)."""
+    if lr is not None and (isinstance(lr, bool) or not isinstance(lr, (int, float))):
+        raise TypeError(f"lr must be a number or None, got {lr!r}")
+
+
 def resolve_lr(lr: float | None, backend: Backend) -> float:
     """The learning rate a config asks for; None means the backend default."""
     return backend.default_lr if lr is None else lr

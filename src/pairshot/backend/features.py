@@ -91,8 +91,11 @@ def _crc32(
 def _unpaged(n: int, dtype) -> np.ndarray:
     """An uninitialized array of n items whose unwritten pages are never
     resident: from 128 KiB up it is an anonymous mapping of its own, never
-    heap memory that the allocator has handed out and touched before.
-    Smaller arrays come from the heap, as a mapping each would use up the
+    heap memory that the allocator has handed out and touched before.  So
+    an array sized by an upper bound, such as a batch's n-gram buffers or
+    ToyEncoder's one row table with room for every bucket, costs memory
+    only where it is written, and never has to move or grow.  Smaller
+    arrays come from the heap, as a mapping each would use up the
     process's limit on mappings."""
     size = n * np.dtype(dtype).itemsize
     if size < 1 << 17:

@@ -92,21 +92,33 @@ def model_from_payload(payload: dict):
         config = backend_config_with(overrides)
     except (PairshotError, ValueError) as exc:
         raise DataFormatError(f"model payload 'config' is refused: {exc}") from exc
+    seed = payload.get("seed", 0)
+    if type(seed) is not int:
+        raise DataFormatError(f"model payload 'seed' is not an integer: {seed!r}")
     kind = payload.get("kind")
     if kind in ("masked-scorer", "text-classifier"):
         weights, shape = payload_fields(payload, ["weights", "shape"], "model payload")
         if kind == "masked-scorer":
-            model = ToyMaskedScorer(config, payload.get("seed", 0))
+            model = ToyMaskedScorer(config, seed)
         else:
             (labels,) = payload_fields(payload, ["labels"], "model payload")
             if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
                 raise DataFormatError("model payload 'labels' is not a list of strings")
-            model = ToyTextClassifier(config, tuple(labels), payload.get("seed", 0))
+            model = ToyTextClassifier(config, tuple(labels), seed)
+        schedule = payload.get("schedule", {})
+        if schedule != {} and not (
+            isinstance(schedule, dict)
+            and sorted(schedule) == ["n", "seed", "step"]
+            and all(type(value) is int for value in schedule.values())
+        ):
+            raise DataFormatError(
+                f"model payload 'schedule' is not empty or integer seed, n and step: {schedule!r}"
+            )
         model.W = array_from_b64(weights, shape, "weights")
-        model._sched = dict(payload.get("schedule", {}))
+        model._sched = dict(schedule)
         return model
     if kind == "sentence-encoder":
-        model = ToyEncoder(config, payload.get("seed", 0))
+        model = ToyEncoder(config, seed)
         stored = payload.get("rows", {})
         if not isinstance(stored, dict) or not all(key.isdecimal() for key in stored):
             raise DataFormatError("model payload 'rows' is not an object keyed by bucket")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..errors import NoDataError, NumericError, ShapeError, VocabularyError
 from ..numerics import safe_norm, stable_softmax
 from ..prompting import ClozeInput
 from ..rng import Rng
-from .features import Featurizer, SparseRows
+from .features import Featurizer, SparseRows, _unpaged
 
 _COSINE_EPS = 1e-12
 # Texts per vectorized encode block: bounds the (texts, distinct buckets)
@@ -34,10 +34,6 @@ _COSINE_EPS = 1e-12
 # peak of 64-text blocks (11.5 vs 5.7 MB) for no measurable speed.
 _ENCODE_CHUNK = 64
 _SCORE_ROWS = 64  # rows per block of _linear_scores: bounds its terms array
-# Encoder rows per storage page.  Pages are allocated once and never
-# regrown, so row views stay valid and a growing table leaves no
-# copies behind in the allocator's heap.
-_PAGE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -310,8 +306,9 @@ class ToyEncoder:
     on what was encoded before it.  Each batch draws every row it is
     missing in one vectorized pass (Rng.derive_uniform_rows, equal to
     drawing the row float by float).  Only touched buckets get a row:
-    rows fill fixed-size float64 pages in first-touch order, found
-    through a bucket -> slot map.
+    rows fill one table, mapped once at full size, in first-touch
+    order, found through a bucket -> slot map.  Slots are dense, so
+    only the pages that hold drawn rows ever become resident.
     """
 
     def __init__(self, config: BackendConfig, seed: int = 0) -> None:
@@ -321,45 +318,24 @@ class ToyEncoder:
         self._featurizer = Featurizer(config.buckets, config.word_order)
         self._rng = Rng(config.seed).derive("encoder", seed, "bucket")
         self._slot = np.full(config.buckets, -1, dtype=np.int64)
-        self._pages: list[np.ndarray] = []
+        self._rows = _unpaged(config.buckets * self.dim, np.float64).reshape(-1, self.dim)
         self._count = 0
 
-    def _append(self, buckets: np.ndarray, rows_of: Callable[[np.ndarray], np.ndarray]) -> None:
-        """Give buckets the next free slots, filled page by page with rows_of(those buckets)."""
-        done = 0
-        while done < len(buckets):
-            page, offset = divmod(self._count, _PAGE_ROWS)
-            if page == len(self._pages):
-                self._pages.append(np.empty((_PAGE_ROWS, self.dim), dtype=np.float64))
-            part = buckets[done : done + _PAGE_ROWS - offset]
-            self._pages[page][offset : offset + len(part)] = rows_of(part)
-            self._slot[part] = np.arange(self._count, self._count + len(part))
-            self._count += len(part)
-            done += len(part)
+    def _append(self, buckets: np.ndarray, rows: np.ndarray) -> None:
+        """Give buckets the next free slots, holding rows."""
+        start, self._count = self._count, self._count + len(buckets)
+        self._rows[start : self._count] = rows
+        self._slot[buckets] = np.arange(start, self._count)
 
     def _slots(self, buckets: np.ndarray) -> np.ndarray:
         """Slot of each bucket, drawing all missing rows in bulk."""
         missing = np.unique(buckets[self._slot[buckets] < 0])
-        self._append(missing, lambda part: self._rng.derive_uniform_rows(part, self.dim, -0.5, 0.5))
+        self._append(missing, self._rng.derive_uniform_rows(missing, self.dim, -0.5, 0.5))
         return self._slot[buckets]
 
-    def _by_page(self, slots: np.ndarray) -> Iterator[tuple]:
-        """(page, offsets in it, mask over slots) for each page that slots reach."""
-        page, offset = np.divmod(slots, _PAGE_ROWS)
-        for p in np.unique(page):
-            yield self._pages[p], offset[page == p], page == p
-
-    def _gather(self, slots: np.ndarray) -> np.ndarray:
-        """(len(slots), dim) copy of the rows at slots."""
-        out = np.empty((len(slots), self.dim), dtype=np.float64)
-        for rows, offsets, picked in self._by_page(slots):
-            out[picked] = rows[offsets]
-        return out
-
     def _bucket_row(self, bucket: int) -> np.ndarray:
-        """The drawn row of bucket: a view, as pages never move."""
-        slot = self._slot[bucket]
-        return self._pages[slot // _PAGE_ROWS][slot % _PAGE_ROWS]
+        """The drawn row of bucket: a view, as the table never moves."""
+        return self._rows[self._slot[bucket]]
 
     def bucket_rows(self) -> dict[int, np.ndarray]:
         """Every drawn row by bucket, in ascending bucket order (views)."""
@@ -368,9 +344,9 @@ class ToyEncoder:
     def load_bucket_rows(self, rows: Mapping[int, np.ndarray]) -> None:
         """Replace every row with rows (bucket in [0, buckets) -> dim floats)."""
         self._slot[:] = -1
-        self._pages, self._count = [], 0
+        self._count = 0
         buckets = np.fromiter(rows, dtype=np.int64, count=len(rows))
-        self._append(buckets, lambda part: np.array([rows[b] for b in part.tolist()]))
+        self._append(buckets, np.array([rows[b] for b in buckets.tolist()]).reshape(-1, self.dim))
 
     def _table(self, texts: Sequence[str]) -> SparseRows:
         """Row t: the distinct buckets of texts[t] in first-occurrence order, with multiplicities."""
@@ -399,7 +375,7 @@ class ToyEncoder:
         column = np.arange(len(text)) - table.indptr[text]
         width = int(distinct.max(initial=0))
         slots, local = np.unique(self._slots(table.indices), return_inverse=True)
-        rows = self._gather(slots)
+        rows = self._rows[slots]
         row = np.zeros((n, width), dtype=np.int64)
         weight = np.zeros((n, width), dtype=np.float64)
         row[text, column] = local
@@ -459,8 +435,7 @@ class ToyEncoder:
             update *= lr / len(members)
             if not np.isfinite(update).all():
                 raise NumericError("non-finite encoder update; lower the learning rate")
-            for rows, offsets, picked in self._by_page(self._slot[buckets]):
-                rows[offsets] -= update[picked]
+            self._rows[self._slot[buckets]] -= update
 
     @staticmethod
     def _pair_gradient(vec_a: np.ndarray, vec_b: np.ndarray, target: float) -> tuple:

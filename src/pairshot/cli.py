@@ -24,10 +24,10 @@ from .harness import (
     emit_table,
     load_sweep_payload,
     render_comparison,
-    run_method,
     run_sweep,
     save_sweep,
 )
+from .metrics import METRIC_NAMES
 from .prompting import builtin_task_ids
 
 
@@ -142,16 +142,19 @@ def _cmd_split(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     train = load_dataset(args.train)
     test = load_dataset(args.test)
+    method = METHOD_TABLE[args.method]
     options = dict(args.option or [])
+    try:
+        engine = method.make_config(train.label_set.task_id, **options)
+    except TypeError as exc:
+        given = " ".join(f"{key}={value!r}" for key, value in options.items())
+        raise ValueError(f"--option {given} refused by {args.method}: {exc}") from exc
     unlabeled = None
-    if args.unlabeled and METHOD_TABLE[args.method].uses_unlabeled:
+    if args.unlabeled and method.uses_unlabeled:
         unlabeled = load_dataset(args.unlabeled)
     backend = build_backend(args.backend, {})
     try:
-        report = run_method(
-            args.method, train.label_set.task_id, options, train, unlabeled, test, backend,
-            args.seed, artifacts_dir=args.out,
-        )
+        report = method.run(engine, train, unlabeled, test, backend, args.seed, args.out)
     finally:
         close_backend(backend)
     if args.out:
@@ -291,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--pool", required=True)
     sweep.add_argument("--test", required=True)
     sweep.add_argument("--unlabeled")
-    sweep.add_argument("--metric", default="accuracy")
+    sweep.add_argument("--metric", choices=METRIC_NAMES, default="accuracy")
     sweep.add_argument("--name", default="sweep")
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=_cmd_sweep)
 
     report = sub.add_parser("report", help="render sweep results as a table")
     report.add_argument("--result", nargs="+", required=True)
-    report.add_argument("--metric", default="accuracy")
+    report.add_argument("--metric", choices=METRIC_NAMES, default="accuracy")
     report.add_argument("--format", choices=("text", "json", "csv", "compare"), default="text")
     report.set_defaults(func=_cmd_report)
 

@@ -23,7 +23,7 @@ from .backend.toy import ToyBackend, backend_config_with
 from .data import Dataset, sample_training_set, shared_sentences
 from .errors import DatasetSizeError, InfeasibleSplitError
 from .finetune import FinetuneConfig, run_finetune
-from .metrics import EvalReport, ReplicateSummary, aggregate_replicates, format_mean_std
+from .metrics import METRIC_NAMES, EvalReport, ReplicateSummary, aggregate_replicates, format_mean_std
 from .pet import PetConfig, run_pet
 from .setfit import SetFitConfig, run_setfit
 
@@ -61,23 +61,6 @@ METHOD_TABLE: dict[str, Method] = {
 }
 METHODS = tuple(METHOD_TABLE)
 DEFAULT_SIZES = (25, 50, 100, 200, 400)
-
-
-def run_method(
-    method: str,
-    task_id: str,
-    engine_options: Mapping[str, object],
-    train: Dataset,
-    unlabeled: Dataset | None,
-    test: Dataset,
-    backend: Backend,
-    seed: int,
-    artifacts_dir: str | Path | None = None,
-) -> EvalReport:
-    """Train one method once on train and return its report on test."""
-    entry = METHOD_TABLE[method]
-    engine = entry.make_config(task_id, **engine_options)
-    return entry.run(engine, train, unlabeled, test, backend, seed, artifacts_dir)
 
 
 @dataclass(frozen=True)
@@ -256,9 +239,11 @@ def _train_cell(
     backend: Backend,
     seed: int,
 ) -> EvalReport:
+    method = METHOD_TABLE[config.method]
+    engine = method.make_config(config.task_id, **config.engine_options)
     pool = None
     if (
-        METHOD_TABLE[config.method].uses_unlabeled
+        method.uses_unlabeled
         and unlabeled is not None
         and config.unlabeled_size > 0
         and len(unlabeled)
@@ -270,9 +255,7 @@ def _train_cell(
                 f"requested {config.unlabeled_size}, using all of them"
             )
         pool = sample_training_set(unlabeled, take, seed, kind="unlabeled")
-    return run_method(
-        config.method, config.task_id, config.engine_options, sample, pool, test, backend, seed
-    )
+    return method.run(engine, sample, pool, test, backend, seed, None)
 
 
 def run_sweep(
@@ -369,13 +352,46 @@ def save_sweep(result: SweepResult, out_dir: str | Path, name: str = "sweep") ->
     return result_path
 
 
+def _is_summary(summary: object) -> bool:
+    """Whether summary has means and stds that give a number for every metric."""
+    return isinstance(summary, dict) and all(
+        isinstance(summary.get(part), dict)
+        and all(type(summary[part].get(name)) in (int, float) for name in METRIC_NAMES)
+        for part in ("means", "stds")
+    )
+
+
 def load_sweep_payload(path: str | Path) -> dict:
+    """The sweep result file at path; ValueError naming the file and the
+    field when a field that reports read is missing or mistyped."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or payload.get("format") != "pairshot-sweep":
         raise ValueError(f"{path} is not a sweep result file")
     missing = [key for key in ("config", "cells", "summaries") if key not in payload]
     if missing:
         raise ValueError(f"sweep result {path} lacks {missing}")
+    config, cells, summaries = payload["config"], payload["cells"], payload["summaries"]
+    if not (
+        isinstance(config, dict)
+        and all(isinstance(config.get(key), str) for key in ("task_id", "method", "backend_kind"))
+        and isinstance(config.get("sizes"), list)
+        and all(type(size) is int for size in config["sizes"])
+    ):
+        raise ValueError(
+            f"sweep result {path}: 'config' needs string task_id, method and backend_kind"
+            " and a list of integer sizes"
+        )
+    if not isinstance(cells, list) or not all(
+        isinstance(cell, dict) and "size" in cell and "status" in cell for cell in cells
+    ):
+        raise ValueError(f"sweep result {path}: 'cells' is not a list of objects with size and status")
+    if not isinstance(summaries, dict) or not all(
+        size.isdecimal() and _is_summary(summary) for size, summary in summaries.items()
+    ):
+        raise ValueError(
+            f"sweep result {path}: 'summaries' is not an object of summaries by size whose"
+            f" means and stds give a number for each of {list(METRIC_NAMES)}"
+        )
     return payload
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend.contracts import Backend, MaskedScorer, TextClassifier, resolve_lr
+from .backend.contracts import Backend, MaskedScorer, TextClassifier, check_lr, resolve_lr
 from .data import Dataset, LabelSet, SentencePair, SoftLabeledExample, join_pair
 from .errors import EmptyEnsembleError, NoDataError, ShapeError
 from .finetune import onehot_rows
@@ -53,6 +53,7 @@ class PetConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "pvps", tuple(self.pvps))
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        check_lr(self.lr)
         if not self.pvps:
             raise ValueError("PetConfig needs at least one pattern verbalizer pair")
         if not self.seeds:

@@ -523,6 +523,14 @@ class TestStateRoundTrip:
             ("config", {"bukets": 1024}),
             ("config", {"buckets": "x"}),
             ("config", {"vocabulary": ["no mask token"]}),
+            ("seed", "x"),
+            ("seed", 2.5),
+            ("seed", True),
+            ("schedule", [1]),
+            ("schedule", 5),
+            ("schedule", {"seed": 1, "n": 8}),
+            ("schedule", {"seed": 1, "n": "8", "step": 3}),
+            ("schedule", {"seed": 1, "n": 8, "step": 3.0}),
         ],
     )
     def test_malformed_classifier_payload_is_a_data_format_error(self, field, damage):

@@ -304,6 +304,23 @@ class TestIngestRemoteSources:
         assert dataset.label_set.task_id == "srs_conflict"
 
 
+RESULT_CONFIG = {"task_id": "so_duplicate", "method": "finetune", "backend_kind": "toy",
+                 "sizes": [10]}
+RESULT_METRICS = {"accuracy": 0.9, "macro_f1": 0.8, "weighted_f1": 0.85}
+
+
+def sweep_result(**fields):
+    """A sweep result that reports can render, with fields replaced."""
+    summary = {"count": 1, "means": RESULT_METRICS, "stds": RESULT_METRICS}
+    payload = {
+        "format": "pairshot-sweep",
+        "config": RESULT_CONFIG,
+        "cells": [{"size": 10, "replicate": 0, "seed": 1000, "status": "ok"}],
+        "summaries": {"10": summary},
+    }
+    return {**payload, **fields}
+
+
 class TestExitCodes:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -452,6 +469,22 @@ class TestExitCodes:
             {"format": "pairshot-sweep", "cells": [], "summaries": {}},
             {"format": "pairshot-sweep", "config": {}, "summaries": {}},
             {"format": "pairshot-sweep", "config": {}, "cells": []},
+            sweep_result(config=5),
+            sweep_result(config={"method": "finetune", "backend_kind": "toy", "sizes": [10]}),
+            sweep_result(config={**RESULT_CONFIG, "method": 3}),
+            sweep_result(config={**RESULT_CONFIG, "sizes": 10}),
+            sweep_result(config={**RESULT_CONFIG, "sizes": ["10"]}),
+            sweep_result(cells={}),
+            sweep_result(cells=[5]),
+            sweep_result(cells=[{"size": 10}]),
+            sweep_result(summaries=[]),
+            sweep_result(summaries={"ten": sweep_result()["summaries"]["10"]}),
+            sweep_result(summaries={"10": 5}),
+            sweep_result(summaries={"10": {"stds": RESULT_METRICS}}),
+            sweep_result(summaries={"10": {"means": RESULT_METRICS, "stds": []}}),
+            sweep_result(summaries={"10": {"means": {"accuracy": 0.9}, "stds": RESULT_METRICS}}),
+            sweep_result(summaries={"10": {"means": RESULT_METRICS, "stds": {
+                **RESULT_METRICS, "accuracy": "0.1"}}}),
         ],
     )
     @pytest.mark.parametrize("fmt", ["text", "compare"])
@@ -463,6 +496,75 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "compare"])
+    def test_report_renders_a_well_formed_result(self, tmp_path, capsys, fmt):
+        """The base of the malformed results above is itself accepted."""
+        path = tmp_path / "good.result.json"
+        path.write_text(json.dumps(sweep_result()))
+        assert main(["report", "--result", str(path), "--format", fmt]) == 0
+        assert "90.0±90.0" in capsys.readouterr().out
+
+    def test_report_with_an_unknown_metric_is_usage_error(self, sweep_dir):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--result", str(sweep_dir / "sweep.result.json"), "--metric", "bogus"])
+        assert excinfo.value.code == 2
+
+    def test_sweep_with_an_unknown_metric_is_usage_error_before_any_cell(
+        self, workspace, tmp_path
+    ):
+        config_path = tmp_path / "sweep.config.json"
+        config_path.write_text(json.dumps({"task_id": "so_duplicate", "method": "finetune"}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "sweep",
+                    "--config", str(config_path),
+                    "--pool", str(workspace["pool"]),
+                    "--test", str(workspace["test"]),
+                    "--metric", "bogus",
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "method, option, name",
+        [
+            ("finetune", "bogus=1", "bogus"),
+            ("finetune", "steps=x", "steps"),
+            ("finetune", "lr=x", "lr"),
+            ("finetune", "lr=true", "lr"),
+            ("setfit", "lr=[0.1]", "lr"),
+            ("setfit", "separator=x", "separator"),
+            ("pet", "lr=x", "lr"),
+            ("pet", "bogus=1", "bogus"),
+        ],
+    )
+    def test_train_with_a_bad_option_exits_one_before_training(
+        self, workspace, tmp_path, capsys, method, option, name
+    ):
+        """An unknown or mistyped engine option ends in one error line naming
+        it, before anything is trained or written."""
+        out = tmp_path / "out"
+        rc = main(
+            [
+                "train",
+                "--method", method,
+                "--train", str(workspace["pool"]),
+                "--test", str(workspace["test"]),
+                "--unlabeled", str(workspace["unlabeled"]),
+                "--out", str(out),
+                "--option", "batch=4",
+                "--option", option,
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "config",

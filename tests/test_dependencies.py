@@ -1,8 +1,11 @@
-"""Every third-party module the package imports is a declared dependency.
+"""Every third-party module the package imports is a declared dependency,
+and every name a package module imports is used in that module.
 
 A module that is merely installed where the tests run (scipy, say) would
 otherwise pass here and fail on a clean install.  pyproject.toml is read
-with a regular expression, as Python 3.10 has no tomllib.
+with a regular expression, as Python 3.10 has no tomllib.  An import left
+behind by a deletion is caught by the second check; the re-exports of
+__init__.py and ``from __future__`` imports are exempt from it.
 """
 
 import ast
@@ -50,3 +53,33 @@ def test_every_third_party_import_is_declared():
     third_party = set(imported) - set(sys.stdlib_module_names) - {"pairshot"}
     undeclared = {name: imported[name] for name in third_party - declared_modules()}
     assert not undeclared, f"imported but not in [project].dependencies: {undeclared}"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that source imports (outside ``from __future__``) but never uses."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_is_found():
+    source = "from __future__ import annotations\nimport os, json as j\nfrom typing import Any\nj.x\n"
+    assert unused_imports(source) == ["os (line 2)", "Any (line 3)"]
+
+
+def test_every_imported_name_is_used():
+    unused = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "__init__.py"
+        and (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert not unused, f"imported but never used: {unused}"

@@ -1,4 +1,4 @@
-"""Toy sentence encoder: bulk-drawn bucket rows, paged storage, chunked encode.
+"""Toy sentence encoder: bulk-drawn bucket rows in one table, chunked encode.
 
 LoopEncoder keeps the encoder as it was written before rows were drawn
 in bulk and training was vectorized: a dict of rows drawn one float at
@@ -117,13 +117,6 @@ def pair(config=None, seed=7):
     return ToyEncoder(config, seed), LoopEncoder(config, seed)
 
 
-@pytest.fixture(params=[5, toy._PAGE_ROWS], ids=["5-row-pages", "default-pages"])
-def page_rows(request, monkeypatch):
-    """Run with tiny pages too, so rows cross many page boundaries."""
-    monkeypatch.setattr(toy, "_PAGE_ROWS", request.param)
-    return request.param
-
-
 def assert_same_model(encoder, reference):
     assert sorted(encoder.bucket_rows()) == sorted(reference.bucket_rows())
     assert payload_bytes(encoder) == payload_bytes(reference)
@@ -164,12 +157,12 @@ class TestBatchedEncode:
         ],
         ids=["plain", "reversed", "rotated", "duplicated", "empty", "short"],
     )
-    def test_encode_equals_per_text_loop(self, batch, page_rows):
+    def test_encode_equals_per_text_loop(self, batch):
         encoder, reference = pair()
         assert encoder.encode(batch).tobytes() == reference.encode(batch).tobytes()
         assert_same_model(encoder, reference)
 
-    def test_batches_straddling_chunk_boundaries(self, page_rows):
+    def test_batches_straddling_chunk_boundaries(self):
         """A repeated text and the empty text land on both sides of a chunk boundary."""
         texts = make_texts(2 * _ENCODE_CHUNK + 3, seed=11)
         texts[_ENCODE_CHUNK - 1] = texts[_ENCODE_CHUNK] = texts[0]
@@ -177,7 +170,6 @@ class TestBatchedEncode:
         encoder, reference = pair(default_backend_config(buckets=997, embedding_dim=3), seed=2)
         assert encoder.encode(texts).tobytes() == reference.encode(texts).tobytes()
         assert_same_model(encoder, reference)
-        assert len(encoder._pages) == -(-encoder._count // page_rows)
         # Rows drawn by the first batch are reused, not redrawn, by a second.
         again = texts[_ENCODE_CHUNK - 5 :] + ["a new text only now"]
         assert encoder.encode(again).tobytes() == reference.encode(again).tobytes()
@@ -190,7 +182,7 @@ class TestFit:
     ]
 
     @pytest.mark.parametrize("epochs", [0, 1, 3])
-    def test_fit_equals_reference(self, epochs, page_rows):
+    def test_fit_equals_reference(self, epochs):
         encoder, reference = pair(seed=2**64 - 1)
         for model in (encoder, reference):
             model.fit(self.TRIPLETS, epochs=epochs, batch=4, lr=0.3, seed=5)
@@ -199,7 +191,7 @@ class TestFit:
         assert encoder.encode(probe).tobytes() == reference.encode(probe).tobytes()
         assert_same_model(encoder, reference)
 
-    def test_fit_after_encode_and_round_trip(self, page_rows):
+    def test_fit_after_encode_and_round_trip(self):
         encoder, reference = pair()
         for model in (encoder, reference):
             model.encode(make_texts(15, seed=8))
@@ -209,6 +201,20 @@ class TestFit:
         assert payload_bytes(loaded) == payload_bytes(encoder)
         probe = make_texts(10, seed=12)
         assert loaded.encode(probe).tobytes() == reference.encode(probe).tobytes()
+
+    def test_row_view_outlives_later_encode_and_fit(self):
+        """A row view stays in the table while later batches draw and train rows."""
+        encoder = ToyEncoder(default_backend_config(), 3)
+        encoder.encode(["open file"])
+        bucket = min(encoder.bucket_rows())
+        view = encoder._bucket_row(bucket)
+        drawn = view.copy()
+        encoder.encode(make_texts(200, seed=5))
+        triplets = self.TRIPLETS + [("open file", "slow query", 0.0)]
+        encoder.fit(triplets, epochs=2, batch=4, lr=0.3, seed=1)
+        assert np.shares_memory(view, encoder._rows)
+        assert view.tobytes() == encoder._bucket_row(bucket).tobytes()
+        assert view.tobytes() != drawn.tobytes()
 
 
 def test_payload_row_outside_the_table_rejected():
