@@ -2,21 +2,25 @@
 
 An external backend is a process that answers one JSON object per line.
 Requests carry an id, a verb, and params; responses echo the id and
-carry either a result or an error.  Verbs (protocol 2):
+carry either a result or an error.  Verbs (protocol 3):
 
     hello        -> mask_token, separator_token, default_lr, embedding_dim,
                     length_model, protocol
     score        clozes[n], candidates[k] -> scores[n][k]
     predict      labels[k], texts[n]      -> scores[n][k]
     encode       texts[n]                 -> vectors[n][dim]
-    train_mlm    rows [[cloze, target]], steps, batch, lr, seed, candidates
+    train_mlm    jobs [{model, init_seed, rows [[cloze, target]], seed,
+                 candidates}], steps, batch, lr  -> trained[jobs]
     train_clf    labels, rows [[text, distribution]], steps, batch, lr, seed
     fit_encoder  triplets [[text_a, text_b, similarity]], epochs, batch, lr, seed
 
-Every model verb also carries the model name and its init_seed.  The
-handshake fails with an AdapterError naming the field unless the backend
-sends every hello field with its JSON type and the protocol this client
-speaks, and a failed handshake closes the transport.
+Every other model verb carries the model name and its init_seed; a
+train_mlm request carries them per job and trains all its scorers in
+one call.  Step counts, batch sizes and seeds are JSON integers, and lr
+is a number.  The handshake fails with an AdapterError naming the field
+unless the backend sends every hello field with its JSON type and the
+protocol this client speaks, and a failed handshake closes the
+transport.
 One transport carries the lines, over a child's pipes or a TCP socket
 alike: each request has a deadline that covers writing it and reading
 the whole answer, and any failure closes the transport with an
@@ -50,7 +54,7 @@ from ..errors import PairshotError
 from ..prompting import ClozeInput
 
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 _TIMEOUT_S = 60.0
 # The hello fields every backend must send, with their JSON types.
 _HELLO_FIELDS = {
@@ -242,6 +246,22 @@ class RemoteBackend:
     def create_encoder(self, seed: int = 0) -> "RemoteEncoder":
         return RemoteEncoder(self, self._fresh_name("encoder"), seed)
 
+    def train_scorers(self, jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
+        """Every job (scorer, rendered, seed, candidates) in one train_mlm request."""
+        if any(scorer._backend is not self for scorer, *_ in jobs):
+            raise ValueError("train_scorers got a scorer of another backend")
+        params = [
+            {
+                "model": scorer._name,
+                "init_seed": scorer._seed,
+                "rows": [[asdict(cloze), target] for cloze, target in rendered],
+                "seed": seed,
+                "candidates": None if candidates is None else list(candidates),
+            }
+            for scorer, rendered, seed, candidates in jobs
+        ]
+        self.call("train_mlm", {"jobs": params, "steps": steps, "batch": batch, "lr": lr})
+
 
 def _matrix(rows: object, n: int, k: int) -> np.ndarray:
     """A result's nested list as an (n, k) float array; AdapterError if it is not one."""
@@ -284,15 +304,7 @@ class RemoteScorer(_RemoteModel):
         seed: int,
         candidates: Sequence[str] | None = None,
     ) -> None:
-        self._call(
-            "train_mlm",
-            rows=[[asdict(cloze), target] for cloze, target in rendered],
-            steps=steps,
-            batch=batch,
-            lr=lr,
-            seed=seed,
-            candidates=None if candidates is None else list(candidates),
-        )
+        self._backend.train_scorers([(self, rendered, seed, candidates)], steps, batch, lr)
 
 
 class RemoteClassifier(_RemoteModel):

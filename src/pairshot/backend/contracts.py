@@ -110,11 +110,26 @@ class Backend(Protocol):
     def create_encoder(self, seed: int = 0) -> SentenceEncoder:
         ...
 
+    def train_scorers(self, jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
+        """Train every job (scorer, rendered, seed, candidates) in one call, each
+        scorer as its train(rendered, steps, batch, lr, seed, candidates) would;
+        jobs name distinct scorers of this backend."""
+        ...
+
 
 def check_lr(lr: object) -> None:
     """TypeError unless lr is a number or None (the backend default)."""
     if lr is not None and (isinstance(lr, bool) or not isinstance(lr, (int, float))):
         raise TypeError(f"lr must be a number or None, got {lr!r}")
+
+
+def check_ints(config: object, *names: str) -> None:
+    """TypeError naming the first field that is not an int or a tuple of ints (a bool is not)."""
+    for name in names:
+        value = getattr(config, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, bool) or not isinstance(item, int):
+                raise TypeError(f"{name} takes integers only, got {item!r}")
 
 
 def resolve_lr(lr: float | None, backend: Backend) -> float:

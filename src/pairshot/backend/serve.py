@@ -10,13 +10,13 @@ where backend.json holds overrides of the default toy config, such as
 ``{"buckets": 1024}``.
 
 The verbs and their shapes are listed in ``pairshot.backend.adapter``:
-score, predict and encode answer a whole batch in one response.  Over
-TCP, clients are served one after another and each connection gets its
-own model registry, dropped when the client disconnects.  A line that
-is not UTF-8 JSON, or that the parser refuses for its nesting depth or
-a number's length, gets an AdapterError answer, and a client whose
-connection fails, by a reset or a broken pipe, ends only its own
-connection.
+score, predict and encode answer a whole batch in one response, and
+train_mlm trains all the scorers of its jobs in lockstep.  Over TCP,
+clients are served one after another and each connection gets its own
+model registry, dropped when the client disconnects.  A line that is
+not UTF-8 JSON, or that the parser refuses for its nesting depth or a
+number's length, gets an AdapterError answer, and a client whose
+connection fails, by a reset or a broken pipe, ends only its own one.
 
 Any process speaking the same protocol can stand in for this server,
 which is how transformer-scale backends plug into the engines.
@@ -35,6 +35,9 @@ from ..errors import PairshotError
 from ..prompting import ClozeInput
 from .adapter import PROTOCOL_VERSION
 from .toy import ToyBackend, backend_config_with
+
+
+_JSON_TYPES = {list: "a list", int: "an integer", float: "a number"}
 
 
 class BackendServer:
@@ -102,11 +105,12 @@ class BackendServer:
         }
 
     @staticmethod
-    def _list(params: dict, key: str) -> list:
-        """params[key], which must be a JSON array (a string would iterate as characters)."""
+    def _get(params: dict, key: str, *kinds: type):
+        """params[key], which must have one of the JSON types kinds: a string is
+        no list (it would iterate as characters), 2.5 no int, true no number."""
         value = params[key]
-        if not isinstance(value, list):
-            raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+        if type(value) not in kinds:
+            raise ValueError(f"{key} must be {_JSON_TYPES[kinds[-1]]}, got {type(value).__name__}")
         return value
 
     @staticmethod
@@ -117,52 +121,41 @@ class BackendServer:
 
     def _verb_score(self, params: dict) -> dict:
         scorer = self._scorer(params)
-        clozes = [self._cloze(cloze) for cloze in self._list(params, "clozes")]
-        return {"scores": scorer.score(clozes, self._list(params, "candidates")).tolist()}
+        clozes = [self._cloze(cloze) for cloze in self._get(params, "clozes", list)]
+        return {"scores": scorer.score(clozes, self._get(params, "candidates", list)).tolist()}
 
     def _verb_train_mlm(self, params: dict) -> dict:
-        scorer = self._scorer(params)
-        rendered = [(self._cloze(cloze), target) for cloze, target in params["rows"]]
-        scorer.train(
-            rendered,
-            int(params["steps"]),
-            int(params["batch"]),
-            float(params["lr"]),
-            int(params["seed"]),
-            params.get("candidates"),
-        )
-        return {"trained": len(rendered)}
+        jobs = []
+        for job in self._get(params, "jobs", list):
+            if not isinstance(job, dict):
+                raise ValueError(f"jobs must hold objects, got {type(job).__name__}")
+            rendered = [(self._cloze(cloze), target) for cloze, target in self._get(job, "rows", list)]
+            candidates = None if job.get("candidates") is None else self._get(job, "candidates", list)
+            jobs.append((self._scorer(job), rendered, self._get(job, "seed", int), candidates))
+        steps, batch = (self._get(params, key, int) for key in ("steps", "batch"))
+        self.backend.train_scorers(jobs, steps, batch, self._get(params, "lr", int, float))
+        return {"trained": [len(rendered) for _, rendered, _, _ in jobs]}
 
     def _verb_train_clf(self, params: dict) -> dict:
         classifier = self._classifier(params)
         rows = [(text, dist) for text, dist in params["rows"]]
-        classifier.train(
-            rows,
-            int(params["steps"]),
-            int(params["batch"]),
-            float(params["lr"]),
-            int(params["seed"]),
-        )
+        steps, batch, seed = (self._get(params, key, int) for key in ("steps", "batch", "seed"))
+        classifier.train(rows, steps, batch, self._get(params, "lr", int, float), seed)
         return {"trained": len(rows)}
 
     def _verb_predict(self, params: dict) -> dict:
         classifier = self._classifier(params)
-        return {"scores": classifier.predict(self._list(params, "texts")).tolist()}
+        return {"scores": classifier.predict(self._get(params, "texts", list)).tolist()}
 
     def _verb_encode(self, params: dict) -> dict:
         encoder = self._encoder(params)
-        return {"vectors": encoder.encode(self._list(params, "texts")).tolist()}
+        return {"vectors": encoder.encode(self._get(params, "texts", list)).tolist()}
 
     def _verb_fit_encoder(self, params: dict) -> dict:
         encoder = self._encoder(params)
         triplets = [(a, b, float(sim)) for a, b, sim in params["triplets"]]
-        encoder.fit(
-            triplets,
-            int(params["epochs"]),
-            int(params["batch"]),
-            float(params["lr"]),
-            int(params["seed"]),
-        )
+        epochs, batch, seed = (self._get(params, key, int) for key in ("epochs", "batch", "seed"))
+        encoder.fit(triplets, epochs, batch, self._get(params, "lr", int, float), seed)
         return {"fitted": len(triplets)}
 
 

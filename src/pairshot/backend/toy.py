@@ -135,68 +135,94 @@ class _Schedule:
         return self._order[slot * self.batch : (slot + 1) * self.batch]
 
 
-def _linear_scores(W: np.ndarray, rows: np.ndarray, x: SparseRows) -> np.ndarray:
-    """(len(x), len(rows)) scores W[rows] . x_i, each summed over its own slice
+def _linear_scores(W: np.ndarray, x: SparseRows) -> np.ndarray:
+    """(len(x), len(W)) scores W . x_i, each summed over its own slice
     alone, so a row scores the same in any batch; an empty row scores 0."""
-    out = np.zeros((len(x), len(rows)), dtype=np.float64)
+    out = np.zeros((len(x), len(W)), dtype=np.float64)
     for start in range(0, len(x), _SCORE_ROWS):
         bounds = x.indptr[start : start + _SCORE_ROWS + 1]
         filled = np.flatnonzero(np.diff(bounds))
         if len(filled):
-            terms = W[rows[:, None], x.indices[bounds[0] : bounds[-1]]]
+            terms = np.take(W, x.indices[bounds[0] : bounds[-1]], axis=1)
             terms *= x.values[bounds[0] : bounds[-1]]
             out[start + filled] = np.add.reduceat(terms, bounds[filled] - bounds[0], axis=1).T
     return out
 
 
 def _softmax_ce_gradient(W: np.ndarray, x: SparseRows, targets: np.ndarray) -> tuple:
-    """The buckets x uses and, there, the gradient on W of the mean over x_i
-    of cross-entropy(targets[i], softmax(W . x_i)): mean_i (p_i - t_i) x_i^T."""
-    scores = _linear_scores(W, np.arange(len(W)), x)
+    """The buckets x uses and, there, the gradient on W of the sum over x_i
+    of cross-entropy(targets[i], softmax(W . x_i)): sum_i (p_i - t_i) x_i^T,
+    each bucket summed in row order."""
+    scores = _linear_scores(W, x)
     if not np.isfinite(scores).all():
         raise NumericError("non-finite scores during training; lower the learning rate")
-    residual = stable_softmax(scores) - targets
-    terms = np.repeat(residual, np.diff(x.indptr), axis=0).T * x.values
-    width = W.shape[1]
-    buckets = np.flatnonzero(np.bincount(x.indices, minlength=width))
-    grad = np.array([np.bincount(x.indices, weights, minlength=width)[buckets] for weights in terms])
-    return buckets, grad / len(x)
+    residual = (stable_softmax(scores) - targets).T
+    terms = np.take(residual, np.repeat(np.arange(len(x)), np.diff(x.indptr)), axis=1) * x.values
+    used = np.zeros(W.shape[1], dtype=bool)
+    used[x.indices] = True
+    buckets = np.flatnonzero(used)
+    return buckets, np.array([np.bincount(x.indices, w, len(used))[buckets] for w in terms])
 
 
-def _train_softmax_ce(
-    W: np.ndarray, rows: np.ndarray, features: SparseRows, targets: np.ndarray,
-    steps: int, batch: int, lr: float, seed: int, sched_state: dict,
-) -> None:
-    """Minibatch SGD on the cross-entropy of a softmax over W[rows].
+def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
+    """Minibatch SGD on the cross-entropy of a softmax over W[rows], for
+    every job (W, rows, features, targets, seed, sched_state) in lockstep.
 
     features holds one row per example, targets the (n, k) distributions.
-    A step gathers its batch B, scores it at the weights it starts from
-    and writes W[rows] -= lr / |B| * sum_B (p - t) x^T once, so the order
-    inside a batch does not matter.  Training resumes the step counter
+    A step gathers each job's batch B, scores it at the weights it starts
+    from and writes W[rows] -= lr / |B| * sum_B (p - t) x^T once, so the
+    order inside a batch does not matter.  A job resumes its step counter
     when called again with the same seed and data size, so two calls of
     s1 and s2 steps match one call of s1 + s2.
+
+    Steps read and write only the columns the data has: each job's used
+    columns of W[rows] get their own range of one block.  A step gathers
+    every job's batch in one take and scores and sums it in one pass; a
+    column sums only its own job's rows, in order, so each job ends
+    bit-equal to training it alone.  A non-finite step writes nothing for
+    any job; every W and schedule keeps the steps completed before it.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    n = len(features)
-    start = sched_state["step"] if (sched_state.get("seed"), sched_state.get("n")) == (seed, n) else 0
-    schedule = _Schedule(n, batch, seed)
-    # Steps read and write only the columns the data has: train on that
-    # block of W[rows], with features re-indexed into it, and copy it back.
-    columns = np.flatnonzero(np.bincount(features.indices, minlength=W.shape[1]))
-    local = SparseRows(features.indptr, np.searchsorted(columns, features.indices), features.values)
-    block = W[rows[:, None], columns]
+    if not jobs or len({id(job[0]) for job in jobs}) < len(jobs):
+        raise ValueError("training needs jobs that each name one model once")
+    if len({len(job[1]) for job in jobs}) > 1:
+        raise ShapeError("training jobs must share one candidate count")
+    columns, parts, starts, schedules = [], [], [], []
+    for W, _, f, _, seed, state in jobs:
+        used = np.flatnonzero(np.bincount(f.indices, minlength=W.shape[1]))
+        local = np.searchsorted(used, f.indices)
+        local += sum(map(len, columns))
+        parts.append(SparseRows(f.indptr, local, f.values))
+        columns.append(used)
+        starts.append(state["step"] if (state.get("seed"), state.get("n")) == (seed, len(f)) else 0)
+        schedules.append(_Schedule(len(f), batch, seed))
+    features = parts[0] if len(parts) == 1 else SparseRows(
+        np.append(0, np.cumsum(np.concatenate([np.diff(part.indptr) for part in parts]))),
+        np.concatenate([part.indices for part in parts]),
+        np.concatenate([part.values for part in parts]),
+    )
+    targets = np.concatenate([job[3] for job in jobs])
+    first_row = np.cumsum([0] + [len(job[2]) for job in jobs])
+    owner = np.repeat(np.arange(len(jobs)), [len(c) for c in columns])
+    block = np.concatenate([W[rows[:, None], c] for (W, rows, *_), c in zip(jobs, columns)], axis=1)
+    cells = np.arange(len(block))[:, None] * block.shape[1]  # + column: index into block.flat
+    done = 0
     try:
-        for step in range(start, start + steps):
-            members = schedule.batch_indices(step)
-            touched, grad = _softmax_ce_gradient(block, local.take(members), targets[members])
-            update = lr * grad
+        while done < steps:
+            batches = [s.batch_indices(start + done) for s, start in zip(schedules, starts)]
+            members = np.concatenate([np.add(b, at) for b, at in zip(batches, first_row)])
+            touched, grad = _softmax_ce_gradient(block, features.take(members), targets[members])
+            update = lr * (grad / np.array([len(b) for b in batches])[owner[touched]])
             if not np.isfinite(update).all():
                 raise NumericError("non-finite update during training; lower the learning rate")
-            block[:, touched] -= update
+            block.reshape(-1)[(cells + touched).ravel()] -= update.ravel()
+            done += 1
     finally:
-        W[rows[:, None], columns] = block
-    sched_state.update(seed=seed, n=n, step=start + steps)
+        blocks = np.split(block, np.cumsum([len(c) for c in columns])[:-1], axis=1)
+        for (W, rows, f, _, seed, state), c, own, start in zip(jobs, columns, blocks, starts):
+            W[rows[:, None], c] = own
+            state.update(seed=seed, n=len(f), step=start + done)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +252,25 @@ class ToyMaskedScorer:
         if not candidates:
             raise VocabularyError("candidate token list is empty")
         rows = self._rows_for(candidates)
-        return _linear_scores(self.W, rows, self._featurizer.counts_batch([c.text for c in clozes]))
+        return _linear_scores(self.W[rows], self._featurizer.counts_batch([c.text for c in clozes]))
+
+    def _job(
+        self, rendered: Sequence[tuple[ClozeInput, str]], seed: int, candidates: Sequence[str] | None
+    ) -> tuple:
+        """The trainer's job for rendered: (W, rows, features, targets, seed, schedule)."""
+        if not rendered:
+            raise NoDataError("train called with no rendered examples")
+        targets = [target for _, target in rendered]
+        if candidates is None:
+            candidates = sorted(set(targets), key=lambda t: self._row.get(t, -1))
+        rows = self._rows_for(candidates)
+        position = {tok: k for k, tok in enumerate(candidates)}
+        outside = [target for target in targets if target not in position]
+        if outside:
+            raise VocabularyError(f"target token {outside[0]!r} outside candidate set")
+        onehot = np.eye(len(candidates))[[position[target] for target in targets]]
+        features = self._featurizer.counts_batch([cloze.text for cloze, _ in rendered])
+        return self.W, rows, features, onehot, seed, self._sched
 
     def train(
         self,
@@ -242,19 +286,7 @@ class ToyMaskedScorer:
         candidates defaults to the distinct target tokens present in
         rendered, in vocabulary order.
         """
-        if not rendered:
-            raise NoDataError("train called with no rendered examples")
-        targets = [target for _, target in rendered]
-        if candidates is None:
-            candidates = sorted(set(targets), key=lambda t: self._row.get(t, -1))
-        rows = self._rows_for(candidates)
-        position = {tok: k for k, tok in enumerate(candidates)}
-        outside = [target for target in targets if target not in position]
-        if outside:
-            raise VocabularyError(f"target token {outside[0]!r} outside candidate set")
-        onehot = np.eye(len(candidates))[[position[target] for target in targets]]
-        features = self._featurizer.counts_batch([cloze.text for cloze, _ in rendered])
-        _train_softmax_ce(self.W, rows, features, onehot, steps, batch, lr, seed, self._sched)
+        _train_softmax_ce([self._job(rendered, seed, candidates)], steps, batch, lr)
 
 
 class ToyTextClassifier:
@@ -272,8 +304,7 @@ class ToyTextClassifier:
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
         """(n, k) raw scores, one row per text, columns in label order."""
-        rows = np.arange(len(self.labels))
-        return _linear_scores(self.W, rows, self._featurizer.counts_batch(texts, keep=False))
+        return _linear_scores(self.W, self._featurizer.counts_batch(texts, keep=False))
 
     def train(
         self,
@@ -295,7 +326,7 @@ class ToyTextClassifier:
                 raise ShapeError("target distribution entries must be >= 0 and sum to 1")
         x = self._featurizer.counts_batch([text for text, _ in rows])
         targets = np.array(targets)
-        _train_softmax_ce(self.W, np.arange(k), x, targets, steps, batch, lr, seed, self._sched)
+        _train_softmax_ce([(self.W, np.arange(k), x, targets, seed, self._sched)], steps, batch, lr)
 
 
 class ToyEncoder:
@@ -480,3 +511,7 @@ class ToyBackend:
 
     def create_encoder(self, seed: int = 0) -> ToyEncoder:
         return ToyEncoder(self.config, seed)
+
+    def train_scorers(self, jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
+        """Each job (scorer, rendered, seed, candidates) trained as its scorer's train would."""
+        _train_softmax_ce([s._job(r, seed, c) for s, r, seed, c in jobs], steps, batch, lr)

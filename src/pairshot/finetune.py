@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend.contracts import Backend, TextClassifier, check_lr, resolve_lr
+from .backend.contracts import Backend, TextClassifier, check_ints, check_lr, resolve_lr
 from .data import Dataset, SentencePair, join_pair
 from .errors import NoDataError
 from .metrics import EvalReport, evaluate_predictions
@@ -30,6 +30,7 @@ class FinetuneConfig:
 
     def __post_init__(self) -> None:
         check_lr(self.lr)
+        check_ints(self, "steps", "batch")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         if self.batch <= 0:

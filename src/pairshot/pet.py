@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend.contracts import Backend, MaskedScorer, TextClassifier, check_lr, resolve_lr
+from .backend.contracts import Backend, MaskedScorer, TextClassifier, check_ints, check_lr, resolve_lr
 from .data import Dataset, LabelSet, SentencePair, SoftLabeledExample, join_pair
 from .errors import EmptyEnsembleError, NoDataError, ShapeError
 from .finetune import onehot_rows
@@ -54,6 +54,7 @@ class PetConfig:
         object.__setattr__(self, "pvps", tuple(self.pvps))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         check_lr(self.lr)
+        check_ints(self, "mlm_steps", "distill_steps", "batch", "max_len", "seeds")
         if not self.pvps:
             raise ValueError("PetConfig needs at least one pattern verbalizer pair")
         if not self.seeds:
@@ -158,12 +159,13 @@ def train_ensemble(
     The member's effective training seed mixes the run seed with the
     configured seed so replicate runs decorrelate while the 3x3
     structure stays intact.  Each pattern renders the labeled data once
-    for all of its seeds.
+    for all of its seeds; every member is created and weighed first,
+    then one backend call trains them all.
     """
     if not len(train):
         raise NoDataError("cannot train an ensemble on an empty dataset")
-    lr = resolve_lr(config.lr, backend)
     members: list[EnsembleMember] = []
+    jobs = []
     for pvp in config.pvps:
         tokens = verbalizer_tokens(pvp, train.label_set)
         clozes = render_pairs(pvp, [ex.pair for ex in train], config, backend)
@@ -172,8 +174,9 @@ def train_ensemble(
             member_seed = Rng(seed).derive("member", pvp.id, config_seed).next_u64()
             model = backend.create_scorer(member_seed)
             weight = untrained_accuracy(model, clozes, tokens, train)
-            model.train(rendered, config.mlm_steps, config.batch, lr, member_seed, tokens)
             members.append(EnsembleMember(pvp, config_seed, model, weight))
+            jobs.append((model, rendered, member_seed, tokens))
+    backend.train_scorers(jobs, config.mlm_steps, config.batch, resolve_lr(config.lr, backend))
     return members
 
 

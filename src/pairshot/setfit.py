@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend.contracts import Backend, SentenceEncoder, check_lr, resolve_lr
+from .backend.contracts import Backend, SentenceEncoder, check_ints, check_lr, resolve_lr
 from .data import Dataset, SentencePair, join_pair
 from .errors import DataFormatError, InfeasibleTripletsError, NoDataError, ShapeError
 from .logistic import LogisticHead
@@ -71,6 +71,7 @@ class SetFitConfig:
 
     def __post_init__(self) -> None:
         check_lr(self.lr)
+        check_ints(self, "R", "epochs", "batch")
         if self.R < 0:
             raise ValueError("R must be non-negative")
         if self.epochs < 0:

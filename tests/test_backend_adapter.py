@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from pairshot.backend.adapter import (
+    PROTOCOL_VERSION,
     AdapterError,
     LineTransport,
     RemoteBackend,
@@ -96,7 +97,7 @@ class TestServerVerbs:
         assert result["default_lr"] == 0.1
         assert result["embedding_dim"] == 32
         assert result["length_model"] == "whitespace"
-        assert result["protocol"] == 2
+        assert result["protocol"] == PROTOCOL_VERSION
 
     def test_score_round_trip(self, server):
         """A score request returns one row per cloze, one float per candidate token."""
@@ -205,6 +206,61 @@ class TestServerVerbs:
         assert response["kind"] == "AdapterError"
         assert "must be a list" in response["error"]
 
+    TRAIN_MLM = {
+        "jobs": [
+            {
+                "model": "scorer-t",
+                "init_seed": 0,
+                "rows": [[{"text": "fast reply <mask>", "mask_position": 2}, "Yes"]],
+                "seed": 1,
+                "candidates": ["Yes", "No"],
+            }
+        ],
+        "steps": 3,
+        "batch": 2,
+        "lr": 0.1,
+    }
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", 2.5), ("steps", True), ("batch", "2"), ("batch", None), ("lr", "0.1"),
+            ("lr", True), ("jobs", "abc"), ("jobs", {"model": "scorer-t"}), ("seed", 1.0),
+            ("seed", True), ("rows", "abc"), ("candidates", "Yes"),
+        ],
+    )
+    def test_train_mlm_refuses_a_mistyped_field_and_keeps_serving(self, server, field, value):
+        """2.5 steps are not truncated to 2, true is not 1 and a string is not a
+        list of characters: the answer names the field and nothing trains."""
+        params = json.loads(json.dumps(self.TRAIN_MLM))
+        (params["jobs"][0] if field in ("seed", "rows", "candidates") else params)[field] = value
+        response = server.handle({"id": 10, "verb": "train_mlm", "params": params})
+        assert (response["ok"], response["kind"]) == (False, "AdapterError")
+        assert field in response["error"]
+        score = {"model": "scorer-t", "clozes": [{"text": "fast reply <mask>"}], "candidates": ["Yes"]}
+        assert server.handle({"id": 11, "verb": "score", "params": score})["result"] == {
+            "scores": [[0.0]]
+        }
+        trained = server.handle({"id": 12, "verb": "train_mlm", "params": self.TRAIN_MLM})
+        assert trained == {"id": 12, "ok": True, "result": {"trained": [1]}}
+
+    CLF = {"model": "c", "labels": ["A", "B"], "rows": [["a b", [1.0, 0.0]]], "batch": 1}
+    ENC = {"model": "e", "triplets": [["a b", "c d", 1.0]], "batch": 1}
+
+    @pytest.mark.parametrize(
+        "verb, params, field",
+        [
+            ("train_clf", {**CLF, "steps": 2.5, "lr": 0.1, "seed": 0}, "steps"),
+            ("train_clf", {**CLF, "steps": 2, "lr": 0.1, "seed": True}, "seed"),
+            ("fit_encoder", {**ENC, "epochs": True, "lr": 0.1, "seed": 0}, "epochs"),
+            ("fit_encoder", {**ENC, "epochs": 1, "lr": "0.1", "seed": 0}, "lr"),
+        ],
+    )
+    def test_other_training_verbs_refuse_mistyped_counts(self, server, verb, params, field):
+        response = server.handle({"id": 13, "verb": verb, "params": params})
+        assert (response["ok"], response["kind"]) == (False, "AdapterError")
+        assert field in response["error"]
+
     def test_stdio_server_survives_malformed_lines(self):
         """Non-object and non-list inputs, and lines the JSON parser refuses,
         get an error answer; the server keeps serving."""
@@ -285,6 +341,33 @@ class TestRemoteMatchesLocal:
         with pytest.raises(NoDataError):
             encoder.fit([], epochs=1, batch=1, lr=0.1, seed=0)
 
+    def test_train_scorers_parity(self, remote):
+        """One train_scorers call over the wire trains each scorer as the
+        in-process backend does."""
+        local_backend = ToyBackend()
+        local = [local_backend.create_scorer(seed) for seed in (0, 1)]
+        remote_scorers = [remote.create_scorer(seed) for seed in (0, 1)]
+        for backend, scorers in ((local_backend, local), (remote, remote_scorers)):
+            jobs = [(s, SCORER_ROWS[: 3 + i], 9 + i, ["Yes", "No"]) for i, s in enumerate(scorers)]
+            backend.train_scorers(jobs, 12, 2, 0.1)
+        probe = cloze("fast reply sharp answer <mask>")
+        for mine, theirs in zip(remote_scorers, local):
+            np.testing.assert_array_equal(
+                mine.score([probe], ["Yes", "No"]), theirs.score([probe], ["Yes", "No"])
+            )
+
+    def test_train_scorers_refuses_one_model_twice(self, remote):
+        scorer = remote.create_scorer(seed=0)
+        job = (scorer, SCORER_ROWS, 9, ["Yes", "No"])
+        with pytest.raises(AdapterError, match="one model"):
+            remote.train_scorers([job, job], 12, 2, 0.1)
+
+    def test_train_scorers_refuses_a_scorer_of_another_backend(self, remote):
+        """Its name would address, and silently create, a model of this backend."""
+        other = RemoteBackend(DirectTransport(BackendServer())).create_scorer(seed=0)
+        with pytest.raises(ValueError, match="another backend"):
+            remote.train_scorers([(other, SCORER_ROWS, 9, ["Yes", "No"])], 12, 2, 0.1)
+
     def test_model_names_isolate_state(self, remote):
         """Training one remote scorer leaves a sibling scorer untouched."""
         first = remote.create_scorer(seed=0)
@@ -333,7 +416,8 @@ class TestRemotePetRun:
     def test_request_count_does_not_grow_with_the_data(
         self, dup_train, dup_unlabeled, dup_test, tmp_path
     ):
-        """hello, 9 x (weigh + train), 9 soft-label scores, distill, predict, 9 ensemble scores."""
+        """hello, 9 weighing scores, one train_mlm for all 9 members, 9 soft-label
+        scores, distill, predict, 9 ensemble scores."""
         counts = []
         for keep in (len(dup_unlabeled), 7):
             unlabeled = Dataset(dup_unlabeled.examples[:keep], dup_unlabeled.label_set, "unlabeled")
@@ -342,8 +426,8 @@ class TestRemotePetRun:
             self.run(RemoteBackend(transport), dup_train, unlabeled, test, tmp_path / str(keep))
             counts.append(len(transport.verbs))
             assert transport.verbs.count("score") == 27
-            assert transport.verbs.count("train_mlm") == 9
-        assert counts == [39, 39]
+            assert transport.verbs.count("train_mlm") == 1
+        assert counts == [31, 31]
 
 
 class TestTransportSafety:
@@ -366,7 +450,7 @@ class TestTransportSafety:
             "default_lr": 0.1,
             "embedding_dim": 32,
             "length_model": "whitespace",
-            "protocol": 2,
+            "protocol": PROTOCOL_VERSION,
         }
 
     def test_mismatched_response_id_rejected(self):
@@ -438,7 +522,7 @@ class TestTransportSafety:
         with pytest.raises(AdapterError, match="length model"):
             RemoteBackend(transport)
 
-    @pytest.mark.parametrize("reported", [None, 1, 3, "2"])
+    @pytest.mark.parametrize("reported", [None, 1, 2, "3"])
     def test_protocol_mismatch_rejected_naming_both_versions(self, reported):
         """A backend that omits the protocol or speaks another one fails the handshake."""
 
@@ -455,7 +539,7 @@ class TestTransportSafety:
             RemoteBackend(DirectTransport(OtherProtocolServer()))
         message = str(info.value)
         assert "\n" not in message
-        assert f"protocol {reported!r}" in message and "speaks 2" in message
+        assert f"protocol {reported!r}" in message and f"speaks {PROTOCOL_VERSION}" in message
 
     def test_malformed_score_table_rejected(self):
         """A result of the wrong shape is an AdapterError, not a bad array."""
@@ -559,11 +643,11 @@ SILENT_BACKEND = """
 import json, sys, time
 request = json.loads(sys.stdin.readline())
 result = {"mask_token": "<mask>", "separator_token": "||", "default_lr": 0.1,
-          "embedding_dim": 32, "length_model": "whitespace", "protocol": 2}
+          "embedding_dim": 32, "length_model": "whitespace", "protocol": %d}
 print(json.dumps({"id": request["id"], "ok": True, "result": result}), flush=True)
 for line in sys.stdin:
     time.sleep(30)
-"""
+""" % PROTOCOL_VERSION
 
 
 class TestSubprocessDeadline:

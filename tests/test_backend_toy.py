@@ -17,6 +17,7 @@ from pairshot.backend.toy import (
     ToyBackend,
     _COSINE_EPS,
     ToyMaskedScorer,
+    _Schedule,
     _softmax_ce_gradient,
     backend_config_with,
     default_backend_config,
@@ -238,6 +239,27 @@ class TestNonFiniteSteps:
         assert np.isfinite(clf.W).all()
         assert np.isfinite(clf.predict(["shared alpha", "shared beta"])).all()
 
+    def test_failed_scorer_training_records_the_steps_it_wrote(self, backend):
+        """Poison a bucket only text 7 of 8 uses: the step that first batches
+        it raises, and the saved schedule counts the steps already in W, so
+        a resumed run does not replay them."""
+        data = yes_no_rendering(8)
+        scorer = backend.create_scorer()
+        features = Featurizer(backend.config.buckets, backend.config.word_order)
+        others = {b for cloze_input, _ in data[:7] for b in features.bucket_ids(cloze_input.text)}
+        only_7 = min(set(features.bucket_ids(data[7][0].text)) - others)
+        scorer.W[scorer._row["Yes"], only_7] = np.inf
+        schedule = _Schedule(8, 2, 5)
+        failing = next(step for step in range(50) if 7 in schedule.batch_indices(step))
+        assert failing > 0
+        with pytest.raises(NumericError):
+            scorer.train(data, steps=50, batch=2, lr=0.1, seed=5)
+        assert model_to_payload(scorer)["schedule"] == {"seed": 5, "n": 8, "step": failing}
+        reference = backend.create_scorer()
+        reference.W[scorer._row["Yes"], only_7] = np.inf
+        reference.train(data, steps=failing, batch=2, lr=0.1, seed=5)
+        assert model_to_payload(scorer) == model_to_payload(reference)
+
     def test_encoder_rows_stay_finite(self, backend):
         enc = backend.create_encoder(seed=3)
         triplets = [("shared alpha", "shared beta", 1.0), ("shared alpha", "other text", 0.0)]
@@ -381,9 +403,9 @@ class TestEncoderGradientCheck:
 
 class TestSoftmaxCeGradientCheck:
     def test_mean_minibatch_gradient_matches_central_differences(self):
-        """50 random probes: the mean minibatch cross-entropy gradient that
-        a softmax-CE step applies agrees with central finite differences
-        to 1e-6 relative."""
+        """50 random probes: the summed minibatch cross-entropy gradient,
+        divided by the batch size as a softmax-CE step divides it, agrees
+        with central finite differences to 1e-6 relative."""
         words = ["alpha", "beta", "gamma", "delta", "omega", "query", "panic"]
         rng = np.random.default_rng(11)
         config = default_backend_config(buckets=64)
@@ -404,7 +426,7 @@ class TestSoftmaxCeGradientCheck:
             plus[j, buckets[c]] += h
             minus[j, buckets[c]] -= h
             numeric = (mean_ce_loss(plus, X, T) - mean_ce_loss(minus, X, T)) / (2 * h)
-            np.testing.assert_allclose(grad[j, c], numeric, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(grad[j, c] / m, numeric, rtol=1e-6, atol=1e-9)
             checked += 1
 
 

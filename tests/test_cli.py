@@ -540,6 +540,11 @@ class TestExitCodes:
             ("setfit", "separator=x", "separator"),
             ("pet", "lr=x", "lr"),
             ("pet", "bogus=1", "bogus"),
+            ("pet", "mlm_steps=2.5", "mlm_steps"),
+            ("pet", "mlm_steps=true", "mlm_steps"),
+            ("finetune", "steps=2.5", "steps"),
+            ("finetune", "steps=true", "steps"),
+            ("finetune", "batch=1.5", "batch"),
         ],
     )
     def test_train_with_a_bad_option_exits_one_before_training(

@@ -6,6 +6,32 @@ import pytest
 from pairshot.errors import NoDataError
 from pairshot.finetune import FinetuneConfig, finetune, finetune_predict, run_finetune
 from pairshot.pet import PetConfig, distill, soft_label, train_ensemble
+from pairshot.setfit import SetFitConfig
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (FinetuneConfig, "steps", 2.5),
+        (FinetuneConfig, "steps", True),
+        (FinetuneConfig, "batch", 1.5),
+        (SetFitConfig, "R", 2.0),
+        (SetFitConfig, "epochs", False),
+        (SetFitConfig, "batch", "8"),
+        (lambda **kw: PetConfig.for_task("so_duplicate", **kw), "mlm_steps", 2.5),
+        (lambda **kw: PetConfig.for_task("so_duplicate", **kw), "mlm_steps", True),
+        (lambda **kw: PetConfig.for_task("so_duplicate", **kw), "distill_steps", 1e3),
+        (lambda **kw: PetConfig.for_task("so_duplicate", **kw), "batch", 8.0),
+        (lambda **kw: PetConfig.for_task("so_duplicate", **kw), "max_len", None),
+        (lambda **kw: PetConfig.for_task("so_duplicate", **kw), "seeds", (1, 2.5)),
+        (lambda **kw: PetConfig.for_task("so_duplicate", **kw), "seeds", (True,)),
+    ],
+)
+def test_engine_counts_that_are_not_integers_are_a_type_error_naming_the_field(make, field, value):
+    """Step counts, batch sizes, lengths and seeds are ints, never floats or
+    bools that a comparison or a range() would take or truncate later."""
+    with pytest.raises(TypeError, match=field):
+        make(**{field: value})
 
 
 class TestFinetune:
