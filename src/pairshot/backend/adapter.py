@@ -17,10 +17,11 @@ carry either a result or an error.  Verbs (protocol 3):
 Every other model verb carries the model name and its init_seed; a
 train_mlm request carries them per job and trains all its scorers in
 one call.  Step counts, batch sizes and seeds are JSON integers, and lr
-is a number.  The handshake fails with an AdapterError naming the field
-unless the backend sends every hello field with its JSON type and the
-protocol this client speaks, and a failed handshake closes the
-transport.
+is a number.  An answer that is not a JSON object raises an
+AdapterError naming its JSON type.  The handshake fails with an
+AdapterError naming the field unless the backend sends every hello
+field with its JSON type and the protocol this client speaks, and a
+failed handshake closes the transport.
 One transport carries the lines, over a child's pipes or a TCP socket
 alike: each request has a deadline that covers writing it and reading
 the whole answer, and any failure closes the transport with an
@@ -62,6 +63,11 @@ _HELLO_FIELDS = {
     "separator_token": str,
     "default_lr": (int, float),
     "embedding_dim": int,
+}
+
+# JSON type names of the values json.loads returns, for error messages.
+_JSON_TYPES = {
+    list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"
 }
 
 
@@ -207,6 +213,9 @@ class RemoteBackend:
         self._next_id += 1
         request_id = self._next_id
         response = self._transport.request({"id": request_id, "verb": verb, "params": params})
+        if not isinstance(response, dict):
+            kind = _JSON_TYPES.get(type(response), type(response).__name__)
+            raise AdapterError(f"backend answered with a JSON {kind}, not an object")
         if response.get("id") != request_id:
             raise AdapterError(
                 f"response id {response.get('id')!r} does not match request id {request_id}"

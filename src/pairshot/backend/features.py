@@ -15,6 +15,14 @@ The result equals zlib.crc32 bit for bit.  Texts are hashed in chunks
 of at most _CHUNK_CHARS characters, which bounds the window arrays.
 Featurizer._stack hashes each distinct text of a batch once into one CSR
 and, only when the batch repeats a text, takes the batch's rows from it.
+
+A sweep featurizes the same texts cell after cell, so _occurrences
+hashes only texts that the process has not hashed lately.  One ring,
+mapped once, holds the bucket ids of the texts hashed last: 2**19 uint16
+slots, 1 MiB, one slot per id (two when buckets > 65,536).  Its index
+maps (buckets, word_order, text) to the text's slots and names at most
+8,192 texts.  An entry lasts until the ring overwrites one of its slots
+or 8,192 newer texts are indexed, and it leaves the index then.
 """
 
 from __future__ import annotations
@@ -31,6 +39,13 @@ _CHAR_ORDERS = (3, 4)
 # Characters per hashing chunk (a longer text is one chunk alone).  A
 # chunk's work arrays take about 350 bytes per character.
 _CHUNK_CHARS = 2048
+# Slots of the ring of hashed bucket ids: 2**19 uint16 slots, 1 MiB.  They
+# hold 524,288 ids (262,144 when buckets > 65,536), which covers a sweep's
+# test set and training pool several times over.
+_RING_SLOTS = 1 << 19
+# Texts the ring's index may name, so that short texts cannot fill it with
+# hundreds of thousands of keys: one per 64 slots.
+_RING_TEXTS = _RING_SLOTS >> 6
 
 
 def _tag_seed(tag: str) -> int:
@@ -103,6 +118,57 @@ def _unpaged(n: int, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, size), dtype=dtype)
 
 
+def _take(indptr: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indptr of a CSR's rows at members, in that order, and the
+    positions of their items in the CSR."""
+    starts = indptr[members]
+    lengths = indptr[members + 1] - starts
+    return np.concatenate(([0], np.cumsum(lengths))), _spans(starts, lengths)
+
+
+class _IdRing:
+    """The bucket ids of the texts hashed last, in one ring of uint16 slots.
+
+    Slot a, counting every slot ever written, lives at slots[a % len(slots)].
+    The index maps a key to its first slot and slot count, in write order.
+    An entry leaves it when a write reaches one of its slots or when the
+    index would name more than max_texts keys, so every entry reads back as
+    written and no key outlives the window.
+    """
+
+    def __init__(self, slots: int, max_texts: int) -> None:
+        self.slots = _unpaged(slots, np.uint16)
+        self.max_texts = max_texts
+        self.index: dict[tuple, tuple[int, int]] = {}
+        self.end = 0
+
+    def read(self, entries: Sequence[tuple[int, int]]) -> np.ndarray:
+        """The slots of entries (first slot, count), laid end to end."""
+        starts, counts = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+        return self.slots[_spans(starts, counts) % len(self.slots)]
+
+    def write(self, keys: Sequence[tuple], offsets: Sequence[int], data: np.ndarray) -> None:
+        """Append data, the slots of keys laid end to end: keys[i] has
+        data[offsets[i] : offsets[i + 1]]."""
+        size = len(self.slots)
+        kept = data[-size:]  # only the last size slots would survive
+        at = (self.end + len(data) - len(kept)) % size
+        split = min(len(kept), size - at)
+        self.slots[at : at + split] = kept[:split]
+        self.slots[: len(kept) - split] = kept[split:]
+        index, end = self.index, self.end
+        index.update(zip(keys, [(end + a, b - a) for a, b in zip(offsets, offsets[1:])]))
+        self.end += len(data)
+        # Entries are in slot order, so the overwritten ones come first.
+        stale = []
+        for key, (start, _) in index.items():
+            if start >= self.end - size and len(index) - len(stale) <= self.max_texts:
+                break
+            stale.append(key)
+        for key in stale:
+            del index[key]
+
+
 def _chunks(texts: Sequence[str]) -> Iterator[tuple[int, int]]:
     """(lo, hi) ranges covering texts in order, each of at most _CHUNK_CHARS
     characters unless it holds a single text."""
@@ -129,11 +195,7 @@ class SparseRows:
 
     def take(self, members: Sequence[int]) -> SparseRows:
         """The rows at members, in that order."""
-        members = np.asarray(members, dtype=np.int64)
-        starts = self.indptr[members]
-        lengths = self.indptr[members + 1] - starts
-        positions = _spans(starts, lengths)
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        indptr, positions = _take(self.indptr, np.asarray(members, dtype=np.int64))
         return SparseRows(indptr, self.indices[positions], self.values[positions])
 
 
@@ -152,6 +214,12 @@ class Featurizer:
     training) featurize each text once.
     A batch read for the last time (a classifier's test set) is passed
     with keep=False and is not held after the call.
+
+    Below that memo, every config shares one ring of bucket ids (1 MiB,
+    the ids of the texts hashed last), so a text read again, such as a
+    sweep's test set in every cell, is not hashed again.  keep=False drops
+    a batch's expanded rows, but its compact ids stay in the ring until
+    newer texts overwrite them.
     """
 
     buckets: int
@@ -168,16 +236,49 @@ class Featurizer:
 
     def _occurrences(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Every n-gram bucket of every text as CSR (indptr, ids): row t lists
-        bucket_ids(texts[t]), word n-grams by order, then char 3- and 4-grams."""
-        indptr, ids = [np.zeros(1, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for lo, hi in _chunks(texts):
-            chunk_indptr, chunk_ids = self._hash_chunk(texts[lo:hi])
+        bucket_ids(texts[t]), word n-grams by order, then char 3- and 4-grams.
+
+        Each distinct text is read back from the ring if it holds the text;
+        the rest are hashed, chunk by chunk, and written to the ring.
+        """
+        ring = _ring
+        compact = np.uint16 if self.buckets <= 1 << 16 else np.uint32
+        width = np.dtype(compact).itemsize // 2  # ring slots per id
+        keys = [(self.buckets, self.word_order, text) for text in texts]
+        held: dict[tuple, tuple[int, int]] = {}
+        fresh: dict[tuple, None] = {}
+        for key in keys:
+            entry = ring.index.get(key)
+            if entry is None:
+                fresh[key] = None
+            else:
+                held[key] = entry
+        # Rows: the held texts, then the fresh ones.  Read the held ones
+        # before the fresh ones' write can overwrite them.
+        indptr, ids = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        if held:
+            entries = list(held.values())
+            indptr.append(np.cumsum([count for _, count in entries]) // width)
+            ids.append(ring.read(entries).view(compact).astype(np.int64))
+        hashed = [key[2] for key in fresh]
+        for lo, hi in _chunks(hashed):
+            chunk_indptr, chunk_ids = self._hash_chunk(hashed[lo:hi])
             indptr.append(chunk_indptr[1:] + indptr[-1][-1])
             ids.append(chunk_ids)
-        return np.concatenate(indptr), np.concatenate(ids)
+        indptr, ids = np.concatenate(indptr), np.concatenate(ids)
+        if fresh:
+            first = indptr[len(held)]
+            offsets = ((indptr[len(held) :] - first) * width).tolist()
+            ring.write(list(fresh), offsets, ids[first:].astype(compact).view(np.uint16))
+        rows = [*held, *fresh]
+        if rows == keys:
+            return indptr, ids
+        row = {key: i for i, key in enumerate(rows)}
+        indptr, positions = _take(indptr, np.array([row[key] for key in keys], dtype=np.int64))
+        return indptr, ids[positions]
 
     def _hash_chunk(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """_occurrences of texts in one pass over one buffer."""
+        """What _occurrences returns for texts, hashed in one pass over one buffer."""
         n = len(texts)
         splits = [text.split() for text in texts]
         raw = "".join(texts).encode("utf-8")
@@ -215,10 +316,11 @@ class Featurizer:
     def _stack(self, texts: Sequence[str]) -> SparseRows:
         """sparse_counts of every text as one read-only CSR.
 
-        Each distinct text is hashed once, chunk by chunk, straight into
-        buffers sized by the distinct texts' n-gram bound, so their unwritten
-        tails are never paged in.  A batch that repeats a text then takes
-        its rows from the distinct ones.
+        Each distinct text's bucket ids come from _occurrences, chunk by
+        chunk, and are counted straight into buffers sized by the distinct
+        texts' n-gram bound, so their unwritten tails are never paged in.
+        A batch that repeats a text then takes its rows from the distinct
+        ones.
         """
         n = len(texts)
         row_of: dict[str, int] = {}
@@ -248,7 +350,8 @@ class Featurizer:
         """sparse_counts of every text stacked, each distinct text featurized once.
 
         keep=False marks the batch's last use, such as a test set that is
-        predicted once: the memo is left empty rather than holding it.
+        predicted once: the memo is left empty rather than holding it (the
+        ring still holds the texts' bucket ids until they are overwritten).
         """
         global _last_batch
         key = (self, tuple(texts))
@@ -265,3 +368,5 @@ class Featurizer:
 # to several models in a row, and a single batch bounds the memory held
 # by the largest dataset rather than by every dataset seen.
 _last_batch: tuple | None = None
+# The bucket ids of the texts hashed last, for every featurizer config.
+_ring = _IdRing(_RING_SLOTS, _RING_TEXTS)

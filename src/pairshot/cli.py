@@ -32,7 +32,7 @@ from .prompting import builtin_task_ids
 
 
 def _parse_option(text: str) -> tuple[str, object]:
-    """Parse one ``key=value`` engine option; value is JSON if it parses."""
+    """Parse one ``key=value`` option; value is JSON if it parses."""
     key, sep, raw = text.partition("=")
     if not sep or not key:
         raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
@@ -152,7 +152,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     unlabeled = None
     if args.unlabeled and method.uses_unlabeled:
         unlabeled = load_dataset(args.unlabeled)
-    backend = build_backend(args.backend, {})
+    backend = build_backend(args.backend, dict(args.backend_option or []))
     try:
         report = method.run(engine, train, unlabeled, test, backend, args.seed, args.out)
     finally:
@@ -286,6 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--option", action="append", type=_parse_option, metavar="KEY=VALUE",
         help="engine option, repeatable (values parsed as JSON when possible)",
+    )
+    train.add_argument(
+        "--backend-option", action="append", type=_parse_option, metavar="KEY=VALUE",
+        help="backend setting, repeatable, such as an adapter's command, host or port "
+        "(values parsed as JSON when possible)",
     )
     train.set_defaults(func=_cmd_train)
 

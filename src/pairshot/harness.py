@@ -130,25 +130,48 @@ def replicate_seed(seed_base: int, replicate_index: int) -> int:
 
 
 def build_backend(kind: str, options: Mapping[str, object]) -> Backend:
-    """Construct the backend of this kind from its backend options."""
+    """Construct the backend of this kind from its backend options.
+
+    The adapter kinds take deployment settings only: adapter-subprocess a
+    command (a list of strings), adapter-tcp a port and an optional host.
+    """
     if kind == "toy":
         return ToyBackend(backend_config_with(options))
     if kind == "adapter-subprocess":
         from .backend.adapter import connect_subprocess
 
-        _require_option(kind, options, "command")
-        return connect_subprocess(options["command"])
+        _check_options(kind, options, {"command"})
+        command = options["command"]
+        if not (
+            isinstance(command, (list, tuple))
+            and command
+            and all(isinstance(part, str) for part in command)
+        ):
+            raise ValueError(f"backend option 'command' must be a list of strings, got {command!r}")
+        return connect_subprocess(command)
     if kind == "adapter-tcp":
         from .backend.adapter import connect_tcp
 
-        _require_option(kind, options, "port")
-        return connect_tcp(options.get("host", "127.0.0.1"), int(options["port"]))
+        _check_options(kind, options, {"port"}, {"host"})
+        host, port = options.get("host", "127.0.0.1"), options["port"]
+        if not isinstance(host, str):
+            raise ValueError(f"backend option 'host' must be a string, got {host!r}")
+        if not isinstance(port, int) or isinstance(port, bool) or not 0 < port < 1 << 16:
+            raise ValueError(f"backend option 'port' must be an integer port, got {port!r}")
+        return connect_tcp(host, port)
     raise ValueError(f"unknown backend kind {kind!r}")
 
 
-def _require_option(kind: str, options: Mapping[str, object], name: str) -> None:
-    if name not in options:
-        raise ValueError(f"backend {kind!r} needs the backend option {name!r}")
+def _check_options(
+    kind: str, options: Mapping[str, object], required: set[str], optional: frozenset = frozenset()
+) -> None:
+    """Refuse options that are missing or that the kind does not take."""
+    missing = sorted(required - set(options))
+    if missing:
+        raise ValueError(f"backend {kind!r} needs the backend option {missing[0]!r}")
+    unknown = sorted(set(options) - required - optional)
+    if unknown:
+        raise ValueError(f"backend {kind!r} takes no backend option(s) {unknown}")
 
 
 def close_backend(backend: Backend) -> None:

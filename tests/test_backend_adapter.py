@@ -513,6 +513,18 @@ class TestTransportSafety:
         with pytest.raises(AdapterError, match="boom"):
             RemoteBackend(transport)
 
+    @pytest.mark.parametrize(
+        "answer, kind", [([1, 2], "array"), (42, "number"), ("x", "string"), (None, "null")]
+    )
+    def test_answer_that_is_not_an_object_is_typed(self, answer, kind):
+        """An answer that is JSON but not an object names its JSON type."""
+        closed = []
+        transport = self.EchoTransport(lambda payload: answer)
+        transport.close = lambda: closed.append(True)
+        with pytest.raises(AdapterError, match=f"JSON {kind}"):
+            RemoteBackend(transport)
+        assert closed == [True]
+
     def test_unsupported_length_model_rejected(self):
         result = self.hello_result()
         result["length_model"] = "bpe"
@@ -719,23 +731,40 @@ time.sleep(60)
 """
 
 
+ARRAY_ANSWER_BACKEND = """
+import json, os, sys, time
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(os.getpid()))
+sys.stdin.readline()
+print(json.dumps([1, 2]), flush=True)
+time.sleep(60)
+"""
+
+
 # Marks a hello field the backend leaves out.
 MISSING = object()
 
 
+def assert_refused_child_is_reaped(tmp_path, script, message):
+    pid_file = tmp_path / "pid"
+    with pytest.raises(AdapterError, match=message):
+        connect_subprocess([sys.executable, "-c", script, str(pid_file)])
+    pid = int(pid_file.read_text())
+    try:
+        # A reaped child's pid is gone; a running or zombie one still answers signal 0.
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    finally:
+        with contextlib.suppress(OSError):
+            os.kill(pid, signal.SIGKILL)
+
+
 class TestRefusedHandshake:
     def test_subprocess_child_is_stopped_and_reaped(self, tmp_path):
-        pid_file = tmp_path / "pid"
-        with pytest.raises(AdapterError, match="protocol 1"):
-            connect_subprocess([sys.executable, "-c", OLD_PROTOCOL_BACKEND, str(pid_file)])
-        pid = int(pid_file.read_text())
-        try:
-            # A reaped child's pid is gone; a running or zombie one still answers signal 0.
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-        finally:
-            with contextlib.suppress(OSError):
-                os.kill(pid, signal.SIGKILL)
+        assert_refused_child_is_reaped(tmp_path, OLD_PROTOCOL_BACKEND, "protocol 1")
+
+    def test_child_answering_an_array_is_stopped_and_reaped(self, tmp_path):
+        assert_refused_child_is_reaped(tmp_path, ARRAY_ANSWER_BACKEND, "JSON array")
 
     def test_tcp_socket_is_closed(self):
         after_reply: list[bytes] = []

@@ -2,7 +2,7 @@
 
 Its shims wrap package names from the outside (``adapter.json``,
 ``RemoteBackend.call``, ``Featurizer.sparse_counts``, ...).  Renaming
-one breaks traced benchmark runs; this test makes it break tier-1 too.
+one breaks traced benchmark runs; these tests make it break tier-1 too.
 """
 
 import json
@@ -33,3 +33,29 @@ def test_client_shims_find_every_name_they_wrap(monkeypatch):
     hello = json.dumps({"id": 1, "verb": "hello", "params": {}})
     assert summary["counters"]["rpc.bytes_out"] == len(hello) + 1
     assert summary["counters"]["rpc.bytes_in"] > 0
+
+
+def test_backend_shims_trace_the_toy_backend_and_come_off(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    from pairshot.backend.features import Featurizer
+    from pairshot.backend.toy import ToyBackend, ToyEncoder
+
+    methods = [(Featurizer, "sparse_counts"), (Featurizer, "bucket_ids"),
+               (ToyEncoder, "encode"), (ToyEncoder, "fit")]
+    originals = [cls.__dict__[name] for cls, name in methods]
+    recorder = tracer.Tracer()
+    shims = tracer.Shims(recorder)
+    try:
+        tracer.install_backend_shims(shims)
+        assert all(cls.__dict__[name] is not original
+                   for (cls, name), original in zip(methods, originals))
+        Featurizer(1024, 2).sparse_counts("one traced featurization")
+        ToyBackend().create_encoder(seed=0).encode(["one traced encoding"])
+    finally:
+        shims.uninstall()
+    assert [cls.__dict__[name] for cls, name in methods] == originals
+    summary = recorder.summary()
+    assert summary["calls"][tracer.FEATURES] == 1
+    assert summary["calls"]["backend.toy.encode"] == 1
+    assert summary["distinct_texts"] == 1

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 
 import pytest
 
@@ -114,7 +115,7 @@ class TestTrain:
 class TestTrainMatchesLibrary:
     """``pairshot train`` writes the report the library call produces."""
 
-    def train_report(self, workspace, tmp_path, method, options, unlabeled=False):
+    def train_report(self, workspace, tmp_path, method, options, unlabeled=False, backend=()):
         argv = [
             "train",
             "--method", method,
@@ -122,6 +123,7 @@ class TestTrainMatchesLibrary:
             "--test", str(workspace["test"]),
             "--seed", "17",
             "--out", str(tmp_path),
+            *backend,
         ]
         if unlabeled:
             argv += ["--unlabeled", str(workspace["unlabeled"])]
@@ -146,6 +148,21 @@ class TestTrainMatchesLibrary:
         _, report = run_setfit(SetFitConfig(**options), train, test, ToyBackend(), 17)
         expected = (report.to_json() + "\n").encode("utf-8")
         assert self.train_report(workspace, tmp_path, "setfit", options) == expected
+
+    def test_adapter_backend_writes_the_toy_report(self, workspace, tmp_path):
+        """--backend-option gives train its deployment settings; the served
+        toy backend trains exactly as the in-process one."""
+        options = {"steps": 40, "batch": 4}
+        expected = self.train_report(workspace, tmp_path / "toy", "finetune", options)
+        command = [sys.executable, "-m", "pairshot.backend.serve"]
+        got = self.train_report(
+            workspace,
+            tmp_path / "adapter",
+            "finetune",
+            options,
+            backend=["--backend", "adapter-subprocess", "--backend-option", f"command={json.dumps(command)}"],
+        )
+        assert got == expected
 
     def test_pet_with_unlabeled(self, workspace, tmp_path):
         options = {"mlm_steps": 10, "distill_steps": 20, "batch": 4}
@@ -617,6 +634,43 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert "command" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "kind, options, name",
+        [
+            ("adapter-subprocess", ["port=1"], "command"),
+            ("adapter-subprocess", ["command=42"], "command"),
+            ("adapter-subprocess", ["command=serve"], "command"),
+            ("adapter-subprocess", ["command=[]"], "command"),
+            ("adapter-subprocess", ["command=[1]"], "command"),
+            ("adapter-subprocess", ['command=["serve"]', "comand=1"], "comand"),
+            ("adapter-tcp", [], "port"),
+            ("adapter-tcp", ["port=x"], "port"),
+            ("adapter-tcp", ["port=80.5"], "port"),
+            ("adapter-tcp", ["port=1", "host=[1]"], "host"),
+            ("toy", ["bukets=1024"], "bukets"),
+            ("toy", ["buckets=x"], "buckets"),
+        ],
+    )
+    def test_train_with_a_bad_backend_option_exits_one(
+        self, workspace, tmp_path, capsys, kind, options, name
+    ):
+        """A missing, unknown or mistyped backend option ends in one error line naming it."""
+        argv = [
+            "train",
+            "--method", "finetune",
+            "--train", str(workspace["pool"]),
+            "--test", str(workspace["test"]),
+            "--out", str(tmp_path / "out"),
+            "--backend", kind,
+        ]
+        for option in options:
+            argv += ["--backend-option", option]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_backend_option_exits_one(self, workspace, capsys):
         config = {

@@ -1,5 +1,6 @@
 """Hashed n-gram featurizer: golden equality with a per-gram reference,
-and the safety of the one-batch memo behind counts_batch.
+and the safety of the one-batch memo behind counts_batch and of the ring
+of bucket ids behind _occurrences.
 """
 
 import zlib
@@ -25,7 +26,32 @@ TEXTS = [
     "ab",
     "abc",
 ]
-SETTINGS = [(buckets, order) for buckets in (7, 32768) for order in (1, 2, 3)]
+# 1 << 20 buckets need ids wider than the ring's uint16 slots.
+SETTINGS = [(buckets, order) for buckets in (7, 32768, 1 << 20) for order in (1, 2, 3)]
+
+
+def fresh_ring(slots=features._RING_SLOTS, max_texts=features._RING_TEXTS):
+    return features._IdRing(slots, max_texts)
+
+
+@pytest.fixture(autouse=True)
+def empty_memos(monkeypatch):
+    """Every test starts with both memos empty, so hash counts do not depend on test order."""
+    monkeypatch.setattr(features, "_ring", fresh_ring())
+    monkeypatch.setattr(features, "_last_batch", None)
+
+
+def spy_on_hashing(monkeypatch):
+    """The texts that reach _hash_chunk from here on, in order."""
+    hashed = []
+    hash_chunk = Featurizer._hash_chunk
+
+    def spy(self, texts):
+        hashed.extend(texts)
+        return hash_chunk(self, texts)
+
+    monkeypatch.setattr(Featurizer, "_hash_chunk", spy)
+    return hashed
 
 
 def reference_bucket_ids(text, buckets, word_order):
@@ -181,6 +207,46 @@ class TestFeaturizedOnce:
             assert scores.shape == (7, 2)
         assert sorted(calls) == sorted(texts)
 
+    def test_an_ensemble_hashes_each_rendered_text_once(self, monkeypatch, dup_pool):
+        """Weighing every member before training evicts the one-batch memo;
+        the ring still holds each pattern's clozes when they are trained on."""
+        from pairshot.backend.toy import ToyBackend
+        from pairshot.data import sample_training_set
+        from pairshot.pet import PetConfig, train_ensemble
+
+        train = sample_training_set(dup_pool, 50, seed=1000)
+        config = PetConfig.for_task("so_duplicate", mlm_steps=2, batch=4)
+        hashed = spy_on_hashing(monkeypatch)
+        members = train_ensemble(config, train, ToyBackend(), seed=11)
+        assert len(config.pvps) == 3 and len(members) == 9
+        assert len(hashed) == len(set(hashed)) == 150
+
+    def test_a_sweep_hashes_each_distinct_text_once(self, monkeypatch, dup_pool, dup_test):
+        """Every cell scores the one test set: it is hashed in the first cell only."""
+        from pairshot.harness import ExperimentConfig, run_sweep
+
+        config = ExperimentConfig(
+            task_id="so_duplicate",
+            method="finetune",
+            sizes=(10, 20),
+            replicates=2,
+            test_size=60,
+            engine_options={"steps": 30, "batch": 4},
+        )
+        featurized = []
+        stack = Featurizer._stack
+
+        def spy(self, texts):
+            featurized.extend(texts)
+            return stack(self, texts)
+
+        monkeypatch.setattr(Featurizer, "_stack", spy)
+        hashed = spy_on_hashing(monkeypatch)
+        result = run_sweep(config, dup_pool, dup_test)
+        assert len(result.cells) == 4 and not result.failed
+        assert len(featurized) > 4 * len(dup_test)
+        assert sorted(hashed) == sorted(set(featurized))
+
 
 def assert_batch_equals_reference(featurizer, texts):
     indptr, ids = featurizer._occurrences(texts)
@@ -204,13 +270,22 @@ class TestBatchHashing:
             st.text() | st.sampled_from(["", " ", "\t\n ", "ab", "é 应", "a b c"]), max_size=12
         ),
         chunk=st.sampled_from([1, 5, 40, features._CHUNK_CHARS]),
+        slots=st.sampled_from([1, 7, 60, features._RING_SLOTS]),
+        ring_texts=st.sampled_from([1, 3, features._RING_TEXTS]),
         setting=st.sampled_from(SETTINGS),
+        other=st.sampled_from(SETTINGS),
     )
-    def test_batches_equal_the_zlib_reference(self, texts, chunk, setting):
-        # Repeats make duplicates that straddle chunks once the chunks are small.
+    def test_batches_equal_the_zlib_reference(
+        self, texts, chunk, slots, ring_texts, setting, other
+    ):
+        # Repeats make duplicates that straddle chunks once the chunks are
+        # small; a small ring wraps and evicts in the middle of a batch, and
+        # a second config shares the ring and the texts.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(features, "_CHUNK_CHARS", chunk)
-            assert_batch_equals_reference(Featurizer(*setting), texts + texts[::2])
+            patch.setattr(features, "_ring", fresh_ring(slots, ring_texts))
+            for featurizer in (Featurizer(*setting), Featurizer(*other), Featurizer(*setting)):
+                assert_batch_equals_reference(featurizer, texts + texts[::2])
 
     @pytest.mark.parametrize("buckets,word_order", SETTINGS)
     def test_no_window_crosses_a_text_boundary(self, buckets, word_order, monkeypatch):
@@ -228,6 +303,31 @@ class TestBatchHashing:
         indptr, ids = Featurizer(7, 2)._occurrences([])
         assert indptr.tolist() == [0] and ids.tolist() == []
         assert len(Featurizer(7, 2).counts_batch([], keep=False)) == 0
+
+    def test_ring_wraps_in_place_and_indexes_only_its_window(self):
+        """Past its capacity the ring overwrites its one array, and the index
+        names only texts whose ids all lie in the last len(slots) written."""
+        ring = features._ring
+        slots = ring.slots
+        featurizer = Featurizer(32768, 2)
+        texts = [f"text {i} of the wrapping check " * 12 for i in range(900)]
+        for lo in range(0, len(texts), 100):
+            featurizer._occurrences(texts[lo : lo + 100])
+        assert ring.end > len(slots) == features._RING_SLOTS
+        assert ring.slots is slots and slots.dtype == np.uint16
+        assert 0 < len(ring.index) < len(texts)
+        for (buckets, word_order, text), (start, count) in ring.index.items():
+            assert ring.end - len(slots) <= start and start + count <= ring.end
+            expected = reference_bucket_ids(text, buckets, word_order)
+            assert ring.read([(start, count)]).tolist() == expected
+        assert next(iter(ring.index))[2] == texts[len(texts) - len(ring.index)]
+
+    def test_ring_index_names_at_most_its_text_limit(self, monkeypatch):
+        monkeypatch.setattr(features, "_ring", fresh_ring(max_texts=4))
+        featurizer = Featurizer(7, 2)
+        featurizer._occurrences([f"t{i}" for i in range(10)])
+        featurizer._occurrences(["t0", "t9"])
+        assert [key[2] for key in features._ring.index] == ["t7", "t8", "t9", "t0"]
 
     def test_lone_surrogate_still_raises(self):
         for texts in (["\ud800"], ["fine", "bad \udfff text"]):
