@@ -2,11 +2,12 @@
 
 An external backend is a process that answers one JSON object per line.
 Requests carry an id, a verb, and params; responses echo the id and
-carry either a result or an error.  Verbs (protocol 3):
+carry either a result or an error.  Verbs (protocol 4):
 
     hello        -> mask_token, separator_token, default_lr, embedding_dim,
                     length_model, protocol
-    score        clozes[n], candidates[k] -> scores[n][k]
+    score        models [{model, init_seed}], clozes[n], candidates[k]
+                 -> scores[models][n][k]
     predict      labels[k], texts[n]      -> scores[n][k]
     encode       texts[n]                 -> vectors[n][dim]
     train_mlm    jobs [{model, init_seed, rows [[cloze, target]], seed,
@@ -14,14 +15,15 @@ carry either a result or an error.  Verbs (protocol 3):
     train_clf    labels, rows [[text, distribution]], steps, batch, lr, seed
     fit_encoder  triplets [[text_a, text_b, similarity]], epochs, batch, lr, seed
 
-Every other model verb carries the model name and its init_seed; a
-train_mlm request carries them per job and trains all its scorers in
-one call.  Step counts, batch sizes and seeds are JSON integers, and lr
-is a number.  An answer that is not a JSON object raises an
-AdapterError naming its JSON type.  The handshake fails with an
-AdapterError naming the field unless the backend sends every hello
-field with its JSON type and the protocol this client speaks, and a
-failed handshake closes the transport.
+A score request names every model it scores, and a train_mlm request
+every model it trains, each with its init_seed; one such request scores
+or trains all of them.  Every other model verb carries one model name
+and its init_seed.  Step counts, batch sizes and seeds, init_seed
+included, are JSON integers, and lr is a number.  An answer that is not
+a JSON object raises an AdapterError naming its JSON type.  The
+handshake fails with an AdapterError naming the field unless the
+backend sends every hello field with its JSON type and the protocol
+this client speaks, and a failed handshake closes the transport.
 One transport carries the lines, over a child's pipes or a TCP socket
 alike: each request has a deadline that covers writing it and reading
 the whole answer, and any failure closes the transport with an
@@ -40,12 +42,12 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import select
 import socket
 import subprocess
 import time
-from dataclasses import asdict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,7 +57,7 @@ from ..errors import PairshotError
 from ..prompting import ClozeInput
 
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 _TIMEOUT_S = 60.0
 # The hello fields every backend must send, with their JSON types.
 _HELLO_FIELDS = {
@@ -164,6 +166,15 @@ def _stop_child(proc: subprocess.Popen) -> None:
                 pipe.close()
 
 
+def _cloze_object(cloze: ClozeInput) -> dict:
+    """cloze's wire object: what dataclasses.asdict builds, without its deep copy."""
+    return {
+        "text": cloze.text,
+        "mask_position": cloze.mask_position,
+        "segment_boundary": cloze.segment_boundary,
+    }
+
+
 def _raise_remote(response: dict) -> None:
     kind = response.get("kind", "")
     message = response.get("error", "remote backend error")
@@ -255,15 +266,36 @@ class RemoteBackend:
     def create_encoder(self, seed: int = 0) -> "RemoteEncoder":
         return RemoteEncoder(self, self._fresh_name("encoder"), seed)
 
+    def _check_own(self, verb: str, scorers: Sequence) -> None:
+        if any(getattr(scorer, "_backend", None) is not self for scorer in scorers):
+            raise ValueError(f"{verb} got a scorer of another backend")
+
+    def score_scorers(
+        self,
+        scorers: Sequence["RemoteScorer"],
+        clozes: Sequence[ClozeInput],
+        candidates: Sequence[str],
+    ) -> np.ndarray:
+        """Every scorer's score(clozes, candidates) from one score request: (m, n, k)."""
+        self._check_own("score_scorers", scorers)
+        result = self.call(
+            "score",
+            {
+                "models": [{"model": s._name, "init_seed": s._seed} for s in scorers],
+                "clozes": [_cloze_object(cloze) for cloze in clozes],
+                "candidates": list(candidates),
+            },
+        )
+        return _table(result.get("scores"), (len(scorers), len(clozes), len(candidates)))
+
     def train_scorers(self, jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
         """Every job (scorer, rendered, seed, candidates) in one train_mlm request."""
-        if any(scorer._backend is not self for scorer, *_ in jobs):
-            raise ValueError("train_scorers got a scorer of another backend")
+        self._check_own("train_scorers", [scorer for scorer, *_ in jobs])
         params = [
             {
                 "model": scorer._name,
                 "init_seed": scorer._seed,
-                "rows": [[asdict(cloze), target] for cloze, target in rendered],
+                "rows": [[_cloze_object(cloze), target] for cloze, target in rendered],
                 "seed": seed,
                 "candidates": None if candidates is None else list(candidates),
             }
@@ -272,15 +304,16 @@ class RemoteBackend:
         self.call("train_mlm", {"jobs": params, "steps": steps, "batch": batch, "lr": lr})
 
 
-def _matrix(rows: object, n: int, k: int) -> np.ndarray:
-    """A result's nested list as an (n, k) float array; AdapterError if it is not one."""
+def _table(rows: object, shape: tuple[int, ...]) -> np.ndarray:
+    """A result's nested lists as a float array of shape; AdapterError if they are not one."""
     try:
         out = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise AdapterError(f"backend sent a malformed result: {exc}") from exc
-    if out.shape != (n, k) and not (n == 0 and out.size == 0):
-        raise AdapterError(f"backend sent a {out.shape} table, expected ({n}, {k})")
-    return out.reshape(n, k)
+    # Nested JSON lists cannot show the shape of a table without numbers.
+    if out.shape != shape and not (out.size == 0 and math.prod(shape) == 0):
+        raise AdapterError(f"backend sent a {out.shape} table, expected {shape}")
+    return out.reshape(shape)
 
 
 class _RemoteModel:
@@ -297,12 +330,7 @@ class _RemoteModel:
 
 class RemoteScorer(_RemoteModel):
     def score(self, clozes: Sequence[ClozeInput], candidates: Sequence[str]) -> np.ndarray:
-        result = self._call(
-            "score",
-            clozes=[asdict(cloze) for cloze in clozes],
-            candidates=list(candidates),
-        )
-        return _matrix(result["scores"], len(clozes), len(candidates))
+        return self._backend.score_scorers([self], clozes, candidates)[0]
 
     def train(
         self,
@@ -323,7 +351,7 @@ class RemoteClassifier(_RemoteModel):
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
         result = self._call("predict", labels=list(self.labels), texts=list(texts))
-        return _matrix(result["scores"], len(texts), len(self.labels))
+        return _table(result.get("scores"), (len(texts), len(self.labels)))
 
     def train(
         self,
@@ -351,7 +379,7 @@ class RemoteEncoder(_RemoteModel):
 
     def encode(self, texts: Sequence[str]) -> np.ndarray:
         result = self._call("encode", texts=list(texts))
-        return _matrix(result["vectors"], len(texts), self.dim)
+        return _table(result.get("vectors"), (len(texts), self.dim))
 
     def fit(
         self,

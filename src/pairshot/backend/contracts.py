@@ -6,7 +6,9 @@ backend would plug in the same way.
 
 Inference is batch-first: score, predict and encode take a whole
 sequence and return one row per item, so an engine makes one call per
-model per dataset.  Each row must equal what the item would get alone.
+model per dataset, and Backend.score_scorers scores one dataset with
+several scorers in one call.  Each row must equal what the item would
+get alone.
 """
 
 from __future__ import annotations
@@ -108,6 +110,16 @@ class Backend(Protocol):
         ...
 
     def create_encoder(self, seed: int = 0) -> SentenceEncoder:
+        ...
+
+    def score_scorers(
+        self,
+        scorers: Sequence[MaskedScorer],
+        clozes: Sequence[ClozeInput],
+        candidates: Sequence[str],
+    ) -> np.ndarray:
+        """(m, n, k): every scorer's score(clozes, candidates), stacked in
+        scorer order, from one call; scorers are scorers of this backend."""
         ...
 
     def train_scorers(self, jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:

@@ -12,7 +12,9 @@ every n-gram as a (byte start, byte length, tag seed) window, and runs
 the reflected table-driven crc32 over all windows together in numpy,
 longest first, so byte step j touches only the windows still running.
 The result equals zlib.crc32 bit for bit.  Texts are hashed in chunks
-of at most _CHUNK_CHARS characters, which bounds the window arrays.
+of at most _CHUNK_CHARS characters, which bounds the window arrays;
+byte offsets are held in 32 bits, and only the index arrays that numpy
+reads fastest as intp are 64-bit.
 Featurizer._stack hashes each distinct text of a batch once into one CSR
 and, only when the batch repeats a text, takes the batch's rows from it.
 
@@ -20,16 +22,18 @@ A sweep featurizes the same texts cell after cell, so _occurrences
 hashes only texts that the process has not hashed lately.  One ring,
 mapped once, holds the bucket ids of the texts hashed last: 2**19 uint16
 slots, 1 MiB, one slot per id (two when buckets > 65,536).  Its index
-maps (buckets, word_order, text) to the text's slots and names at most
-8,192 texts.  An entry lasts until the ring overwrites one of its slots
-or 8,192 newer texts are indexed, and it leaves the index then.
+holds one dict per (buckets, word_order) that maps a text to one int
+packing the text's first slot and slot count, and names at most 8,192
+texts.  An entry lasts until the ring overwrites one of its slots or
+8,192 newer texts are indexed, and it leaves the index then.
 """
 
 from __future__ import annotations
 
+import heapq
 import mmap
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, takewhile
 from typing import Iterator, Sequence
 from zlib import crc32
 
@@ -37,8 +41,9 @@ import numpy as np
 
 _CHAR_ORDERS = (3, 4)
 # Characters per hashing chunk (a longer text is one chunk alone).  A
-# chunk's work arrays take about 350 bytes per character.
-_CHUNK_CHARS = 2048
+# chunk's work arrays peak at about 140 bytes per character (1.1 MB for
+# 8,192 characters of PET clozes): 32-bit byte offsets, intp indices.
+_CHUNK_CHARS = 8192
 # Slots of the ring of hashed bucket ids: 2**19 uint16 slots, 1 MiB.  They
 # hold 524,288 ids (262,144 when buckets > 65,536), which covers a sweep's
 # test set and training pool several times over.
@@ -76,19 +81,13 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
 
 
-def _windows(units: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Windows of order consecutive units inside each run of units[i] units,
-    runs laid end to end: (run of every window, its first unit)."""
-    counts = np.maximum(units - order + 1, 0)
-    return np.repeat(np.arange(len(units)), counts), _spans(np.cumsum(units) - units, counts)
-
-
 def _crc32(
     buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seeds: np.ndarray
 ) -> np.ndarray:
     """zlib.crc32(buf[starts[i] : starts[i] + lengths[i]], seeds[i]) for every i."""
     order = np.argsort(-lengths)
-    pos = starts[order]
+    # Offsets may come as int32; numpy indexes fastest with intp.
+    pos = starts[order].astype(np.intp)
     crc = seeds[order] ^ _ALL_ONES
     # Windows still running at byte step j: a prefix, as the longest come first.
     active = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
@@ -130,43 +129,60 @@ class _IdRing:
     """The bucket ids of the texts hashed last, in one ring of uint16 slots.
 
     Slot a, counting every slot ever written, lives at slots[a % len(slots)].
-    The index maps a key to its first slot and slot count, in write order.
-    An entry leaves it when a write reaches one of its slots or when the
-    index would name more than max_texts keys, so every entry reads back as
-    written and no key outlives the window.
+    The index holds one dict per featurizer config (buckets, word_order) that
+    maps a text to one int, its first slot << shift | its slot count, in
+    write order.  An entry leaves it when a write reaches one of its slots
+    or when the index would name more than max_texts texts, so every entry
+    reads back as written and no text outlives the window.
     """
 
     def __init__(self, slots: int, max_texts: int) -> None:
         self.slots = _unpaged(slots, np.uint16)
         self.max_texts = max_texts
-        self.index: dict[tuple, tuple[int, int]] = {}
+        # A kept entry has at most len(slots) slots, so its count fits below shift.
+        self.shift = slots.bit_length()
+        self.index: dict[tuple[int, int], dict[str, int]] = {}
         self.end = 0
 
-    def read(self, entries: Sequence[tuple[int, int]]) -> np.ndarray:
-        """The slots of entries (first slot, count), laid end to end."""
-        starts, counts = np.array(entries, dtype=np.int64).reshape(-1, 2).T
-        return self.slots[_spans(starts, counts) % len(self.slots)]
+    def read(self, entries: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The slot count of every entry and their slots, laid end to end."""
+        packed = np.array(entries, dtype=np.int64)
+        starts, counts = packed >> self.shift, packed & ((1 << self.shift) - 1)
+        return counts, self.slots[_spans(starts, counts) % len(self.slots)]
 
-    def write(self, keys: Sequence[tuple], offsets: Sequence[int], data: np.ndarray) -> None:
-        """Append data, the slots of keys laid end to end: keys[i] has
-        data[offsets[i] : offsets[i + 1]]."""
+    def write(
+        self,
+        config: tuple[int, int],
+        texts: Sequence[str],
+        offsets: Sequence[int],
+        data: np.ndarray,
+    ) -> None:
+        """Append data, the slots of config's texts laid end to end: texts[i]
+        has data[offsets[i] : offsets[i + 1]]."""
         size = len(self.slots)
         kept = data[-size:]  # only the last size slots would survive
         at = (self.end + len(data) - len(kept)) % size
         split = min(len(kept), size - at)
         self.slots[at : at + split] = kept[:split]
         self.slots[: len(kept) - split] = kept[split:]
-        index, end = self.index, self.end
-        index.update(zip(keys, [(end + a, b - a) for a, b in zip(offsets, offsets[1:])]))
+        end, shift = self.end, self.shift
         self.end += len(data)
-        # Entries are in slot order, so the overwritten ones come first.
-        stale = []
-        for key, (start, _) in index.items():
-            if start >= self.end - size and len(index) - len(stale) <= self.max_texts:
-                break
-            stale.append(key)
-        for key in stale:
-            del index[key]
+        floor = self.end - size  # the oldest slot still held
+        self.index.setdefault(config, {}).update(
+            (text, (end + a) << shift | (b - a))
+            for text, a, b in zip(texts, offsets, offsets[1:])
+            if end + a >= floor
+        )
+        # Entries grow with their first slot, and each dict is in slot order,
+        # so the entries to drop are each dict's first ones: those below floor.
+        floor <<= shift
+        excess = sum(map(len, self.index.values())) - self.max_texts
+        if excess > 0:
+            oldest = heapq.merge(*(entries.values() for entries in self.index.values()))
+            floor = max(floor, next(islice(oldest, excess - 1, None)) + 1)
+        for entries in self.index.values():
+            for text in list(takewhile(lambda text: entries[text] < floor, entries)):
+                del entries[text]
 
 
 def _chunks(texts: Sequence[str]) -> Iterator[tuple[int, int]]:
@@ -242,25 +258,26 @@ class Featurizer:
         the rest are hashed, chunk by chunk, and written to the ring.
         """
         ring = _ring
+        config = (self.buckets, self.word_order)
         compact = np.uint16 if self.buckets <= 1 << 16 else np.uint32
         width = np.dtype(compact).itemsize // 2  # ring slots per id
-        keys = [(self.buckets, self.word_order, text) for text in texts]
-        held: dict[tuple, tuple[int, int]] = {}
-        fresh: dict[tuple, None] = {}
-        for key in keys:
-            entry = ring.index.get(key)
+        index = ring.index.get(config, {})
+        held: dict[str, int] = {}
+        fresh: dict[str, None] = {}
+        for text in texts:
+            entry = index.get(text)
             if entry is None:
-                fresh[key] = None
+                fresh[text] = None
             else:
-                held[key] = entry
+                held[text] = entry
         # Rows: the held texts, then the fresh ones.  Read the held ones
         # before the fresh ones' write can overwrite them.
         indptr, ids = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         if held:
-            entries = list(held.values())
-            indptr.append(np.cumsum([count for _, count in entries]) // width)
-            ids.append(ring.read(entries).view(compact).astype(np.int64))
-        hashed = [key[2] for key in fresh]
+            counts, slots = ring.read(list(held.values()))
+            indptr.append(np.cumsum(counts) // width)
+            ids.append(slots.view(compact).astype(np.int64))
+        hashed = list(fresh)
         for lo, hi in _chunks(hashed):
             chunk_indptr, chunk_ids = self._hash_chunk(hashed[lo:hi])
             indptr.append(chunk_indptr[1:] + indptr[-1][-1])
@@ -269,12 +286,12 @@ class Featurizer:
         if fresh:
             first = indptr[len(held)]
             offsets = ((indptr[len(held) :] - first) * width).tolist()
-            ring.write(list(fresh), offsets, ids[first:].astype(compact).view(np.uint16))
+            ring.write(config, hashed, offsets, ids[first:].astype(compact).view(np.uint16))
         rows = [*held, *fresh]
-        if rows == keys:
+        if rows == list(texts):
             return indptr, ids
-        row = {key: i for i, key in enumerate(rows)}
-        indptr, positions = _take(indptr, np.array([row[key] for key in keys], dtype=np.int64))
+        row = {text: i for i, text in enumerate(rows)}
+        indptr, positions = _take(indptr, np.array([row[text] for text in texts], dtype=np.int64))
         return indptr, ids[positions]
 
     def _hash_chunk(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -286,10 +303,13 @@ class Featurizer:
         # are exactly the word ends, as split() leaves no whitespace in words.
         words = " ".join(chain.from_iterable(splits))
         buf = np.frombuffer(raw + (words + " " if words else "").encode("utf-8"), dtype=np.uint8)
+        # Byte offsets take 32 bits unless the buffer is longer (one huge text).
+        offset = np.int32 if len(buf) < 1 << 31 else np.int64
         # Byte offset of every raw character (its UTF-8 lead byte), and the end.
         char_at = np.append(np.flatnonzero((buf[: len(raw)] & 0xC0) != 0x80), len(raw))
-        word_end = np.flatnonzero(buf[len(raw) :] == 0x20) + len(raw)
-        word_start = np.concatenate(([len(raw)], word_end[:-1] + 1))
+        char_at = char_at.astype(offset)
+        word_end = (np.flatnonzero(buf[len(raw) :] == 0x20) + len(raw)).astype(offset)
+        word_start = np.concatenate(([len(raw)], word_end[:-1] + 1)).astype(offset)
         chars = np.fromiter(map(len, texts), dtype=np.int64, count=n)
         nwords = np.fromiter(map(len, splits), dtype=np.int64, count=n)
         # Per family: units per text, each unit's first byte and end byte.
@@ -297,20 +317,21 @@ class Featurizer:
             (nwords, word_start, word_end, order, _tag_seed(f"w{order}"))
             for order in range(1, self.word_order + 1)
         ] + [(chars, char_at[:-1], char_at[1:], order, seed) for order, seed in _CHAR_SEEDS]
-        owner, starts, ends, seeds = [], [], [], []
-        for units, unit_start, unit_end, order, seed in families:
-            text, first = _windows(units, order)
-            owner.append(text)
-            starts.append(unit_start[first])
-            ends.append(unit_end[first + order - 1])
-            seeds.append(np.full(len(first), seed, dtype=np.uint32))
-        # Windows come family by family; a stable sort by text puts each
-        # text's windows together and keeps bucket_ids order inside it.
-        owner = np.concatenate(owner)
-        by_text = np.argsort(owner, kind="stable")
-        start, end, tag_seed = (np.concatenate(arrays)[by_text] for arrays in (starts, ends, seeds))
-        hashes = _crc32(buf, start, end - start, tag_seed)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n))))
+        windows = [np.maximum(units - order + 1, 0) for units, _, _, order, _ in families]
+        indptr = np.concatenate(([0], np.cumsum(sum(windows))))
+        # Each text's windows, family by family, in bucket_ids order: text
+        # t's windows of the next family go to base[t] onward.
+        start, end = np.empty(indptr[-1], dtype=offset), np.empty(indptr[-1], dtype=offset)
+        seeds = np.empty(indptr[-1], dtype=np.uint32)
+        base = indptr[:-1].copy()
+        for (units, unit_start, unit_end, order, seed), count in zip(families, windows):
+            first = _spans(np.cumsum(units) - units, count)
+            slots = _spans(base, count)
+            start[slots] = unit_start[first]
+            end[slots] = unit_end[first + (order - 1)]
+            seeds[slots] = seed
+            base += count
+        hashes = _crc32(buf, start, end - start, seeds)
         return indptr, hashes.astype(np.int64) % self.buckets
 
     def _stack(self, texts: Sequence[str]) -> SparseRows:

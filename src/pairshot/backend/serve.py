@@ -10,10 +10,11 @@ where backend.json holds overrides of the default toy config, such as
 ``{"buckets": 1024}``.
 
 The verbs and their shapes are listed in ``pairshot.backend.adapter``:
-score, predict and encode answer a whole batch in one response, and
-train_mlm trains all the scorers of its jobs in lockstep.  Over TCP,
-clients are served one after another and each connection gets its own
-model registry, dropped when the client disconnects.  A line that is
+score answers a whole batch for every scorer it names in one response,
+predict and encode a whole batch for one model, and train_mlm trains
+all the scorers of its jobs in lockstep.  Over TCP, clients are served
+one after another and each connection gets its own model registry,
+dropped when the client disconnects.  A line that is
 not UTF-8 JSON, or that the parser refuses for its nesting depth or a
 number's length, gets an AdapterError answer, and a client whose
 connection fails, by a reset or a broken pipe, ends only its own one.
@@ -50,10 +51,12 @@ class BackendServer:
     # -- model registry ----------------------------------------------------
 
     def _model(self, params: dict, create):
-        """The model named in params, made with create(init_seed) on first use."""
+        """The model named in params, made with create(init_seed) on first use;
+        init_seed, when present, must be a JSON integer."""
         name = params["model"]
+        seed = self._get(params, "init_seed", int) if "init_seed" in params else 0
         if name not in self._models:
-            self._models[name] = create(int(params.get("init_seed", 0)))
+            self._models[name] = create(seed)
         return self._models[name]
 
     def _scorer(self, params: dict):
@@ -119,16 +122,24 @@ class BackendServer:
             payload["text"], payload.get("mask_position", -1), payload.get("segment_boundary")
         )
 
+    @classmethod
+    def _objects(cls, params: dict, key: str) -> list[dict]:
+        """params[key], which must be a list of JSON objects."""
+        items = cls._get(params, key, list)
+        for item in items:
+            if not isinstance(item, dict):
+                raise ValueError(f"{key} must hold objects, got {type(item).__name__}")
+        return items
+
     def _verb_score(self, params: dict) -> dict:
-        scorer = self._scorer(params)
+        scorers = [self._scorer(model) for model in self._objects(params, "models")]
         clozes = [self._cloze(cloze) for cloze in self._get(params, "clozes", list)]
-        return {"scores": scorer.score(clozes, self._get(params, "candidates", list)).tolist()}
+        candidates = self._get(params, "candidates", list)
+        return {"scores": self.backend.score_scorers(scorers, clozes, candidates).tolist()}
 
     def _verb_train_mlm(self, params: dict) -> dict:
         jobs = []
-        for job in self._get(params, "jobs", list):
-            if not isinstance(job, dict):
-                raise ValueError(f"jobs must hold objects, got {type(job).__name__}")
+        for job in self._objects(params, "jobs"):
             rendered = [(self._cloze(cloze), target) for cloze, target in self._get(job, "rows", list)]
             candidates = None if job.get("candidates") is None else self._get(job, "candidates", list)
             jobs.append((self._scorer(job), rendered, self._get(job, "seed", int), candidates))

@@ -512,6 +512,17 @@ class ToyBackend:
     def create_encoder(self, seed: int = 0) -> ToyEncoder:
         return ToyEncoder(self.config, seed)
 
+    def score_scorers(
+        self,
+        scorers: Sequence[ToyMaskedScorer],
+        clozes: Sequence[ClozeInput],
+        candidates: Sequence[str],
+    ) -> np.ndarray:
+        """Each scorer's own score, stacked to (m, n, k); the featurizer's
+        one-batch memo featurizes the clozes once for all of them."""
+        scores = np.array([s.score(clozes, candidates) for s in scorers], dtype=np.float64)
+        return scores.reshape(len(scorers), len(clozes), len(candidates))
+
     def train_scorers(self, jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
         """Each job (scorer, rendered, seed, candidates) trained as its scorer's train would."""
         _train_softmax_ce([s._job(r, seed, c) for s, r, seed, c in jobs], steps, batch, lr)

@@ -22,25 +22,36 @@ _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-12
 
 
-def objective(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray, l2: float) -> float:
-    """Mean cross-entropy plus 0.5 * l2 * ||W||_F^2."""
-    logits = X @ W.T + b
-    probs = stable_softmax(logits)
+def _objective_and_probs(
+    W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray, l2: float
+) -> tuple[float, np.ndarray]:
+    """objective at (W, b) and the class probabilities it is taken from."""
+    probs = stable_softmax(X @ W.T + b)
     eps = 1e-300  # guards log(0); probabilities this small carry no gradient signal
     ce = -np.mean(np.sum(Y * np.log(probs + eps), axis=1))
-    return float(ce + 0.5 * l2 * np.sum(W * W))
+    return float(ce + 0.5 * l2 * np.sum(W * W)), probs
+
+
+def objective(W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray, l2: float) -> float:
+    """Mean cross-entropy plus 0.5 * l2 * ||W||_F^2."""
+    return _objective_and_probs(W, b, X, Y, l2)[0]
+
+
+def _gradients_at(
+    probs: np.ndarray, W: np.ndarray, X: np.ndarray, Y: np.ndarray, l2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """gradients at W and the intercepts whose class probabilities are probs."""
+    delta = (probs - Y) / X.shape[0]
+    grad_w = delta.T @ X + l2 * W
+    grad_b = delta.sum(axis=0)
+    return grad_w, grad_b
 
 
 def gradients(
     W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of objective with respect to W and b."""
-    logits = X @ W.T + b
-    probs = stable_softmax(logits)
-    delta = (probs - Y) / X.shape[0]
-    grad_w = delta.T @ X + l2 * W
-    grad_b = delta.sum(axis=0)
-    return grad_w, grad_b
+    return _gradients_at(stable_softmax(X @ W.T + b), W, X, Y, l2)
 
 
 @dataclass
@@ -69,7 +80,11 @@ class LogisticHead:
         max_iter: int = MAX_ITER_DEFAULT,
         tol: float = TOL_DEFAULT,
     ) -> "LogisticHead":
-        """Full-batch descent with backtracking; same data, same weights."""
+        """Full-batch descent with backtracking; same data, same weights.
+
+        The accepted step's probabilities give the next gradient, so each
+        iteration computes the softmax once per step size it tries.
+        """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2 or X.shape[0] == 0:
@@ -83,19 +98,19 @@ class LogisticHead:
         Y = np.zeros((X.shape[0], self.n_classes), dtype=np.float64)
         Y[np.arange(X.shape[0]), y] = 1.0
 
-        self.objective_trace = [objective(self.W, self.b, X, Y, self.l2)]
+        current, probs = _objective_and_probs(self.W, self.b, X, Y, self.l2)
+        self.objective_trace = [current]
         for _ in range(max_iter):
-            grad_w, grad_b = gradients(self.W, self.b, X, Y, self.l2)
+            grad_w, grad_b = _gradients_at(probs, self.W, X, Y, self.l2)
             if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_b))):
                 raise NumericError("non-finite gradient in logistic head fit")
             gmax = max(float(np.abs(grad_w).max()), float(np.abs(grad_b).max()))
             if gmax < tol:
                 break
             gsq = float(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b))
-            current = self.objective_trace[-1]
             step = 1.0
             while step >= _MIN_STEP:
-                candidate = objective(
+                candidate, candidate_probs = _objective_and_probs(
                     self.W - step * grad_w, self.b - step * grad_b, X, Y, self.l2
                 )
                 if candidate <= current - _ARMIJO_C * step * gsq:
@@ -105,7 +120,8 @@ class LogisticHead:
                 break  # no productive step left; gradient is numerically flat
             self.W -= step * grad_w
             self.b -= step * grad_b
-            self.objective_trace.append(candidate)
+            current, probs = candidate, candidate_probs
+            self.objective_trace.append(current)
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -130,20 +131,17 @@ def render_pairs(
     ]
 
 
-def untrained_accuracy(
-    model: MaskedScorer, clozes: Sequence[ClozeInput], tokens: Sequence[str], train: Dataset
-) -> float:
+def untrained_accuracy(scores: np.ndarray, train: Dataset) -> float:
     """Accuracy of a scorer on the labeled data, used as its ensemble weight.
 
-    clozes are the labeled pairs rendered in order and tokens the
-    verbalizer tokens in label order.  Called before training; argmax
-    ties resolve to the lowest label index, so an all-zero scorer
-    predicts the first label everywhere.
+    scores are its (n, k) scores of the labeled pairs, rendered in order,
+    with one column per verbalizer token in label order.  Taken before
+    training; argmax ties resolve to the lowest label index, so an
+    all-zero scorer predicts the first label everywhere.
     """
     if not len(train):
         raise NoDataError("cannot weight a member against an empty training set")
     labels = train.label_set.labels
-    scores = model.score(clozes, tokens)
     hits = sum(labels[argmax_lowest(row)] == ex.label for row, ex in zip(scores, train))
     return hits / len(train)
 
@@ -159,8 +157,8 @@ def train_ensemble(
     The member's effective training seed mixes the run seed with the
     configured seed so replicate runs decorrelate while the 3x3
     structure stays intact.  Each pattern renders the labeled data once
-    for all of its seeds; every member is created and weighed first,
-    then one backend call trains them all.
+    and weighs all of its seeds' members with one backend call; once
+    every member is weighed, one backend call trains them all.
     """
     if not len(train):
         raise NoDataError("cannot train an ensemble on an empty dataset")
@@ -170,11 +168,11 @@ def train_ensemble(
         tokens = verbalizer_tokens(pvp, train.label_set)
         clozes = render_pairs(pvp, [ex.pair for ex in train], config, backend)
         rendered = [(cloze, pvp.verbalizer[ex.label]) for cloze, ex in zip(clozes, train)]
-        for config_seed in config.seeds:
-            member_seed = Rng(seed).derive("member", pvp.id, config_seed).next_u64()
-            model = backend.create_scorer(member_seed)
-            weight = untrained_accuracy(model, clozes, tokens, train)
-            members.append(EnsembleMember(pvp, config_seed, model, weight))
+        member_seeds = [Rng(seed).derive("member", pvp.id, s).next_u64() for s in config.seeds]
+        models = [backend.create_scorer(member_seed) for member_seed in member_seeds]
+        scores = backend.score_scorers(models, clozes, tokens)
+        for config_seed, member_seed, model, own in zip(config.seeds, member_seeds, models, scores):
+            members.append(EnsembleMember(pvp, config_seed, model, untrained_accuracy(own, train)))
             jobs.append((model, rendered, member_seed, tokens))
     backend.train_scorers(jobs, config.mlm_steps, config.batch, resolve_lr(config.lr, backend))
     return members
@@ -190,18 +188,16 @@ def ensemble_scores(
     """(n, k) aggregated label scores of the whole ensemble.
 
     Consecutive members of one pattern (all its seeds, as train_ensemble
-    orders them) score one rendering of the pairs.
+    orders them) score one rendering of the pairs in one backend call;
+    patterns render one at a time.
     """
     if not members:
         raise EmptyEnsembleError("cannot score with zero ensemble members")
     rows = []
-    pvp = None
-    for m in members:
-        if m.pvp is not pvp:
-            pvp = m.pvp
-            clozes = render_pairs(pvp, pairs, config, backend)
-            tokens = verbalizer_tokens(pvp, label_set)
-        rows.append(m.model.score(clozes, tokens))
+    for pvp, group in groupby(members, key=lambda m: m.pvp):
+        clozes = render_pairs(pvp, pairs, config, backend)
+        tokens = verbalizer_tokens(pvp, label_set)
+        rows.extend(backend.score_scorers([m.model for m in group], clozes, tokens))
     return aggregate_scores([m.weight for m in members], rows)
 
 

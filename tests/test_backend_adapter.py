@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairshot.backend.adapter import (
     PROTOCOL_VERSION,
@@ -25,7 +27,7 @@ from pairshot.backend.adapter import (
 )
 from pairshot.backend.serve import BackendServer, serve_tcp
 from pairshot import errors
-from pairshot.backend.toy import ToyBackend
+from pairshot.backend.toy import ToyBackend, backend_config_with
 from pairshot.data import Dataset
 from pairshot.pet import PetConfig, run_pet
 from pairshot.errors import NoDataError, PairshotError, ShapeError, VocabularyError
@@ -100,14 +102,14 @@ class TestServerVerbs:
         assert result["protocol"] == PROTOCOL_VERSION
 
     def test_score_round_trip(self, server):
-        """A score request returns one row per cloze, one float per candidate token."""
+        """A score request returns, per model, one row per cloze and one float
+        per candidate token."""
         response = server.handle(
             {
                 "id": 2,
                 "verb": "score",
                 "params": {
-                    "model": "scorer-a",
-                    "init_seed": 0,
+                    "models": [{"model": "scorer-a", "init_seed": 0}, {"model": "scorer-b"}],
                     "clozes": [
                         {"text": "alpha beta <mask>", "mask_position": 2},
                         {"text": "gamma <mask>", "mask_position": 1},
@@ -118,8 +120,8 @@ class TestServerVerbs:
         )
         assert response["ok"] is True
         scores = response["result"]["scores"]
-        assert [len(row) for row in scores] == [2, 2]
-        assert all(isinstance(v, float) for row in scores for v in row)
+        assert [[len(row) for row in table] for table in scores] == [[2, 2], [2, 2]]
+        assert all(isinstance(v, float) for table in scores for row in table for v in row)
 
     def test_models_persist_across_requests(self, server):
         """Training updates the named model that later requests address."""
@@ -158,7 +160,7 @@ class TestServerVerbs:
 
     def test_missing_field_is_protocol_error(self, server):
         response = server.handle(
-            {"id": 7, "verb": "score", "params": {"model": "s", "candidates": ["Yes"]}}
+            {"id": 7, "verb": "score", "params": {"models": [{"model": "s"}], "candidates": ["Yes"]}}
         )
         assert response["ok"] is False
         assert response["kind"] == "AdapterError"
@@ -170,8 +172,7 @@ class TestServerVerbs:
                 "id": 8,
                 "verb": "score",
                 "params": {
-                    "model": "scorer-b",
-                    "init_seed": 0,
+                    "models": [{"model": "scorer-b", "init_seed": 0}],
                     "clozes": [{"text": "alpha <mask>", "mask_position": 1}],
                     "candidates": ["NotAToken"],
                 },
@@ -195,8 +196,9 @@ class TestServerVerbs:
         [
             ("encode", {"model": "e", "texts": "abc"}),
             ("predict", {"model": "c", "labels": ["A", "B"], "texts": "abc"}),
-            ("score", {"model": "s", "clozes": {"text": "a <mask>"}, "candidates": ["Yes"]}),
-            ("score", {"model": "s", "clozes": [], "candidates": "Yes"}),
+            ("score", {"models": [{"model": "s"}], "clozes": {"text": "a"}, "candidates": ["Yes"]}),
+            ("score", {"models": [{"model": "s"}], "clozes": [], "candidates": "Yes"}),
+            ("score", {"models": {"model": "s"}, "clozes": [], "candidates": ["Yes"]}),
         ],
     )
     def test_batch_fields_must_be_lists(self, server, verb, params):
@@ -237,9 +239,13 @@ class TestServerVerbs:
         response = server.handle({"id": 10, "verb": "train_mlm", "params": params})
         assert (response["ok"], response["kind"]) == (False, "AdapterError")
         assert field in response["error"]
-        score = {"model": "scorer-t", "clozes": [{"text": "fast reply <mask>"}], "candidates": ["Yes"]}
+        score = {
+            "models": [{"model": "scorer-t"}],
+            "clozes": [{"text": "fast reply <mask>"}],
+            "candidates": ["Yes"],
+        }
         assert server.handle({"id": 11, "verb": "score", "params": score})["result"] == {
-            "scores": [[0.0]]
+            "scores": [[[0.0]]]
         }
         trained = server.handle({"id": 12, "verb": "train_mlm", "params": self.TRAIN_MLM})
         assert trained == {"id": 12, "ok": True, "result": {"trained": [1]}}
@@ -260,6 +266,25 @@ class TestServerVerbs:
         response = server.handle({"id": 13, "verb": verb, "params": params})
         assert (response["ok"], response["kind"]) == (False, "AdapterError")
         assert field in response["error"]
+
+    @pytest.mark.parametrize("verb", ["encode", "score"])
+    @pytest.mark.parametrize("init_seed", ["12", 2.5, True, "x"])
+    def test_init_seed_must_be_an_integer(self, server, verb, init_seed):
+        """"12", 2.5 and true are not turned into seeds: the answer names the
+        field, no model is created, and the server keeps serving."""
+
+        def params(seed):
+            model = {"model": "m", "init_seed": seed}
+            if verb == "encode":
+                return {**model, "texts": ["a b"]}
+            return {"models": [model], "clozes": [{"text": "a <mask>"}], "candidates": ["Yes"]}
+
+        response = server.handle({"id": 14, "verb": verb, "params": params(init_seed)})
+        assert (response["ok"], response["kind"]) == (False, "AdapterError")
+        assert "init_seed" in response["error"]
+        assert server._models == {}
+        assert server.handle({"id": 15, "verb": verb, "params": params(12)})["ok"] is True
+        assert list(server._models) == ["m"] and server._models["m"].seed == 12
 
     def test_stdio_server_survives_malformed_lines(self):
         """Non-object and non-list inputs, and lines the JSON parser refuses,
@@ -377,6 +402,53 @@ class TestRemoteMatchesLocal:
         np.testing.assert_array_equal(second.score([probe], ["Yes", "No"]), [[0.0, 0.0]])
 
 
+# A small bucket count keeps the property's models cheap to create.
+SMALL = backend_config_with({"buckets": 256})
+PROBES = [cloze(text) for text in (
+    "fast reply sharp answer <mask>", "slow reply <mask>", "<mask>", "late late answer <mask>",
+)]
+
+
+class TestScoreScorers:
+    """Backend.score_scorers is each scorer's score stacked, in-process and over the wire."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        seeds=st.lists(st.integers(0, 3), max_size=9),
+        trained=st.lists(st.booleans(), min_size=9, max_size=9),
+        probes=st.lists(st.sampled_from(PROBES), max_size=5),
+        candidates=st.sampled_from([["Yes", "No"], ["No"], ["No", "Yes", "Maybe"]]),
+    )
+    def test_equals_each_scorers_score_stacked(self, seeds, trained, probes, candidates):
+        local = ToyBackend(SMALL)
+        remote = RemoteBackend(DirectTransport(BackendServer(ToyBackend(SMALL))))
+        tables = []
+        for backend in (local, remote):
+            scorers = [backend.create_scorer(seed) for seed in seeds]
+            for i, scorer in enumerate(scorers):
+                if trained[i]:
+                    scorer.train(SCORER_ROWS[: 2 + i % 3], 3, 2, 0.1, i, ["Yes", "No"])
+            stacked = backend.score_scorers(scorers, probes, candidates)
+            alone = [scorer.score(probes, candidates) for scorer in scorers]
+            assert stacked.shape == (len(seeds), len(probes), len(candidates))
+            assert stacked.dtype == np.float64
+            assert stacked.tobytes() == np.array(alone, dtype=np.float64).tobytes()
+            tables.append(stacked)
+        assert tables[0].tobytes() == tables[1].tobytes()
+
+    def test_one_request_names_every_scorer(self):
+        transport = CountingTransport(BackendServer())
+        remote = RemoteBackend(transport)
+        scorers = [remote.create_scorer(seed) for seed in range(3)]
+        assert remote.score_scorers(scorers, PROBES, ["Yes", "No"]).shape == (3, len(PROBES), 2)
+        assert transport.verbs == ["hello", "score"]
+
+    def test_refuses_a_scorer_of_another_backend(self, remote):
+        other = RemoteBackend(DirectTransport(BackendServer())).create_scorer(seed=0)
+        with pytest.raises(ValueError, match="another backend"):
+            remote.score_scorers([remote.create_scorer(seed=0), other], PROBES, ["Yes", "No"])
+
+
 class CountingTransport(DirectTransport):
     def __init__(self, server):
         super().__init__(server)
@@ -416,8 +488,9 @@ class TestRemotePetRun:
     def test_request_count_does_not_grow_with_the_data(
         self, dup_train, dup_unlabeled, dup_test, tmp_path
     ):
-        """hello, 9 weighing scores, one train_mlm for all 9 members, 9 soft-label
-        scores, distill, predict, 9 ensemble scores."""
+        """hello, 3 weighing scores (one per pattern, for all its seeds), one
+        train_mlm for all 9 members, 3 soft-label scores, distill, predict, 3
+        ensemble scores."""
         counts = []
         for keep in (len(dup_unlabeled), 7):
             unlabeled = Dataset(dup_unlabeled.examples[:keep], dup_unlabeled.label_set, "unlabeled")
@@ -425,9 +498,9 @@ class TestRemotePetRun:
             transport = CountingTransport(BackendServer())
             self.run(RemoteBackend(transport), dup_train, unlabeled, test, tmp_path / str(keep))
             counts.append(len(transport.verbs))
-            assert transport.verbs.count("score") == 27
+            assert transport.verbs.count("score") == 9
             assert transport.verbs.count("train_mlm") == 1
-        assert counts == [31, 31]
+        assert counts == [13, 13]
 
 
 class TestTransportSafety:
@@ -564,6 +637,29 @@ class TestTransportSafety:
         scorer = RemoteBackend(self.EchoTransport(respond)).create_scorer(seed=0)
         with pytest.raises(AdapterError, match="expected"):
             scorer.score([cloze("a <mask>"), cloze("b <mask>")], ["Yes", "No"])
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            [[[0.5, 0.5]]],
+            [[0.5, 0.5], [0.5, 0.5]],
+            [[[0.5, 0.5]], [[0.5]]],
+            [[[0.5, 0.5, 0.5]], [[0.5, 0.5, 0.5]]],
+            None,
+        ],
+    )
+    def test_answer_of_the_wrong_shape_is_typed(self, answer):
+        """Two scorers of one cloze and two candidates need a (2, 1, 2) table."""
+
+        def respond(payload):
+            if payload["verb"] == "hello":
+                return {"id": payload["id"], "ok": True, "result": self.hello_result()}
+            return {"id": payload["id"], "ok": True, "result": {"scores": answer}}
+
+        remote = RemoteBackend(self.EchoTransport(respond))
+        scorers = [remote.create_scorer(seed) for seed in (0, 1)]
+        with pytest.raises(AdapterError, match="malformed|expected"):
+            remote.score_scorers(scorers, PROBES[:1], ["Yes", "No"])
 
     def test_socket_read_timeout_is_typed_and_closes_transport(self):
         """A silent TCP backend ends in AdapterError, and the stream is not reused."""

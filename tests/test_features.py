@@ -3,6 +3,8 @@ and the safety of the one-batch memo behind counts_batch and of the ring
 of bucket ids behind _occurrences.
 """
 
+import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -315,19 +317,63 @@ class TestBatchHashing:
             featurizer._occurrences(texts[lo : lo + 100])
         assert ring.end > len(slots) == features._RING_SLOTS
         assert ring.slots is slots and slots.dtype == np.uint16
-        assert 0 < len(ring.index) < len(texts)
-        for (buckets, word_order, text), (start, count) in ring.index.items():
+        (config, index), = ring.index.items()
+        assert config == (32768, 2) and 0 < len(index) < len(texts)
+        for text, entry in index.items():
+            start, count = entry >> ring.shift, entry & ((1 << ring.shift) - 1)
             assert ring.end - len(slots) <= start and start + count <= ring.end
-            expected = reference_bucket_ids(text, buckets, word_order)
-            assert ring.read([(start, count)]).tolist() == expected
-        assert next(iter(ring.index))[2] == texts[len(texts) - len(ring.index)]
+            expected = reference_bucket_ids(text, *config)
+            assert ring.read([entry])[1].tolist() == expected
+        assert next(iter(index)) == texts[len(texts) - len(index)]
 
     def test_ring_index_names_at_most_its_text_limit(self, monkeypatch):
         monkeypatch.setattr(features, "_ring", fresh_ring(max_texts=4))
         featurizer = Featurizer(7, 2)
         featurizer._occurrences([f"t{i}" for i in range(10)])
         featurizer._occurrences(["t0", "t9"])
-        assert [key[2] for key in features._ring.index] == ["t7", "t8", "t9", "t0"]
+        assert list(features._ring.index[7, 2]) == ["t7", "t8", "t9", "t0"]
+
+    def test_text_limit_spans_every_config_and_drops_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(features, "_ring", fresh_ring(max_texts=5))
+        Featurizer(7, 2)._occurrences(["a0", "a1", "a2"])
+        Featurizer(7, 1)._occurrences(["b0", "b1"])
+        Featurizer(7, 2)._occurrences(["a3", "a4"])
+        index = features._ring.index
+        assert list(index[7, 2]) == ["a2", "a3", "a4"] and list(index[7, 1]) == ["b0", "b1"]
+        # Entries read back as written after the eviction, in both configs.
+        assert_batch_equals_reference(Featurizer(7, 1), ["b0", "b1", "a4"])
+
+    def test_index_bytes_per_held_text(self):
+        """One int per held text in one dict per config: about 58 bytes per
+        text, where (buckets, word_order, text) keys and (start, count)
+        values took about 213."""
+        texts = [f"held text number {i}" for i in range(2000)]
+        Featurizer(32768, 2)._occurrences(texts)
+        index = features._ring.index
+        held = sum(map(len, index.values()))
+        size = sys.getsizeof(index) + sum(
+            sys.getsizeof(entries) + sum(map(sys.getsizeof, entries.values()))
+            for entries in index.values()
+        )
+        assert held == len(texts)
+        assert size / held < 80
+
+    def test_one_full_chunk_of_work_arrays_stays_small(self):
+        """A _CHUNK_CHARS chunk peaks at about 140 traced bytes per character
+        (about 254 with int64 work arrays)."""
+        texts = [f"is question {i} of the tracker a duplicate of question {i + 1}? <mask>"
+                 for i in range(400)]
+        lo, hi = next(features._chunks(texts))
+        chunk = texts[lo:hi]
+        assert sum(map(len, chunk)) > features._CHUNK_CHARS - 100
+        featurizer = Featurizer(32768, 2)
+        tracemalloc.start()
+        try:
+            featurizer._hash_chunk(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_lone_surrogate_still_raises(self):
         for texts in (["\ud800"], ["fine", "bad \udfff text"]):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pairshot import logistic
 from pairshot.errors import NoDataError, ShapeError
 from pairshot.logistic import LogisticHead, gradients, objective
 
@@ -16,6 +19,55 @@ def random_problem(rng, n=None, dim=None, k=None):
     Y = np.zeros((n, k))
     Y[np.arange(n), y] = 1.0
     return X, y, Y, dim, k
+
+
+def reference_fit(head, X, y, max_iter=logistic.MAX_ITER_DEFAULT, tol=logistic.TOL_DEFAULT):
+    """LogisticHead.fit's loop as it was before the fit reused the accepted
+    step's softmax: objective and gradients recomputed at every point."""
+    Y = np.zeros((X.shape[0], head.n_classes))
+    Y[np.arange(X.shape[0]), y] = 1.0
+    head.objective_trace = [objective(head.W, head.b, X, Y, head.l2)]
+    for _ in range(max_iter):
+        grad_w, grad_b = gradients(head.W, head.b, X, Y, head.l2)
+        gmax = max(float(np.abs(grad_w).max()), float(np.abs(grad_b).max()))
+        if gmax < tol:
+            break
+        gsq = float(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b))
+        current = head.objective_trace[-1]
+        step = 1.0
+        while step >= logistic._MIN_STEP:
+            candidate = objective(head.W - step * grad_w, head.b - step * grad_b, X, Y, head.l2)
+            if candidate <= current - logistic._ARMIJO_C * step * gsq:
+                break
+            step *= 0.5
+        else:
+            break
+        head.W -= step * grad_w
+        head.b -= step * grad_b
+        head.objective_trace.append(candidate)
+    return head
+
+
+class TestFitMatchesReference:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        dim=st.integers(1, 12),
+        k=st.integers(2, 5),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        l2=st.sampled_from([0.0, 1e-4, 0.5]),
+        max_iter=st.sampled_from([0, 1, 7, logistic.MAX_ITER_DEFAULT]),
+    )
+    def test_weights_and_trace_are_bit_identical(self, seed, n, dim, k, scale, l2, max_iter):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(scale=scale, size=(n, dim))
+        y = rng.integers(0, k, size=n)
+        fitted = LogisticHead(k, dim, l2=l2).fit(X, y, max_iter=max_iter)
+        reference = reference_fit(LogisticHead(k, dim, l2=l2), X, y, max_iter=max_iter)
+        assert fitted.W.tobytes() == reference.W.tobytes()
+        assert fitted.b.tobytes() == reference.b.tobytes()
+        assert fitted.objective_trace == reference.objective_trace
 
 
 class TestGradientCheck:

@@ -36,7 +36,7 @@ ANY_VALUE = json_values(st.integers())
 SMALL_VALUE = json_values(st.integers(-4, 4))
 VERBS = ("hello", "score", "predict", "encode", "train_mlm", "train_clf", "fit_encoder", "nope")
 PARAM_KEYS = (
-    "model", "init_seed", "clozes", "candidates", "texts", "labels", "rows", "triplets",
+    "model", "models", "init_seed", "clozes", "candidates", "texts", "labels", "rows", "triplets",
     "steps", "epochs", "batch", "lr", "seed",
 )
 REQUESTS = st.fixed_dictionaries(
