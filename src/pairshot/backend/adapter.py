@@ -27,11 +27,12 @@ this client speaks, and a failed handshake closes the transport.
 One transport carries the lines, over a child's pipes or a TCP socket
 alike: each request has a deadline that covers writing it and reading
 the whole answer, and any failure closes the transport with an
-AdapterError.  An error whose kind names a package error class is raised
-as that class with the server's message; any other kind is raised as
-AdapterError.  The toy server (``pairshot.backend.serve``) answers a
-line that is not UTF-8 JSON with an AdapterError, and its TCP loop
-outlives a client whose connection fails.
+AdapterError, as does an answer whose id is not the request's.  An
+error whose kind names a package error class is raised as that class
+with the server's message; any other kind is raised as AdapterError.
+The toy server (``pairshot.backend.serve``) answers a line that is not
+UTF-8 JSON with an AdapterError, and its TCP loop outlives a client
+whose connection fails.
 
 The remote side owns the models; the client refers to them by names it
 invents (scorer-1, classifier-2, ...) and ships an init_seed so the
@@ -228,6 +229,9 @@ class RemoteBackend:
             kind = _JSON_TYPES.get(type(response), type(response).__name__)
             raise AdapterError(f"backend answered with a JSON {kind}, not an object")
         if response.get("id") != request_id:
+            # An answer to another request: out of step with the backend, so
+            # no later request may read this one's late answer.
+            self._transport.close()
             raise AdapterError(
                 f"response id {response.get('id')!r} does not match request id {request_id}"
             )

@@ -34,6 +34,7 @@ _COSINE_EPS = 1e-12
 # peak of 64-text blocks (11.5 vs 5.7 MB) for no measurable speed.
 _ENCODE_CHUNK = 64
 _SCORE_ROWS = 64  # rows per block of _linear_scores: bounds its terms array
+_PLAN_ROWS = 64  # rows per gather of _train_softmax_ce: bounds the planned steps' copy
 
 
 @dataclass(frozen=True)
@@ -149,19 +150,22 @@ def _linear_scores(W: np.ndarray, x: SparseRows) -> np.ndarray:
     return out
 
 
-def _softmax_ce_gradient(W: np.ndarray, x: SparseRows, targets: np.ndarray) -> tuple:
-    """The buckets x uses and, there, the gradient on W of the sum over x_i
-    of cross-entropy(targets[i], softmax(W . x_i)): sum_i (p_i - t_i) x_i^T,
-    each bucket summed in row order."""
+def _softmax_ce_gradient(W: np.ndarray, x: SparseRows, targets: np.ndarray) -> np.ndarray:
+    """The (k, width) gradient on W of the sum over x_i of
+    cross-entropy(targets[i], softmax(W . x_i)): sum_i (p_i - t_i) x_i^T,
+    from one bincount over class * width + column, so each column sums in
+    row order and a column x does not use is 0.0.  x.indptr need not start
+    at 0.  A batch without features gives int64 zeros (bincount's dtype)."""
     scores = _linear_scores(W, x)
     if not np.isfinite(scores).all():
         raise NumericError("non-finite scores during training; lower the learning rate")
     residual = (stable_softmax(scores) - targets).T
-    terms = np.take(residual, np.repeat(np.arange(len(x)), np.diff(x.indptr)), axis=1) * x.values
-    used = np.zeros(W.shape[1], dtype=bool)
-    used[x.indices] = True
-    buckets = np.flatnonzero(used)
-    return buckets, np.array([np.bincount(x.indices, w, len(used))[buckets] for w in terms])
+    lo, hi = x.indptr[0], x.indptr[-1]
+    terms = np.repeat(residual, np.diff(x.indptr), axis=1)
+    terms *= x.values[lo:hi]
+    k, width = W.shape
+    bins = np.arange(k)[:, None] * width + x.indices[lo:hi]
+    return np.bincount(bins.ravel(), terms.ravel(), k * width).reshape(k, width)
 
 
 def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
@@ -176,9 +180,13 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
     s1 and s2 steps match one call of s1 + s2.
 
     Steps read and write only the columns the data has: each job's used
-    columns of W[rows] get their own range of one block.  A step gathers
-    every job's batch in one take and scores and sums it in one pass; a
-    column sums only its own job's rows, in order, so each job ends
+    columns of W[rows] get their own range of one block.  The batches of
+    the next _PLAN_ROWS // (batch * jobs) steps (at least one) are
+    planned ahead and gathered in one take; each step scores its own row
+    range of that gather in one pass and sums its dense (k, width)
+    gradient with one bincount.  A column sums only its own job's rows,
+    in order, and a column no row uses gets exactly 0.0, so the step
+    subtracts lr * grad / |B| from the whole block and each job ends
     bit-equal to training it alone.  A non-finite step writes nothing for
     any job; every W and schedule keeps the steps completed before it.
     """
@@ -206,18 +214,32 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
     first_row = np.cumsum([0] + [len(job[2]) for job in jobs])
     owner = np.repeat(np.arange(len(jobs)), [len(c) for c in columns])
     block = np.concatenate([W[rows[:, None], c] for (W, rows, *_), c in zip(jobs, columns)], axis=1)
-    cells = np.arange(len(block))[:, None] * block.shape[1]  # + column: index into block.flat
+    per_plan = max(1, _PLAN_ROWS // (batch * len(jobs)))
     done = 0
     try:
         while done < steps:
-            batches = [s.batch_indices(start + done) for s, start in zip(schedules, starts)]
-            members = np.concatenate([np.add(b, at) for b, at in zip(batches, first_row)])
-            touched, grad = _softmax_ce_gradient(block, features.take(members), targets[members])
-            update = lr * (grad / np.array([len(b) for b in batches])[owner[touched]])
-            if not np.isfinite(update).all():
-                raise NumericError("non-finite update during training; lower the learning rate")
-            block.reshape(-1)[(cells + touched).ravel()] -= update.ravel()
-            done += 1
+            plan = [
+                [s.batch_indices(start + step) for s, start in zip(schedules, starts)]
+                for step in range(done, min(steps, done + per_plan))
+            ]
+            members = np.concatenate(
+                [np.add(b, at) for batches in plan for b, at in zip(batches, first_row)]
+            )
+            gathered, gathered_targets = features.take(members), targets[members]
+            end = 0
+            for batches in plan:
+                sizes = [len(b) for b in batches]
+                begin, end = end, end + sum(sizes)
+                x = SparseRows(gathered.indptr[begin : end + 1], gathered.indices, gathered.values)
+                grad = _softmax_ce_gradient(block, x, gathered_targets[begin:end])
+                # Out of place, as grad may be int64 zeros.  Batches of one size
+                # divide as a scalar: the same quotients, without a per-column gather.
+                update = grad / (sizes[0] if min(sizes) == max(sizes) else np.take(sizes, owner))
+                update *= lr
+                if not np.isfinite(update).all():
+                    raise NumericError("non-finite update during training; lower the learning rate")
+                block -= update
+                done += 1
     finally:
         blocks = np.split(block, np.cumsum([len(c) for c in columns])[:-1], axis=1)
         for (W, rows, f, _, seed, state), c, own, start in zip(jobs, columns, blocks, starts):

@@ -65,10 +65,10 @@ def _cmd_ingest_synthetic(args: argparse.Namespace) -> int:
     from .synthetic import synthetic_pool, synthetic_unlabeled
 
     pool = synthetic_pool(args.task, args.pairs, args.seed)
+    unl = synthetic_unlabeled(args.task, args.unlabeled, args.seed + 1) if args.unlabeled else None
     path = _write_dataset(pool, args.out, f"{args.task}.pool", "synthetic")
     _print_dataset_summary(pool, path)
-    if args.unlabeled:
-        unl = synthetic_unlabeled(args.task, args.unlabeled, args.seed + 1)
+    if unl is not None:
         upath = _write_dataset(unl, args.out, f"{args.task}.unlabeled", "synthetic")
         print(f"wrote {len(unl)} unlabeled examples to {upath}")
     return 0

@@ -14,10 +14,13 @@ Every "k of n items" draw goes through :meth:`Rng.sample` and every
 "k of m * (m - 1) / 2 pairs" draw through :meth:`Rng.sample_pairs`;
 neither lists what it draws from.
 
-:meth:`Rng.derive_uniform_rows` runs the same arithmetic on numpy
-``uint64`` arrays, whose multiplication wraps modulo 2**64 just as the
-scalar code masks with ``_MASK64``, so bulk draws equal scalar ones bit
-for bit.
+:meth:`Rng.derive_uniform_rows` and :meth:`Rng.shuffled` run the same
+arithmetic on numpy ``uint64`` arrays, whose multiplication wraps modulo
+2**64 just as the scalar code masks with ``_MASK64``, so bulk draws
+equal scalar ones bit for bit.  ``shuffled`` draws all n - 1 values of a
+Fisher-Yates pass at once and keeps them only if none falls in
+``randbelow``'s rejection zone; otherwise it reruns the scalar loop from
+the same state.
 """
 
 from __future__ import annotations
@@ -93,9 +96,29 @@ class Rng:
                 return draw % n
 
     def shuffled(self, items: Iterable[T]) -> list[T]:
-        """A Fisher-Yates shuffled copy of items."""
+        """A Fisher-Yates shuffled copy of items.
+
+        The n - 1 draws come in one bulk pass; if any lands in its
+        randbelow rejection zone, the scalar loop reruns from the same
+        state, so the result and the state after it are always the
+        scalar loop's.
+        """
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
+        n = len(out)
+        if n < 2:
+            return out
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # draw t picks j in [0, n - t)
+        draws = _mix64(
+            np.uint64(self._state) + np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA)
+        )
+        # randbelow(m) accepts draws below 2**64 - 2**64 % m.
+        highest = np.uint64(_MASK64) - (np.uint64(_MASK64) % bounds + np.uint64(1)) % bounds
+        if (draws <= highest).all():
+            self._state = (self._state + (n - 1) * _GAMMA) & _MASK64
+            for i, j in zip(range(n - 1, 0, -1), (draws % bounds).tolist()):
+                out[i], out[j] = out[j], out[i]
+            return out
+        for i in range(n - 1, 0, -1):
             j = self.randbelow(i + 1)
             out[i], out[j] = out[j], out[i]
         return out

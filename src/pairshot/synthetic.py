@@ -65,6 +65,8 @@ def synthetic_pool(
     by at most one.  Sentences are unique across the pool (and across
     pools with distinct serial_prefix values).
     """
+    if n_pairs < 0:
+        raise ValueError(f"number of pairs must be non-negative, got {n_pairs}")
     label_set = builtin_label_set(task_id)
     if task_id not in _MARKERS:
         raise UnknownTaskError(f"no synthetic generator for task {task_id!r}")

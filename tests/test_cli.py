@@ -387,6 +387,17 @@ class TestExitCodes:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, count", [("--pairs", "-5"), ("--unlabeled", "-3")])
+    def test_negative_synthetic_count_exits_one_before_writing(
+        self, tmp_path, capsys, flag, count
+    ):
+        out = tmp_path / "data"
+        rc = main(["ingest", "synthetic", "--task", "so_duplicate", flag, count, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and count in err
+        assert not out.exists()
+
     def test_bad_srs_label_exits_one(self, tmp_path, capsys):
         source = tmp_path / "reqs.jsonl"
         source.write_text(json.dumps({"u": "a", "v": "b", "label": "conflict"}) + "\n")

@@ -24,7 +24,7 @@ from pairshot.errors import (
     DatasetSizeError,
     InfeasibleSplitError,
 )
-from pairshot.synthetic import synthetic_pool
+from pairshot.synthetic import synthetic_pool, synthetic_unlabeled
 
 LABELS = LabelSet(("Neutral", "Duplicate"), task_id="toy_task")
 
@@ -305,3 +305,9 @@ class TestSerialization:
         a_sentences = {s for e in a for s in (e.pair.u, e.pair.v)}
         b_sentences = {s for e in b for s in (e.pair.u, e.pair.v)}
         assert not a_sentences & b_sentences
+
+    @pytest.mark.parametrize("make", [synthetic_pool, synthetic_unlabeled])
+    def test_a_negative_synthetic_count_is_refused(self, make):
+        with pytest.raises(ValueError, match="-5"):
+            make("so_duplicate", -5, seed=1)
+        assert len(make("so_duplicate", 0, seed=1)) == 0

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pairshot.rng import Rng
+from pairshot.rng import _GAMMA, _MASK64, _MIX1, _MIX2, Rng
 
 
 class TestDeterminism:
@@ -129,6 +129,59 @@ class TestSampleMatchesReference:
             tracemalloc.stop()
         assert len(set(picked)) == 5 and all(0 <= x < 1_000_000 for x in picked)
         assert peak < 100_000
+
+
+def reference_shuffled(rng, items):
+    """The scalar Fisher-Yates that Rng.shuffled must reproduce draw for draw."""
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def _unshift(y, shift):
+    """x such that x ^ (x >> shift) == y."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def seed_whose_first_draw_is(draw):
+    """Invert SplitMix64's finalizer: the seed whose next_u64() is draw."""
+    z = _unshift(draw, 31)
+    z = _unshift(z * pow(_MIX2, -1, 1 << 64) & _MASK64, 27)
+    z = _unshift(z * pow(_MIX1, -1, 1 << 64) & _MASK64, 30)
+    return (z - _GAMMA) & _MASK64
+
+
+class TestShuffledMatchesReference:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 25, 100, 400, 1050])
+    def test_lists_and_ranges_and_the_draw_after(self, n):
+        for seed in (0, 1, 7, 12345, 2**63 + 5, _MASK64):
+            for items in (range(n), [f"item{i}" for i in range(n)]):
+                ours, ref = Rng(seed), Rng(seed)
+                assert ours.shuffled(items) == reference_shuffled(ref, items)
+                assert ours.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("n", [3, 400, 1050])
+    def test_a_rejected_first_draw_falls_back_to_the_scalar_loop(self, n):
+        """randbelow(n) rejects draws at or above 2**64 - 2**64 % n; a seed
+        whose first draw lands there makes the bulk pass give way."""
+        zone = (1 << 64) - (1 << 64) % n
+        seed = seed_whose_first_draw_is(zone)
+        assert Rng(seed).next_u64() == zone
+        without_rejection = Rng(seed)
+        naive = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = without_rejection.next_u64() % (i + 1)
+            naive[i], naive[j] = naive[j], naive[i]
+        ours, ref = Rng(seed), Rng(seed)
+        expected = reference_shuffled(ref, range(n))
+        assert expected != naive
+        assert ours.shuffled(range(n)) == expected
+        assert ours.next_u64() == ref.next_u64()
 
 
 class TestSamplePairs:
