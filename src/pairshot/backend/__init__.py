@@ -1,10 +1,11 @@
 """Model backends: contracts, the toy implementation, and the adapter.
 
-Engines call the contract methods (``score``, ``train``, ``predict``,
-``encode``, ``fit``) directly on whatever backend objects they are
-handed, in-process toy models or remote ones behind the adapter.
-``score``, ``predict`` and ``encode`` take a whole batch and return one
-row per item.
+Engines call ``predict`` and ``encode``, ``train`` and ``fit`` directly
+on the classifiers and encoders they are handed, and score and train
+scorers only through their backend's ``score_scorers`` and
+``train_scorers``, in-process toy models or remote ones behind the
+adapter alike.  Every call takes a whole batch; ``predict``, ``encode``
+and ``score_scorers`` return one row per item.
 """
 
 from .contracts import Backend, MaskedScorer, SentenceEncoder, TextClassifier

@@ -56,6 +56,7 @@ import numpy as np
 from .. import errors as errors_module
 from ..errors import PairshotError
 from ..prompting import ClozeInput
+from .contracts import real_numbers
 
 
 PROTOCOL_VERSION = 4
@@ -280,7 +281,7 @@ class RemoteBackend:
         clozes: Sequence[ClozeInput],
         candidates: Sequence[str],
     ) -> np.ndarray:
-        """Every scorer's score(clozes, candidates) from one score request: (m, n, k)."""
+        """Every scorer's scores of clozes from one score request: (m, n, k)."""
         self._check_own("score_scorers", scorers)
         result = self.call(
             "score",
@@ -333,19 +334,7 @@ class _RemoteModel:
 
 
 class RemoteScorer(_RemoteModel):
-    def score(self, clozes: Sequence[ClozeInput], candidates: Sequence[str]) -> np.ndarray:
-        return self._backend.score_scorers([self], clozes, candidates)[0]
-
-    def train(
-        self,
-        rendered: Sequence[tuple[ClozeInput, str]],
-        steps: int,
-        batch: int,
-        lr: float,
-        seed: int,
-        candidates: Sequence[str] | None = None,
-    ) -> None:
-        self._backend.train_scorers([(self, rendered, seed, candidates)], steps, batch, lr)
+    """A scorer handle: RemoteBackend.score_scorers and train_scorers name it."""
 
 
 class RemoteClassifier(_RemoteModel):
@@ -365,10 +354,11 @@ class RemoteClassifier(_RemoteModel):
         lr: float,
         seed: int,
     ) -> None:
+        dists = [real_numbers(dist, "a target distribution").tolist() for _, dist in rows]
         self._call(
             "train_clf",
             labels=list(self.labels),
-            rows=[[text, list(map(float, dist))] for text, dist in rows],
+            rows=[[text, dist] for (text, _), dist in zip(rows, dists)],
             steps=steps,
             batch=batch,
             lr=lr,
@@ -393,9 +383,10 @@ class RemoteEncoder(_RemoteModel):
         lr: float,
         seed: int,
     ) -> None:
+        sims = real_numbers([sim for _, _, sim in triplets], "similarity targets").tolist()
         self._call(
             "fit_encoder",
-            triplets=[[a, b, float(sim)] for a, b, sim in triplets],
+            triplets=[[a, b, sim] for (a, b, _), sim in zip(triplets, sims)],
             epochs=epochs,
             batch=batch,
             lr=lr,

@@ -4,11 +4,12 @@ Engines only talk to these interfaces.  The bundled toy backend and the
 line-delimited JSON adapter both implement them; a transformer-scale
 backend would plug in the same way.
 
-Inference is batch-first: score, predict and encode take a whole
-sequence and return one row per item, so an engine makes one call per
-model per dataset, and Backend.score_scorers scores one dataset with
-several scorers in one call.  Each row must equal what the item would
-get alone.
+Inference is batch-first: predict and encode take a whole sequence and
+return one row per item, so an engine makes one call per model per
+dataset.  Scorers are handles: Backend.score_scorers scores one dataset
+with several of them in one call, and Backend.train_scorers trains
+several in one call.  Each row must equal what the item would get
+alone, and each scorer must end as if trained alone.
 """
 
 from __future__ import annotations
@@ -17,27 +18,15 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from ..errors import ShapeError
 from ..prompting import ClozeInput
 
 
 @runtime_checkable
 class MaskedScorer(Protocol):
-    """Scores candidate tokens for the mask slot of cloze inputs."""
-
-    def score(self, clozes: Sequence[ClozeInput], candidates: Sequence[str]) -> np.ndarray:
-        """(n, k): one row per cloze, one column per candidate, in order."""
-        ...
-
-    def train(
-        self,
-        rendered: Sequence[tuple[ClozeInput, str]],
-        steps: int,
-        batch: int,
-        lr: float,
-        seed: int,
-        candidates: Sequence[str] | None = None,
-    ) -> None:
-        ...
+    """A handle on a cloze scorer of one backend: Backend.score_scorers
+    scores candidate tokens for the mask slot with it, and
+    Backend.train_scorers trains it.  It declares no methods of its own."""
 
 
 @runtime_checkable
@@ -118,14 +107,16 @@ class Backend(Protocol):
         clozes: Sequence[ClozeInput],
         candidates: Sequence[str],
     ) -> np.ndarray:
-        """(m, n, k): every scorer's score(clozes, candidates), stacked in
-        scorer order, from one call; scorers are scorers of this backend."""
+        """(m, n, k): for every scorer in order, one row per cloze and one
+        column per candidate, from one call; scorers are scorers of this
+        backend."""
         ...
 
     def train_scorers(self, jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
-        """Train every job (scorer, rendered, seed, candidates) in one call, each
-        scorer as its train(rendered, steps, batch, lr, seed, candidates) would;
-        jobs name distinct scorers of this backend."""
+        """Train every job (scorer, rendered, seed, candidates) in one call:
+        steps minibatch updates of cross-entropy on the candidate tokens
+        (by default the distinct targets of rendered), each scorer ending as
+        if trained alone; jobs name distinct scorers of this backend."""
         ...
 
 
@@ -142,6 +133,18 @@ def check_ints(config: object, *names: str) -> None:
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, bool) or not isinstance(item, int):
                 raise TypeError(f"{name} takes integers only, got {item!r}")
+
+
+def real_numbers(values: object, what: str) -> np.ndarray:
+    """values as a float64 vector; ShapeError naming what unless values is a
+    sequence of integers and floats (a string is none, and a bool is no number)."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ShapeError(f"{what} must be a sequence of real numbers: {exc}") from exc
+    if array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise ShapeError(f"{what} must be a sequence of real numbers, got {values!r}")
+    return array.astype(np.float64)
 
 
 def resolve_lr(lr: float | None, backend: Backend) -> float:

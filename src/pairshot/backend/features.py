@@ -15,8 +15,9 @@ The result equals zlib.crc32 bit for bit.  Texts are hashed in chunks
 of at most _CHUNK_CHARS characters, which bounds the window arrays;
 byte offsets are held in 32 bits, and only the index arrays that numpy
 reads fastest as intp are 64-bit.
-Featurizer._stack hashes each distinct text of a batch once into one CSR
-and, only when the batch repeats a text, takes the batch's rows from it.
+Featurizer.counts_batch hashes each distinct text of a batch once into
+one CSR and, only when the batch repeats a text, takes the batch's rows
+from it.
 
 A sweep featurizes the same texts cell after cell, so _occurrences
 hashes only texts that the process has not hashed lately.  One ring,
@@ -222,20 +223,15 @@ class Featurizer:
     Word n-grams run from order 1 up to word_order; character n-grams
     use fixed orders 3 and 4 over the raw text.
 
-    sparse_counts returns read-only arrays.  counts_batch stacks a whole
-    batch into read-only SparseRows, one row per text, and remembers only
-    the batch featurized last, keyed by featurizer config and texts, so
-    models with equal configs that read the same texts one after another
-    (the seeds of one pattern, or a scorer's weighting pass and its
-    training) featurize each text once.
-    A batch read for the last time (a classifier's test set) is passed
-    with keep=False and is not held after the call.
+    sparse_counts returns read-only arrays, and counts_batch stacks a
+    whole batch into read-only SparseRows, one row per text.  Neither
+    holds a batch after the call: a caller that hands one batch to
+    several models featurizes it once and passes the rows on.  Frozen,
+    a featurizer can key such a caller's dict.
 
-    Below that memo, every config shares one ring of bucket ids (1 MiB,
-    the ids of the texts hashed last), so a text read again, such as a
-    sweep's test set in every cell, is not hashed again.  keep=False drops
-    a batch's expanded rows, but its compact ids stay in the ring until
-    newer texts overwrite them.
+    Every config shares one ring of bucket ids (1 MiB, the ids of the
+    texts hashed last), so a text read again, such as a sweep's test set
+    in every cell, is not hashed again.
     """
 
     buckets: int
@@ -247,7 +243,7 @@ class Featurizer:
 
     def sparse_counts(self, text: str) -> tuple[np.ndarray, np.ndarray]:
         """Sorted bucket indices and their L2-normalized counts (read-only)."""
-        rows = self._stack([text])
+        rows = self.counts_batch([text])
         return rows.indices, rows.values
 
     def _occurrences(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +330,7 @@ class Featurizer:
         hashes = _crc32(buf, start, end - start, seeds)
         return indptr, hashes.astype(np.int64) % self.buckets
 
-    def _stack(self, texts: Sequence[str]) -> SparseRows:
+    def counts_batch(self, texts: Sequence[str]) -> SparseRows:
         """sparse_counts of every text as one read-only CSR.
 
         Each distinct text's bucket ids come from _occurrences, chunk by
@@ -367,27 +363,6 @@ class Featurizer:
             array.flags.writeable = False
         return rows
 
-    def counts_batch(self, texts: Sequence[str], keep: bool = True) -> SparseRows:
-        """sparse_counts of every text stacked, each distinct text featurized once.
 
-        keep=False marks the batch's last use, such as a test set that is
-        predicted once: the memo is left empty rather than holding it (the
-        ring still holds the texts' bucket ids until they are overwritten).
-        """
-        global _last_batch
-        key = (self, tuple(texts))
-        last = _last_batch
-        if last is None or last[0] != key:
-            last = _last_batch = None  # hold one batch at a time, never two
-            last = _last_batch = (key, self._stack(key[1]))
-        if not keep:
-            _last_batch = None
-        return last[1]
-
-
-# (key, rows) of the last batch.  One entry: engines hand the same batch
-# to several models in a row, and a single batch bounds the memory held
-# by the largest dataset rather than by every dataset seen.
-_last_batch: tuple | None = None
 # The bucket ids of the texts hashed last, for every featurizer config.
 _ring = _IdRing(_RING_SLOTS, _RING_TEXTS)

@@ -63,9 +63,15 @@ class BackendServer:
         return self._model(params, self.backend.create_scorer)
 
     def _classifier(self, params: dict):
-        return self._model(
-            params, lambda seed: self.backend.create_classifier(tuple(params["labels"]), seed)
-        )
+        """The classifier params name, which must have params' labels, a list
+        of strings, in the order it was created with."""
+        labels = tuple(self._get(params, "labels", list))
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError(f"labels must hold strings, got {list(labels)!r}")
+        classifier = self._model(params, lambda seed: self.backend.create_classifier(labels, seed))
+        if getattr(classifier, "labels", None) != labels:
+            raise ValueError(f"labels {list(labels)!r} differ from those {params['model']!r} has")
+        return classifier
 
     def _encoder(self, params: dict):
         return self._model(params, self.backend.create_encoder)
@@ -148,10 +154,10 @@ class BackendServer:
         return {"trained": [len(rendered) for _, rendered, _, _ in jobs]}
 
     def _verb_train_clf(self, params: dict) -> dict:
-        classifier = self._classifier(params)
-        rows = [(text, dist) for text, dist in params["rows"]]
+        rows = self._get(params, "rows", list)
         steps, batch, seed = (self._get(params, key, int) for key in ("steps", "batch", "seed"))
-        classifier.train(rows, steps, batch, self._get(params, "lr", int, float), seed)
+        lr = self._get(params, "lr", int, float)
+        self._classifier(params).train(rows, steps, batch, lr, seed)
         return {"trained": len(rows)}
 
     def _verb_predict(self, params: dict) -> dict:
@@ -163,10 +169,10 @@ class BackendServer:
         return {"vectors": encoder.encode(self._get(params, "texts", list)).tolist()}
 
     def _verb_fit_encoder(self, params: dict) -> dict:
-        encoder = self._encoder(params)
-        triplets = [(a, b, float(sim)) for a, b, sim in params["triplets"]]
+        triplets = self._get(params, "triplets", list)
         epochs, batch, seed = (self._get(params, key, int) for key in ("epochs", "batch", "seed"))
-        encoder.fit(triplets, epochs, batch, self._get(params, "lr", int, float), seed)
+        lr = self._get(params, "lr", int, float)
+        self._encoder(params).fit(triplets, epochs, batch, lr, seed)
         return {"fitted": len(triplets)}
 
 

@@ -16,6 +16,7 @@ nothing.  Epoch-based callers convert via ceil(len(data) / batch) * epochs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
@@ -26,6 +27,7 @@ from ..errors import NoDataError, NumericError, ShapeError, VocabularyError
 from ..numerics import safe_norm, stable_softmax
 from ..prompting import ClozeInput
 from ..rng import Rng
+from .contracts import real_numbers
 from .features import Featurizer, SparseRows, _unpaged
 
 _COSINE_EPS = 1e-12
@@ -269,17 +271,23 @@ class ToyMaskedScorer:
             raise VocabularyError(f"tokens not in backend vocabulary: {missing}")
         return np.asarray([self._row[t] for t in tokens], dtype=np.int64)
 
-    def score(self, clozes: Sequence[ClozeInput], candidates: Sequence[str]) -> np.ndarray:
-        """(n, k) scores in candidate order; only candidate rows are read."""
+    def score(self, x: SparseRows, candidates: Sequence[str]) -> np.ndarray:
+        """(len(x), k) scores of featurized clozes x in candidate order; only
+        candidate rows are read.  ToyBackend.score_scorers calls it once per
+        scorer (perfbench's tracer wraps it by name)."""
         if not candidates:
             raise VocabularyError("candidate token list is empty")
-        rows = self._rows_for(candidates)
-        return _linear_scores(self.W[rows], self._featurizer.counts_batch([c.text for c in clozes]))
+        return _linear_scores(self.W[self._rows_for(candidates)], x)
 
     def _job(
-        self, rendered: Sequence[tuple[ClozeInput, str]], seed: int, candidates: Sequence[str] | None
+        self,
+        rendered: Sequence[tuple[ClozeInput, str]],
+        seed: int,
+        candidates: Sequence[str] | None,
+        featurize=Featurizer.counts_batch,
     ) -> tuple:
-        """The trainer's job for rendered: (W, rows, features, targets, seed, schedule)."""
+        """The trainer's job for rendered: (W, rows, features, targets, seed,
+        schedule); featurize(featurizer, texts) gives the features."""
         if not rendered:
             raise NoDataError("train called with no rendered examples")
         targets = [target for _, target in rendered]
@@ -291,7 +299,7 @@ class ToyMaskedScorer:
         if outside:
             raise VocabularyError(f"target token {outside[0]!r} outside candidate set")
         onehot = np.eye(len(candidates))[[position[target] for target in targets]]
-        features = self._featurizer.counts_batch([cloze.text for cloze, _ in rendered])
+        features = featurize(self._featurizer, tuple(cloze.text for cloze, _ in rendered))
         return self.W, rows, features, onehot, seed, self._sched
 
     def train(
@@ -303,7 +311,9 @@ class ToyMaskedScorer:
         seed: int,
         candidates: Sequence[str] | None = None,
     ) -> None:
-        """Cross-entropy training restricted to the candidate token rows.
+        """Cross-entropy training restricted to the candidate token rows, as
+        ToyBackend.train_scorers trains a job (perfbench's tracer wraps it
+        by name).
 
         candidates defaults to the distinct target tokens present in
         rendered, in vocabulary order.
@@ -326,7 +336,7 @@ class ToyTextClassifier:
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
         """(n, k) raw scores, one row per text, columns in label order."""
-        return _linear_scores(self.W, self._featurizer.counts_batch(texts, keep=False))
+        return _linear_scores(self.W, self._featurizer.counts_batch(texts))
 
     def train(
         self,
@@ -339,11 +349,10 @@ class ToyTextClassifier:
         if not rows:
             raise NoDataError("train called with no rows")
         k = len(self.labels)
-        targets = [np.asarray(list(dist), dtype=np.float64) for _, dist in rows]
+        targets = [real_numbers(dist, "a target distribution") for _, dist in rows]
         for target in targets:
-            if target.shape != (k,):
-                n = target.shape[0] if target.ndim else 0
-                raise ShapeError(f"target distribution has {n} entries, expected {k}")
+            if len(target) != k:
+                raise ShapeError(f"target distribution has {len(target)} entries, expected {k}")
             if not (target >= 0).all() or abs(float(target.sum()) - 1.0) > 1e-9:
                 raise ShapeError("target distribution entries must be >= 0 and sum to 1")
         x = self._featurizer.counts_batch([text for text, _ in rows])
@@ -467,7 +476,7 @@ class ToyEncoder:
             raise ValueError("epochs must be non-negative")
         if not triplets:
             raise NoDataError("fit called with no triplets")
-        targets = [float(target) for _, _, target in triplets]
+        targets = real_numbers([sim for _, _, sim in triplets], "similarity targets").tolist()
         if not all(map(math.isfinite, targets)):
             raise ShapeError("similarity targets must be finite")
         # Rows 2i and 2i + 1 are the texts of triplet i.
@@ -540,11 +549,18 @@ class ToyBackend:
         clozes: Sequence[ClozeInput],
         candidates: Sequence[str],
     ) -> np.ndarray:
-        """Each scorer's own score, stacked to (m, n, k); the featurizer's
-        one-batch memo featurizes the clozes once for all of them."""
-        scores = np.array([s.score(clozes, candidates) for s in scorers], dtype=np.float64)
+        """Every scorer's scores of clozes, stacked to (m, n, k); the clozes
+        are featurized once per distinct featurizer."""
+        featurize = functools.cache(Featurizer.counts_batch)
+        texts = tuple(cloze.text for cloze in clozes)
+        scores = np.array(
+            [s.score(featurize(s._featurizer, texts), candidates) for s in scorers], dtype=np.float64
+        )
         return scores.reshape(len(scorers), len(clozes), len(candidates))
 
     def train_scorers(self, jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
-        """Each job (scorer, rendered, seed, candidates) trained as its scorer's train would."""
-        _train_softmax_ce([s._job(r, seed, c) for s, r, seed, c in jobs], steps, batch, lr)
+        """Each job (scorer, rendered, seed, candidates) trained as if alone,
+        all in lockstep; each distinct (featurizer, texts) is featurized once."""
+        featurize = functools.cache(Featurizer.counts_batch)
+        jobs = [scorer._job(rendered, seed, c, featurize) for scorer, rendered, seed, c in jobs]
+        _train_softmax_ce(jobs, steps, batch, lr)

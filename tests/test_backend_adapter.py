@@ -208,6 +208,61 @@ class TestServerVerbs:
         assert response["kind"] == "AdapterError"
         assert "must be a list" in response["error"]
 
+    @pytest.mark.parametrize(
+        "verb, params, field",
+        [
+            ("predict", {"model": "c", "labels": "AB", "texts": ["a"]}, "labels"),
+            ("predict", {"model": "c", "labels": ["A", 2], "texts": ["a"]}, "labels"),
+            ("train_clf", {"model": "c", "labels": ["A", "B"], "rows": "ab", "steps": 1,
+                           "batch": 1, "lr": 0.1, "seed": 0}, "rows"),
+            ("fit_encoder", {"model": "e", "triplets": "abc", "epochs": 1, "batch": 1,
+                             "lr": 0.1, "seed": 0}, "triplets"),
+        ],
+    )
+    def test_model_list_fields_are_typed_and_create_nothing(self, server, verb, params, field):
+        """"AB" is not the labels ("A", "B"), and a string is no rows or
+        triplets: the answer names the field, no model is created, and the
+        server keeps serving."""
+        response = server.handle({"id": 16, "verb": verb, "params": params})
+        assert (response["ok"], response["kind"]) == (False, "AdapterError")
+        assert field in response["error"]
+        assert server._models == {}
+        assert server.handle({"id": 17, "verb": "hello", "params": {}})["ok"] is True
+
+    def test_labels_must_be_the_classifiers_own(self, server):
+        """A classifier answers in the label order it was created with, so a
+        request naming other labels is refused and changes nothing."""
+
+        def request(verb, labels, **params):
+            params = {"model": "c", "labels": labels, **params}
+            return server.handle({"id": 18, "verb": verb, "params": params})
+
+        train = {"rows": [["a b", [1.0, 0.0]]], "steps": 1, "batch": 1, "lr": 0.1, "seed": 0}
+        assert request("train_clf", ["A", "B"], **train)["ok"] is True
+        scores = request("predict", ["A", "B"], texts=["a b"])["result"]["scores"]
+        assert scores[0][0] > scores[0][1]
+        for verb, params in (("predict", {"texts": ["a b"]}), ("train_clf", train)):
+            for labels in (["B", "A"], ["A", "B", "C"]):
+                response = request(verb, labels, **params)
+                assert (response["ok"], response["kind"]) == (False, "AdapterError")
+                assert "labels" in response["error"]
+        assert request("predict", ["A", "B"], texts=["a b"])["result"]["scores"] == scores
+
+    @pytest.mark.parametrize(
+        "verb, params",
+        [
+            ("train_clf", {"model": "c", "labels": ["A", "B"], "rows": [["t", "10"]]}),
+            ("train_clf", {"model": "c", "labels": ["A", "B"], "rows": [["t", ["1", "0"]]]}),
+            ("fit_encoder", {"model": "e", "triplets": [["a b", "c d", "0.5"]]}),
+        ],
+    )
+    def test_string_targets_are_shape_errors(self, server, verb, params):
+        """"10" is not the distribution [1.0, 0.0], nor "0.5" a similarity."""
+        counts = {"steps": 1} if verb == "train_clf" else {"epochs": 1}
+        params = {**params, **counts, "batch": 1, "lr": 0.1, "seed": 0}
+        response = server.handle({"id": 19, "verb": verb, "params": params})
+        assert (response["ok"], response["kind"]) == (False, "ShapeError")
+
     TRAIN_MLM = {
         "jobs": [
             {
@@ -325,14 +380,13 @@ class TestRemoteMatchesLocal:
 
     def test_scorer_parity(self, remote):
         """Remote and local scorers trained identically emit identical scores."""
-        local = ToyBackend().create_scorer(seed=0)
-        local.train(SCORER_ROWS, steps=12, batch=2, lr=0.1, seed=9, candidates=["Yes", "No"])
-        remote_scorer = remote.create_scorer(seed=0)
-        remote_scorer.train(SCORER_ROWS, steps=12, batch=2, lr=0.1, seed=9, candidates=["Yes", "No"])
         probe = cloze("fast reply sharp answer <mask>")
-        np.testing.assert_array_equal(
-            remote_scorer.score([probe], ["Yes", "No"]), local.score([probe], ["Yes", "No"])
-        )
+        tables = []
+        for backend in (ToyBackend(), remote):
+            scorer = backend.create_scorer(seed=0)
+            backend.train_scorers([(scorer, SCORER_ROWS, 9, ["Yes", "No"])], 12, 2, 0.1)
+            tables.append(backend.score_scorers([scorer], [probe], ["Yes", "No"])[0])
+        np.testing.assert_array_equal(*tables)
 
     def test_classifier_parity(self, remote):
         local = ToyBackend().create_classifier(("Neutral", "Duplicate"), seed=0)
@@ -358,13 +412,23 @@ class TestRemoteMatchesLocal:
         """Error kinds map back onto the same exception classes engines catch."""
         scorer = remote.create_scorer(seed=0)
         with pytest.raises(VocabularyError):
-            scorer.score([cloze("alpha <mask>")], ["NotAToken"])
+            remote.score_scorers([scorer], [cloze("alpha <mask>")], ["NotAToken"])
         classifier = remote.create_classifier(("A", "B"), seed=0)
         with pytest.raises(ShapeError):
             classifier.train([("text", [0.5, 0.2])], steps=1, batch=1, lr=0.1, seed=0)
         encoder = remote.create_encoder(seed=0)
         with pytest.raises(NoDataError):
             encoder.fit([], epochs=1, batch=1, lr=0.1, seed=0)
+
+    def test_string_targets_are_refused_before_any_request(self):
+        """The client reads "10" as no distribution and "0.5" as no similarity."""
+        transport = CountingTransport(BackendServer())
+        remote = RemoteBackend(transport)
+        with pytest.raises(ShapeError):
+            remote.create_classifier(("A", "B")).train([("t", "10")], 1, 1, 0.1, 0)
+        with pytest.raises(ShapeError):
+            remote.create_encoder().fit([("a b", "c d", "0.5")], 1, 1, 0.1, 0)
+        assert transport.verbs == ["hello"]
 
     def test_train_scorers_parity(self, remote):
         """One train_scorers call over the wire trains each scorer as the
@@ -376,10 +440,10 @@ class TestRemoteMatchesLocal:
             jobs = [(s, SCORER_ROWS[: 3 + i], 9 + i, ["Yes", "No"]) for i, s in enumerate(scorers)]
             backend.train_scorers(jobs, 12, 2, 0.1)
         probe = cloze("fast reply sharp answer <mask>")
-        for mine, theirs in zip(remote_scorers, local):
-            np.testing.assert_array_equal(
-                mine.score([probe], ["Yes", "No"]), theirs.score([probe], ["Yes", "No"])
-            )
+        np.testing.assert_array_equal(
+            remote.score_scorers(remote_scorers, [probe], ["Yes", "No"]),
+            local_backend.score_scorers(local, [probe], ["Yes", "No"]),
+        )
 
     def test_train_scorers_refuses_one_model_twice(self, remote):
         scorer = remote.create_scorer(seed=0)
@@ -397,9 +461,10 @@ class TestRemoteMatchesLocal:
         """Training one remote scorer leaves a sibling scorer untouched."""
         first = remote.create_scorer(seed=0)
         second = remote.create_scorer(seed=0)
-        first.train(SCORER_ROWS, steps=12, batch=2, lr=0.1, seed=9, candidates=["Yes", "No"])
+        remote.train_scorers([(first, SCORER_ROWS, 9, ["Yes", "No"])], 12, 2, 0.1)
         probe = cloze("fast reply sharp answer <mask>")
-        np.testing.assert_array_equal(second.score([probe], ["Yes", "No"]), [[0.0, 0.0]])
+        scores = remote.score_scorers([second], [probe], ["Yes", "No"])[0]
+        np.testing.assert_array_equal(scores, [[0.0, 0.0]])
 
 
 # A small bucket count keeps the property's models cheap to create.
@@ -427,9 +492,11 @@ class TestScoreScorers:
             scorers = [backend.create_scorer(seed) for seed in seeds]
             for i, scorer in enumerate(scorers):
                 if trained[i]:
-                    scorer.train(SCORER_ROWS[: 2 + i % 3], 3, 2, 0.1, i, ["Yes", "No"])
+                    backend.train_scorers(
+                        [(scorer, SCORER_ROWS[: 2 + i % 3], i, ["Yes", "No"])], 3, 2, 0.1
+                    )
             stacked = backend.score_scorers(scorers, probes, candidates)
-            alone = [scorer.score(probes, candidates) for scorer in scorers]
+            alone = [backend.score_scorers([scorer], probes, candidates)[0] for scorer in scorers]
             assert stacked.shape == (len(seeds), len(probes), len(candidates))
             assert stacked.dtype == np.float64
             assert stacked.tobytes() == np.array(alone, dtype=np.float64).tobytes()
@@ -634,9 +701,10 @@ class TestTransportSafety:
                 return {"id": payload["id"], "ok": True, "result": self.hello_result()}
             return {"id": payload["id"], "ok": True, "result": {"scores": [[0.5]]}}
 
-        scorer = RemoteBackend(self.EchoTransport(respond)).create_scorer(seed=0)
+        remote = RemoteBackend(self.EchoTransport(respond))
+        clozes = [cloze("a <mask>"), cloze("b <mask>")]
         with pytest.raises(AdapterError, match="expected"):
-            scorer.score([cloze("a <mask>"), cloze("b <mask>")], ["Yes", "No"])
+            remote.score_scorers([remote.create_scorer(seed=0)], clozes, ["Yes", "No"])
 
     @pytest.mark.parametrize(
         "answer",

@@ -57,18 +57,18 @@ def yes_no_rendering(n: int):
 class TestScorerBasics:
     def test_untrained_scores_are_all_zero(self, backend):
         scorer = backend.create_scorer(seed=1)
-        scores = scorer.score([cloze("anything at all")], ["Yes", "No"])
+        scores = backend.score_scorers([scorer], [cloze("anything at all")], ["Yes", "No"])[0]
         np.testing.assert_array_equal(scores, [[0.0, 0.0]])
 
     def test_unknown_candidate_token_raises(self, backend):
         scorer = backend.create_scorer()
         with pytest.raises(VocabularyError):
-            scorer.score([cloze("text")], ["NotInVocabulary"])
+            backend.score_scorers([scorer], [cloze("text")], ["NotInVocabulary"])
 
     def test_empty_candidates_raise(self, backend):
         scorer = backend.create_scorer()
         with pytest.raises(VocabularyError):
-            scorer.score([cloze("text")], [])
+            backend.score_scorers([scorer], [cloze("text")], [])
 
     def test_train_requires_data(self, backend):
         scorer = backend.create_scorer()
@@ -88,10 +88,11 @@ class TestScorerTraining:
     def test_learns_a_separable_cloze_task(self, backend):
         scorer = backend.create_scorer(seed=3)
         scorer.train(yes_no_rendering(24), steps=200, batch=8, lr=0.1, seed=5)
-        good, bad = scorer.score(
+        good, bad = backend.score_scorers(
+            [scorer],
             [cloze("service healthy fast stable run90"), cloze("crash broken slow failure run91")],
             ["Yes", "No"],
-        )
+        )[0]
         assert good[0] > good[1]
         assert bad[1] > bad[0]
 
@@ -289,6 +290,14 @@ class TestClassifier:
         with pytest.raises(ShapeError):
             clf.train([("t", (float("nan"), float("nan")))], steps=1, batch=1, lr=0.1, seed=0)
 
+    @pytest.mark.parametrize("dist", ["10", ["1", "0"], b"\x01\x00", 1.0, [True, False], None])
+    def test_targets_must_be_real_numbers(self, backend, dist):
+        """"10" is not the distribution (1.0, 0.0), nor true the number 1."""
+        clf = backend.create_classifier(["A", "B"])
+        with pytest.raises(ShapeError):
+            clf.train([("t", dist)], steps=1, batch=1, lr=0.1, seed=0)
+        assert not clf.W.any()
+
     def test_learns_soft_targets(self, backend):
         clf = backend.create_classifier(["A", "B"])
         rows = []
@@ -352,6 +361,13 @@ class TestEncoder:
     def test_fit_requires_triplets(self, backend):
         with pytest.raises(NoDataError):
             backend.create_encoder().fit([], epochs=1, batch=4, lr=0.1, seed=0)
+
+    @pytest.mark.parametrize("similarity", ["0.5", b"1", None, True, [0.5]])
+    def test_similarity_must_be_a_real_number(self, backend, similarity):
+        with pytest.raises(ShapeError):
+            backend.create_encoder().fit(
+                [("a b", "c d", similarity)], epochs=1, batch=1, lr=0.1, seed=0
+            )
 
 
 def pair_loss(encoder, text_a, text_b, target):
@@ -478,7 +494,7 @@ class TestWholeBackend:
         pair = SentencePair("how to sort a list", "sorting lists in place")
         out = render(pvp, pair, 64, backend.mask_token, backend.separator_token)
         scorer = backend.create_scorer()
-        scores = scorer.score([out], ["No", "Yes"])
+        scores = backend.score_scorers([scorer], [out], ["No", "Yes"])[0]
         assert scores.shape == (1, 2)
 
 
@@ -491,7 +507,8 @@ class TestStateRoundTrip:
         again = load_model(path)
         probe = cloze("service healthy fast stable run77")
         np.testing.assert_array_equal(
-            scorer.score([probe], ["Yes", "No"]), again.score([probe], ["Yes", "No"])
+            backend.score_scorers([scorer], [probe], ["Yes", "No"]),
+            backend.score_scorers([again], [probe], ["Yes", "No"]),
         )
 
     def test_scorer_round_trip_preserves_schedule(self, backend, tmp_path):
@@ -610,7 +627,9 @@ class TestBatchContract:
         scorer = backend.create_scorer(seed=3)
         scorer.train(yes_no_rendering(12), steps=40, batch=4, lr=0.1, seed=5)
         clozes = [cloze(text) for text in self.TEXTS]
-        self.assert_rows_match_singles(lambda batch: scorer.score(batch, ["No", "Yes"]), clozes)
+        self.assert_rows_match_singles(
+            lambda batch: backend.score_scorers([scorer], batch, ["No", "Yes"])[0], clozes
+        )
 
     def test_classifier_rows(self, backend):
         clf = backend.create_classifier(["A", "B", "C"])
@@ -624,7 +643,32 @@ class TestBatchContract:
         self.assert_rows_match_singles(enc.encode, self.TEXTS)
 
     def test_empty_batches_have_zero_rows(self, backend):
-        assert backend.create_scorer().score([], ["Yes", "No"]).shape == (0, 2)
+        assert backend.score_scorers([backend.create_scorer()], [], ["Yes", "No"]).shape == (1, 0, 2)
         assert backend.create_classifier(["A", "B"]).predict([]).shape == (0, 2)
         enc = backend.create_encoder()
         assert enc.encode([]).shape == (0, enc.dim)
+
+
+class TestMixedFeaturizers:
+    """The backend verbs take scorers of several featurizer configs at once,
+    such as a default scorer and one loaded from a payload: each scorer is
+    featurized by its own config, as if handled alone."""
+
+    @staticmethod
+    def scorers():
+        small = ToyBackend(backend_config_with({"buckets": 1024})).create_scorer(seed=4)
+        return [ToyBackend().create_scorer(seed=1), model_from_payload(model_to_payload(small))]
+
+    def test_equal_each_scorer_handled_alone(self, backend):
+        together, alone = self.scorers(), self.scorers()
+        assert [s.config.buckets for s in together] == [32768, 1024]
+        data = yes_no_rendering(12)
+        backend.train_scorers([(s, data, 7, ["Yes", "No"]) for s in together], 20, 4, 0.1)
+        for scorer in alone:
+            backend.train_scorers([(scorer, data, 7, ["Yes", "No"])], 20, 4, 0.1)
+        assert [model_to_payload(s) for s in together] == [model_to_payload(s) for s in alone]
+        probes = [cloze(text) for text in TestBatchContract.TEXTS]
+        stacked = backend.score_scorers(together, probes, ["No", "Yes"])
+        each = [backend.score_scorers([s], probes, ["No", "Yes"])[0] for s in alone]
+        assert stacked.tobytes() == np.array(each).tobytes()
+        assert not np.array_equal(stacked[0], stacked[1])

@@ -1,6 +1,6 @@
 """Hashed n-gram featurizer: golden equality with a per-gram reference,
-and the safety of the one-batch memo behind counts_batch and of the ring
-of bucket ids behind _occurrences.
+the safety of the ring of bucket ids behind _occurrences, and how often
+the toy backend featurizes a batch.
 """
 
 import sys
@@ -37,10 +37,9 @@ def fresh_ring(slots=features._RING_SLOTS, max_texts=features._RING_TEXTS):
 
 
 @pytest.fixture(autouse=True)
-def empty_memos(monkeypatch):
-    """Every test starts with both memos empty, so hash counts do not depend on test order."""
+def empty_ring(monkeypatch):
+    """Every test starts with an empty ring, so hash counts do not depend on test order."""
     monkeypatch.setattr(features, "_ring", fresh_ring())
-    monkeypatch.setattr(features, "_last_batch", None)
 
 
 def spy_on_hashing(monkeypatch):
@@ -127,14 +126,6 @@ class TestFeatureCache:
                 assert idx.tobytes() == ref_idx.tobytes()
                 assert val.tobytes() == ref_val.tobytes()
 
-    def test_equal_configs_share_the_batch_entry(self):
-        texts = ["shared by equal featurizers", "and a second text"]
-        first = Featurizer(32768, 2).counts_batch(texts)
-        second = Featurizer(32768, 2).counts_batch(list(texts))
-        assert first is second
-        for array in (first.indptr, first.indices, first.values):
-            assert not array.flags.writeable
-
     def test_batch_rows_equal_sparse_counts_for_every_config(self):
         configs = [Featurizer(1024, 2), Featurizer(32768, 2), Featurizer(32768, 3)]
         texts = ["same text under three configs", "", "same text under three configs"]
@@ -152,25 +143,6 @@ class TestFeatureCache:
                     )
                     assert idx.tobytes() == ref_idx.tobytes()
                     assert val.tobytes() == ref_val.tobytes()
-
-    def test_memo_holds_one_batch(self):
-        featurizer = Featurizer(32768, 2)
-        for i in range(1000):
-            featurizer.counts_batch([f"distinct text number {i}", "repeated text"])
-        key, rows = features._last_batch
-        assert key == (featurizer, ("distinct text number 999", "repeated text"))
-        assert len(rows) == 2
-
-    def test_classifier_predict_leaves_the_memo_empty(self):
-        """A test set is predicted once, so predict does not keep it alive."""
-        from pairshot.backend.toy import ToyBackend
-
-        clf = ToyBackend().create_classifier(["A", "B"])
-        clf.train([("a training text", [1.0, 0.0])], steps=1, batch=1, lr=0.1, seed=0)
-        assert features._last_batch is not None
-        scores = clf.predict(["a test text", "another test text"])
-        assert scores.shape == (2, 2)
-        assert features._last_batch is None
 
 
 class TestSparseRows:
@@ -204,14 +176,13 @@ class TestFeaturizedOnce:
         texts = [f"probe {i} for the featurized-once check <mask>" for i in range(5)]
         clozes = [ClozeInput(text, len(text) - 6) for text in texts + texts[:2]]
         backend = ToyBackend()
-        for seed in (1, 2, 3):
-            scores = backend.create_scorer(seed).score(clozes, ["Yes", "No"])
-            assert scores.shape == (7, 2)
+        scorers = [backend.create_scorer(seed) for seed in (1, 2, 3)]
+        assert backend.score_scorers(scorers, clozes, ["Yes", "No"]).shape == (3, 7, 2)
         assert sorted(calls) == sorted(texts)
 
     def test_an_ensemble_hashes_each_rendered_text_once(self, monkeypatch, dup_pool):
-        """Weighing every member before training evicts the one-batch memo;
-        the ring still holds each pattern's clozes when they are trained on."""
+        """Weighing every member comes before training; the ring still holds
+        each pattern's clozes when they are trained on."""
         from pairshot.backend.toy import ToyBackend
         from pairshot.data import sample_training_set
         from pairshot.pet import PetConfig, train_ensemble
@@ -222,6 +193,28 @@ class TestFeaturizedOnce:
         members = train_ensemble(config, train, ToyBackend(), seed=11)
         assert len(config.pvps) == 3 and len(members) == 9
         assert len(hashed) == len(set(hashed)) == 150
+
+    def test_an_ensemble_featurizes_each_patterns_clozes_twice(self, monkeypatch, dup_pool):
+        """Each pattern's clozes are featurized once to weigh its three seeds
+        and once to train them: 6 counts_batch calls, where featurizing per
+        trained job would make 12."""
+        from pairshot.backend.toy import ToyBackend
+        from pairshot.data import sample_training_set
+        from pairshot.pet import PetConfig, train_ensemble
+
+        train = sample_training_set(dup_pool, 50, seed=1000)
+        config = PetConfig.for_task("so_duplicate", mlm_steps=2, batch=4)
+        batches = []
+        counts_batch = Featurizer.counts_batch
+
+        def spy(self, texts):
+            batches.append(len(texts))
+            return counts_batch(self, texts)
+
+        monkeypatch.setattr(Featurizer, "counts_batch", spy)
+        members = train_ensemble(config, train, ToyBackend(), seed=11)
+        assert len(config.pvps) == 3 and len(members) == 9
+        assert batches == [50] * 6
 
     def test_a_sweep_hashes_each_distinct_text_once(self, monkeypatch, dup_pool, dup_test):
         """Every cell scores the one test set: it is hashed in the first cell only."""
@@ -236,13 +229,13 @@ class TestFeaturizedOnce:
             engine_options={"steps": 30, "batch": 4},
         )
         featurized = []
-        stack = Featurizer._stack
+        counts_batch = Featurizer.counts_batch
 
         def spy(self, texts):
             featurized.extend(texts)
-            return stack(self, texts)
+            return counts_batch(self, texts)
 
-        monkeypatch.setattr(Featurizer, "_stack", spy)
+        monkeypatch.setattr(Featurizer, "counts_batch", spy)
         hashed = spy_on_hashing(monkeypatch)
         result = run_sweep(config, dup_pool, dup_test)
         assert len(result.cells) == 4 and not result.failed
@@ -252,7 +245,7 @@ class TestFeaturizedOnce:
 
 def assert_batch_equals_reference(featurizer, texts):
     indptr, ids = featurizer._occurrences(texts)
-    rows = featurizer.counts_batch(texts, keep=False)
+    rows = featurizer.counts_batch(texts)
     assert len(indptr) == len(rows.indptr) == len(texts) + 1
     for i, text in enumerate(texts):
         expected = reference_bucket_ids(text, featurizer.buckets, featurizer.word_order)
@@ -304,7 +297,7 @@ class TestBatchHashing:
     def test_empty_batch(self):
         indptr, ids = Featurizer(7, 2)._occurrences([])
         assert indptr.tolist() == [0] and ids.tolist() == []
-        assert len(Featurizer(7, 2).counts_batch([], keep=False)) == 0
+        assert len(Featurizer(7, 2).counts_batch([])) == 0
 
     def test_ring_wraps_in_place_and_indexes_only_its_window(self):
         """Past its capacity the ring overwrites its one array, and the index
@@ -380,4 +373,4 @@ class TestBatchHashing:
             with pytest.raises(UnicodeEncodeError):
                 Featurizer(32768, 2)._occurrences(texts)
             with pytest.raises(UnicodeEncodeError):
-                Featurizer(32768, 2).counts_batch(texts, keep=False)
+                Featurizer(32768, 2).counts_batch(texts)

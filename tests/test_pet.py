@@ -145,7 +145,7 @@ class TestEnsembleTraining:
         model = backend.create_scorer(seed=123)
         clozes = render_pairs(pvp, [ex.pair for ex in dup_train], config, backend)
         tokens = verbalizer_tokens(pvp, dup_train.label_set)
-        acc = untrained_accuracy(model.score(clozes, tokens), dup_train)
+        acc = untrained_accuracy(backend.score_scorers([model], clozes, tokens)[0], dup_train)
         first_label = dup_train.label_set.labels[0]
         expected = sum(1 for ex in dup_train if ex.label == first_label) / len(dup_train)
         assert acc == pytest.approx(expected)

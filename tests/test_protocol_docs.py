@@ -1,14 +1,17 @@
-"""The protocol's documentation follows the code.
+"""The protocol's and the contract's documentation follows the code.
 
 The adapter's module docstring lists the verbs the toy server answers,
-and it and the README name the protocol version the client speaks.  A
-change to the protocol that leaves either stale fails here.
+and it and the README name the protocol version the client speaks.  The
+README's contract bullet names every public member of Backend, and a
+scorer stays a handle: the backend scores and trains it.  A change that
+leaves any of these stale fails here.
 """
 
 import re
 from pathlib import Path
 
 import pairshot.backend.adapter as adapter
+from pairshot.backend.contracts import Backend, MaskedScorer
 from pairshot.backend.serve import BackendServer
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,3 +38,24 @@ def test_the_docstring_and_the_readme_state_the_protocol_version():
     assert version == adapter.PROTOCOL_VERSION
     stated = re.findall(r"protocol\s+(\d+)", README.read_text(encoding="utf-8"))
     assert stated and set(map(int, stated)) == {adapter.PROTOCOL_VERSION}
+
+
+def public_members(cls: type) -> list[str]:
+    return sorted(name for name in vars(cls) if not name.startswith("_"))
+
+
+def test_a_scorer_declares_no_verbs_of_its_own():
+    """Scoring and training go through Backend.score_scorers and train_scorers only."""
+    assert public_members(MaskedScorer) == []
+    assert public_members(adapter.RemoteScorer) == []
+
+
+def test_the_readme_contract_bullet_names_every_backend_member():
+    readme = README.read_text(encoding="utf-8")
+    bullet = re.search(r"^- \*\*Batch-first backend contract\.\*\*(.*?)^- ", readme,
+                       flags=re.MULTILINE | re.DOTALL)
+    assert bullet, "the README has no batch-first contract bullet"
+    members = public_members(Backend)
+    assert "score_scorers" in members and "train_scorers" in members
+    named = set(re.findall(r"`(?:Backend\.)?(\w+)", bullet.group(1)))
+    assert [name for name in members if name not in named] == []
