@@ -15,23 +15,21 @@ The result equals zlib.crc32 bit for bit.  Texts are hashed in chunks
 of at most _CHUNK_CHARS characters, which bounds the window arrays;
 byte offsets are held in 32 bits, and only the index arrays that numpy
 reads fastest as intp are 64-bit.
-Featurizer.counts_batch hashes each distinct text of a batch once into
-one CSR and, only when the batch repeats a text, takes the batch's rows
-from it.
+Featurizer.counts_batch counts the ids of a batch, chunk by chunk, into
+one CSR.
 
 A sweep featurizes the same texts cell after cell, so _occurrences
-hashes only texts that the process has not hashed lately.  One ring,
-mapped once, holds the bucket ids of the texts hashed last: 2**19 uint16
-slots, 1 MiB, one slot per id (two when buckets > 65,536).  Its index
-holds one dict per (buckets, word_order) that maps a text to one int
-packing the text's first slot and slot count, and names at most 8,192
-texts.  An entry lasts until the ring overwrites one of its slots or
-8,192 newer texts are indexed, and it leaves the index then.
+hashes only the distinct texts that its config has not hashed lately.
+Each featurizer config (buckets, word_order) gets its own ring on first
+use, mapped once: 1 MiB of ids, 524,288 uint16 ids (262,144 uint32 when
+buckets > 65,536), and an index that maps a text to one int packing its
+first id and id count and names at most 8,192 texts.  An entry lasts
+until the ring overwrites one of its ids or 8,192 newer texts are
+indexed, and it leaves the index then.
 """
 
 from __future__ import annotations
 
-import heapq
 import mmap
 from dataclasses import dataclass
 from itertools import chain, islice, takewhile
@@ -45,13 +43,13 @@ _CHAR_ORDERS = (3, 4)
 # chunk's work arrays peak at about 140 bytes per character (1.1 MB for
 # 8,192 characters of PET clozes): 32-bit byte offsets, intp indices.
 _CHUNK_CHARS = 8192
-# Slots of the ring of hashed bucket ids: 2**19 uint16 slots, 1 MiB.  They
-# hold 524,288 ids (262,144 when buckets > 65,536), which covers a sweep's
-# test set and training pool several times over.
-_RING_SLOTS = 1 << 19
-# Texts the ring's index may name, so that short texts cannot fill it with
-# hundreds of thousands of keys: one per 64 slots.
-_RING_TEXTS = _RING_SLOTS >> 6
+# Bytes of each config's ring of hashed bucket ids: 524,288 uint16 ids
+# (262,144 uint32), which covers a sweep's test set and training pool
+# several times over.
+_RING_BYTES = 1 << 20
+# Texts a ring's index may name, so that short texts cannot fill it with
+# hundreds of thousands of keys.
+_RING_TEXTS = 8192
 
 
 def _tag_seed(tag: str) -> int:
@@ -127,63 +125,54 @@ def _take(indptr: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 class _IdRing:
-    """The bucket ids of the texts hashed last, in one ring of uint16 slots.
+    """The bucket ids of one featurizer config's texts hashed last, in one ring.
 
-    Slot a, counting every slot ever written, lives at slots[a % len(slots)].
-    The index holds one dict per featurizer config (buckets, word_order) that
-    maps a text to one int, its first slot << shift | its slot count, in
-    write order.  An entry leaves it when a write reaches one of its slots
-    or when the index would name more than max_texts texts, so every entry
-    reads back as written and no text outlives the window.
+    Id a, counting every id ever written, lives at ids[a % len(ids)]: 1 MiB
+    of uint16 ids, or of uint32 ids when buckets > 65,536.  The index maps a
+    text to one int, its first id << shift | its id count, in write order.
+    An entry leaves it when a write reaches one of its ids or when the index
+    would name more than _RING_TEXTS texts, so every entry reads back as
+    written and no text outlives the window.
     """
 
-    def __init__(self, slots: int, max_texts: int) -> None:
-        self.slots = _unpaged(slots, np.uint16)
-        self.max_texts = max_texts
-        # A kept entry has at most len(slots) slots, so its count fits below shift.
-        self.shift = slots.bit_length()
-        self.index: dict[tuple[int, int], dict[str, int]] = {}
+    def __init__(self, buckets: int) -> None:
+        dtype = np.dtype(np.uint16 if buckets <= 1 << 16 else np.uint32)
+        self.ids = _unpaged(_RING_BYTES // dtype.itemsize, dtype)
+        # A kept entry has at most len(ids) ids, so its count fits below shift.
+        self.shift = len(self.ids).bit_length()
+        self.index: dict[str, int] = {}
         self.end = 0
 
     def read(self, entries: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The slot count of every entry and their slots, laid end to end."""
+        """The id count of every entry and their ids, laid end to end."""
         packed = np.array(entries, dtype=np.int64)
         starts, counts = packed >> self.shift, packed & ((1 << self.shift) - 1)
-        return counts, self.slots[_spans(starts, counts) % len(self.slots)]
+        return counts, self.ids[_spans(starts, counts) % len(self.ids)]
 
-    def write(
-        self,
-        config: tuple[int, int],
-        texts: Sequence[str],
-        offsets: Sequence[int],
-        data: np.ndarray,
-    ) -> None:
-        """Append data, the slots of config's texts laid end to end: texts[i]
-        has data[offsets[i] : offsets[i + 1]]."""
-        size = len(self.slots)
-        kept = data[-size:]  # only the last size slots would survive
+    def write(self, texts: Sequence[str], offsets: Sequence[int], data: np.ndarray) -> None:
+        """Append data, the ids of texts laid end to end: texts[i] has
+        data[offsets[i] : offsets[i + 1]]."""
+        size = len(self.ids)
+        kept = data[-size:]  # only the last size ids would survive
         at = (self.end + len(data) - len(kept)) % size
         split = min(len(kept), size - at)
-        self.slots[at : at + split] = kept[:split]
-        self.slots[: len(kept) - split] = kept[split:]
-        end, shift = self.end, self.shift
+        self.ids[at : at + split] = kept[:split]
+        self.ids[: len(kept) - split] = kept[split:]
+        end, shift, index = self.end, self.shift, self.index
         self.end += len(data)
-        floor = self.end - size  # the oldest slot still held
-        self.index.setdefault(config, {}).update(
+        floor = self.end - size  # the oldest id still held
+        index.update(
             (text, (end + a) << shift | (b - a))
             for text, a, b in zip(texts, offsets, offsets[1:])
             if end + a >= floor
         )
-        # Entries grow with their first slot, and each dict is in slot order,
-        # so the entries to drop are each dict's first ones: those below floor.
+        # Entries grow with their first id and the index is in write order,
+        # so the entries to drop come first: those below floor, and the
+        # oldest past the text limit.
         floor <<= shift
-        excess = sum(map(len, self.index.values())) - self.max_texts
-        if excess > 0:
-            oldest = heapq.merge(*(entries.values() for entries in self.index.values()))
-            floor = max(floor, next(islice(oldest, excess - 1, None)) + 1)
-        for entries in self.index.values():
-            for text in list(takewhile(lambda text: entries[text] < floor, entries)):
-                del entries[text]
+        stale = sum(1 for _ in takewhile(lambda entry: entry < floor, index.values()))
+        for text in list(islice(index, max(stale, len(index) - _RING_TEXTS))):
+            del index[text]
 
 
 def _chunks(texts: Sequence[str]) -> Iterator[tuple[int, int]]:
@@ -229,9 +218,9 @@ class Featurizer:
     several models featurizes it once and passes the rows on.  Frozen,
     a featurizer can key such a caller's dict.
 
-    Every config shares one ring of bucket ids (1 MiB, the ids of the
-    texts hashed last), so a text read again, such as a sweep's test set
-    in every cell, is not hashed again.
+    Each config keeps its own ring of bucket ids (1 MiB, the ids of the
+    texts it hashed last), so a text read again, such as a sweep's test
+    set in every cell, is not hashed again.
     """
 
     buckets: int
@@ -250,18 +239,16 @@ class Featurizer:
         """Every n-gram bucket of every text as CSR (indptr, ids): row t lists
         bucket_ids(texts[t]), word n-grams by order, then char 3- and 4-grams.
 
-        Each distinct text is read back from the ring if it holds the text;
-        the rest are hashed, chunk by chunk, and written to the ring.
+        Each distinct text is read back from the config's ring if it holds
+        the text; the rest are hashed, chunk by chunk, and written to the
+        ring.  A repeated text gets its row again.
         """
-        ring = _ring
         config = (self.buckets, self.word_order)
-        compact = np.uint16 if self.buckets <= 1 << 16 else np.uint32
-        width = np.dtype(compact).itemsize // 2  # ring slots per id
-        index = ring.index.get(config, {})
+        ring = _rings.get(config) or _rings.setdefault(config, _IdRing(self.buckets))
         held: dict[str, int] = {}
         fresh: dict[str, None] = {}
         for text in texts:
-            entry = index.get(text)
+            entry = ring.index.get(text)
             if entry is None:
                 fresh[text] = None
             else:
@@ -270,9 +257,9 @@ class Featurizer:
         # before the fresh ones' write can overwrite them.
         indptr, ids = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         if held:
-            counts, slots = ring.read(list(held.values()))
-            indptr.append(np.cumsum(counts) // width)
-            ids.append(slots.view(compact).astype(np.int64))
+            counts, held_ids = ring.read(list(held.values()))
+            indptr.append(np.cumsum(counts))
+            ids.append(held_ids.astype(np.int64))
         hashed = list(fresh)
         for lo, hi in _chunks(hashed):
             chunk_indptr, chunk_ids = self._hash_chunk(hashed[lo:hi])
@@ -281,8 +268,7 @@ class Featurizer:
         indptr, ids = np.concatenate(indptr), np.concatenate(ids)
         if fresh:
             first = indptr[len(held)]
-            offsets = ((indptr[len(held) :] - first) * width).tolist()
-            ring.write(config, hashed, offsets, ids[first:].astype(compact).view(np.uint16))
+            ring.write(hashed, (indptr[len(held) :] - first).tolist(), ids[first:])
         rows = [*held, *fresh]
         if rows == list(texts):
             return indptr, ids
@@ -333,21 +319,15 @@ class Featurizer:
     def counts_batch(self, texts: Sequence[str]) -> SparseRows:
         """sparse_counts of every text as one read-only CSR.
 
-        Each distinct text's bucket ids come from _occurrences, chunk by
-        chunk, and are counted straight into buffers sized by the distinct
-        texts' n-gram bound, so their unwritten tails are never paged in.
-        A batch that repeats a text then takes its rows from the distinct
-        ones.
+        Each chunk's bucket ids come from _occurrences, which hashes a
+        distinct text once, and are counted straight into buffers sized by
+        the batch's n-gram bound, so their unwritten tails are never paged in.
         """
-        n = len(texts)
-        row_of: dict[str, int] = {}
-        text_row = np.fromiter((row_of.setdefault(t, len(row_of)) for t in texts), np.int64, n)
-        distinct = list(row_of)
-        bound = sum(self.word_order * len(t.split()) + len(_CHAR_ORDERS) * len(t) for t in distinct)
-        indptr = np.zeros(len(distinct) + 1, dtype=np.int64)
+        bound = sum(self.word_order * len(t.split()) + len(_CHAR_ORDERS) * len(t) for t in texts)
+        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
         indices, values = _unpaged(bound, np.int64), _unpaged(bound, np.float64)
-        for lo, hi in _chunks(distinct):
-            occ_indptr, ids = self._occurrences(distinct[lo:hi])
+        for lo, hi in _chunks(texts):
+            occ_indptr, ids = self._occurrences(texts[lo:hi])
             owner = np.repeat(np.arange(hi - lo), np.diff(occ_indptr))
             keys, counts = np.unique(owner * self.buckets + ids, return_counts=True)
             row, idx = np.divmod(keys, self.buckets)
@@ -357,12 +337,10 @@ class Featurizer:
             written = slice(indptr[lo], indptr[hi])
             indices[written], values[written] = idx, counts / norms[row]
         rows = SparseRows(indptr, indices[: indptr[-1]], values[: indptr[-1]])
-        if len(distinct) < n:
-            rows = rows.take(text_row)
         for array in (rows.indptr, rows.indices, rows.values):
             array.flags.writeable = False
         return rows
 
 
-# The bucket ids of the texts hashed last, for every featurizer config.
-_ring = _IdRing(_RING_SLOTS, _RING_TEXTS)
+# Each featurizer config's ring of the bucket ids it hashed last, made on first use.
+_rings: dict[tuple[int, int], _IdRing] = {}

@@ -35,7 +35,7 @@ from typing import BinaryIO, Iterable
 from ..errors import PairshotError
 from ..prompting import ClozeInput
 from .adapter import PROTOCOL_VERSION
-from .toy import ToyBackend, backend_config_with
+from .toy import ToyBackend, ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
 
 _JSON_TYPES = {list: "a list", int: "an integer", float: "a number"}
@@ -50,17 +50,20 @@ class BackendServer:
 
     # -- model registry ----------------------------------------------------
 
-    def _model(self, params: dict, create):
-        """The model named in params, made with create(init_seed) on first use;
-        init_seed, when present, must be a JSON integer."""
+    def _model(self, params: dict, kind: type, create):
+        """The model named in params, which must be a kind, made with
+        create(init_seed) on first use (init_seed must be a JSON integer)."""
         name = params["model"]
         seed = self._get(params, "init_seed", int) if "init_seed" in params else 0
         if name not in self._models:
             self._models[name] = create(seed)
-        return self._models[name]
+        model = self._models[name]
+        if not isinstance(model, kind):
+            raise ValueError(f"model {name!r} holds a {type(model).__name__}, not a {kind.__name__}")
+        return model
 
     def _scorer(self, params: dict):
-        return self._model(params, self.backend.create_scorer)
+        return self._model(params, ToyMaskedScorer, self.backend.create_scorer)
 
     def _classifier(self, params: dict):
         """The classifier params name, which must have params' labels, a list
@@ -68,13 +71,15 @@ class BackendServer:
         labels = tuple(self._get(params, "labels", list))
         if not all(isinstance(label, str) for label in labels):
             raise ValueError(f"labels must hold strings, got {list(labels)!r}")
-        classifier = self._model(params, lambda seed: self.backend.create_classifier(labels, seed))
-        if getattr(classifier, "labels", None) != labels:
+        classifier = self._model(
+            params, ToyTextClassifier, lambda seed: self.backend.create_classifier(labels, seed)
+        )
+        if classifier.labels != labels:
             raise ValueError(f"labels {list(labels)!r} differ from those {params['model']!r} has")
         return classifier
 
     def _encoder(self, params: dict):
-        return self._model(params, self.backend.create_encoder)
+        return self._model(params, ToyEncoder, self.backend.create_encoder)
 
     # -- verbs ---------------------------------------------------------------
 
@@ -137,6 +142,15 @@ class BackendServer:
                 raise ValueError(f"{key} must hold objects, got {type(item).__name__}")
         return items
 
+    @classmethod
+    def _pairs(cls, params: dict, key: str) -> list[list]:
+        """params[key], which must be a list of two-item JSON lists."""
+        items = cls._get(params, key, list)
+        for item in items:
+            if type(item) is not list or len(item) != 2:
+                raise ValueError(f"{key} must hold [input, target] pairs, got {item!r}")
+        return items
+
     def _verb_score(self, params: dict) -> dict:
         scorers = [self._scorer(model) for model in self._objects(params, "models")]
         clozes = [self._cloze(cloze) for cloze in self._get(params, "clozes", list)]
@@ -146,7 +160,7 @@ class BackendServer:
     def _verb_train_mlm(self, params: dict) -> dict:
         jobs = []
         for job in self._objects(params, "jobs"):
-            rendered = [(self._cloze(cloze), target) for cloze, target in self._get(job, "rows", list)]
+            rendered = [(self._cloze(cloze), target) for cloze, target in self._pairs(job, "rows")]
             candidates = None if job.get("candidates") is None else self._get(job, "candidates", list)
             jobs.append((self._scorer(job), rendered, self._get(job, "seed", int), candidates))
         steps, batch = (self._get(params, key, int) for key in ("steps", "batch"))
@@ -154,7 +168,7 @@ class BackendServer:
         return {"trained": [len(rendered) for _, rendered, _, _ in jobs]}
 
     def _verb_train_clf(self, params: dict) -> dict:
-        rows = self._get(params, "rows", list)
+        rows = self._pairs(params, "rows")
         steps, batch, seed = (self._get(params, key, int) for key in ("steps", "batch", "seed"))
         lr = self._get(params, "lr", int, float)
         self._classifier(params).train(rows, steps, batch, lr, seed)

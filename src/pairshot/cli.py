@@ -185,6 +185,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    if len(args.result) > 1 and args.format in ("json", "csv"):
+        raise ValueError(f"--format {args.format} renders one result; compare several with text")
     payloads = [load_sweep_payload(path) for path in args.result]
     if len(payloads) == 1 and args.format != "compare":
         print(emit_table(payloads[0], metric=args.metric, fmt=args.format))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .backend.contracts import Backend
+from .backend.contracts import Backend, check_ints
 from .backend.toy import ToyBackend, backend_config_with
 from .data import Dataset, sample_training_set, shared_sentences
 from .errors import DatasetSizeError, InfeasibleSplitError
@@ -88,7 +88,14 @@ class ExperimentConfig:
     engine_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        if isinstance(self.sizes, list):
+            object.__setattr__(self, "sizes", tuple(self.sizes))
+        if not isinstance(self.sizes, tuple):
+            raise TypeError(f"sizes must be a list of integers, got {self.sizes!r}")
+        check_ints(self, "sizes", "replicates", "test_size", "unlabeled_size", "seed_base")
+        for name in ("task_id", "method", "backend_kind"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.sizes or any(s <= 0 for s in self.sizes):

@@ -16,9 +16,6 @@ from urllib.parse import parse_qs, urlparse
 
 from ..rng import Rng
 
-_WINDOW_START = "2019-01-01"
-_WINDOW_END = "2021-12-31"
-
 _COMPONENTS = ("editor", "compiler", "network", "storage", "ui", "auth", "search")
 _FAILURES = ("crashes", "hangs", "loses data", "renders garbage", "times out", "leaks memory")
 

@@ -249,6 +249,49 @@ class TestServerVerbs:
         assert request("predict", ["A", "B"], texts=["a b"])["result"]["scores"] == scores
 
     @pytest.mark.parametrize(
+        "verb, params, kind",
+        [
+            ("score", {"models": [{"model": "m"}], "clozes": [{"text": "a <mask>"}],
+                       "candidates": ["Yes"]}, "ToyMaskedScorer"),
+            ("train_mlm", {"jobs": [{"model": "m", "rows": [[{"text": "a <mask>"}, "Yes"]],
+                                     "seed": 0}], "steps": 1, "batch": 1, "lr": 0.1},
+             "ToyMaskedScorer"),
+            ("encode", {"model": "m", "texts": ["a b"]}, "ToyEncoder"),
+            ("fit_encoder", {"model": "m", "triplets": [["a", "b", 0.5]], "epochs": 1,
+                             "batch": 1, "lr": 0.1, "seed": 0}, "ToyEncoder"),
+        ],
+    )
+    def test_a_model_of_another_kind_is_refused_by_name(self, server, verb, params, kind):
+        """A name that holds a classifier is no scorer or encoder: the answer
+        names the model and the kind it holds, and nothing changes."""
+        predict = {"model": "m", "labels": ["A", "B"], "texts": ["a b"]}
+        scores = server.handle({"id": 19, "verb": "predict", "params": predict})["result"]
+        response = server.handle({"id": 20, "verb": verb, "params": params})
+        assert (response["ok"], response["kind"]) == (False, "AdapterError")
+        assert "'m'" in response["error"] and "ToyTextClassifier" in response["error"]
+        assert kind in response["error"]
+        assert list(server._models) == ["m"]
+        assert server.handle({"id": 21, "verb": "predict", "params": predict})["result"] == scores
+
+    @pytest.mark.parametrize("row", [["t"], ["t", [1.0, 0.0], "x"], "t", {"text": "t"}])
+    @pytest.mark.parametrize("verb", ["train_clf", "train_mlm"])
+    def test_rows_must_be_pairs(self, server, verb, row):
+        """A row that is no [input, target] pair is refused by name, before
+        any model is created."""
+        if verb == "train_clf":
+            params = {"model": "c", "labels": ["A", "B"], "rows": [["a", [1.0, 0.0]], row],
+                      "seed": 0}
+        else:
+            params = {"jobs": [{"model": "s", "rows": [[{"text": "a <mask>"}, "Yes"], row],
+                                "seed": 0}]}
+        params = {**params, "steps": 1, "batch": 1, "lr": 0.1}
+        response = server.handle({"id": 22, "verb": verb, "params": params})
+        assert (response["ok"], response["kind"]) == (False, "AdapterError")
+        assert "rows" in response["error"]
+        assert server._models == {}
+        assert server.handle({"id": 23, "verb": "hello", "params": {}})["ok"] is True
+
+    @pytest.mark.parametrize(
         "verb, params",
         [
             ("train_clf", {"model": "c", "labels": ["A", "B"], "rows": [["t", "10"]]}),

@@ -630,6 +630,59 @@ class TestExitCodes:
         assert err.startswith("error:") and "config" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sizes", "25"),
+            ("sizes", [10, 2.5]),
+            ("sizes", [True]),
+            ("replicates", 2.5),
+            ("replicates", True),
+            ("test_size", "30"),
+            ("unlabeled_size", 0.0),
+            ("seed_base", "3"),
+            ("task_id", 5),
+            ("method", ["finetune"]),
+            ("backend_kind", None),
+        ],
+    )
+    def test_sweep_config_field_of_the_wrong_type_exits_one_naming_it(
+        self, workspace, tmp_path, capsys, field, value
+    ):
+        """"25" is no sizes (2, 5), and 2.5 replicates or a seed_base "3"
+        end in one error line that names the field, before any cell runs."""
+        config = {"task_id": "so_duplicate", "method": "finetune", "sizes": [10], field: value}
+        config_path = tmp_path / "typed.config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "sweeps"
+        rc = main(
+            [
+                "sweep",
+                "--config", str(config_path),
+                "--pool", str(workspace["pool"]),
+                "--test", str(workspace["test"]),
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_of_several_results_in_a_one_result_format_exits_one(
+        self, tmp_path, capsys, fmt
+    ):
+        path = tmp_path / "r.result.json"
+        path.write_text(json.dumps(sweep_result()))
+        rc = main(["report", "--result", str(path), str(path), "--format", fmt])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and fmt in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_adapter_backend_without_command_exits_one(self, workspace, capsys):
         rc = main(
             [

@@ -1,11 +1,14 @@
 """Every third-party module the package imports is a declared dependency,
-and every name a package module imports is used in that module.
+every name a package module imports is used in that module, and every
+private name the package defines is referenced in the package.
 
 A module that is merely installed where the tests run (scipy, say) would
 otherwise pass here and fail on a clean install.  pyproject.toml is read
 with a regular expression, as Python 3.10 has no tomllib.  An import left
 behind by a deletion is caught by the second check; the re-exports of
-__init__.py and ``from __future__`` imports are exempt from it.
+__init__.py and ``from __future__`` imports are exempt from it.  A private
+constant, function or method left behind is caught by the third; the
+server's ``_verb_*`` handlers, dispatched by name, are exempt from it.
 """
 
 import ast
@@ -83,3 +86,73 @@ def test_every_imported_name_is_used():
         and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not unused, f"imported but never used: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private module-level names and private methods of module-level
+    classes (one leading underscore, not dunder), with their lines."""
+    found: dict[str, int] = {}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        found.update((name, node.lineno) for name in names if private(name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and private(item.name):
+                    found[item.name] = item.lineno
+    return found
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names that tree reads, as a name, an attribute or an import."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names that a source of sources defines and none references."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    used = set().union(*map(referenced_names, trees.values()))
+    return [
+        f"{path}: {name} (line {line})"
+        for path, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in used and not name.startswith("_verb_")
+    ]
+
+
+def test_unreferenced_private_name_is_found():
+    source = (
+        "_LIMIT = 3\n_USED: int = 1\ndef _helper():\n    return _USED\n"
+        "class _Ring:\n    def _grow(self):\n        return self._helper\n"
+        "    def _verb_ping(self):\n        pass\n    def __len__(self):\n        return 0\n"
+        "def public():\n    _local = 1\n    return _Ring()._grow()\n"
+    )
+    assert unreferenced_private_names({"m.py": source}) == ["m.py: _LIMIT (line 1)"]
+    imported = {"a.py": "_TABLE = {}\n", "b.py": "from .a import _TABLE\n"}
+    assert unreferenced_private_names(imported) == []
+
+
+def test_every_private_name_is_referenced():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    unreferenced = unreferenced_private_names(sources)
+    assert not unreferenced, f"private but never referenced: {unreferenced}"

@@ -28,18 +28,14 @@ TEXTS = [
     "ab",
     "abc",
 ]
-# 1 << 20 buckets need ids wider than the ring's uint16 slots.
+# 1 << 20 buckets need a ring of uint32 ids.
 SETTINGS = [(buckets, order) for buckets in (7, 32768, 1 << 20) for order in (1, 2, 3)]
 
 
-def fresh_ring(slots=features._RING_SLOTS, max_texts=features._RING_TEXTS):
-    return features._IdRing(slots, max_texts)
-
-
 @pytest.fixture(autouse=True)
-def empty_ring(monkeypatch):
-    """Every test starts with an empty ring, so hash counts do not depend on test order."""
-    monkeypatch.setattr(features, "_ring", fresh_ring())
+def empty_rings(monkeypatch):
+    """Every test starts with no rings, so hash counts do not depend on test order."""
+    monkeypatch.setattr(features, "_rings", {})
 
 
 def spy_on_hashing(monkeypatch):
@@ -165,20 +161,13 @@ class TestFeaturizedOnce:
         from pairshot.backend.toy import ToyBackend
         from pairshot.prompting import ClozeInput
 
-        calls = []
-        occurrences = Featurizer._occurrences
-
-        def spy(self, texts):
-            calls.extend(texts)
-            return occurrences(self, texts)
-
-        monkeypatch.setattr(Featurizer, "_occurrences", spy)
+        hashed = spy_on_hashing(monkeypatch)
         texts = [f"probe {i} for the featurized-once check <mask>" for i in range(5)]
         clozes = [ClozeInput(text, len(text) - 6) for text in texts + texts[:2]]
         backend = ToyBackend()
         scorers = [backend.create_scorer(seed) for seed in (1, 2, 3)]
         assert backend.score_scorers(scorers, clozes, ["Yes", "No"]).shape == (3, 7, 2)
-        assert sorted(calls) == sorted(texts)
+        assert sorted(hashed) == sorted(texts)
 
     def test_an_ensemble_hashes_each_rendered_text_once(self, monkeypatch, dup_pool):
         """Weighing every member comes before training; the ring still holds
@@ -265,20 +254,22 @@ class TestBatchHashing:
             st.text() | st.sampled_from(["", " ", "\t\n ", "ab", "é 应", "a b c"]), max_size=12
         ),
         chunk=st.sampled_from([1, 5, 40, features._CHUNK_CHARS]),
-        slots=st.sampled_from([1, 7, 60, features._RING_SLOTS]),
+        ring_bytes=st.sampled_from([4, 12, 120, features._RING_BYTES]),
         ring_texts=st.sampled_from([1, 3, features._RING_TEXTS]),
         setting=st.sampled_from(SETTINGS),
         other=st.sampled_from(SETTINGS),
     )
     def test_batches_equal_the_zlib_reference(
-        self, texts, chunk, slots, ring_texts, setting, other
+        self, texts, chunk, ring_bytes, ring_texts, setting, other
     ):
         # Repeats make duplicates that straddle chunks once the chunks are
-        # small; a small ring wraps and evicts in the middle of a batch, and
-        # a second config shares the ring and the texts.
+        # small; a small ring (one uint32 id at 4 bytes) wraps and evicts in
+        # the middle of a batch, and a second config reads the same texts.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(features, "_CHUNK_CHARS", chunk)
-            patch.setattr(features, "_ring", fresh_ring(slots, ring_texts))
+            patch.setattr(features, "_RING_BYTES", ring_bytes)
+            patch.setattr(features, "_RING_TEXTS", ring_texts)
+            patch.setattr(features, "_rings", {})
             for featurizer in (Featurizer(*setting), Featurizer(*other), Featurizer(*setting)):
                 assert_batch_equals_reference(featurizer, texts + texts[::2])
 
@@ -299,57 +290,79 @@ class TestBatchHashing:
         assert indptr.tolist() == [0] and ids.tolist() == []
         assert len(Featurizer(7, 2).counts_batch([])) == 0
 
+    def test_batch_with_repeats_equals_the_reference(self, monkeypatch):
+        """counts_batch counts a repeated text again, within a chunk and
+        across chunks; each distinct text is still hashed once per config."""
+        texts = ["a repeated text", "", "other", "a repeated text", "other", "a repeated text"]
+        hashed = spy_on_hashing(monkeypatch)
+        for chunk in (1, features._CHUNK_CHARS):
+            monkeypatch.setattr(features, "_CHUNK_CHARS", chunk)
+            for setting in SETTINGS:
+                assert_batch_equals_reference(Featurizer(*setting), texts)
+        assert len(hashed) == 3 * len(SETTINGS)
+
     def test_ring_wraps_in_place_and_indexes_only_its_window(self):
-        """Past its capacity the ring overwrites its one array, and the index
-        names only texts whose ids all lie in the last len(slots) written."""
-        ring = features._ring
-        slots = ring.slots
+        """Past its capacity a ring overwrites its one array, and its index
+        names only texts whose ids all lie in the last len(ids) written."""
         featurizer = Featurizer(32768, 2)
         texts = [f"text {i} of the wrapping check " * 12 for i in range(900)]
-        for lo in range(0, len(texts), 100):
+        featurizer._occurrences(texts[:100])
+        (config, ring), = features._rings.items()
+        ids = ring.ids
+        for lo in range(100, len(texts), 100):
             featurizer._occurrences(texts[lo : lo + 100])
-        assert ring.end > len(slots) == features._RING_SLOTS
-        assert ring.slots is slots and slots.dtype == np.uint16
-        (config, index), = ring.index.items()
-        assert config == (32768, 2) and 0 < len(index) < len(texts)
-        for text, entry in index.items():
+        assert ring.end > len(ids) == features._RING_BYTES // 2
+        assert ring.ids is ids and ids.dtype == np.uint16
+        assert config == (32768, 2) and 0 < len(ring.index) < len(texts)
+        for text, entry in ring.index.items():
             start, count = entry >> ring.shift, entry & ((1 << ring.shift) - 1)
-            assert ring.end - len(slots) <= start and start + count <= ring.end
+            assert ring.end - len(ids) <= start and start + count <= ring.end
             expected = reference_bucket_ids(text, *config)
             assert ring.read([entry])[1].tolist() == expected
-        assert next(iter(index)) == texts[len(texts) - len(index)]
+        assert next(iter(ring.index)) == texts[len(texts) - len(ring.index)]
 
     def test_ring_index_names_at_most_its_text_limit(self, monkeypatch):
-        monkeypatch.setattr(features, "_ring", fresh_ring(max_texts=4))
+        monkeypatch.setattr(features, "_RING_TEXTS", 4)
         featurizer = Featurizer(7, 2)
         featurizer._occurrences([f"t{i}" for i in range(10)])
         featurizer._occurrences(["t0", "t9"])
-        assert list(features._ring.index[7, 2]) == ["t7", "t8", "t9", "t0"]
+        assert list(features._rings[7, 2].index) == ["t7", "t8", "t9", "t0"]
 
-    def test_text_limit_spans_every_config_and_drops_the_oldest(self, monkeypatch):
-        monkeypatch.setattr(features, "_ring", fresh_ring(max_texts=5))
-        Featurizer(7, 2)._occurrences(["a0", "a1", "a2"])
+    def test_two_configs_never_evict_each_others_texts(self, monkeypatch):
+        """A config passing its text limit, or wrapping its ring, leaves
+        another config's ring as it was."""
+        monkeypatch.setattr(features, "_RING_TEXTS", 3)
+        hashed = spy_on_hashing(monkeypatch)
         Featurizer(7, 1)._occurrences(["b0", "b1"])
-        Featurizer(7, 2)._occurrences(["a3", "a4"])
-        index = features._ring.index
-        assert list(index[7, 2]) == ["a2", "a3", "a4"] and list(index[7, 1]) == ["b0", "b1"]
-        # Entries read back as written after the eviction, in both configs.
-        assert_batch_equals_reference(Featurizer(7, 1), ["b0", "b1", "a4"])
+        Featurizer(7, 2)._occurrences([f"a{i}" for i in range(20)])
+        monkeypatch.setattr(features, "_RING_BYTES", 64)  # 32 uint16 ids from here on
+        Featurizer(7, 3)._occurrences([f"text c{i}" for i in range(20)])
+        assert list(features._rings[7, 2].index) == ["a17", "a18", "a19"]
+        wrapped = features._rings[7, 3]
+        assert wrapped.end > len(wrapped.ids) == 32
+        assert list(features._rings[7, 1].index) == ["b0", "b1"]
+        hashed.clear()
+        assert_batch_equals_reference(Featurizer(7, 1), ["b0", "b1"])
+        assert hashed == []
+
+    def test_wide_ids_get_a_uint32_ring_of_the_same_bytes(self):
+        for buckets in (1 << 20, 1 << 16, 32768):
+            Featurizer(buckets, 2)._occurrences(["wide ids"])
+        wide, edge, narrow = (features._rings[b, 2].ids for b in (1 << 20, 1 << 16, 32768))
+        assert (wide.dtype, edge.dtype, narrow.dtype) == (np.uint32, np.uint16, np.uint16)
+        assert wide.nbytes == narrow.nbytes == features._RING_BYTES == 1 << 20
+        assert (len(wide), len(narrow)) == (262_144, 524_288)
 
     def test_index_bytes_per_held_text(self):
-        """One int per held text in one dict per config: about 58 bytes per
-        text, where (buckets, word_order, text) keys and (start, count)
+        """One int per held text in one flat dict per config: about 58 bytes
+        per text, where (buckets, word_order, text) keys and (start, count)
         values took about 213."""
         texts = [f"held text number {i}" for i in range(2000)]
         Featurizer(32768, 2)._occurrences(texts)
-        index = features._ring.index
-        held = sum(map(len, index.values()))
-        size = sys.getsizeof(index) + sum(
-            sys.getsizeof(entries) + sum(map(sys.getsizeof, entries.values()))
-            for entries in index.values()
-        )
-        assert held == len(texts)
-        assert size / held < 80
+        index = features._rings[32768, 2].index
+        size = sys.getsizeof(index) + sum(map(sys.getsizeof, index.values()))
+        assert len(index) == len(texts)
+        assert size / len(index) < 80
 
     def test_one_full_chunk_of_work_arrays_stays_small(self):
         """A _CHUNK_CHARS chunk peaks at about 140 traced bytes per character
