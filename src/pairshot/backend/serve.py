@@ -52,18 +52,23 @@ class BackendServer:
 
     def _model(self, params: dict, kind: type, create):
         """The model named in params, which must be a kind, made with
-        create(init_seed) on first use (init_seed must be a JSON integer)."""
+        create(init_seed) on first use (init_seed must be a JSON integer);
+        with create None, only the checks."""
         name = params["model"]
         seed = self._get(params, "init_seed", int) if "init_seed" in params else 0
-        if name not in self._models:
-            self._models[name] = create(seed)
-        model = self._models[name]
-        if not isinstance(model, kind):
+        model = self._models.get(name)
+        if model is not None and not isinstance(model, kind):
             raise ValueError(f"model {name!r} holds a {type(model).__name__}, not a {kind.__name__}")
+        if model is None and create is not None:
+            model = self._models[name] = create(seed)
         return model
 
-    def _scorer(self, params: dict):
-        return self._model(params, ToyMaskedScorer, self.backend.create_scorer)
+    def _scorers(self, entries: list[dict]) -> list:
+        """The scorers entries name, all checked before the first is created."""
+        for entry in entries:
+            self._model(entry, ToyMaskedScorer, None)
+        create = self.backend.create_scorer
+        return [self._model(entry, ToyMaskedScorer, create) for entry in entries]
 
     def _classifier(self, params: dict):
         """The classifier params name, which must have params' labels, a list
@@ -129,6 +134,8 @@ class BackendServer:
 
     @staticmethod
     def _cloze(payload: dict) -> ClozeInput:
+        if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
+            raise ValueError(f"a cloze must be an object with a string text, got {payload!r}")
         return ClozeInput(
             payload["text"], payload.get("mask_position", -1), payload.get("segment_boundary")
         )
@@ -143,47 +150,74 @@ class BackendServer:
         return items
 
     @classmethod
-    def _pairs(cls, params: dict, key: str) -> list[list]:
-        """params[key], which must be a list of two-item JSON lists."""
+    def _pairs(cls, params: dict, key: str, kind: type) -> list[list]:
+        """params[key], which must be a list of two-item JSON lists whose
+        inputs are kind (str or dict); the models check the targets."""
         items = cls._get(params, key, list)
         for item in items:
-            if type(item) is not list or len(item) != 2:
+            if type(item) is not list or len(item) != 2 or not isinstance(item[0], kind):
                 raise ValueError(f"{key} must hold [input, target] pairs, got {item!r}")
         return items
 
+    @classmethod
+    def _texts(cls, params: dict) -> list[str]:
+        """params["texts"], which must be a list of strings."""
+        texts = cls._get(params, "texts", list)
+        for text in texts:
+            if not isinstance(text, str):
+                raise ValueError(f"texts must hold strings, got {text!r}")
+        return texts
+
+    @classmethod
+    def _triplets(cls, params: dict) -> list[list]:
+        """params["triplets"], which must be a list of [text, text, similarity]
+        JSON lists; the encoder checks the similarities."""
+        items = cls._get(params, "triplets", list)
+        for item in items:
+            if not (type(item) is list and len(item) == 3
+                    and isinstance(item[0], str) and isinstance(item[1], str)):
+                raise ValueError(f"triplets must hold [text, text, similarity] lists, got {item!r}")
+        return items
+
     def _verb_score(self, params: dict) -> dict:
-        scorers = [self._scorer(model) for model in self._objects(params, "models")]
+        models = self._objects(params, "models")
         clozes = [self._cloze(cloze) for cloze in self._get(params, "clozes", list)]
         candidates = self._get(params, "candidates", list)
+        scorers = self._scorers(models)
         return {"scores": self.backend.score_scorers(scorers, clozes, candidates).tolist()}
 
     def _verb_train_mlm(self, params: dict) -> dict:
-        jobs = []
-        for job in self._objects(params, "jobs"):
-            rendered = [(self._cloze(cloze), target) for cloze, target in self._pairs(job, "rows")]
+        jobs, specs = self._objects(params, "jobs"), []
+        for job in jobs:
+            rows = self._pairs(job, "rows", dict)
+            rendered = [(self._cloze(cloze), target) for cloze, target in rows]
             candidates = None if job.get("candidates") is None else self._get(job, "candidates", list)
-            jobs.append((self._scorer(job), rendered, self._get(job, "seed", int), candidates))
+            specs.append((rendered, self._get(job, "seed", int), candidates))
         steps, batch = (self._get(params, key, int) for key in ("steps", "batch"))
-        self.backend.train_scorers(jobs, steps, batch, self._get(params, "lr", int, float))
-        return {"trained": [len(rendered) for _, rendered, _, _ in jobs]}
+        lr = self._get(params, "lr", int, float)
+        scorers = self._scorers(jobs)
+        self.backend.train_scorers(
+            [(scorer, *spec) for scorer, spec in zip(scorers, specs)], steps, batch, lr
+        )
+        return {"trained": [len(rendered) for rendered, _, _ in specs]}
 
     def _verb_train_clf(self, params: dict) -> dict:
-        rows = self._pairs(params, "rows")
+        rows = self._pairs(params, "rows", str)
         steps, batch, seed = (self._get(params, key, int) for key in ("steps", "batch", "seed"))
         lr = self._get(params, "lr", int, float)
         self._classifier(params).train(rows, steps, batch, lr, seed)
         return {"trained": len(rows)}
 
     def _verb_predict(self, params: dict) -> dict:
-        classifier = self._classifier(params)
-        return {"scores": classifier.predict(self._get(params, "texts", list)).tolist()}
+        texts = self._texts(params)
+        return {"scores": self._classifier(params).predict(texts).tolist()}
 
     def _verb_encode(self, params: dict) -> dict:
-        encoder = self._encoder(params)
-        return {"vectors": encoder.encode(self._get(params, "texts", list)).tolist()}
+        texts = self._texts(params)
+        return {"vectors": self._encoder(params).encode(texts).tolist()}
 
     def _verb_fit_encoder(self, params: dict) -> dict:
-        triplets = self._get(params, "triplets", list)
+        triplets = self._triplets(params)
         epochs, batch, seed = (self._get(params, key, int) for key in ("epochs", "batch", "seed"))
         lr = self._get(params, "lr", int, float)
         self._encoder(params).fit(triplets, epochs, batch, lr, seed)

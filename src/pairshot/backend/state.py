@@ -28,14 +28,19 @@ def array_to_b64(arr: np.ndarray) -> str:
 
 def array_from_b64(data: str, shape: Sequence[int], name: str) -> np.ndarray:
     """The float64 array of this shape stored in data, the payload field
-    name; DataFormatError if data and shape do not make one."""
+    name; DataFormatError if data and shape do not make one, or if it
+    holds a NaN or an infinity (no trained model does, and the encoder's
+    row sums are exact only for finite rows)."""
     try:
         if any(type(n) is not int or n < 0 for n in shape):
             raise ValueError("the shape is not a list of non-negative integers")
         flat = np.frombuffer(base64.b64decode(data), dtype="<f8")
-        return flat.reshape(tuple(shape)).astype(np.float64)
+        array = flat.reshape(tuple(shape)).astype(np.float64)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{name!r} is not an array of shape {shape!r}: {exc}") from exc
+    if not np.isfinite(array).all():
+        raise DataFormatError(f"{name!r} holds a NaN or an infinity")
+    return array
 
 
 def payload_fields(payload: object, names: Sequence[str], what: str) -> list:

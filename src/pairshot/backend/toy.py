@@ -411,41 +411,53 @@ class ToyEncoder:
         self._append(buckets, np.array([rows[b] for b in buckets.tolist()]).reshape(-1, self.dim))
 
     def _table(self, texts: Sequence[str]) -> SparseRows:
-        """Row t: the distinct buckets of texts[t] in first-occurrence order, with multiplicities."""
+        """Row t: the distinct buckets of texts[t] in first-occurrence order, with multiplicities.
+
+        One stable argsort of the (text, bucket) keys puts the occurrences
+        of each distinct pair in one run, first occurrence first.  Each
+        run's length, scattered onto its first occurrence, leaves the
+        distinct pairs as the nonzero entries of an occurrence-long array,
+        which flatnonzero reads back in first-occurrence order.
+        """
         indptr, ids = self._featurizer._occurrences(texts)
-        n = len(texts)
-        owner = np.repeat(np.arange(n), np.diff(indptr))
-        # Distinct (text, bucket) pairs, put back in first-occurrence order.
-        keys, first, mult = np.unique(
-            owner * self.config.buckets + ids, return_index=True, return_counts=True
-        )
-        order = np.argsort(first)
-        text, bucket = np.divmod(keys[order], self.config.buckets)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(text, minlength=n))))
-        return SparseRows(indptr, bucket, mult[order])
+        owner = np.repeat(np.arange(len(texts)), np.diff(indptr))
+        keys = owner * self.config.buckets + ids
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[order], prepend=-1))  # keys are >= 0
+        mult = np.zeros(len(keys), dtype=np.int64)
+        mult[order[starts]] = np.diff(starts, append=len(keys))
+        first = np.flatnonzero(mult)
+        return SparseRows(np.searchsorted(first, indptr), ids[first], mult[first])
 
     def _mean_rows(self, table: SparseRows) -> np.ndarray:
         """(len(table), dim) mean bucket rows over each text's n-gram occurrences.
 
         Row t adds bucket rows times multiplicity in table order, then
         divides by the occurrence count, exactly as a per-text loop does.
+        Slots and weights are laid out (width, texts), so the k-th bucket
+        of every text is one contiguous gather from the row table.  A text
+        with fewer than k + 1 buckets adds the batch's first row times 0.0
+        there: +-0.0 for a finite row, which leaves a sum that starts at
+        +0.0 bit for bit unchanged.  Loaded rows are finite (model
+        payloads refuse others), and fit refuses a non-finite update.
         """
         n = len(table)
         out = np.zeros((n, self.dim), dtype=np.float64)
         distinct = np.diff(table.indptr)
+        width = int(distinct.max(initial=0))
+        if not width:
+            return out
+        slots = self._slots(table.indices)
         text = np.repeat(np.arange(n), distinct)
         column = np.arange(len(text)) - table.indptr[text]
-        width = int(distinct.max(initial=0))
-        slots, local = np.unique(self._slots(table.indices), return_inverse=True)
-        rows = self._rows[slots]
-        row = np.zeros((n, width), dtype=np.int64)
-        weight = np.zeros((n, width), dtype=np.float64)
-        row[text, column] = local
-        weight[text, column] = table.values
-        live = weight > 0  # every multiplicity is at least 1
+        slot = np.full((width, n), slots[0])
+        weight = np.zeros((width, n), dtype=np.float64)
+        slot[column, text] = slots
+        weight[column, text] = table.values
         for k in range(width):
-            added = rows[row[:, k]] * weight[:, k, None]
-            np.add(out, added, out=out, where=live[:, k, None])
+            added = self._rows[slot[k]]
+            added *= weight[k, :, None]
+            out += added
         out /= np.maximum(np.bincount(text, weights=table.values, minlength=n), 1)[:, None]
         return out
 
@@ -470,7 +482,8 @@ class ToyEncoder:
 
         A step spreads each text's _pair_gradient over its buckets by
         multiplicity / occurrence count and sums the shares per bucket
-        with one np.add.at, in the order of a per-pair loop.
+        (_descend: one np.bincount per embedding dimension), in the order
+        of a per-pair loop.
         """
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
@@ -489,15 +502,29 @@ class ToyEncoder:
             vectors = self._mean_rows(part)
             pairs = zip(vectors.reshape(-1, 2, self.dim), members)
             grads = np.concatenate([self._pair_gradient(a, b, targets[i]) for (a, b), i in pairs])
-            text = np.repeat(np.arange(len(part)), np.diff(part.indptr))
-            totals = np.bincount(text, weights=part.values, minlength=len(part))
-            buckets, at = np.unique(part.indices, return_inverse=True)
-            update = np.zeros((len(buckets), self.dim), dtype=np.float64)
-            np.add.at(update, at, grads[text] * (part.values / totals[text])[:, None])
-            update *= lr / len(members)
-            if not np.isfinite(update).all():
-                raise NumericError("non-finite encoder update; lower the learning rate")
-            self._rows[self._slot[buckets]] -= update
+            self._descend(part, grads, lr / len(members))
+
+    def _descend(self, part: SparseRows, grads: np.ndarray, scale: float) -> None:
+        """Subtract scale times the per-bucket sums of each text's gradient row
+        grads[t], spread over its buckets by multiplicity / occurrence count.
+
+        One embedding dimension at a time: that dimension's share of every
+        table entry, summed by bucket in one np.bincount, each bucket in
+        table order from 0.0, as a 2-D np.add.at sums them.  No (entries,
+        dim) array is made, so a step's largest temporary holds one
+        dimension's entries.
+        """
+        text = np.repeat(np.arange(len(part)), np.diff(part.indptr))
+        totals = np.bincount(text, weights=part.values, minlength=len(part))
+        buckets, at = np.unique(part.indices, return_inverse=True)
+        weights = part.values / totals[text]
+        update = np.empty((self.dim, len(buckets)), dtype=np.float64)
+        for d, column in enumerate(grads.T):
+            update[d] = np.bincount(at, column[text] * weights, len(buckets))
+        update *= scale
+        if not np.isfinite(update).all():
+            raise NumericError("non-finite encoder update; lower the learning rate")
+        self._rows[self._slot[buckets]] -= update.T
 
     @staticmethod
     def _pair_gradient(vec_a: np.ndarray, vec_b: np.ndarray, target: float) -> tuple:

@@ -292,6 +292,49 @@ class TestServerVerbs:
         assert server.handle({"id": 23, "verb": "hello", "params": {}})["ok"] is True
 
     @pytest.mark.parametrize(
+        "verb, params, field",
+        [
+            ("train_clf", {"model": "c", "labels": ["A", "B"], "rows": [[5, [1.0, 0.0]]],
+                           "steps": 1, "batch": 1, "lr": 0.1, "seed": 0}, "rows"),
+            ("train_mlm", {"jobs": [{"model": "s1", "rows": [[{"text": "a <mask>"}, "Yes"]],
+                                     "seed": 0},
+                                    {"model": "s2", "rows": [["a <mask>", "Yes"]], "seed": 0}],
+                           "steps": 1, "batch": 1, "lr": 0.1}, "rows"),
+            ("train_mlm", {"jobs": [{"model": "s1", "rows": [[{"text": "a <mask>"}, "Yes"]],
+                                     "seed": 0},
+                                    {"model": "s2", "rows": [[{"text": 5}, "Yes"]], "seed": 0}],
+                           "steps": 1, "batch": 1, "lr": 0.1}, "text"),
+            ("train_mlm", {"jobs": [{"model": "s1", "rows": [[{"text": "a <mask>"}, "Yes"]],
+                                     "seed": 0},
+                                    {"model": "s2", "init_seed": "x",
+                                     "rows": [[{"text": "a <mask>"}, "Yes"]], "seed": 0}],
+                           "steps": 1, "batch": 1, "lr": 0.1}, "init_seed"),
+            ("score", {"models": [{"model": "s1"}, {"model": "s2", "init_seed": 2.5}],
+                       "clozes": [{"text": "a <mask>"}], "candidates": ["Yes"]}, "init_seed"),
+            ("score", {"models": [{"model": "s1"}], "clozes": [{"text": ["a"]}],
+                       "candidates": ["Yes"]}, "text"),
+            ("fit_encoder", {"model": "e", "triplets": [[1, 2]], "epochs": 1, "batch": 1,
+                             "lr": 0.1, "seed": 0}, "triplets"),
+            ("fit_encoder", {"model": "e", "triplets": [[5, "b", 0.5]], "epochs": 1, "batch": 1,
+                             "lr": 0.1, "seed": 0}, "triplets"),
+            ("encode", {"model": "e", "texts": [5]}, "texts"),
+            ("predict", {"model": "c", "labels": ["A", "B"], "texts": [5]}, "texts"),
+        ],
+    )
+    def test_malformed_items_are_refused_by_name_before_any_model(
+        self, server, verb, params, field
+    ):
+        """A text that is no string, a triplet that is no [text, text,
+        similarity] list, or a second job or model that is malformed: one
+        AdapterError names the field, no model is created, not even the
+        first job's, and the server keeps serving."""
+        response = server.handle({"id": 24, "verb": verb, "params": params})
+        assert (response["ok"], response["kind"]) == (False, "AdapterError")
+        assert field in response["error"]
+        assert server._models == {}
+        assert server.handle({"id": 25, "verb": "hello", "params": {}})["ok"] is True
+
+    @pytest.mark.parametrize(
         "verb, params",
         [
             ("train_clf", {"model": "c", "labels": ["A", "B"], "rows": [["t", "10"]]}),

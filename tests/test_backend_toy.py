@@ -597,6 +597,22 @@ class TestStateRoundTrip:
         with pytest.raises(DataFormatError, match="rows"):
             model_from_payload(payload)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights_are_a_data_format_error(self, value):
+        """No training writes a NaN or an infinity, so a payload that holds
+        one is refused naming the field: an encoder row of inf would encode
+        every text that reads it as inf."""
+        backend = ToyBackend(default_backend_config(buckets=64, embedding_dim=4))
+        for model in (backend.create_scorer(), backend.create_classifier(["A", "B"])):
+            model.W[1, 3] = value
+            with pytest.raises(DataFormatError, match="weights"):
+                model_from_payload(model_to_payload(model))
+        encoder = backend.create_encoder()
+        encoder.encode(["alpha beta gamma"])
+        encoder._rows[0, 2] = value
+        with pytest.raises(DataFormatError, match="rows"):
+            model_from_payload(model_to_payload(encoder))
+
 
 class TestBatchContract:
     """A batch row is bit-equal to scoring its item alone, in any batch."""

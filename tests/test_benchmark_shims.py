@@ -9,6 +9,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import pairshot.backend.adapter as adapter
 from pairshot.backend.adapter import connect_subprocess
 
@@ -59,3 +61,29 @@ def test_backend_shims_trace_the_toy_backend_and_come_off(monkeypatch):
     assert summary["calls"][tracer.FEATURES] == 1
     assert summary["calls"]["backend.toy.encode"] == 1
     assert summary["distinct_texts"] == 1
+
+
+def test_client_shims_trace_the_setfit_layers(monkeypatch):
+    """One encoder fit and one head fit under the client shims: the tracer
+    finds ToyEncoder.fit and LogisticHead.fit by name, and counts the
+    head's descent iterations from the head that fit returns."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    from pairshot.backend.toy import ToyBackend
+    from pairshot.logistic import LogisticHead
+
+    recorder = tracer.Tracer()
+    shims = tracer.Shims(recorder)
+    try:
+        tracer.install_client_shims(shims)
+        encoder = ToyBackend().create_encoder(seed=0)
+        encoder.fit([("a b", "a c", 1.0), ("a b", "x y", 0.0)], epochs=1, batch=2, lr=0.1, seed=0)
+        X = encoder.encode(["a b", "x y", "a c", "y z"])
+        head = LogisticHead(2, encoder.dim).fit(X, np.array([0, 1, 0, 1]))
+    finally:
+        shims.uninstall()
+    assert isinstance(head, LogisticHead)
+    summary = recorder.summary()
+    assert summary["calls"]["backend.toy.fit"] == 1
+    assert summary["calls"]["logistic.fit"] == 1
+    assert summary["counters"]["logistic.fit.iters"] == len(head.objective_trace) > 1

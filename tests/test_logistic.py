@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairshot import logistic
-from pairshot.errors import NoDataError, ShapeError
+from pairshot.errors import NoDataError, NumericError, ShapeError
 from pairshot.logistic import LogisticHead, gradients, objective
 
 
@@ -158,6 +158,17 @@ class TestFit:
             head.fit(np.zeros((4, 2)), np.zeros(4, dtype=int))
         with pytest.raises(ShapeError):
             head.fit(np.zeros((4, 3)), np.array([0, 1, 2, 0]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (3, 2)])
+    def test_non_finite_gradient_raises(self, value, where):
+        """An embedding that is NaN or infinite stops the fit with
+        NumericError wherever it sits."""
+        X = np.random.default_rng(1).normal(size=(4, 3))
+        X[where] = value
+        with pytest.raises(NumericError):
+            LogisticHead(n_classes=2, dim=3).fit(X, np.array([0, 1, 0, 1]))
 
     def test_head_needs_two_classes(self):
         with pytest.raises(ShapeError):

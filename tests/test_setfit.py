@@ -212,6 +212,19 @@ class TestSetFitPipeline:
         with pytest.raises(DataFormatError, match=field):
             load_setfit(path)
 
+    @pytest.mark.parametrize("field, value", [("W", np.nan), ("b", np.inf), ("W", -np.inf)])
+    def test_non_finite_head_is_a_data_format_error(
+        self, tmp_path, dup_train, backend, field, value
+    ):
+        """A head weight or intercept that is NaN or infinite is refused
+        naming the field."""
+        path = tmp_path / "setfit.json"
+        model = setfit_fit(SetFitConfig(R=3, epochs=1, batch=8), dup_train, backend, seed=2)
+        getattr(model.head, field).flat[0] = value
+        save_setfit(model, path)
+        with pytest.raises(DataFormatError, match=f"'{field}'"):
+            load_setfit(path)
+
     def test_epochs_zero_skips_encoder_tuning(self, dup_train, backend):
         """With epochs=0 the encoder stays at its deterministic init, but
         the head is still fitted on the raw embeddings."""
