@@ -32,7 +32,10 @@ error whose kind names a package error class is raised as that class
 with the server's message; any other kind is raised as AdapterError.
 The toy server (``pairshot.backend.serve``) answers a line that is not
 UTF-8 JSON with an AdapterError, and its TCP loop outlives a client
-whose connection fails.
+whose connection fails.  A request it refuses leaves its model registry
+as it found it, except after a NumericError: training then keeps the
+steps completed before the non-finite one, as in process, and so do
+the models the request made.
 
 The remote side owns the models; the client refers to them by names it
 invents (scorer-1, classifier-2, ...) and ships an init_seed so the

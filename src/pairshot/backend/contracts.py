@@ -119,6 +119,10 @@ class Backend(Protocol):
         if trained alone; jobs name distinct scorers of this backend."""
         ...
 
+    def close(self) -> None:
+        """Release what the backend holds, such as a remote server."""
+        ...
+
 
 def check_lr(lr: object) -> None:
     """TypeError unless lr is a number or None (the backend default)."""

@@ -30,15 +30,30 @@ import contextlib
 import json
 import socket
 import sys
+from pathlib import Path
 from typing import BinaryIO, Iterable
 
-from ..errors import PairshotError
+from ..errors import NumericError, PairshotError
 from ..prompting import ClozeInput
 from .adapter import PROTOCOL_VERSION
 from .toy import ToyBackend, ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
 
 _JSON_TYPES = {list: "a list", int: "an integer", float: "a number"}
+# What _items checks, as (fits, what): a test each item of a list field must
+# pass, and what a refusal calls such items.  The models check the targets.
+_STRINGS = (lambda item: isinstance(item, str), "strings")
+_OBJECTS = (lambda item: isinstance(item, dict), "objects")
+_TRIPLETS = (
+    lambda item: type(item) is list and len(item) == 3 and all(isinstance(x, str) for x in item[:2]),
+    "[text, text, similarity] lists",
+)
+
+
+def _pairs_of(kind: type) -> tuple:
+    """(fits, what) for [input, target] JSON lists whose input is a kind."""
+    return (lambda item: type(item) is list and len(item) == 2 and isinstance(item[0], kind),
+            "[input, target] pairs")
 
 
 class BackendServer:
@@ -47,35 +62,31 @@ class BackendServer:
     def __init__(self, backend: ToyBackend | None = None) -> None:
         self.backend = backend or ToyBackend()
         self._models: dict[str, object] = {}
+        self._created: list[str] = []  # the names the request being handled made
 
     # -- model registry ----------------------------------------------------
 
     def _model(self, params: dict, kind: type, create):
         """The model named in params, which must be a kind, made with
-        create(init_seed) on first use (init_seed must be a JSON integer);
-        with create None, only the checks."""
+        create(init_seed) on first use (init_seed must be a JSON integer)
+        and then noted as made by the request being handled."""
         name = params["model"]
         seed = self._get(params, "init_seed", int) if "init_seed" in params else 0
         model = self._models.get(name)
-        if model is not None and not isinstance(model, kind):
-            raise ValueError(f"model {name!r} holds a {type(model).__name__}, not a {kind.__name__}")
-        if model is None and create is not None:
+        if model is None:
             model = self._models[name] = create(seed)
+            self._created.append(name)
+        elif not isinstance(model, kind):
+            raise ValueError(f"model {name!r} holds a {type(model).__name__}, not a {kind.__name__}")
         return model
 
     def _scorers(self, entries: list[dict]) -> list:
-        """The scorers entries name, all checked before the first is created."""
-        for entry in entries:
-            self._model(entry, ToyMaskedScorer, None)
-        create = self.backend.create_scorer
-        return [self._model(entry, ToyMaskedScorer, create) for entry in entries]
+        return [self._model(entry, ToyMaskedScorer, self.backend.create_scorer) for entry in entries]
 
     def _classifier(self, params: dict):
         """The classifier params name, which must have params' labels, a list
         of strings, in the order it was created with."""
-        labels = tuple(self._get(params, "labels", list))
-        if not all(isinstance(label, str) for label in labels):
-            raise ValueError(f"labels must hold strings, got {list(labels)!r}")
+        labels = tuple(self._items(params, "labels", *_STRINGS))
         classifier = self._model(
             params, ToyTextClassifier, lambda seed: self.backend.create_classifier(labels, seed)
         )
@@ -89,11 +100,15 @@ class BackendServer:
     # -- verbs ---------------------------------------------------------------
 
     def handle(self, request: object) -> dict:
-        if not isinstance(request, dict):
-            error = "request must be a JSON object"
-            return {"id": None, "ok": False, "error": error, "kind": "AdapterError"}
-        request_id = request.get("id")
+        """The answer to one request.  A refused request leaves the registry
+        as it found it: the models it made are dropped, except after a
+        NumericError, whose models keep the steps completed before it, as
+        they do in process."""
+        request_id = request.get("id") if isinstance(request, dict) else None
+        self._created = []
         try:
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object")
             verb = request.get("verb")
             params = request.get("params", {})
             if not isinstance(params, dict):
@@ -101,17 +116,13 @@ class BackendServer:
             handler = getattr(self, f"_verb_{verb}", None)
             if handler is None:
                 raise ValueError(f"unknown verb {verb!r}")
-            result = handler(params)
-            return {"id": request_id, "ok": True, "result": result}
-        except PairshotError as exc:
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": str(exc),
-                "kind": type(exc).__name__,
-            }
-        except Exception as exc:  # malformed requests become protocol errors
-            return {"id": request_id, "ok": False, "error": str(exc), "kind": "AdapterError"}
+            return {"id": request_id, "ok": True, "result": handler(params)}
+        except Exception as exc:  # the one refusal path; non-package errors are protocol errors
+            if not isinstance(exc, NumericError):
+                for name in self._created:
+                    del self._models[name]
+            kind = type(exc).__name__ if isinstance(exc, PairshotError) else "AdapterError"
+            return {"id": request_id, "ok": False, "error": str(exc), "kind": kind}
 
     def _verb_hello(self, params: dict) -> dict:
         return {
@@ -132,6 +143,16 @@ class BackendServer:
             raise ValueError(f"{key} must be {_JSON_TYPES[kinds[-1]]}, got {type(value).__name__}")
         return value
 
+    @classmethod
+    def _items(cls, params: dict, key: str, fits, what: str) -> list:
+        """params[key], which must be a list whose every item fits; the
+        refusal names key and what its items must be."""
+        items = cls._get(params, key, list)
+        for item in items:
+            if not fits(item):
+                raise ValueError(f"{key} must hold {what}, got {item!r}")
+        return items
+
     @staticmethod
     def _cloze(payload: dict) -> ClozeInput:
         if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
@@ -140,56 +161,17 @@ class BackendServer:
             payload["text"], payload.get("mask_position", -1), payload.get("segment_boundary")
         )
 
-    @classmethod
-    def _objects(cls, params: dict, key: str) -> list[dict]:
-        """params[key], which must be a list of JSON objects."""
-        items = cls._get(params, key, list)
-        for item in items:
-            if not isinstance(item, dict):
-                raise ValueError(f"{key} must hold objects, got {type(item).__name__}")
-        return items
-
-    @classmethod
-    def _pairs(cls, params: dict, key: str, kind: type) -> list[list]:
-        """params[key], which must be a list of two-item JSON lists whose
-        inputs are kind (str or dict); the models check the targets."""
-        items = cls._get(params, key, list)
-        for item in items:
-            if type(item) is not list or len(item) != 2 or not isinstance(item[0], kind):
-                raise ValueError(f"{key} must hold [input, target] pairs, got {item!r}")
-        return items
-
-    @classmethod
-    def _texts(cls, params: dict) -> list[str]:
-        """params["texts"], which must be a list of strings."""
-        texts = cls._get(params, "texts", list)
-        for text in texts:
-            if not isinstance(text, str):
-                raise ValueError(f"texts must hold strings, got {text!r}")
-        return texts
-
-    @classmethod
-    def _triplets(cls, params: dict) -> list[list]:
-        """params["triplets"], which must be a list of [text, text, similarity]
-        JSON lists; the encoder checks the similarities."""
-        items = cls._get(params, "triplets", list)
-        for item in items:
-            if not (type(item) is list and len(item) == 3
-                    and isinstance(item[0], str) and isinstance(item[1], str)):
-                raise ValueError(f"triplets must hold [text, text, similarity] lists, got {item!r}")
-        return items
-
     def _verb_score(self, params: dict) -> dict:
-        models = self._objects(params, "models")
+        models = self._items(params, "models", *_OBJECTS)
         clozes = [self._cloze(cloze) for cloze in self._get(params, "clozes", list)]
         candidates = self._get(params, "candidates", list)
         scorers = self._scorers(models)
         return {"scores": self.backend.score_scorers(scorers, clozes, candidates).tolist()}
 
     def _verb_train_mlm(self, params: dict) -> dict:
-        jobs, specs = self._objects(params, "jobs"), []
+        jobs, specs = self._items(params, "jobs", *_OBJECTS), []
         for job in jobs:
-            rows = self._pairs(job, "rows", dict)
+            rows = self._items(job, "rows", *_pairs_of(dict))
             rendered = [(self._cloze(cloze), target) for cloze, target in rows]
             candidates = None if job.get("candidates") is None else self._get(job, "candidates", list)
             specs.append((rendered, self._get(job, "seed", int), candidates))
@@ -202,22 +184,22 @@ class BackendServer:
         return {"trained": [len(rendered) for rendered, _, _ in specs]}
 
     def _verb_train_clf(self, params: dict) -> dict:
-        rows = self._pairs(params, "rows", str)
+        rows = self._items(params, "rows", *_pairs_of(str))
         steps, batch, seed = (self._get(params, key, int) for key in ("steps", "batch", "seed"))
         lr = self._get(params, "lr", int, float)
         self._classifier(params).train(rows, steps, batch, lr, seed)
         return {"trained": len(rows)}
 
     def _verb_predict(self, params: dict) -> dict:
-        texts = self._texts(params)
+        texts = self._items(params, "texts", *_STRINGS)
         return {"scores": self._classifier(params).predict(texts).tolist()}
 
     def _verb_encode(self, params: dict) -> dict:
-        texts = self._texts(params)
+        texts = self._items(params, "texts", *_STRINGS)
         return {"vectors": self._encoder(params).encode(texts).tolist()}
 
     def _verb_fit_encoder(self, params: dict) -> dict:
-        triplets = self._triplets(params)
+        triplets = self._items(params, "triplets", *_TRIPLETS)
         epochs, batch, seed = (self._get(params, key, int) for key in ("epochs", "batch", "seed"))
         lr = self._get(params, "lr", int, float)
         self._encoder(params).fit(triplets, epochs, batch, lr, seed)
@@ -269,11 +251,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tcp", type=int, metavar="PORT", help="serve on a TCP port instead of stdio")
     parser.add_argument("--host", default="127.0.0.1")
     args = parser.parse_args(argv)
-    overrides = {}
     try:
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
+        overrides = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
         server = BackendServer(ToyBackend(backend_config_with(overrides)))
     except (PairshotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,23 +55,14 @@ def payload_fields(payload: object, names: Sequence[str], what: str) -> list:
 
 def model_to_payload(model) -> dict:
     """Self-describing JSON payload for a scorer, classifier, or encoder."""
-    if isinstance(model, ToyMaskedScorer):
-        body = {
-            "kind": "masked-scorer",
-            "seed": model.seed,
-            "weights": array_to_b64(model.W),
-            "shape": list(model.W.shape),
-            "schedule": dict(model._sched),
-        }
-    elif isinstance(model, ToyTextClassifier):
-        body = {
-            "kind": "text-classifier",
-            "seed": model.seed,
-            "labels": list(model.labels),
-            "weights": array_to_b64(model.W),
-            "shape": list(model.W.shape),
-            "schedule": dict(model._sched),
-        }
+    if isinstance(model, (ToyMaskedScorer, ToyTextClassifier)):
+        classifier = isinstance(model, ToyTextClassifier)
+        body = {"kind": "text-classifier" if classifier else "masked-scorer", "seed": model.seed}
+        if classifier:
+            body["labels"] = list(model.labels)
+        body.update(
+            weights=array_to_b64(model.W), shape=list(model.W.shape), schedule=dict(model._sched)
+        )
     elif isinstance(model, ToyEncoder):
         body = {
             "kind": "sentence-encoder",

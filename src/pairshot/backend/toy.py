@@ -591,3 +591,6 @@ class ToyBackend:
         featurize = functools.cache(Featurizer.counts_batch)
         jobs = [scorer._job(rendered, seed, c, featurize) for scorer, rendered, seed, c in jobs]
         _train_softmax_ce(jobs, steps, batch, lr)
+
+    def close(self) -> None:
+        """Nothing to release: the toy models live in this process."""

@@ -9,6 +9,7 @@ argparse usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -20,9 +21,10 @@ from .harness import (
     METHODS,
     ExperimentConfig,
     build_backend,
-    close_backend,
+    check_task,
     emit_table,
     load_sweep_payload,
+    read_json,
     render_comparison,
     run_sweep,
     save_sweep,
@@ -126,7 +128,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     ratio = None
     if args.class_ratio:
-        ratio = json.loads(args.class_ratio)
+        with contextlib.suppress(ValueError):  # not JSON: refused below as no object
+            ratio = json.loads(args.class_ratio)
         if not isinstance(ratio, dict) or any(type(v) not in (int, float) for v in ratio.values()):
             raise ValueError(f"--class-ratio must be a JSON object of numbers: {args.class_ratio}")
     pool, test = split_no_leakage(
@@ -149,14 +152,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except TypeError as exc:
         given = " ".join(f"{key}={value!r}" for key, value in options.items())
         raise ValueError(f"--option {given} refused by {args.method}: {exc}") from exc
+    check_task(train.label_set.task_id, test, "the test set")
     unlabeled = None
     if args.unlabeled and method.uses_unlabeled:
         unlabeled = load_dataset(args.unlabeled)
+        check_task(train.label_set.task_id, unlabeled, "the unlabeled pool")
     backend = build_backend(args.backend, dict(args.backend_option or []))
     try:
         report = method.run(engine, train, unlabeled, test, backend, args.seed, args.out)
     finally:
-        close_backend(backend)
+        backend.close()
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -169,7 +174,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = ExperimentConfig.from_payload(json.loads(Path(args.config).read_text(encoding="utf-8")))
+    config = ExperimentConfig.from_payload(read_json(args.config))
     pool = load_dataset(args.pool)
     test = load_dataset(args.test)
     unlabeled = load_dataset(args.unlabeled) if args.unlabeled else None

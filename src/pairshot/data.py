@@ -47,12 +47,12 @@ class LabelSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
+        if not all(isinstance(lab, str) and lab for lab in self.labels):
+            raise ValueError(f"label names must be non-empty strings, got {list(self.labels)!r}")
         if len(self.labels) < 2:
             raise ValueError("a label set needs at least two labels")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("label names must be distinct")
-        if any(not lab for lab in self.labels):
-            raise ValueError("label names must be non-empty")
 
     def index(self, label: str) -> int:
         try:
@@ -499,7 +499,10 @@ def load_dataset(path: str | Path) -> Dataset:
     for key, kind in (("task_id", str), ("kind", str), ("labels", list)):
         if not isinstance(manifest.get(key), kind):
             raise DataFormatError(f"manifest {manifest_path} needs a {kind.__name__} {key!r}")
-    label_set = LabelSet(tuple(manifest["labels"]), manifest["task_id"])
+    try:
+        label_set = LabelSet(tuple(manifest["labels"]), manifest["task_id"])
+    except ValueError as exc:
+        raise DataFormatError(f"manifest {manifest_path}: {exc}") from exc
     kind = manifest["kind"]
     examples: list[LabeledExample] = []
     for lineno, pair, record in read_pair_lines(path):

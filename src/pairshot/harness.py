@@ -181,13 +181,6 @@ def _check_options(
         raise ValueError(f"backend {kind!r} takes no backend option(s) {unknown}")
 
 
-def close_backend(backend: Backend) -> None:
-    """Release a backend's resources (the adapter's server), if it holds any."""
-    close = getattr(backend, "close", None)
-    if close is not None:
-        close()
-
-
 @dataclass
 class CellResult:
     """One (size, replicate) training run."""
@@ -251,6 +244,12 @@ class SweepResult:
         return json.dumps(self.to_payload(), sort_keys=True)
 
 
+def check_task(task_id: str, dataset: Dataset | None, what: str) -> None:
+    """DatasetSizeError naming both tasks unless dataset (what) is None or holds task_id's data."""
+    if dataset is not None and dataset.label_set.task_id != task_id:
+        raise DatasetSizeError(f"{what} holds {dataset.label_set.task_id!r} data, not {task_id!r}")
+
+
 def _assert_disjoint(pool: Dataset, test: Dataset) -> None:
     clashes = shared_sentences(pool, test)
     if clashes:
@@ -297,11 +296,14 @@ def run_sweep(
 ) -> SweepResult:
     """Run every (size, replicate) cell; failures are recorded, not fatal.
 
-    Feasibility (pool size, sentence disjointness) is validated before
-    any training starts.
+    The data's task and the feasibility (pool size, sentence
+    disjointness) are validated before any training starts.
     """
+    check_task(config.task_id, pool, "the pool")
+    check_task(config.task_id, unlabeled, "the unlabeled pool")
     if pool.label_set.labels != test.label_set.labels:
         raise DatasetSizeError("pool and test label sets differ")
+    check_task(config.task_id, test, "the test set")
     if max(config.sizes) > len(pool):
         raise DatasetSizeError(
             f"largest size {max(config.sizes)} exceeds pool of {len(pool)} examples"
@@ -335,7 +337,7 @@ def run_sweep(
                     )
     finally:
         if built:
-            close_backend(backend)
+            backend.close()
     summaries: dict[int, ReplicateSummary] = {}
     for size in config.sizes:
         reports = [c.report for c in cells if c.size == size and c.report is not None]
@@ -391,10 +393,19 @@ def _is_summary(summary: object) -> bool:
     )
 
 
+def read_json(path: str | Path) -> object:
+    """The JSON value in the file at path; ValueError naming the file when
+    it is not UTF-8 JSON (or nests past the parser's depth)."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path} is not UTF-8 JSON: {exc}") from exc
+
+
 def load_sweep_payload(path: str | Path) -> dict:
     """The sweep result file at path; ValueError naming the file and the
     field when a field that reports read is missing or mistyped."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != "pairshot-sweep":
         raise ValueError(f"{path} is not a sweep result file")
     missing = [key for key in ("config", "cells", "summaries") if key not in payload]

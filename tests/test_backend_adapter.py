@@ -25,6 +25,7 @@ from pairshot.backend.adapter import (
     connect_subprocess,
     connect_tcp,
 )
+from pairshot.backend.contracts import Backend
 from pairshot.backend.serve import BackendServer, serve_tcp
 from pairshot import errors
 from pairshot.backend.toy import ToyBackend, backend_config_with
@@ -427,6 +428,68 @@ class TestServerVerbs:
         assert server.handle({"id": 15, "verb": verb, "params": params(12)})["ok"] is True
         assert list(server._models) == ["m"] and server._models["m"].seed == 12
 
+    CLF_TRAIN = {**CLF, "steps": 1, "lr": 0.1, "seed": 0}
+    ENC_FIT = {**ENC, "epochs": 1, "lr": 0.1, "seed": 0}
+
+    @pytest.mark.parametrize(
+        "verb, params, kind",
+        [
+            # A field that is no list, on every model verb.
+            ("score", {"models": {"model": "s"}, "clozes": [], "candidates": ["Yes"]},
+             "AdapterError"),
+            ("train_mlm", {"jobs": "abc", "steps": 1, "batch": 1, "lr": 0.1}, "AdapterError"),
+            ("train_clf", {**CLF_TRAIN, "rows": "ab"}, "AdapterError"),
+            ("predict", {"model": "c", "labels": "AB", "texts": ["a"]}, "AdapterError"),
+            ("encode", {"model": "e", "texts": "abc"}, "AdapterError"),
+            ("fit_encoder", {**ENC_FIT, "triplets": "abc"}, "AdapterError"),
+            # Refusals that come after the request has made its models.
+            ("score", {"models": [{"model": "s1"}, {"model": "s2"}],
+                       "clozes": [{"text": "a <mask>"}], "candidates": ["NotAToken"]},
+             "VocabularyError"),
+            ("train_clf", {**CLF_TRAIN, "rows": []}, "NoDataError"),
+            ("train_clf", {**CLF_TRAIN, "rows": [["a b", [1.0]]]}, "ShapeError"),
+            ("train_clf", {**CLF_TRAIN, "model": "c2", "batch": 0}, "AdapterError"),
+            ("predict", {"model": "c", "labels": ["A"], "texts": ["a"]}, "ShapeError"),
+            ("fit_encoder", {**ENC_FIT, "triplets": [["a b", "c d", float("nan")]]},
+             "ShapeError"),
+            ("fit_encoder", {**ENC_FIT, "triplets": []}, "NoDataError"),
+            ("train_mlm", {"jobs": [{"model": "m", "rows": [[{"text": "a <mask>"}, "Nope"]],
+                                     "seed": 0}], "steps": 1, "batch": 1, "lr": 0.1},
+             "VocabularyError"),
+        ],
+    )
+    def test_a_refused_request_leaves_the_registry_as_it_was(self, server, verb, params, kind):
+        """Whatever refuses a request, and however far it got, the models it
+        made are dropped: the registry holds what it held before, and the
+        server keeps serving."""
+        assert server.handle({"id": 26, "verb": "encode",
+                              "params": {"model": "kept", "texts": ["a"]}})["ok"] is True
+        before = dict(server._models)
+        response = server.handle({"id": 27, "verb": verb, "params": params})
+        assert (response["id"], response["ok"], response["kind"]) == (27, False, kind)
+        assert server._models == before
+        assert all(server._models[name] is model for name, model in before.items())
+        assert server.handle({"id": 28, "verb": "hello", "params": {}})["ok"] is True
+
+    def test_a_numeric_error_keeps_the_steps_completed_before_it(self, server):
+        """The trainer writes back the steps it completed before a non-finite
+        one, in process and on the server alike, so the server keeps the
+        classifier it made and it equals one trained in process.  A rate of
+        -1e308 climbs the loss until a step's scores overflow."""
+        train = {"model": "c", "init_seed": 0, "labels": ["A", "B"],
+                 "rows": [[text, dist] for text, dist in CLF_ROWS],
+                 "steps": 40, "batch": 2, "lr": -1e308, "seed": 3}
+        local = ToyBackend().create_classifier(("A", "B"), seed=0)
+        with np.errstate(over="ignore"):
+            response = server.handle({"id": 29, "verb": "train_clf", "params": train})
+            with pytest.raises(errors.NumericError):
+                local.train(CLF_ROWS, steps=40, batch=2, lr=-1e308, seed=3)
+        assert (response["ok"], response["kind"]) == (False, "NumericError")
+        assert local._sched["step"] > 0
+        kept = server._models["c"]
+        np.testing.assert_array_equal(kept.W, local.W)
+        assert kept._sched == local._sched
+
     def test_stdio_server_survives_malformed_lines(self):
         """Non-object and non-list inputs, and lines the JSON parser refuses,
         get an error answer; the server keeps serving."""
@@ -463,6 +526,14 @@ class TestRemoteMatchesLocal:
         assert remote.mask_token == "<mask>"
         assert remote.separator_token == "||"
         assert remote.default_lr == 0.1
+
+    def test_both_backends_meet_the_contract_close_included(self, remote):
+        """close() is part of Backend: the toy backend releases nothing, the
+        remote one its transport."""
+        assert "close" in vars(Backend)
+        for backend in (ToyBackend(), remote):
+            assert isinstance(backend, Backend)
+            assert backend.close() is None
 
     def test_scorer_parity(self, remote):
         """Remote and local scorers trained identically emit identical scores."""

@@ -111,6 +111,29 @@ class TestTrain:
         assert rc == 0
         assert "pet on 80 examples:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, task, what",
+        [("--test", "bugzilla_duplicate", "the test set"),
+         ("--unlabeled", "srs_conflict", "the unlabeled pool")],
+    )
+    def test_train_refuses_data_of_another_task(
+        self, workspace, tmp_path, capsys, flag, task, what
+    ):
+        rc = main(["ingest", "synthetic", "--task", task, "--pairs", "20", "--unlabeled", "20",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        files = {"--train": workspace["pool"], "--test": workspace["test"],
+                 "--unlabeled": workspace["unlabeled"]}
+        files[flag] = tmp_path / f"{task}.{'pool' if flag == '--test' else 'unlabeled'}.jsonl"
+        argv = ["train", "--method", "pet"]
+        for option, path in files.items():
+            argv += [option, str(path)]
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {what} holds '{task}' data, not 'so_duplicate'\n"
+
 
 class TestTrainMatchesLibrary:
     """``pairshot train`` writes the report the library call produces."""
@@ -412,7 +435,7 @@ class TestExitCodes:
         assert rc == 1
         assert "not a sweep result" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ratio", ['[1]', '{"Neutral": null, "Duplicate": 1}'])
+    @pytest.mark.parametrize("ratio", ['[1]', '{"Neutral": null, "Duplicate": 1}', "{Neutral: 1}"])
     def test_class_ratio_that_is_not_an_object_of_numbers_exits_one(
         self, workspace, tmp_path, capsys, ratio
     ):
@@ -471,6 +494,10 @@ class TestExitCodes:
             {"format": "pairshot-dataset", "task_id": "so_duplicate", "kind": "train"},
             {"format": "pairshot-dataset", "task_id": "so_duplicate", "kind": "train",
              "labels": "Neutral,Duplicate"},
+            {"format": "pairshot-dataset", "task_id": "so_duplicate", "kind": "train",
+             "labels": [["Neutral"], ["Duplicate"]]},
+            {"format": "pairshot-dataset", "task_id": "so_duplicate", "kind": "train",
+             "labels": ["Neutral", "Neutral"]},
         ],
     )
     def test_malformed_manifest_exits_one(self, tmp_path, capsys, manifest):
@@ -628,6 +655,29 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "config" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{'sizes': [10]}", b"\xff\xfe{}", b"[" * 100_000],
+        ids=["not-json", "not-utf8", "too-deep"],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_a_file_that_is_not_utf8_json_is_named(
+        self, workspace, tmp_path, capsys, command, content
+    ):
+        """A sweep config or a result file that does not decode ends in one
+        error line that names the file, not only the decoder's message."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        if command == "sweep":
+            argv = ["sweep", "--config", str(path), "--pool", str(workspace["pool"]),
+                    "--test", str(workspace["test"]), "--out", str(tmp_path / "sweeps")]
+        else:
+            argv = ["report", "--result", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not UTF-8 JSON: ")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

@@ -299,6 +299,19 @@ class TestSerialization:
             load_dataset(path)
         assert str(err.value) == f"{path}:3: u and v must be strings"
 
+    @pytest.mark.parametrize("labels", [[["x"], ["y"]], ["x", 2], ["x"], ["x", "x"]])
+    def test_manifest_labels_that_make_no_label_set_are_refused_by_file(
+        self, tmp_path, dup_pool, labels
+    ):
+        """Labels that are not distinct strings, at least two of them, name
+        the manifest instead of failing deeper with a TypeError or ValueError."""
+        path = tmp_path / "pool.jsonl"
+        manifest = save_dataset(dup_pool, path)
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "labels": labels}))
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        assert str(manifest) in str(err.value)
+
     def test_synthetic_pools_have_disjoint_sentences(self):
         a = synthetic_pool("so_duplicate", 50, seed=1, serial_prefix="a")
         b = synthetic_pool("so_duplicate", 50, seed=1, kind="test", serial_prefix="b")

@@ -21,7 +21,7 @@ from pairshot.harness import (
     run_sweep,
     save_sweep,
 )
-from pairshot.synthetic import synthetic_pool
+from pairshot.synthetic import synthetic_pool, synthetic_unlabeled
 
 
 def small_config(**overrides):
@@ -179,6 +179,30 @@ class TestRunSweep:
         )
         with pytest.raises(DatasetSizeError, match="label sets"):
             run_sweep(small_config(), dup_pool, other_test, backend=ToyBackend())
+
+    def test_a_config_of_another_task_is_refused_before_any_cell(self, dup_pool, dup_test):
+        """so_duplicate data is not run with srs_conflict's patterns and
+        recorded as srs_conflict: the error names both tasks."""
+        config = small_config(task_id="srs_conflict")
+        with pytest.raises(DatasetSizeError, match="pool holds 'so_duplicate' data, not 'srs_conflict'"):
+            run_sweep(config, dup_pool, dup_test, backend=ToyBackend())
+
+    def test_a_test_set_of_another_task_is_refused(self, dup_pool):
+        """bugzilla_duplicate has so_duplicate's labels, so only its task tells it apart."""
+        other = synthetic_pool("bugzilla_duplicate", 30, seed=9, kind="test", serial_prefix="x")
+        with pytest.raises(
+            DatasetSizeError, match="test set holds 'bugzilla_duplicate' data, not 'so_duplicate'"
+        ):
+            run_sweep(small_config(), dup_pool, other, backend=ToyBackend())
+
+    def test_an_unlabeled_pool_of_another_task_is_refused(self, dup_pool, dup_test):
+        other = synthetic_unlabeled("srs_conflict", 20, seed=3)
+        config = small_config(method="pet", sizes=(8,), replicates=1, unlabeled_size=10,
+                              engine_options={"mlm_steps": 5, "distill_steps": 5, "batch": 4})
+        with pytest.raises(
+            DatasetSizeError, match="unlabeled pool holds 'srs_conflict' data, not 'so_duplicate'"
+        ):
+            run_sweep(config, dup_pool, dup_test, other, backend=ToyBackend())
 
     def test_oversized_grid_rejected(self, dup_pool, dup_test):
         config = small_config(sizes=(500,))
