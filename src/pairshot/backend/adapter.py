@@ -22,8 +22,9 @@ and its init_seed.  Step counts, batch sizes and seeds, init_seed
 included, are JSON integers, and lr is a number.  An answer that is not
 a JSON object raises an AdapterError naming its JSON type.  The
 handshake fails with an AdapterError naming the field unless the
-backend sends every hello field with its JSON type and the protocol
-this client speaks, and a failed handshake closes the transport.
+backend sends every hello field with its JSON type, a positive finite
+default_lr and the protocol this client speaks, and a failed handshake
+closes the transport.
 One transport carries the lines, over a child's pipes or a TCP socket
 alike: each request has a deadline that covers writing it and reading
 the whole answer, and any failure closes the transport with an
@@ -216,6 +217,10 @@ class RemoteBackend:
             self._mask_token = hello["mask_token"]
             self._separator_token = hello["separator_token"]
             self._default_lr = float(hello["default_lr"])
+            if not 0 < self._default_lr < math.inf:
+                raise AdapterError(
+                    f"hello field 'default_lr' must be positive and finite, got {hello['default_lr']!r}"
+                )
             self._dim = hello["embedding_dim"]
             length_model = hello.get("length_model", "whitespace")
             if length_model != "whitespace":

@@ -14,6 +14,7 @@ alone, and each scorer must end as if trained alone.
 
 from __future__ import annotations
 
+import math
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -125,9 +126,14 @@ class Backend(Protocol):
 
 
 def check_lr(lr: object) -> None:
-    """TypeError unless lr is a number or None (the backend default)."""
-    if lr is not None and (isinstance(lr, bool) or not isinstance(lr, (int, float))):
+    """TypeError unless lr is a number or None (the backend default), and
+    ValueError naming lr unless that number is positive and finite."""
+    if lr is None:
+        return
+    if isinstance(lr, bool) or not isinstance(lr, (int, float)):
         raise TypeError(f"lr must be a number or None, got {lr!r}")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr!r}")
 
 
 def check_ints(config: object, *names: str) -> None:

@@ -30,9 +30,9 @@ import contextlib
 import json
 import socket
 import sys
-from pathlib import Path
 from typing import BinaryIO, Iterable
 
+from ..data import read_json
 from ..errors import NumericError, PairshotError
 from ..prompting import ClozeInput
 from .adapter import PROTOCOL_VERSION
@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     args = parser.parse_args(argv)
     try:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+        overrides = read_json(args.config) if args.config else {}
         server = BackendServer(ToyBackend(backend_config_with(overrides)))
     except (PairshotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,15 +11,17 @@ verify against finite differences.
 Step accounting: one step is one optimizer update on one minibatch, the
 mean gradient at the weights the step starts from, written once; a step
 with non-finite scores, cosines or update raises NumericError and writes
-nothing.  Epoch-based callers convert via ceil(len(data) / batch) * epochs.
+nothing.  Every loop draws its minibatches from _batches, the one batch
+schedule.  Epoch-based callers convert via ceil(len(data) / batch) * epochs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -113,29 +115,20 @@ def backend_config_with(overrides: Mapping[str, object]) -> BackendConfig:
 # Shared minibatch machinery
 
 
-class _Schedule:
-    """Deterministic resumable batch schedule.
-
-    Pass p visits the data in Fisher-Yates order seeded by (seed, p);
-    step s takes batch slot s mod ceil(n / batch) of pass s div that.
-    """
-
-    def __init__(self, n: int, batch: int, seed: int) -> None:
-        if batch <= 0:
-            raise ValueError("batch size must be positive")
-        self.n = n
-        self.batch = batch
-        self.seed = seed
-        self.per_pass = max(1, math.ceil(n / batch))
-        self._pass = -1
-        self._order: list[int] = []
-
-    def batch_indices(self, step: int) -> list[int]:
-        p, slot = divmod(step, self.per_pass)
-        if p != self._pass:
-            self._order = Rng(self.seed).derive("pass", p).shuffled(range(self.n))
-            self._pass = p
-        return self._order[slot * self.batch : (slot + 1) * self.batch]
+def _batches(n: int, batch: int, seed: int, start: int, steps: int) -> Iterator[np.ndarray]:
+    """Row indices (int64 arrays) of steps start, ..., start + steps - 1 of
+    the resumable batch schedule: pass p visits the data in Fisher-Yates
+    order seeded by (seed, p), and step s takes batch slot s mod
+    ceil(n / batch) of pass s div that.  A pass is drawn when a step first
+    needs it, so at most one is held at a time."""
+    if batch <= 0:
+        raise ValueError("batch size must be positive")
+    first, skip = divmod(start, max(1, math.ceil(n / batch)))
+    orders = (np.array(Rng(seed).derive("pass", p).shuffled(range(n)), dtype=np.int64)
+              for p in itertools.count(first))
+    slots = (order[i : i + batch] for order in orders for i in range(0, max(n, 1), batch))
+    slots = itertools.islice(slots, skip, None)
+    return (slot for _, slot in zip(range(steps), slots))  # zip asks for no slot past the last step
 
 
 def _linear_scores(W: np.ndarray, x: SparseRows) -> np.ndarray:
@@ -198,7 +191,7 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
         raise ValueError("training needs jobs that each name one model once")
     if len({len(job[1]) for job in jobs}) > 1:
         raise ShapeError("training jobs must share one candidate count")
-    columns, parts, starts, schedules = [], [], [], []
+    columns, parts, starts = [], [], []
     for W, _, f, _, seed, state in jobs:
         used = np.flatnonzero(np.bincount(f.indices, minlength=W.shape[1]))
         local = np.searchsorted(used, f.indices)
@@ -206,7 +199,6 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
         parts.append(SparseRows(f.indptr, local, f.values))
         columns.append(used)
         starts.append(state["step"] if (state.get("seed"), state.get("n")) == (seed, len(f)) else 0)
-        schedules.append(_Schedule(len(f), batch, seed))
     features = parts[0] if len(parts) == 1 else SparseRows(
         np.append(0, np.cumsum(np.concatenate([np.diff(part.indptr) for part in parts]))),
         np.concatenate([part.indices for part in parts]),
@@ -214,19 +206,19 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
     )
     targets = np.concatenate([job[3] for job in jobs])
     first_row = np.cumsum([0] + [len(job[2]) for job in jobs])
+    # Per step, every job's batch offset by its first row (map binds the offset now).
+    lockstep = zip(*[
+        map(np.add, _batches(len(f), batch, seed, start, steps), itertools.repeat(at))
+        for (_, _, f, _, seed, _), start, at in zip(jobs, starts, first_row)
+    ])
     owner = np.repeat(np.arange(len(jobs)), [len(c) for c in columns])
     block = np.concatenate([W[rows[:, None], c] for (W, rows, *_), c in zip(jobs, columns)], axis=1)
     per_plan = max(1, _PLAN_ROWS // (batch * len(jobs)))
     done = 0
     try:
         while done < steps:
-            plan = [
-                [s.batch_indices(start + step) for s, start in zip(schedules, starts)]
-                for step in range(done, min(steps, done + per_plan))
-            ]
-            members = np.concatenate(
-                [np.add(b, at) for batches in plan for b, at in zip(batches, first_row)]
-            )
+            plan = list(itertools.islice(lockstep, per_plan))
+            members = np.concatenate([b for batches in plan for b in batches])
             gathered, gathered_targets = features.take(members), targets[members]
             end = 0
             for batches in plan:
@@ -495,10 +487,8 @@ class ToyEncoder:
         # Rows 2i and 2i + 1 are the texts of triplet i.
         table = self._table([text for a, b, _ in triplets for text in (a, b)])
         steps = math.ceil(len(triplets) / batch) * epochs
-        schedule = _Schedule(len(triplets), batch, seed)
-        for step in range(steps):
-            members = schedule.batch_indices(step)
-            part = table.take([row for i in members for row in (2 * i, 2 * i + 1)])
+        for members in _batches(len(triplets), batch, seed, 0, steps):
+            part = table.take((2 * members[:, None] + (0, 1)).ravel())
             vectors = self._mean_rows(part)
             pairs = zip(vectors.reshape(-1, 2, self.dim), members)
             grads = np.concatenate([self._pair_gradient(a, b, targets[i]) for (a, b), i in pairs])

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import Dataset, load_dataset, save_dataset, split_no_leakage, validate_dataset
+from .data import Dataset, load_dataset, read_json, save_dataset, split_no_leakage, validate_dataset
 from .errors import PairshotError
 from .harness import (
     METHOD_TABLE,
@@ -23,8 +23,8 @@ from .harness import (
     build_backend,
     check_task,
     emit_table,
+    engine_config,
     load_sweep_payload,
-    read_json,
     render_comparison,
     run_sweep,
     save_sweep,
@@ -146,12 +146,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train = load_dataset(args.train)
     test = load_dataset(args.test)
     method = METHOD_TABLE[args.method]
-    options = dict(args.option or [])
-    try:
-        engine = method.make_config(train.label_set.task_id, **options)
-    except TypeError as exc:
-        given = " ".join(f"{key}={value!r}" for key, value in options.items())
-        raise ValueError(f"--option {given} refused by {args.method}: {exc}") from exc
+    engine = engine_config(args.method, train.label_set.task_id, dict(args.option or []), "--option")
     check_task(train.label_set.task_id, test, "the test set")
     unlabeled = None
     if args.unlabeled and method.uses_unlabeled:

@@ -484,6 +484,15 @@ def read_pair_lines(path: Path) -> Iterator[tuple[int, SentencePair, dict]]:
             yield lineno, SentencePair(record["u"], record["v"]), record
 
 
+def read_json(path: str | Path) -> object:
+    """The JSON value in the file at path; ValueError naming the file when
+    it is not UTF-8 JSON (or nests past the parser's depth)."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path} is not UTF-8 JSON: {exc}") from exc
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset written by save_dataset, validating as it goes."""
     path = Path(path)
@@ -491,9 +500,9 @@ def load_dataset(path: str | Path) -> Dataset:
     if not manifest_path.exists():
         raise DataFormatError(f"missing manifest sidecar {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+        manifest = read_json(manifest_path)
+    except ValueError as exc:
+        raise DataFormatError(f"manifest {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "pairshot-dataset":
         raise DataFormatError(f"{manifest_path} is not a pairshot dataset manifest")
     for key, kind in (("task_id", str), ("kind", str), ("labels", list)):

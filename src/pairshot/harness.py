@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .backend.contracts import Backend, check_ints
 from .backend.toy import ToyBackend, backend_config_with
-from .data import Dataset, sample_training_set, shared_sentences
+from .data import Dataset, read_json, sample_training_set, shared_sentences
 from .errors import DatasetSizeError, InfeasibleSplitError
 from .finetune import FinetuneConfig, run_finetune
 from .metrics import METRIC_NAMES, EvalReport, ReplicateSummary, aggregate_replicates, format_mean_std
@@ -260,8 +260,19 @@ def _assert_disjoint(pool: Dataset, test: Dataset) -> None:
         )
 
 
+def engine_config(method: str, task_id: str, options: Mapping[str, object], what: str) -> object:
+    """The engine config of method for task_id built from options; a
+    ValueError naming what and the options when the config refuses them."""
+    try:
+        return METHOD_TABLE[method].make_config(task_id, **options)
+    except (TypeError, ValueError) as exc:
+        given = " ".join(f"{key}={value!r}" for key, value in options.items())
+        raise ValueError(f"{what} {given} refused by {method}: {exc}") from exc
+
+
 def _train_cell(
     config: ExperimentConfig,
+    engine: object,
     sample: Dataset,
     test: Dataset,
     unlabeled: Dataset | None,
@@ -269,7 +280,6 @@ def _train_cell(
     seed: int,
 ) -> EvalReport:
     method = METHOD_TABLE[config.method]
-    engine = method.make_config(config.task_id, **config.engine_options)
     pool = None
     if (
         method.uses_unlabeled
@@ -296,8 +306,8 @@ def run_sweep(
 ) -> SweepResult:
     """Run every (size, replicate) cell; failures are recorded, not fatal.
 
-    The data's task and the feasibility (pool size, sentence
-    disjointness) are validated before any training starts.
+    The data's task, the feasibility (pool size, sentence disjointness)
+    and the engine options are validated before any training starts.
     """
     check_task(config.task_id, pool, "the pool")
     check_task(config.task_id, unlabeled, "the unlabeled pool")
@@ -311,6 +321,7 @@ def run_sweep(
     if len(test) < 1:
         raise DatasetSizeError("test set is empty")
     _assert_disjoint(pool, test)
+    engine = engine_config(config.method, config.task_id, config.engine_options, "engine_options")
     built = backend is None
     if built:
         backend = build_backend(config.backend_kind, config.backend_options)
@@ -324,7 +335,7 @@ def run_sweep(
                 cell_start = time.perf_counter()
                 try:
                     sample = sample_training_set(pool, size, seed)
-                    report = _train_cell(config, sample, test, unlabeled, backend, seed)
+                    report = _train_cell(config, engine, sample, test, unlabeled, backend, seed)
                     cells.append(
                         CellResult(size, replicate, seed, "ok", report, None,
                                    time.perf_counter() - cell_start)
@@ -391,15 +402,6 @@ def _is_summary(summary: object) -> bool:
         and all(type(summary[part].get(name)) in (int, float) for name in METRIC_NAMES)
         for part in ("means", "stds")
     )
-
-
-def read_json(path: str | Path) -> object:
-    """The JSON value in the file at path; ValueError naming the file when
-    it is not UTF-8 JSON (or nests past the parser's depth)."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path} is not UTF-8 JSON: {exc}") from exc
 
 
 def load_sweep_payload(path: str | Path) -> dict:

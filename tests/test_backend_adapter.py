@@ -1126,6 +1126,10 @@ class TestRefusedHandshake:
             ("default_lr", MISSING),
             ("default_lr", "fast"),
             ("default_lr", True),
+            ("default_lr", 0),
+            ("default_lr", -0.1),
+            ("default_lr", float("nan")),
+            ("default_lr", float("inf")),
             ("embedding_dim", 2.5),
             ("embedding_dim", "32"),
             ("mask_token", 7),
@@ -1195,6 +1199,8 @@ class TestSubprocessEndToEnd:
         assert serve.main(["--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if content == "not json {":
+            assert str(config) in err, err
 
     def test_tcp_backend_round_trip(self):
         """The same protocol works over a TCP socket."""

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from pairshot.backend.toy import ToyBackend
+from pairshot.backend.toy import ToyBackend, ToyTextClassifier
 from pairshot.cli import _parse_option, build_parser, main
 from pairshot.data import load_dataset
+from pairshot.errors import NumericError
 from pairshot.finetune import FinetuneConfig, run_finetune
 from pairshot.pet import PetConfig, run_pet
 from pairshot.setfit import SetFitConfig, run_setfit
@@ -263,30 +264,48 @@ class TestSweepAndReport:
         assert "so_duplicate/finetune@toy" in stdout
         assert "_*" in stdout
 
-    def test_sweep_with_failing_cells_exits_nonzero(self, workspace, capsys):
+    def bad_sweep(self, workspace, engine_options, out):
         config = {
             "task_id": "so_duplicate",
             "method": "finetune",
             "sizes": [10],
             "replicates": 1,
             "test_size": 30,
-            "engine_options": {"bogus_knob": 1},
+            "engine_options": engine_options,
         }
         config_path = workspace["root"] / "bad.config.json"
         config_path.write_text(json.dumps(config))
-        rc = main(
+        return main(
             [
                 "sweep",
                 "--config", str(config_path),
                 "--pool", str(workspace["pool"]),
                 "--test", str(workspace["test"]),
                 "--name", "bad",
-                "--out", str(workspace["root"] / "sweeps-bad"),
+                "--out", str(out),
             ]
         )
-        assert rc == 1
+
+    def test_sweep_with_failing_cells_exits_nonzero(self, workspace, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NumericError("non-finite scores during training; lower the learning rate")
+
+        monkeypatch.setattr(ToyTextClassifier, "train", diverge)
+        assert self.bad_sweep(workspace, {"steps": 5}, tmp_path / "out") == 1
         captured = capsys.readouterr()
         assert "cell(s) failed" in captured.err
+
+    @pytest.mark.parametrize(
+        "options, name", [({"bogus_knob": 1}, "bogus_knob"), ({"lr": -0.5}, "lr")]
+    )
+    def test_sweep_with_a_bad_engine_option_exits_one_before_any_cell(
+        self, workspace, tmp_path, capsys, options, name
+    ):
+        assert self.bad_sweep(workspace, options, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestIngestRemoteSources:
@@ -600,6 +619,9 @@ class TestExitCodes:
             ("finetune", "steps=2.5", "steps"),
             ("finetune", "steps=true", "steps"),
             ("finetune", "batch=1.5", "batch"),
+            ("finetune", "lr=-0.5", "lr"),
+            ("setfit", "lr=0", "lr"),
+            ("pet", "lr=NaN", "lr"),
         ],
     )
     def test_train_with_a_bad_option_exits_one_before_training(

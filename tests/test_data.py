@@ -312,6 +312,17 @@ class TestSerialization:
             load_dataset(path)
         assert str(manifest) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b'{"format": "\xff"}', b"[" * 100_000], ids=["json", "utf8", "deep"]
+    )
+    def test_a_manifest_that_is_not_utf8_json_is_refused_by_file(self, tmp_path, dup_pool, content):
+        path = tmp_path / "pool.jsonl"
+        manifest = save_dataset(dup_pool, path)
+        manifest.write_bytes(content)
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        assert str(manifest) in str(err.value)
+
     def test_synthetic_pools_have_disjoint_sentences(self):
         a = synthetic_pool("so_duplicate", 50, seed=1, serial_prefix="a")
         b = synthetic_pool("so_duplicate", 50, seed=1, kind="test", serial_prefix="b")

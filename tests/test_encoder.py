@@ -23,7 +23,7 @@ from pairshot.backend.toy import (
     _ENCODE_CHUNK,
     ToyBackend,
     ToyEncoder,
-    _Schedule,
+    _batches,
     default_backend_config,
 )
 from pairshot.errors import DataFormatError
@@ -98,9 +98,7 @@ class LoopEncoder(ToyEncoder):
             (self._occurrences(a), self._occurrences(b), float(t)) for a, b, t in triplets
         ]
         steps = math.ceil(len(triplets) / batch) * epochs
-        schedule = _Schedule(len(triplets), batch, seed)
-        for step in range(steps):
-            members = schedule.batch_indices(step)
+        for members in _batches(len(triplets), batch, seed, 0, steps):
             scale = lr / len(members)
             updates = {}
             for i in members:

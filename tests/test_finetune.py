@@ -34,6 +34,24 @@ def test_engine_counts_that_are_not_integers_are_a_type_error_naming_the_field(m
         make(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [FinetuneConfig, SetFitConfig, lambda **kw: PetConfig.for_task("so_duplicate", **kw)],
+    ids=["finetune", "setfit", "pet"],
+)
+@pytest.mark.parametrize("lr", [-0.1, 0.0, -0.0, float("nan"), float("inf"), float("-inf"), -1])
+def test_a_learning_rate_that_is_not_positive_and_finite_is_a_value_error_naming_it(make, lr):
+    """A step against the gradient, no step at all, or a non-finite one
+    would train to nonsense without an error, so configs refuse them."""
+    with pytest.raises(ValueError, match=f"lr .*{lr!r}"):
+        make(lr=lr)
+
+
+@pytest.mark.parametrize("lr", [None, 1e-5, 0.1, 3, 1e308])
+def test_a_positive_finite_learning_rate_or_none_is_accepted(lr):
+    assert FinetuneConfig(lr=lr).lr == lr
+
+
 class TestFinetune:
     def test_untrained_steps_zero_predicts_first_label(self, dup_train, dup_test, backend):
         """Zero steps leave the zero-initialized classifier in place; all

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+from pairshot import harness
 from pairshot.backend.toy import ToyBackend
 from pairshot.data import Dataset
-from pairshot.errors import DatasetSizeError, InfeasibleSplitError
+from pairshot.errors import DatasetSizeError, InfeasibleSplitError, NumericError
 from pairshot.harness import (
     DEFAULT_SIZES,
     METHODS,
@@ -36,6 +37,13 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+class UntrainableBackend(ToyBackend):
+    """A toy backend whose classifiers fail as a diverging run does."""
+
+    def create_classifier(self, labels, seed=0):
+        raise NumericError("non-finite scores during training; lower the learning rate")
 
 
 @pytest.fixture(scope="module")
@@ -157,21 +165,37 @@ class TestRunSweep:
         assert all("seconds" not in cell for cell in payload["cells"])
 
     def test_failed_cells_recorded_not_fatal(self, dup_pool, dup_test):
-        """A cell whose engine config is invalid is marked failed; the sweep finishes."""
-        config = small_config(engine_options={"bogus_knob": 1})
-        result = run_sweep(config, dup_pool, dup_test, backend=ToyBackend())
+        """A cell whose training fails is marked failed; the sweep finishes."""
+        result = run_sweep(small_config(), dup_pool, dup_test, backend=UntrainableBackend())
         assert result.failed
         assert len(result.cells) == 4
         assert all(cell.status == "failed" for cell in result.cells)
-        assert all("TypeError" in cell.error for cell in result.cells)
+        assert all("NumericError" in cell.error for cell in result.cells)
         assert result.summaries == {}
         json.loads(result.to_json())
 
-    def test_setfit_separator_option_fails_its_cell(self, dup_pool, dup_test):
-        config = small_config(method="setfit", engine_options={"separator": " | "})
-        result = run_sweep(config, dup_pool, dup_test, backend=ToyBackend())
-        assert all(cell.status == "failed" for cell in result.cells)
-        assert all(cell.error.startswith("TypeError") for cell in result.cells)
+    @pytest.mark.parametrize(
+        "method, options, named",
+        [
+            ("finetune", {"bogus_knob": 1}, "bogus_knob"),
+            ("finetune", {"steps": 2.5}, "steps"),
+            ("finetune", {"lr": -0.5}, "lr"),
+            ("finetune", {"batch": 0}, "batch"),
+            ("setfit", {"separator": " | "}, "separator"),
+            ("pet", {"bogus_knob": 1}, "bogus_knob"),
+        ],
+    )
+    def test_engine_options_the_config_refuses_stop_the_sweep_before_any_cell(
+        self, dup_pool, dup_test, monkeypatch, method, options, named
+    ):
+        """The method's config is built once, before the first cell, so one
+        bad option is one ValueError naming it, not a failed cell per cell."""
+        sampled = []
+        monkeypatch.setattr(harness, "sample_training_set", lambda *args, **kw: sampled.append(args))
+        config = small_config(method=method, engine_options=options)
+        with pytest.raises(ValueError, match=named):
+            run_sweep(config, dup_pool, dup_test, backend=ToyBackend())
+        assert sampled == []
 
     def test_label_set_mismatch_rejected(self, dup_pool):
         other_test = synthetic_pool(
@@ -328,8 +352,7 @@ class TestTables:
         assert float(first[1]) <= 1.0
 
     def test_failed_sizes_marked_in_text(self, dup_pool, dup_test):
-        config = small_config(engine_options={"bogus_knob": 1})
-        result = run_sweep(config, dup_pool, dup_test, backend=ToyBackend())
+        result = run_sweep(small_config(), dup_pool, dup_test, backend=UntrainableBackend())
         text = emit_table(result.to_payload(), fmt="text")
         assert "failed" in text
 

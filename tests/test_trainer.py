@@ -8,6 +8,8 @@ number of jobs in lockstep and must leave every job's weights and
 schedule byte for byte where LoopTrainer leaves them, also when a step
 of one job fails.  Runs of up to 40 steps cross both the trainer's
 planned gathers and the schedule's passes, from any resume point.
+_batches, the schedule both trainers read, is checked on its own
+against its rule written out slice by slice.
 """
 
 import tracemalloc
@@ -21,7 +23,7 @@ from pairshot.backend.features import Featurizer, SparseRows
 from pairshot.backend.state import model_to_payload
 from pairshot.backend.toy import (
     ToyBackend,
-    _Schedule,
+    _batches,
     _train_softmax_ce,
     default_backend_config,
 )
@@ -29,6 +31,7 @@ from pairshot.data import join_pair
 from pairshot.errors import NumericError, ShapeError
 from pairshot.numerics import stable_softmax
 from pairshot.prompting import ClozeInput
+from pairshot.rng import Rng
 from pairshot.synthetic import synthetic_pool
 
 WORDS = ["alpha", "beta", "gamma", "delta", "omega", "query", "panic", "crash", "fine"]
@@ -81,7 +84,6 @@ class LoopTrainer:
         W, rows, features, targets, seed, sched_state = job
         n = len(features)
         start = resume_point(sched_state, seed, n)
-        schedule = _Schedule(n, batch, seed)
         columns = np.flatnonzero(np.bincount(features.indices, minlength=W.shape[1]))
         local = SparseRows(
             features.indptr, np.searchsorted(columns, features.indices), features.values
@@ -89,8 +91,7 @@ class LoopTrainer:
         block = W[rows[:, None], columns]
         done = 0
         try:
-            for step in range(start, start + steps):
-                members = schedule.batch_indices(step)
+            for members in _batches(n, batch, seed, start, steps):
                 touched, grad = cls.gradient(block, local.take(members), targets[members])
                 update = lr * grad
                 if not np.isfinite(update).all():
@@ -143,8 +144,8 @@ def first_visit(job, text, steps, batch):
     batch holds text; None if none does."""
     _, _, features, _, seed, sched_state = job
     start = resume_point(sched_state, seed, len(features))
-    schedule = _Schedule(len(features), batch, seed)
-    return next((i for i in range(steps) if text in schedule.batch_indices(start + i)), None)
+    batches = _batches(len(features), batch, seed, start, steps)
+    return next((i for i, members in enumerate(batches) if text in members), None)
 
 
 @SETTINGS
@@ -198,6 +199,57 @@ def test_a_finetune_shaped_call_stays_within_its_memory_bound():
         tracemalloc.stop()
     assert job[5]["step"] == 1000
     assert peak < 1.5e6
+
+
+def reference_batches(n, batch, seed, start, steps):
+    """The schedule's rule, one step at a time: step s is slot s mod
+    ceil(n / batch) of pass s div that, pass p being the data in the
+    order Rng(seed).derive("pass", p).shuffled gives it."""
+    per_pass = max(1, -(-n // batch))
+    out = []
+    for step in range(start, start + steps):
+        p, slot = divmod(step, per_pass)
+        out.append(Rng(seed).derive("pass", p).shuffled(range(n))[slot * batch : (slot + 1) * batch])
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, batch, start, steps",
+    [
+        (10, 3, 5, 9),  # resumed inside a pass; every pass ends in a short batch of one
+        (10, 3, 8, 6),  # resumed on a pass boundary
+        (12, 4, 0, 7),  # batches of one size
+        (2, 5, 3, 4),  # n < batch: each step is a whole pass
+        (1, 1, 0, 3),
+        (10, 3, 5, 0),  # no steps
+        (0, 3, 2, 2),  # no rows: every step is an empty batch
+    ],
+)
+def test_batches_follow_the_schedule_rule(n, batch, start, steps):
+    for seed in (0, 7, 2**64 - 1):
+        got = list(_batches(n, batch, seed, start, steps))
+        assert [b.dtype for b in got] == [np.dtype(np.int64)] * steps
+        assert [b.tolist() for b in got] == reference_batches(n, batch, seed, start, steps)
+
+
+def test_batches_draw_a_pass_only_when_a_step_reaches_it(monkeypatch):
+    drawn = []
+    shuffled = Rng.shuffled
+    monkeypatch.setattr(Rng, "shuffled", lambda rng, items: drawn.append(1) or shuffled(rng, items))
+    batches = _batches(10, 3, 7, 4, 10**18)  # 4 steps a pass, so it starts on pass 1
+    assert drawn == []
+    for _ in range(4):
+        next(batches)
+    assert len(drawn) == 1
+    next(batches)
+    assert len(drawn) == 2
+    assert list(_batches(10, 3, 7, 5, 0)) == [] and len(drawn) == 2
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_batches_refuse_a_batch_size_below_one_on_the_call(batch):
+    with pytest.raises(ValueError, match="batch size must be positive"):
+        _batches(10, batch, 0, 0, 5)
 
 
 def clozes(words):
