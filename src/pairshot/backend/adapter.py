@@ -60,7 +60,7 @@ import numpy as np
 from .. import errors as errors_module
 from ..errors import PairshotError
 from ..prompting import ClozeInput
-from .contracts import real_numbers
+from .contracts import check_lr, real_numbers
 
 
 PROTOCOL_VERSION = 4
@@ -216,11 +216,13 @@ class RemoteBackend:
                     raise AdapterError(f"hello field {name!r} is missing or mistyped: {value!r}")
             self._mask_token = hello["mask_token"]
             self._separator_token = hello["separator_token"]
-            self._default_lr = float(hello["default_lr"])
-            if not 0 < self._default_lr < math.inf:
+            try:
+                check_lr(hello["default_lr"])
+            except ValueError:
                 raise AdapterError(
                     f"hello field 'default_lr' must be positive and finite, got {hello['default_lr']!r}"
-                )
+                ) from None
+            self._default_lr = float(hello["default_lr"])
             self._dim = hello["embedding_dim"]
             length_model = hello.get("length_model", "whitespace")
             if length_model != "whitespace":

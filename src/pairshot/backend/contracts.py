@@ -14,7 +14,7 @@ alone, and each scorer must end as if trained alone.
 
 from __future__ import annotations
 
-import math
+import sys
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -127,12 +127,13 @@ class Backend(Protocol):
 
 def check_lr(lr: object) -> None:
     """TypeError unless lr is a number or None (the backend default), and
-    ValueError naming lr unless that number is positive and finite."""
+    ValueError naming lr unless that number is a positive finite float (an
+    int past float range is not)."""
     if lr is None:
         return
     if isinstance(lr, bool) or not isinstance(lr, (int, float)):
         raise TypeError(f"lr must be a number or None, got {lr!r}")
-    if not 0 < lr < math.inf:
+    if not 0 < lr <= sys.float_info.max:
         raise ValueError(f"lr must be positive and finite, got {lr!r}")
 
 

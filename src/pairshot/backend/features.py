@@ -20,19 +20,19 @@ one CSR.
 
 A sweep featurizes the same texts cell after cell, so _occurrences
 hashes only the distinct texts that its config has not hashed lately.
-Each featurizer config (buckets, word_order) gets its own ring on first
+Each featurizer config (buckets, word_order) gets its own table on first
 use, mapped once: 1 MiB of ids, 524,288 uint16 ids (262,144 uint32 when
 buckets > 65,536), and an index that maps a text to one int packing its
-first id and id count and names at most 8,192 texts.  An entry lasts
-until the ring overwrites one of its ids or 8,192 newer texts are
-indexed, and it leaves the index then.
+first id and id count and names at most 8,192 texts.  The table fills
+front to back; when a write would pass its end or its text cap, it
+empties first and the texts hashed before are hashed again if asked for.
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from itertools import chain, islice, takewhile
+from itertools import chain
 from typing import Iterator, Sequence
 from zlib import crc32
 
@@ -43,13 +43,14 @@ _CHAR_ORDERS = (3, 4)
 # chunk's work arrays peak at about 140 bytes per character (1.1 MB for
 # 8,192 characters of PET clozes): 32-bit byte offsets, intp indices.
 _CHUNK_CHARS = 8192
-# Bytes of each config's ring of hashed bucket ids: 524,288 uint16 ids
-# (262,144 uint32), which covers a sweep's test set and training pool
-# several times over.
-_RING_BYTES = 1 << 20
-# Texts a ring's index may name, so that short texts cannot fill it with
-# hundreds of thousands of keys.
-_RING_TEXTS = 8192
+# Bytes of each config's table of hashed bucket ids: 524,288 uint16 ids
+# (262,144 uint32).  The sweep-cli benchmark's 1,446 texts fill 62% of
+# it; pet-headline's 6,200 texts empty it three times, as a write that
+# would pass its end empties it first.
+_TABLE_BYTES = 1 << 20
+# Texts a table's index may name, so that short texts cannot fill it with
+# hundreds of thousands of keys; a write past it empties the table first.
+_TABLE_TEXTS = 8192
 
 
 def _tag_seed(tag: str) -> int:
@@ -124,20 +125,18 @@ def _take(indptr: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(([0], np.cumsum(lengths))), _spans(starts, lengths)
 
 
-class _IdRing:
-    """The bucket ids of one featurizer config's texts hashed last, in one ring.
-
-    Id a, counting every id ever written, lives at ids[a % len(ids)]: 1 MiB
-    of uint16 ids, or of uint32 ids when buckets > 65,536.  The index maps a
-    text to one int, its first id << shift | its id count, in write order.
-    An entry leaves it when a write reaches one of its ids or when the index
-    would name more than _RING_TEXTS texts, so every entry reads back as
-    written and no text outlives the window.
+class _IdTable:
+    """The bucket ids of the texts one featurizer config hashed since its
+    table last emptied, end to end from ids[0]: 1 MiB of uint16 ids, or of
+    uint32 ids when buckets > 65,536.  The index maps a text to one int,
+    its first id << shift | its id count.  A write that would pass the end
+    of ids, or leave the index naming more than _TABLE_TEXTS texts, empties
+    the table first; a batch too large for an empty table is not kept.
     """
 
     def __init__(self, buckets: int) -> None:
         dtype = np.dtype(np.uint16 if buckets <= 1 << 16 else np.uint32)
-        self.ids = _unpaged(_RING_BYTES // dtype.itemsize, dtype)
+        self.ids = _unpaged(_TABLE_BYTES // dtype.itemsize, dtype)
         # A kept entry has at most len(ids) ids, so its count fits below shift.
         self.shift = len(self.ids).bit_length()
         self.index: dict[str, int] = {}
@@ -147,32 +146,22 @@ class _IdRing:
         """The id count of every entry and their ids, laid end to end."""
         packed = np.array(entries, dtype=np.int64)
         starts, counts = packed >> self.shift, packed & ((1 << self.shift) - 1)
-        return counts, self.ids[_spans(starts, counts) % len(self.ids)]
+        return counts, self.ids[_spans(starts, counts)]
 
     def write(self, texts: Sequence[str], offsets: Sequence[int], data: np.ndarray) -> None:
-        """Append data, the ids of texts laid end to end: texts[i] has
-        data[offsets[i] : offsets[i + 1]]."""
-        size = len(self.ids)
-        kept = data[-size:]  # only the last size ids would survive
-        at = (self.end + len(data) - len(kept)) % size
-        split = min(len(kept), size - at)
-        self.ids[at : at + split] = kept[:split]
-        self.ids[: len(kept) - split] = kept[split:]
-        end, shift, index = self.end, self.shift, self.index
-        self.end += len(data)
-        floor = self.end - size  # the oldest id still held
-        index.update(
-            (text, (end + a) << shift | (b - a))
-            for text, a, b in zip(texts, offsets, offsets[1:])
-            if end + a >= floor
+        """Append data, the ids of texts (none of them indexed) laid end to
+        end: texts[i] has data[offsets[i] : offsets[i + 1]]."""
+        if self.end + len(data) > len(self.ids) or len(self.index) + len(texts) > _TABLE_TEXTS:
+            self.index.clear()
+            self.end = 0
+            if len(data) > len(self.ids) or len(texts) > _TABLE_TEXTS:
+                return
+        end, shift = self.end, self.shift
+        self.ids[end : end + len(data)] = data
+        self.index.update(
+            (text, (end + a) << shift | (b - a)) for text, a, b in zip(texts, offsets, offsets[1:])
         )
-        # Entries grow with their first id and the index is in write order,
-        # so the entries to drop come first: those below floor, and the
-        # oldest past the text limit.
-        floor <<= shift
-        stale = sum(1 for _ in takewhile(lambda entry: entry < floor, index.values()))
-        for text in list(islice(index, max(stale, len(index) - _RING_TEXTS))):
-            del index[text]
+        self.end += len(data)
 
 
 def _chunks(texts: Sequence[str]) -> Iterator[tuple[int, int]]:
@@ -218,9 +207,11 @@ class Featurizer:
     several models featurizes it once and passes the rows on.  Frozen,
     a featurizer can key such a caller's dict.
 
-    Each config keeps its own ring of bucket ids (1 MiB, the ids of the
-    texts it hashed last), so a text read again, such as a sweep's test
-    set in every cell, is not hashed again.
+    Each config keeps its own table of bucket ids (1 MiB, the ids of the
+    texts it hashed since the table last emptied), so a text read again,
+    such as a sweep's test set in every cell, is not hashed again.  The
+    table fills front to back and empties when a write would pass its end
+    or its 8,192-text cap.
     """
 
     buckets: int
@@ -239,25 +230,25 @@ class Featurizer:
         """Every n-gram bucket of every text as CSR (indptr, ids): row t lists
         bucket_ids(texts[t]), word n-grams by order, then char 3- and 4-grams.
 
-        Each distinct text is read back from the config's ring if it holds
-        the text; the rest are hashed, chunk by chunk, and written to the
-        ring.  A repeated text gets its row again.
+        Each distinct text is read back from the config's table if it
+        holds the text; the rest are hashed, chunk by chunk, and written to
+        the table.  A repeated text gets its row again.
         """
         config = (self.buckets, self.word_order)
-        ring = _rings.get(config) or _rings.setdefault(config, _IdRing(self.buckets))
+        table = _tables.get(config) or _tables.setdefault(config, _IdTable(self.buckets))
         held: dict[str, int] = {}
         fresh: dict[str, None] = {}
         for text in texts:
-            entry = ring.index.get(text)
+            entry = table.index.get(text)
             if entry is None:
                 fresh[text] = None
             else:
                 held[text] = entry
         # Rows: the held texts, then the fresh ones.  Read the held ones
-        # before the fresh ones' write can overwrite them.
+        # before the fresh ones' write can empty the table.
         indptr, ids = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         if held:
-            counts, held_ids = ring.read(list(held.values()))
+            counts, held_ids = table.read(list(held.values()))
             indptr.append(np.cumsum(counts))
             ids.append(held_ids.astype(np.int64))
         hashed = list(fresh)
@@ -268,7 +259,7 @@ class Featurizer:
         indptr, ids = np.concatenate(indptr), np.concatenate(ids)
         if fresh:
             first = indptr[len(held)]
-            ring.write(hashed, (indptr[len(held) :] - first).tolist(), ids[first:])
+            table.write(hashed, (indptr[len(held) :] - first).tolist(), ids[first:])
         rows = [*held, *fresh]
         if rows == list(texts):
             return indptr, ids
@@ -342,5 +333,5 @@ class Featurizer:
         return rows
 
 
-# Each featurizer config's ring of the bucket ids it hashed last, made on first use.
-_rings: dict[tuple[int, int], _IdRing] = {}
+# Each featurizer config's table of the bucket ids it hashed, made on first use.
+_tables: dict[tuple[int, int], _IdTable] = {}

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..data import read_json
 from ..errors import DataFormatError, PairshotError
 from .toy import ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
@@ -138,7 +139,7 @@ def save_model(model, path: str | Path) -> None:
 def load_model(path: str | Path):
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+        payload = read_json(path)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from exc
     return model_from_payload(payload)

@@ -479,6 +479,8 @@ class ToyEncoder:
         """
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if batch <= 0:
+            raise ValueError("batch size must be positive")
         if not triplets:
             raise NoDataError("fit called with no triplets")
         targets = real_numbers([sim for _, _, sim in triplets], "similarity targets").tolist()

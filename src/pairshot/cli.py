@@ -40,7 +40,7 @@ def _parse_option(text: str) -> tuple[str, object]:
         raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         value = raw
     return key, value
 
@@ -128,7 +128,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     ratio = None
     if args.class_ratio:
-        with contextlib.suppress(ValueError):  # not JSON: refused below as no object
+        with contextlib.suppress(ValueError, RecursionError):  # not JSON: refused below
             ratio = json.loads(args.class_ratio)
         if not isinstance(ratio, dict) or any(type(v) not in (int, float) for v in ratio.values()):
             raise ValueError(f"--class-ratio must be a JSON object of numbers: {args.class_ratio}")

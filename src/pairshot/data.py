@@ -470,14 +470,16 @@ def save_dataset(
 
 def read_pair_lines(path: Path) -> Iterator[tuple[int, SentencePair, dict]]:
     """(line number, pair, record) per non-blank line; labels are the caller's to check."""
-    with path.open("r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 decode as lone surrogates, so that the
+    # strict decode below fails on their line, not on the file's.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in "uv")):
                 raise DataFormatError(f"{path}:{lineno}: u and v must be strings")

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .backend.contracts import Backend, SentenceEncoder, check_ints, check_lr, resolve_lr
-from .data import Dataset, SentencePair, join_pair
+from .data import Dataset, SentencePair, join_pair, read_json
 from .errors import DataFormatError, InfeasibleTripletsError, NoDataError, ShapeError
 from .logistic import LogisticHead
 from .metrics import EvalReport, evaluate_predictions
@@ -254,9 +254,9 @@ def load_setfit(path: str | Path) -> SetFitModel:
 
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON: {exc}") from exc
+        payload = read_json(path)
+    except ValueError as exc:
+        raise DataFormatError(str(exc)) from exc
     if not isinstance(payload, dict) or payload.get("format") != "pairshot-setfit":
         raise DataFormatError(f"{path} is not a setfit bundle")
     encoder_data, head_data, labels, separator = payload_fields(

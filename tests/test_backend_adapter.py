@@ -402,6 +402,7 @@ class TestServerVerbs:
             ("train_clf", {**CLF, "steps": 2, "lr": 0.1, "seed": True}, "seed"),
             ("fit_encoder", {**ENC, "epochs": True, "lr": 0.1, "seed": 0}, "epochs"),
             ("fit_encoder", {**ENC, "epochs": 1, "lr": "0.1", "seed": 0}, "lr"),
+            ("fit_encoder", {**ENC, "epochs": 1, "batch": 0, "lr": 0.1, "seed": 0}, "batch"),
         ],
     )
     def test_other_training_verbs_refuse_mistyped_counts(self, server, verb, params, field):
@@ -453,6 +454,7 @@ class TestServerVerbs:
             ("fit_encoder", {**ENC_FIT, "triplets": [["a b", "c d", float("nan")]]},
              "ShapeError"),
             ("fit_encoder", {**ENC_FIT, "triplets": []}, "NoDataError"),
+            ("fit_encoder", {**ENC_FIT, "model": "e2", "batch": 0}, "AdapterError"),
             ("train_mlm", {"jobs": [{"model": "m", "rows": [[{"text": "a <mask>"}, "Nope"]],
                                      "seed": 0}], "steps": 1, "batch": 1, "lr": 0.1},
              "VocabularyError"),
@@ -1134,6 +1136,7 @@ class TestRefusedHandshake:
             ("embedding_dim", "32"),
             ("mask_token", 7),
             ("separator_token", ["||"]),
+            pytest.param("default_lr", 10**400, id="default_lr-int-past-float"),
         ],
         ids=lambda value: "missing" if value is MISSING else None,
     )

@@ -541,6 +541,16 @@ class TestStateRoundTrip:
         texts = ["a b", "x y", "completely new text"]
         np.testing.assert_array_equal(enc.encode(texts), again.encode(texts))
 
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b'{"kind": "\xff"}', b"[" * 100_000], ids=["json", "utf8", "deep"]
+    )
+    def test_a_file_that_is_not_utf8_json_is_a_data_format_error_naming_it(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path} is not UTF-8 JSON: ")
+
     def test_payload_that_is_not_an_object_is_a_data_format_error(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1]", encoding="utf-8")

@@ -454,7 +454,11 @@ class TestExitCodes:
         assert rc == 1
         assert "not a sweep result" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ratio", ['[1]', '{"Neutral": null, "Duplicate": 1}', "{Neutral: 1}"])
+    @pytest.mark.parametrize(
+        "ratio",
+        ['[1]', '{"Neutral": null, "Duplicate": 1}', "{Neutral: 1}",
+         pytest.param("[" * 100_000, id="deep")],
+    )
     def test_class_ratio_that_is_not_an_object_of_numbers_exits_one(
         self, workspace, tmp_path, capsys, ratio
     ):
@@ -622,6 +626,8 @@ class TestExitCodes:
             ("finetune", "lr=-0.5", "lr"),
             ("setfit", "lr=0", "lr"),
             ("pet", "lr=NaN", "lr"),
+            pytest.param("finetune", "lr=1" + "0" * 400, "lr", id="finetune-lr-past-float"),
+            pytest.param("finetune", "steps=" + "[" * 100_000, "steps", id="finetune-deep-steps"),
         ],
     )
     def test_train_with_a_bad_option_exits_one_before_training(
@@ -880,6 +886,8 @@ class TestOptionParsing:
 
     def test_non_json_values_stay_strings(self):
         assert _parse_option("name=plain-text") == ("name", "plain-text")
+        deep = "[" * 100_000 + "]" * 100_000  # past the JSON parser's depth
+        assert _parse_option(f"steps={deep}") == ("steps", deep)
 
     def test_missing_separator_rejected(self):
         with pytest.raises(argparse.ArgumentTypeError):

@@ -288,6 +288,19 @@ class TestSerialization:
             load_dataset(path)
         assert "5" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line", [b'{"u": "a\xff", "v": "b"}', b"[" * 100_000], ids=["utf8", "deep"]
+    )
+    def test_a_line_that_is_not_utf8_json_is_located(self, tmp_path, dup_pool, line):
+        path = tmp_path / "pool.jsonl"
+        save_dataset(dup_pool, path)
+        lines = path.read_bytes().splitlines()
+        lines[4] = line
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        assert str(err.value).startswith(f"{path}:5: invalid JSON: ")
+
     @pytest.mark.parametrize("line", ["[1, 2]", "7", '{"u": "a", "v": null}'])
     def test_line_that_is_not_a_pair_object_is_located(self, tmp_path, dup_pool, line):
         path = tmp_path / "pool.jsonl"

@@ -211,6 +211,13 @@ class TestFit:
         probe = make_texts(10, seed=12)
         assert loaded.encode(probe).tobytes() == reference.encode(probe).tobytes()
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_a_batch_below_one_is_a_value_error_naming_it(self, batch):
+        """As in every other SGD loop, before any step count is computed."""
+        encoder = ToyEncoder(default_backend_config(), 3)
+        with pytest.raises(ValueError, match="batch"):
+            encoder.fit(self.TRIPLETS[:1], 1, batch, 0.1, 0)
+
     def test_row_view_outlives_later_encode_and_fit(self):
         """A row view stays in the table while later batches draw and train rows."""
         encoder = ToyEncoder(default_backend_config(), 3)
@@ -316,12 +323,12 @@ class TestMemory:
     per-dimension bincounts.  The bounds are the former peaks: a fit
     whose step summed one flattened (bucket, dimension) bincount, or
     kept one step's (dimension, entries) shares alive into the next,
-    exceeds them.  Each test starts a fresh featurizer ring, so the text index's
+    exceeds them.  Each test starts a fresh featurizer table, so the text index's
     growth does not depend on the tests before it."""
 
     @pytest.fixture(autouse=True)
-    def fresh_rings(self, monkeypatch):
-        monkeypatch.setattr(features, "_rings", {})
+    def fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(features, "_tables", {})
 
     def test_encoding_a_thousand_texts(self):
         pool = synthetic_pool("so_duplicate", 1400, seed=31)

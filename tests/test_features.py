@@ -1,5 +1,5 @@
 """Hashed n-gram featurizer: golden equality with a per-gram reference,
-the safety of the ring of bucket ids behind _occurrences, and how often
+the safety of the table of bucket ids behind _occurrences, and how often
 the toy backend featurizes a batch.
 """
 
@@ -28,14 +28,14 @@ TEXTS = [
     "ab",
     "abc",
 ]
-# 1 << 20 buckets need a ring of uint32 ids.
+# 1 << 20 buckets need a table of uint32 ids.
 SETTINGS = [(buckets, order) for buckets in (7, 32768, 1 << 20) for order in (1, 2, 3)]
 
 
 @pytest.fixture(autouse=True)
-def empty_rings(monkeypatch):
-    """Every test starts with no rings, so hash counts do not depend on test order."""
-    monkeypatch.setattr(features, "_rings", {})
+def empty_tables(monkeypatch):
+    """Every test starts with no tables, so hash counts do not depend on test order."""
+    monkeypatch.setattr(features, "_tables", {})
 
 
 def spy_on_hashing(monkeypatch):
@@ -170,7 +170,7 @@ class TestFeaturizedOnce:
         assert sorted(hashed) == sorted(texts)
 
     def test_an_ensemble_hashes_each_rendered_text_once(self, monkeypatch, dup_pool):
-        """Weighing every member comes before training; the ring still holds
+        """Weighing every member comes before training; the table still holds
         each pattern's clozes when they are trained on."""
         from pairshot.backend.toy import ToyBackend
         from pairshot.data import sample_training_set
@@ -254,22 +254,23 @@ class TestBatchHashing:
             st.text() | st.sampled_from(["", " ", "\t\n ", "ab", "é 应", "a b c"]), max_size=12
         ),
         chunk=st.sampled_from([1, 5, 40, features._CHUNK_CHARS]),
-        ring_bytes=st.sampled_from([4, 12, 120, features._RING_BYTES]),
-        ring_texts=st.sampled_from([1, 3, features._RING_TEXTS]),
+        table_bytes=st.sampled_from([4, 12, 120, features._TABLE_BYTES]),
+        table_texts=st.sampled_from([1, 3, features._TABLE_TEXTS]),
         setting=st.sampled_from(SETTINGS),
         other=st.sampled_from(SETTINGS),
     )
     def test_batches_equal_the_zlib_reference(
-        self, texts, chunk, ring_bytes, ring_texts, setting, other
+        self, texts, chunk, table_bytes, table_texts, setting, other
     ):
         # Repeats make duplicates that straddle chunks once the chunks are
-        # small; a small ring (one uint32 id at 4 bytes) wraps and evicts in
-        # the middle of a batch, and a second config reads the same texts.
+        # small; a small table (one uint32 id at 4 bytes) or text cap empties
+        # between a batch's reads and its write, or cannot keep the batch at
+        # all, and a second config reads the same texts.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(features, "_CHUNK_CHARS", chunk)
-            patch.setattr(features, "_RING_BYTES", ring_bytes)
-            patch.setattr(features, "_RING_TEXTS", ring_texts)
-            patch.setattr(features, "_rings", {})
+            patch.setattr(features, "_TABLE_BYTES", table_bytes)
+            patch.setattr(features, "_TABLE_TEXTS", table_texts)
+            patch.setattr(features, "_tables", {})
             for featurizer in (Featurizer(*setting), Featurizer(*other), Featurizer(*setting)):
                 assert_batch_equals_reference(featurizer, texts + texts[::2])
 
@@ -301,56 +302,80 @@ class TestBatchHashing:
                 assert_batch_equals_reference(Featurizer(*setting), texts)
         assert len(hashed) == 3 * len(SETTINGS)
 
-    def test_ring_wraps_in_place_and_indexes_only_its_window(self):
-        """Past its capacity a ring overwrites its one array, and its index
-        names only texts whose ids all lie in the last len(ids) written."""
+    def test_a_full_table_empties_before_the_write_that_would_pass_its_end(self, monkeypatch):
+        """The held texts of a batch are read before its fresh ones' write
+        empties the table; the table then holds only the texts written
+        since, in the same array, and a batch that would not fit even an
+        empty table is not kept."""
+        monkeypatch.setattr(features, "_TABLE_BYTES", 128)  # 64 uint16 ids
+        featurizer = Featurizer(32768, 1)
+        texts = [f"text number {i}" for i in range(6)]  # 24 ids each
+        featurizer._occurrences(texts[:2])
+        (config, table), = features._tables.items()
+        ids = table.ids
+        assert (table.end, list(table.index)) == (48, texts[:2])
+        indptr, out = featurizer._occurrences(texts[:3])
+        for i, text in enumerate(texts[:3]):
+            assert out[indptr[i] : indptr[i + 1]].tolist() == reference_bucket_ids(text, *config)
+        assert (table.end, list(table.index)) == (24, texts[2:3])
+        assert table.ids is ids and len(ids) == 64 and ids.dtype == np.uint16
+        featurizer._occurrences(texts[3:6])
+        assert (table.end, table.index) == (0, {})
+
+    def test_every_entry_reads_back_its_reference_ids(self, monkeypatch):
+        monkeypatch.setattr(features, "_TABLE_BYTES", 4096)
         featurizer = Featurizer(32768, 2)
-        texts = [f"text {i} of the wrapping check " * 12 for i in range(900)]
-        featurizer._occurrences(texts[:100])
-        (config, ring), = features._rings.items()
-        ids = ring.ids
-        for lo in range(100, len(texts), 100):
-            featurizer._occurrences(texts[lo : lo + 100])
-        assert ring.end > len(ids) == features._RING_BYTES // 2
-        assert ring.ids is ids and ids.dtype == np.uint16
-        assert config == (32768, 2) and 0 < len(ring.index) < len(texts)
-        for text, entry in ring.index.items():
-            start, count = entry >> ring.shift, entry & ((1 << ring.shift) - 1)
-            assert ring.end - len(ids) <= start and start + count <= ring.end
-            expected = reference_bucket_ids(text, *config)
-            assert ring.read([entry])[1].tolist() == expected
-        assert next(iter(ring.index)) == texts[len(texts) - len(ring.index)]
+        texts = [f"text {i} of the emptying check " * (1 + i % 4) for i in range(300)]
+        featurizer._occurrences(texts[:10])
+        (config, table), = features._tables.items()
+        ids, ends = table.ids, [table.end]
+        for lo in range(10, len(texts), 10):
+            featurizer._occurrences(texts[lo : lo + 10])
+            assert table.ids is ids and 0 < table.end <= len(ids)
+            for text, entry in table.index.items():
+                assert table.read([entry])[1].tolist() == reference_bucket_ids(text, *config)
+            ends.append(table.end)
+        assert sum(b < a for a, b in zip(ends, ends[1:])) > 3  # it emptied several times
 
-    def test_ring_index_names_at_most_its_text_limit(self, monkeypatch):
-        monkeypatch.setattr(features, "_RING_TEXTS", 4)
+    def test_a_write_past_the_text_cap_empties_the_table_first(self, monkeypatch):
+        """A batch whose fresh texts would pass the cap comes after an
+        emptying, and one with more fresh texts than the cap is not kept."""
+        monkeypatch.setattr(features, "_TABLE_TEXTS", 4)
+        hashed = spy_on_hashing(monkeypatch)
         featurizer = Featurizer(7, 2)
-        featurizer._occurrences([f"t{i}" for i in range(10)])
-        featurizer._occurrences(["t0", "t9"])
-        assert list(features._rings[7, 2].index) == ["t7", "t8", "t9", "t0"]
+        featurizer._occurrences(["t0", "t1", "t2"])
+        table = features._tables[7, 2]
+        featurizer._occurrences(["t0", "t3"])
+        assert list(table.index) == ["t0", "t1", "t2", "t3"]
+        featurizer._occurrences(["t3", "t4"])
+        assert list(table.index) == ["t4"]
+        assert table.end == len(reference_bucket_ids("t4", 7, 2))
+        featurizer._occurrences([f"u{i}" for i in range(5)])
+        assert (table.end, table.index) == (0, {})
+        assert hashed == ["t0", "t1", "t2", "t3", "t4"] + [f"u{i}" for i in range(5)]
 
-    def test_two_configs_never_evict_each_others_texts(self, monkeypatch):
-        """A config passing its text limit, or wrapping its ring, leaves
-        another config's ring as it was."""
-        monkeypatch.setattr(features, "_RING_TEXTS", 3)
+    def test_one_config_emptying_leaves_another_as_it_was(self, monkeypatch):
+        """Tables empty per config: reading another config's texts again
+        hashes nothing."""
+        monkeypatch.setattr(features, "_TABLE_TEXTS", 3)
         hashed = spy_on_hashing(monkeypatch)
         Featurizer(7, 1)._occurrences(["b0", "b1"])
-        Featurizer(7, 2)._occurrences([f"a{i}" for i in range(20)])
-        monkeypatch.setattr(features, "_RING_BYTES", 64)  # 32 uint16 ids from here on
-        Featurizer(7, 3)._occurrences([f"text c{i}" for i in range(20)])
-        assert list(features._rings[7, 2].index) == ["a17", "a18", "a19"]
-        wrapped = features._rings[7, 3]
-        assert wrapped.end > len(wrapped.ids) == 32
-        assert list(features._rings[7, 1].index) == ["b0", "b1"]
+        other = features._tables[7, 1]
+        index, ids = dict(other.index), other.ids[: other.end].copy()
+        Featurizer(7, 2)._occurrences([f"a{i}" for i in range(3)])
+        Featurizer(7, 2)._occurrences(["a3"])
+        assert list(features._tables[7, 2].index) == ["a3"]
+        assert other.index == index and other.ids[: other.end].tobytes() == ids.tobytes()
         hashed.clear()
         assert_batch_equals_reference(Featurizer(7, 1), ["b0", "b1"])
         assert hashed == []
 
-    def test_wide_ids_get_a_uint32_ring_of_the_same_bytes(self):
+    def test_wide_ids_get_a_uint32_table_of_the_same_bytes(self):
         for buckets in (1 << 20, 1 << 16, 32768):
             Featurizer(buckets, 2)._occurrences(["wide ids"])
-        wide, edge, narrow = (features._rings[b, 2].ids for b in (1 << 20, 1 << 16, 32768))
+        wide, edge, narrow = (features._tables[b, 2].ids for b in (1 << 20, 1 << 16, 32768))
         assert (wide.dtype, edge.dtype, narrow.dtype) == (np.uint32, np.uint16, np.uint16)
-        assert wide.nbytes == narrow.nbytes == features._RING_BYTES == 1 << 20
+        assert wide.nbytes == narrow.nbytes == features._TABLE_BYTES == 1 << 20
         assert (len(wide), len(narrow)) == (262_144, 524_288)
 
     def test_index_bytes_per_held_text(self):
@@ -359,7 +384,7 @@ class TestBatchHashing:
         values took about 213."""
         texts = [f"held text number {i}" for i in range(2000)]
         Featurizer(32768, 2)._occurrences(texts)
-        index = features._rings[32768, 2].index
+        index = features._tables[32768, 2].index
         size = sys.getsizeof(index) + sum(map(sys.getsizeof, index.values()))
         assert len(index) == len(texts)
         assert size / len(index) < 80

@@ -39,10 +39,15 @@ def test_engine_counts_that_are_not_integers_are_a_type_error_naming_the_field(m
     [FinetuneConfig, SetFitConfig, lambda **kw: PetConfig.for_task("so_duplicate", **kw)],
     ids=["finetune", "setfit", "pet"],
 )
-@pytest.mark.parametrize("lr", [-0.1, 0.0, -0.0, float("nan"), float("inf"), float("-inf"), -1])
+@pytest.mark.parametrize(
+    "lr",
+    [-0.1, 0.0, -0.0, float("nan"), float("inf"), float("-inf"), -1,
+     pytest.param(10**400, id="int-past-float")],
+)
 def test_a_learning_rate_that_is_not_positive_and_finite_is_a_value_error_naming_it(make, lr):
     """A step against the gradient, no step at all, or a non-finite one
-    would train to nonsense without an error, so configs refuse them."""
+    would train to nonsense without an error, so configs refuse them; an
+    int past float range is no finite rate either."""
     with pytest.raises(ValueError, match=f"lr .*{lr!r}"):
         make(lr=lr)
 

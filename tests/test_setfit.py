@@ -175,6 +175,16 @@ class TestSetFitPipeline:
             load_setfit(path)
 
     @pytest.mark.parametrize(
+        "content", [b"{not json", b'{"format": "\xff"}', b"[" * 100_000], ids=["json", "utf8", "deep"]
+    )
+    def test_a_bundle_that_is_not_utf8_json_is_a_data_format_error_naming_it(self, tmp_path, content):
+        path = tmp_path / "setfit.json"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError) as err:
+            load_setfit(path)
+        assert str(err.value).startswith(f"{path} is not UTF-8 JSON: ")
+
+    @pytest.mark.parametrize(
         "field, damage",
         [
             ("head", {}),
