@@ -60,10 +60,9 @@ import numpy as np
 from .. import errors as errors_module
 from ..errors import PairshotError
 from ..prompting import ClozeInput
-from .contracts import check_lr, real_numbers
+from .contracts import PROTOCOL_VERSION, check_lr, real_numbers
 
 
-PROTOCOL_VERSION = 4
 _TIMEOUT_S = 60.0
 # The hello fields every backend must send, with their JSON types.
 _HELLO_FIELDS = {

@@ -19,8 +19,12 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, brief
 from ..prompting import ClozeInput
+
+# The version of the JSON-lines protocol (pairshot.backend.adapter) that
+# the client and the server both speak; a hello of any other is refused.
+PROTOCOL_VERSION = 4
 
 
 @runtime_checkable
@@ -132,9 +136,13 @@ def check_lr(lr: object) -> None:
     if lr is None:
         return
     if isinstance(lr, bool) or not isinstance(lr, (int, float)):
-        raise TypeError(f"lr must be a number or None, got {lr!r}")
+        raise TypeError(f"lr must be a number or None, got {brief(lr)}")
     if not 0 < lr <= sys.float_info.max:
-        raise ValueError(f"lr must be positive and finite, got {lr!r}")
+        try:
+            shown = repr(lr)
+        except ValueError:  # an int past the interpreter's digit limit has no repr
+            shown = f"an int of {lr.bit_length()} bits"
+        raise ValueError(f"lr must be positive and finite, got {shown}")
 
 
 def check_ints(config: object, *names: str) -> None:
@@ -143,7 +151,7 @@ def check_ints(config: object, *names: str) -> None:
         value = getattr(config, name)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, bool) or not isinstance(item, int):
-                raise TypeError(f"{name} takes integers only, got {item!r}")
+                raise TypeError(f"{name} takes integers only, got {brief(item)}")
 
 
 def real_numbers(values: object, what: str) -> np.ndarray:

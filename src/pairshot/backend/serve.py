@@ -33,9 +33,9 @@ import sys
 from typing import BinaryIO, Iterable
 
 from ..data import read_json
-from ..errors import NumericError, PairshotError
+from ..errors import NumericError, PairshotError, port
 from ..prompting import ClozeInput
-from .adapter import PROTOCOL_VERSION
+from .contracts import PROTOCOL_VERSION
 from .toy import ToyBackend, ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
 
@@ -248,7 +248,7 @@ def serve_tcp(server: BackendServer, host: str, port: int) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Serve a toy backend over the JSON-lines protocol")
     parser.add_argument("--config", help="JSON file with backend config overrides")
-    parser.add_argument("--tcp", type=int, metavar="PORT", help="serve on a TCP port instead of stdio")
+    parser.add_argument("--tcp", type=port, metavar="PORT", help="serve on a TCP port instead of stdio")
     parser.add_argument("--host", default="127.0.0.1")
     args = parser.parse_args(argv)
     try:
@@ -257,11 +257,14 @@ def main(argv: list[str] | None = None) -> int:
     except (PairshotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.tcp is not None:
-        serve_tcp(server, args.host, args.tcp)
-    else:
+    if args.tcp is None:
         serve_stdio(server)
-    return 0
+        return 0
+    try:
+        serve_tcp(server, args.host, args.tcp)  # returns only by raising
+    except OSError as exc:  # the address is taken or not this machine's
+        print(f"error: cannot listen on {args.host}:{args.tcp}: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .data import Dataset, load_dataset, read_json, save_dataset, split_no_leakage, validate_dataset
-from .errors import PairshotError
+from .errors import PairshotError, brief, port
 from .harness import (
     METHOD_TABLE,
     METHODS,
@@ -131,7 +131,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
         with contextlib.suppress(ValueError, RecursionError):  # not JSON: refused below
             ratio = json.loads(args.class_ratio)
         if not isinstance(ratio, dict) or any(type(v) not in (int, float) for v in ratio.values()):
-            raise ValueError(f"--class-ratio must be a JSON object of numbers: {args.class_ratio}")
+            raise ValueError(
+                f"--class-ratio must be a JSON object of numbers, got {brief(args.class_ratio)}"
+            )
     pool, test = split_no_leakage(
         dataset, args.train_pool, args.test, seed=args.seed, test_class_ratio=ratio
     )
@@ -204,7 +206,10 @@ def _cmd_mock_bugzilla(args: argparse.Namespace) -> int:
         dependency_links=args.dependency_links,
         seed=args.seed,
     )
-    server = MockBugzillaServer(bugs, host=args.host, port=args.port)
+    try:
+        server = MockBugzillaServer(bugs, host=args.host, port=args.port)
+    except OSError as exc:  # the address is taken or not this machine's
+        raise OSError(f"cannot listen on {args.host}:{args.port}: {exc}") from exc
     server.start()
     print(
         f"serving {args.records} bug records at {server.endpoint}"
@@ -314,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mock = sub.add_parser("mock-bugzilla", help="serve a fixture bug tracker over HTTP")
     mock.add_argument("--host", default="127.0.0.1")
-    mock.add_argument("--port", type=int, default=0)
+    mock.add_argument("--port", type=port, default=0)
     mock.add_argument("--records", type=int, default=250)
     mock.add_argument("--duplicate-links", type=int, default=2)
     mock.add_argument("--dependency-links", type=int, default=3)

@@ -1,6 +1,27 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and two helpers for
+refusing outside input: a short echo of the refused value, and the
+port-number check of the commands that listen on TCP."""
 
 from __future__ import annotations
+
+# How many characters of a refused value a refusal repeats.
+_BRIEF_CHARS = 40
+
+
+def brief(value: object) -> str:
+    """repr(value), cut to its first 40 characters plus "..." when longer,
+    so that a refusal names a huge value without repeating all of it."""
+    text = repr(value)
+    return text if len(text) <= _BRIEF_CHARS else text[:_BRIEF_CHARS] + "..."
+
+
+def port(text: str) -> int:
+    """A TCP port number, 0-65535, from a command-line argument; a
+    ValueError otherwise, which argparse reports as a usage error."""
+    number = int(text)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port {number} is outside 0-65535")
+    return number
 
 
 class PairshotError(Exception):

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .backend.contracts import Backend, check_ints
 from .backend.toy import ToyBackend, backend_config_with
 from .data import Dataset, read_json, sample_training_set, shared_sentences
-from .errors import DatasetSizeError, InfeasibleSplitError
+from .errors import DatasetSizeError, InfeasibleSplitError, brief
 from .finetune import FinetuneConfig, run_finetune
 from .metrics import METRIC_NAMES, EvalReport, ReplicateSummary, aggregate_replicates, format_mean_std
 from .pet import PetConfig, run_pet
@@ -266,7 +266,7 @@ def engine_config(method: str, task_id: str, options: Mapping[str, object], what
     try:
         return METHOD_TABLE[method].make_config(task_id, **options)
     except (TypeError, ValueError) as exc:
-        given = " ".join(f"{key}={value!r}" for key, value in options.items())
+        given = " ".join(f"{key}={brief(value)}" for key, value in options.items())
         raise ValueError(f"{what} {given} refused by {method}: {exc}") from exc
 
 

@@ -1205,6 +1205,33 @@ class TestSubprocessEndToEnd:
         if content == "not json {":
             assert str(config) in err, err
 
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1", "x"])
+    def test_a_port_outside_the_tcp_range_is_a_usage_error(self, capsys, port):
+        """--tcp takes 0-65535 only; argparse refuses the rest in one error
+        line, before any config is read or socket made."""
+        from pairshot.backend import serve
+
+        with pytest.raises(SystemExit) as excinfo:
+            serve.main(["--tcp", port])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --tcp" in err and port in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "192.0.2.1"], ids=["taken", "not-local"])
+    def test_a_tcp_address_that_cannot_be_bound_is_one_error_line(self, capsys, host):
+        """A port another socket holds, or an address this machine does not
+        have (192.0.2.1 is reserved for documentation), ends in one error:
+        line naming the address and exit status 1."""
+        from pairshot.backend import serve
+
+        with socket.create_server(("127.0.0.1", 0)) as holder:
+            port = str(holder.getsockname()[1])
+            assert serve.main(["--host", host, "--tcp", port]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{host}:{port}" in err
+
     def test_tcp_backend_round_trip(self):
         """The same protocol works over a TCP socket."""
         backend = connect_tcp("127.0.0.1", start_tcp_server())

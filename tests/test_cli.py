@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import socket
 import sys
 
 import pytest
@@ -476,6 +477,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "class-ratio" in err
         assert len(err.strip().splitlines()) == 1
+        assert len(err) < 200  # a huge refused value is echoed in part
 
     @pytest.mark.parametrize(
         "ratio, named",
@@ -652,6 +654,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
         assert len(err.strip().splitlines()) == 1
+        if len(option) > 1000:  # a huge refused value is echoed in part
+            assert len(err) < 300
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -903,6 +907,22 @@ class TestParserShape:
         assert args.port == 8123
         assert args.records == 50
         assert callable(args.func)
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_mock_bugzilla_port_outside_the_tcp_range_is_a_usage_error(self, capsys, port):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mock-bugzilla", "--port", port])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --port" in err and "Traceback" not in err
+
+    def test_mock_bugzilla_on_a_taken_port_is_one_error_line(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as holder:
+            port = str(holder.getsockname()[1])
+            assert main(["mock-bugzilla", "--port", port]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"127.0.0.1:{port}" in err
 
     def test_prog_name(self):
         assert build_parser().prog == "pairshot"

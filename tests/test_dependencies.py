@@ -9,6 +9,8 @@ behind by a deletion is caught by the second check; the re-exports of
 __init__.py and ``from __future__`` imports are exempt from it.  A private
 constant, function or method left behind is caught by the third; the
 server's ``_verb_*`` handlers, dispatched by name, are exempt from it.
+A fourth check keeps the backend layer from importing the engines above
+it, and the server from importing the client side of the protocol.
 """
 
 import ast
@@ -156,3 +158,55 @@ def test_every_private_name_is_referenced():
     }
     unreferenced = unreferenced_private_names(sources)
     assert not unreferenced, f"private but never referenced: {unreferenced}"
+
+
+def package_imports(source: str, package: str) -> set[str]:
+    """Dotted names that source, a module of package, imports absolutely or
+    relatively: each module it imports from, and each name it takes from
+    one (which may be a submodule)."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:  # relative to package, or to a package level - 1 steps above it
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{node.module}" if node.module else parent
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_package_imports_resolve_relative_names():
+    source = (
+        "import json\nimport pairshot.cli\nfrom ..pet import run_pet\n"
+        "from . import adapter\nfrom .toy import ToyBackend\n"
+        "def late():\n    from ..ingestion.srs import load_requirement_pairs\n"
+    )
+    assert package_imports(source, "pairshot.backend") == {
+        "json", "pairshot.cli", "pairshot.pet", "pairshot.pet.run_pet",
+        "pairshot.backend", "pairshot.backend.adapter", "pairshot.backend.toy",
+        "pairshot.backend.toy.ToyBackend", "pairshot.ingestion.srs",
+        "pairshot.ingestion.srs.load_requirement_pairs",
+    }
+
+
+# What the backend layer must not import: the engines and what drives them,
+# so that a backend server process loads model code only.
+ABOVE_THE_BACKEND = ("harness", "pet", "setfit", "finetune", "logistic", "metrics",
+                     "cli", "synthetic", "ingestion")
+
+
+def test_the_backend_imports_no_engine_and_the_server_no_client():
+    offending = {}
+    for path in sorted((PACKAGE / "backend").glob("*.py")):
+        imported = package_imports(path.read_text(encoding="utf-8"), "pairshot.backend")
+        banned = [f"pairshot.{name}" for name in ABOVE_THE_BACKEND]
+        if path.name == "serve.py":  # the server speaks the protocol without the client
+            banned.append("pairshot.backend.adapter")
+        hits = sorted(name for name in imported
+                      if any(name == ban or name.startswith(ban + ".") for ban in banned))
+        if hits:
+            offending[str(path.relative_to(ROOT))] = hits
+    assert not offending, f"the backend imports above itself: {offending}"

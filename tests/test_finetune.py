@@ -42,13 +42,18 @@ def test_engine_counts_that_are_not_integers_are_a_type_error_naming_the_field(m
 @pytest.mark.parametrize(
     "lr",
     [-0.1, 0.0, -0.0, float("nan"), float("inf"), float("-inf"), -1,
-     pytest.param(10**400, id="int-past-float")],
+     pytest.param(10**400, id="int-past-float"), pytest.param(10**5000, id="int-past-digit-limit")],
 )
 def test_a_learning_rate_that_is_not_positive_and_finite_is_a_value_error_naming_it(make, lr):
     """A step against the gradient, no step at all, or a non-finite one
     would train to nonsense without an error, so configs refuse them; an
-    int past float range is no finite rate either."""
-    with pytest.raises(ValueError, match=f"lr .*{lr!r}"):
+    int past float range is no finite rate either.  An int past the
+    interpreter's digit limit has no repr, so the refusal gives its size."""
+    try:
+        shown = repr(lr)
+    except ValueError:
+        shown = f"{lr.bit_length()} bits"
+    with pytest.raises(ValueError, match=f"lr .*{shown}"):
         make(lr=lr)
 
 
