@@ -6,25 +6,27 @@ carry either a result or an error.  Verbs (protocol 4):
 
     hello        -> mask_token, separator_token, default_lr, embedding_dim,
                     length_model, protocol
-    score        models [{model, init_seed}], clozes[n], candidates[k]
-                 -> scores[models][n][k]
-    predict      labels[k], texts[n]      -> scores[n][k]
-    encode       texts[n]                 -> vectors[n][dim]
-    train_mlm    jobs [{model, init_seed, rows [[cloze, target]], seed,
-                 candidates}], steps, batch, lr  -> trained[jobs]
-    train_clf    labels, rows [[text, distribution]], steps, batch, lr, seed
-    fit_encoder  triplets [[text_a, text_b, similarity]], epochs, batch, lr, seed
+    score        models [{model, init_seed?}], clozes [{text, mask_position?,
+                 segment_boundary?}], candidates[k]  -> scores[models][n][k]
+    predict      model, init_seed?, labels[k], texts[n]  -> scores[n][k]
+    encode       model, init_seed?, texts[n]  -> vectors[n][dim]
+    train_mlm    jobs [{model, init_seed?, rows [[cloze, target]], seed,
+                 candidates?}], steps, batch, lr  -> trained[jobs]
+    train_clf    model, init_seed?, labels[k], rows [[text, distribution]],
+                 steps, batch, lr, seed  -> trained
+    fit_encoder  model, init_seed?, triplets [[text_a, text_b, similarity]],
+                 epochs, batch, lr, seed  -> fitted
 
-A score request names every model it scores, and a train_mlm request
-every model it trains, each with its init_seed; one such request scores
-or trains all of them.  Every other model verb carries one model name
-and its init_seed.  Step counts, batch sizes and seeds, init_seed
-included, are JSON integers, and lr is a number.  An answer that is not
-a JSON object raises an AdapterError naming its JSON type.  The
-handshake fails with an AdapterError naming the field unless the
-backend sends every hello field with its JSON type, a positive finite
-default_lr and the protocol this client speaks, and a failed handshake
-closes the transport.
+A key marked ? may be left out.  A score request names every model it
+scores, and a train_mlm request every model it trains; one such request
+scores or trains all of them.  The server's shape table
+(``pairshot.backend.serve.VERBS``) gives the JSON type of every param,
+and a request that does not fit it is refused with an AdapterError
+naming the field's path.  An answer that is not a JSON object raises an
+AdapterError.  The handshake fails with an AdapterError naming the field
+unless the backend sends every hello field with its JSON type, a
+positive finite default_lr and the protocol this client speaks, and a
+failed handshake closes the transport.
 One transport carries the lines, over a child's pipes or a TCP socket
 alike: each request has a deadline that covers writing it and reading
 the whole answer, and any failure closes the transport with an
@@ -58,24 +60,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import errors as errors_module
-from ..errors import PairshotError
+from ..errors import PairshotError, brief, check
 from ..prompting import ClozeInput
 from .contracts import PROTOCOL_VERSION, check_lr, real_numbers
 
 
 _TIMEOUT_S = 60.0
 # The hello fields every backend must send, with their JSON types.
-_HELLO_FIELDS = {
-    "mask_token": str,
-    "separator_token": str,
-    "default_lr": (int, float),
-    "embedding_dim": int,
-}
-
-# JSON type names of the values json.loads returns, for error messages.
-_JSON_TYPES = {
-    list: "array", str: "string", int: "number", float: "number", bool: "boolean", type(None): "null"
-}
+_HELLO = {"mask_token": str, "separator_token": str, "default_lr": float, "embedding_dim": int}
 
 
 class AdapterError(PairshotError):
@@ -206,26 +198,22 @@ class RemoteBackend:
             hello = self.call("hello", {})
             protocol = hello.get("protocol")
             if protocol != PROTOCOL_VERSION:
-                raise AdapterError(
-                    f"backend speaks protocol {protocol!r}, this client speaks {PROTOCOL_VERSION}"
-                )
-            for name, kinds in _HELLO_FIELDS.items():
-                value = hello.get(name)
-                if not isinstance(value, kinds) or isinstance(value, bool):
-                    raise AdapterError(f"hello field {name!r} is missing or mistyped: {value!r}")
+                raise AdapterError(f"backend speaks protocol {brief(protocol)},"
+                                   f" this client speaks {PROTOCOL_VERSION}")
+            check(hello, _HELLO, AdapterError, "hello")
             self._mask_token = hello["mask_token"]
             self._separator_token = hello["separator_token"]
             try:
                 check_lr(hello["default_lr"])
             except ValueError:
                 raise AdapterError(
-                    f"hello field 'default_lr' must be positive and finite, got {hello['default_lr']!r}"
+                    f"hello: default_lr must be positive and finite, got {brief(hello['default_lr'])}"
                 ) from None
             self._default_lr = float(hello["default_lr"])
             self._dim = hello["embedding_dim"]
             length_model = hello.get("length_model", "whitespace")
             if length_model != "whitespace":
-                raise AdapterError(f"unsupported length model {length_model!r}")
+                raise AdapterError(f"unsupported length model {brief(length_model)}")
         except BaseException:
             # The caller gets no backend to close: stop the child or socket here.
             transport.close()
@@ -235,15 +223,13 @@ class RemoteBackend:
         self._next_id += 1
         request_id = self._next_id
         response = self._transport.request({"id": request_id, "verb": verb, "params": params})
-        if not isinstance(response, dict):
-            kind = _JSON_TYPES.get(type(response), type(response).__name__)
-            raise AdapterError(f"backend answered with a JSON {kind}, not an object")
+        check(response, dict, AdapterError, "the backend's answer")
         if response.get("id") != request_id:
             # An answer to another request: out of step with the backend, so
             # no later request may read this one's late answer.
             self._transport.close()
             raise AdapterError(
-                f"response id {response.get('id')!r} does not match request id {request_id}"
+                f"response id {brief(response.get('id'))} does not match request id {request_id}"
             )
         if not response.get("ok"):
             _raise_remote(response)

@@ -162,7 +162,7 @@ def real_numbers(values: object, what: str) -> np.ndarray:
     except ValueError as exc:  # ragged nesting
         raise ShapeError(f"{what} must be a sequence of real numbers: {exc}") from exc
     if array.ndim != 1 or array.dtype.kind not in "iuf":
-        raise ShapeError(f"{what} must be a sequence of real numbers, got {values!r}")
+        raise ShapeError(f"{what} must be a sequence of real numbers, got {brief(values)}")
     return array.astype(np.float64)
 
 

@@ -9,13 +9,14 @@ Run as a module to expose a toy backend over stdio (as a child of
 where backend.json holds overrides of the default toy config, such as
 ``{"buckets": 1024}``.
 
-The verbs and their shapes are listed in ``pairshot.backend.adapter``:
-score answers a whole batch for every scorer it names in one response,
-predict and encode a whole batch for one model, and train_mlm trains
-all the scorers of its jobs in lockstep.  Over TCP, clients are served
-one after another and each connection gets its own model registry,
-dropped when the client disconnects.  A line that is
-not UTF-8 JSON, or that the parser refuses for its nesting depth or a
+The verbs are listed in ``pairshot.backend.adapter``; VERBS below holds
+the shape of each verb's params, which a request must fit before its
+handler runs.  score answers a whole batch for every scorer it names in
+one response, predict and encode a whole batch for one model, and
+train_mlm trains all the scorers of its jobs in lockstep.  Over TCP,
+clients are served one after another and each connection gets its own
+model registry, dropped when the client disconnects.  A line that is not
+UTF-8 JSON, or that the parser refuses for its nesting depth or a
 number's length, gets an AdapterError answer, and a client whose
 connection fails, by a reset or a broken pipe, ends only its own one.
 
@@ -33,27 +34,37 @@ import sys
 from typing import BinaryIO, Iterable
 
 from ..data import read_json
-from ..errors import NumericError, PairshotError, port
+from ..errors import NumericError, PairshotError, brief, check, port
 from ..prompting import ClozeInput
 from .contracts import PROTOCOL_VERSION
 from .toy import ToyBackend, ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
 
-_JSON_TYPES = {list: "a list", int: "an integer", float: "a number"}
-# What _items checks, as (fits, what): a test each item of a list field must
-# pass, and what a refusal calls such items.  The models check the targets.
-_STRINGS = (lambda item: isinstance(item, str), "strings")
-_OBJECTS = (lambda item: isinstance(item, dict), "objects")
-_TRIPLETS = (
-    lambda item: type(item) is list and len(item) == 3 and all(isinstance(x, str) for x in item[:2]),
-    "[text, text, similarity] lists",
-)
-
-
-def _pairs_of(kind: type) -> tuple:
-    """(fits, what) for [input, target] JSON lists whose input is a kind."""
-    return (lambda item: type(item) is list and len(item) == 2 and isinstance(item[0], kind),
-            "[input, target] pairs")
+# A model verb's model name and the seed it is created with on first use.
+_MODEL = {"model": str, "init_seed?": int}
+_CLOZE = {"text": str, "mask_position?": int, "segment_boundary?": int | None}
+# The params of every verb, as errors.check shapes: handle refuses a request
+# whose params do not fit before its handler runs.  Targets and candidates
+# are the models' to check: a bad distribution is a ShapeError, a token
+# outside the vocabulary a VocabularyError.
+VERBS = {
+    "hello": {},
+    "score": {"models": [_MODEL], "clozes": [_CLOZE], "candidates": list},
+    "predict": {**_MODEL, "labels": [str], "texts": [str]},
+    "encode": {**_MODEL, "texts": [str]},
+    "train_mlm": {
+        "jobs": [{**_MODEL, "rows": [(_CLOZE, str)], "seed": int, "candidates?": list | None}],
+        "steps": int, "batch": int, "lr": float,
+    },
+    "train_clf": {
+        **_MODEL, "labels": [str], "rows": [(str, object)],
+        "steps": int, "batch": int, "lr": float, "seed": int,
+    },
+    "fit_encoder": {
+        **_MODEL, "triplets": [(str, str, object)],
+        "epochs": int, "batch": int, "lr": float, "seed": int,
+    },
+}
 
 
 class BackendServer:
@@ -68,30 +79,32 @@ class BackendServer:
 
     def _model(self, params: dict, kind: type, create):
         """The model named in params, which must be a kind, made with
-        create(init_seed) on first use (init_seed must be a JSON integer)
-        and then noted as made by the request being handled."""
+        create(init_seed) on first use and then noted as made by the request
+        being handled."""
         name = params["model"]
-        seed = self._get(params, "init_seed", int) if "init_seed" in params else 0
         model = self._models.get(name)
         if model is None:
-            model = self._models[name] = create(seed)
+            model = self._models[name] = create(params.get("init_seed", 0))
             self._created.append(name)
         elif not isinstance(model, kind):
-            raise ValueError(f"model {name!r} holds a {type(model).__name__}, not a {kind.__name__}")
+            held = type(model).__name__
+            raise ValueError(f"model {brief(name)} holds a {held}, not a {kind.__name__}")
         return model
 
     def _scorers(self, entries: list[dict]) -> list:
         return [self._model(entry, ToyMaskedScorer, self.backend.create_scorer) for entry in entries]
 
     def _classifier(self, params: dict):
-        """The classifier params name, which must have params' labels, a list
-        of strings, in the order it was created with."""
-        labels = tuple(self._items(params, "labels", *_STRINGS))
+        """The classifier params name, which must have params' labels in the
+        order it was created with."""
+        labels = tuple(params["labels"])
         classifier = self._model(
             params, ToyTextClassifier, lambda seed: self.backend.create_classifier(labels, seed)
         )
         if classifier.labels != labels:
-            raise ValueError(f"labels {list(labels)!r} differ from those {params['model']!r} has")
+            raise ValueError(
+                f"labels {brief(list(labels))} differ from those {brief(params['model'])} has"
+            )
         return classifier
 
     def _encoder(self, params: dict):
@@ -110,13 +123,11 @@ class BackendServer:
             if not isinstance(request, dict):
                 raise ValueError("request must be a JSON object")
             verb = request.get("verb")
+            if not isinstance(verb, str) or verb not in VERBS:
+                raise ValueError(f"unknown verb {brief(verb)}")
             params = request.get("params", {})
-            if not isinstance(params, dict):
-                raise ValueError("params must be an object")
-            handler = getattr(self, f"_verb_{verb}", None)
-            if handler is None:
-                raise ValueError(f"unknown verb {verb!r}")
-            return {"id": request_id, "ok": True, "result": handler(params)}
+            check(params, VERBS[verb], ValueError, "params")
+            return {"id": request_id, "ok": True, "result": getattr(self, f"_verb_{verb}")(params)}
         except Exception as exc:  # the one refusal path; non-package errors are protocol errors
             if not isinstance(exc, NumericError):
                 for name in self._created:
@@ -135,74 +146,48 @@ class BackendServer:
         }
 
     @staticmethod
-    def _get(params: dict, key: str, *kinds: type):
-        """params[key], which must have one of the JSON types kinds: a string is
-        no list (it would iterate as characters), 2.5 no int, true no number."""
-        value = params[key]
-        if type(value) not in kinds:
-            raise ValueError(f"{key} must be {_JSON_TYPES[kinds[-1]]}, got {type(value).__name__}")
-        return value
-
-    @classmethod
-    def _items(cls, params: dict, key: str, fits, what: str) -> list:
-        """params[key], which must be a list whose every item fits; the
-        refusal names key and what its items must be."""
-        items = cls._get(params, key, list)
-        for item in items:
-            if not fits(item):
-                raise ValueError(f"{key} must hold {what}, got {item!r}")
-        return items
-
-    @staticmethod
     def _cloze(payload: dict) -> ClozeInput:
-        if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
-            raise ValueError(f"a cloze must be an object with a string text, got {payload!r}")
         return ClozeInput(
             payload["text"], payload.get("mask_position", -1), payload.get("segment_boundary")
         )
 
     def _verb_score(self, params: dict) -> dict:
-        models = self._items(params, "models", *_OBJECTS)
-        clozes = [self._cloze(cloze) for cloze in self._get(params, "clozes", list)]
-        candidates = self._get(params, "candidates", list)
-        scorers = self._scorers(models)
-        return {"scores": self.backend.score_scorers(scorers, clozes, candidates).tolist()}
+        clozes = [self._cloze(cloze) for cloze in params["clozes"]]
+        scorers = self._scorers(params["models"])
+        scores = self.backend.score_scorers(scorers, clozes, params["candidates"])
+        return {"scores": scores.tolist()}
 
     def _verb_train_mlm(self, params: dict) -> dict:
-        jobs, specs = self._items(params, "jobs", *_OBJECTS), []
-        for job in jobs:
-            rows = self._items(job, "rows", *_pairs_of(dict))
-            rendered = [(self._cloze(cloze), target) for cloze, target in rows]
-            candidates = None if job.get("candidates") is None else self._get(job, "candidates", list)
-            specs.append((rendered, self._get(job, "seed", int), candidates))
-        steps, batch = (self._get(params, key, int) for key in ("steps", "batch"))
-        lr = self._get(params, "lr", int, float)
-        scorers = self._scorers(jobs)
+        jobs = params["jobs"]
+        specs = [
+            ([(self._cloze(cloze), target) for cloze, target in job["rows"]], job["seed"],
+             job.get("candidates"))
+            for job in jobs
+        ]
         self.backend.train_scorers(
-            [(scorer, *spec) for scorer, spec in zip(scorers, specs)], steps, batch, lr
+            [(scorer, *spec) for scorer, spec in zip(self._scorers(jobs), specs)],
+            params["steps"], params["batch"], params["lr"],
         )
         return {"trained": [len(rendered) for rendered, _, _ in specs]}
 
     def _verb_train_clf(self, params: dict) -> dict:
-        rows = self._items(params, "rows", *_pairs_of(str))
-        steps, batch, seed = (self._get(params, key, int) for key in ("steps", "batch", "seed"))
-        lr = self._get(params, "lr", int, float)
-        self._classifier(params).train(rows, steps, batch, lr, seed)
+        rows = params["rows"]
+        self._classifier(params).train(
+            rows, params["steps"], params["batch"], params["lr"], params["seed"]
+        )
         return {"trained": len(rows)}
 
     def _verb_predict(self, params: dict) -> dict:
-        texts = self._items(params, "texts", *_STRINGS)
-        return {"scores": self._classifier(params).predict(texts).tolist()}
+        return {"scores": self._classifier(params).predict(params["texts"]).tolist()}
 
     def _verb_encode(self, params: dict) -> dict:
-        texts = self._items(params, "texts", *_STRINGS)
-        return {"vectors": self._encoder(params).encode(texts).tolist()}
+        return {"vectors": self._encoder(params).encode(params["texts"]).tolist()}
 
     def _verb_fit_encoder(self, params: dict) -> dict:
-        triplets = self._items(params, "triplets", *_TRIPLETS)
-        epochs, batch, seed = (self._get(params, key, int) for key in ("epochs", "batch", "seed"))
-        lr = self._get(params, "lr", int, float)
-        self._encoder(params).fit(triplets, epochs, batch, lr, seed)
+        triplets = params["triplets"]
+        self._encoder(params).fit(
+            triplets, params["epochs"], params["batch"], params["lr"], params["seed"]
+        )
         return {"fitted": len(triplets)}
 
 

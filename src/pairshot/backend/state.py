@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..data import read_json
-from ..errors import DataFormatError, PairshotError
+from ..errors import DataFormatError, PairshotError, brief, check
 from .toy import ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
 FORMAT = "pairshot-model"
@@ -44,16 +44,6 @@ def array_from_b64(data: str, shape: Sequence[int], name: str) -> np.ndarray:
     return array
 
 
-def payload_fields(payload: object, names: Sequence[str], what: str) -> list:
-    """payload[name] for every name; DataFormatError naming what is missing."""
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"{what} is not a JSON object")
-    missing = [name for name in names if name not in payload]
-    if missing:
-        raise DataFormatError(f"{what} lacks {missing}")
-    return [payload[name] for name in names]
-
-
 def model_to_payload(model) -> dict:
     """Self-describing JSON payload for a scorer, classifier, or encoder."""
     if isinstance(model, (ToyMaskedScorer, ToyTextClassifier)):
@@ -78,56 +68,55 @@ def model_to_payload(model) -> dict:
     return body
 
 
+# The fields each kind of model payload needs besides its config; the
+# weights, shape and rows are array_from_b64's to check.
+_FIELDS = {
+    "masked-scorer": {"weights": object, "shape": object},
+    "text-classifier": {"weights": object, "shape": object, "labels": [str]},
+    "sentence-encoder": {"rows?": dict},
+}
+# A schedule that is not empty holds exactly these.
+_SCHEDULE = {"n": int, "seed": int, "step": int}
+
+
 def model_from_payload(payload: dict):
     """Rebuild a model from model_to_payload output."""
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise DataFormatError("not a model payload")
     if payload.get("version") != VERSION:
-        raise DataFormatError(f"unsupported model payload version {payload.get('version')!r}")
-    (overrides,) = payload_fields(payload, ["config"], "model payload")
+        raise DataFormatError(f"unsupported model payload version {brief(payload.get('version'))}")
+    kind = payload.get("kind")
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise DataFormatError(f"unknown model kind {brief(kind)}")
+    check(payload, {"config": object, "seed?": int, **_FIELDS[kind]}, DataFormatError,
+          "model payload")
     try:
-        config = backend_config_with(overrides)
+        config = backend_config_with(payload["config"])
     except (PairshotError, ValueError) as exc:
         raise DataFormatError(f"model payload 'config' is refused: {exc}") from exc
     seed = payload.get("seed", 0)
-    if type(seed) is not int:
-        raise DataFormatError(f"model payload 'seed' is not an integer: {seed!r}")
-    kind = payload.get("kind")
-    if kind in ("masked-scorer", "text-classifier"):
-        weights, shape = payload_fields(payload, ["weights", "shape"], "model payload")
-        if kind == "masked-scorer":
-            model = ToyMaskedScorer(config, seed)
-        else:
-            (labels,) = payload_fields(payload, ["labels"], "model payload")
-            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-                raise DataFormatError("model payload 'labels' is not a list of strings")
-            model = ToyTextClassifier(config, tuple(labels), seed)
-        schedule = payload.get("schedule", {})
-        if schedule != {} and not (
-            isinstance(schedule, dict)
-            and sorted(schedule) == ["n", "seed", "step"]
-            and all(type(value) is int for value in schedule.values())
-        ):
-            raise DataFormatError(
-                f"model payload 'schedule' is not empty or integer seed, n and step: {schedule!r}"
-            )
-        model.W = array_from_b64(weights, shape, "weights")
-        model._sched = dict(schedule)
-        return model
     if kind == "sentence-encoder":
         model = ToyEncoder(config, seed)
         stored = payload.get("rows", {})
-        if not isinstance(stored, dict) or not all(key.isdecimal() for key in stored):
-            raise DataFormatError("model payload 'rows' is not an object keyed by bucket")
-        rows = {
+        if any(not key.isdecimal() or not 0 <= int(key) < config.buckets for key in stored):
+            raise DataFormatError(
+                f"model payload rows hold a key that is no bucket of {config.buckets}"
+            )
+        model.load_bucket_rows({
             int(bucket): array_from_b64(row, (config.embedding_dim,), "rows")
             for bucket, row in stored.items()
-        }
-        if any(not 0 <= bucket < config.buckets for bucket in rows):
-            raise DataFormatError(f"encoder row bucket outside [0, {config.buckets})")
-        model.load_bucket_rows(rows)
+        })
         return model
-    raise DataFormatError(f"unknown model kind {kind!r}")
+    schedule = payload.get("schedule", {})
+    if schedule != {}:
+        check(schedule, _SCHEDULE, DataFormatError, "model payload schedule", closed=True)
+    if kind == "masked-scorer":
+        model = ToyMaskedScorer(config, seed)
+    else:
+        model = ToyTextClassifier(config, tuple(payload["labels"]), seed)
+    model.W = array_from_b64(payload["weights"], payload["shape"], "weights")
+    model._sched = dict(schedule)
+    return model
 
 
 def save_model(model, path: str | Path) -> None:

@@ -20,12 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import NoDataError, NumericError, ShapeError, VocabularyError
+from ..errors import NoDataError, NumericError, ShapeError, VocabularyError, brief, check
 from ..numerics import safe_norm, stable_softmax
 from ..prompting import ClozeInput
 from ..rng import Rng
@@ -39,6 +39,13 @@ _COSINE_EPS = 1e-12
 _ENCODE_CHUNK = 64
 _SCORE_ROWS = 64  # rows per block of _linear_scores: bounds its terms array
 _PLAN_ROWS = 64  # rows per gather of _train_softmax_ce: bounds the planned steps' copy
+
+
+# Every BackendConfig field with its JSON type, each optional in overrides.
+_CONFIG_FIELDS = {
+    "vocabulary?": [str], "mask_token?": str, "separator_token?": str, "embedding_dim?": int,
+    "word_order?": int, "buckets?": int, "seed?": int,
+}
 
 
 @dataclass(frozen=True)
@@ -60,26 +67,13 @@ class BackendConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        vocabulary = self.vocabulary
-        if (
-            isinstance(vocabulary, str)
-            or not isinstance(vocabulary, Sequence)
-            or not all(isinstance(token, str) for token in vocabulary)
-        ):
-            raise ValueError("vocabulary must be a sequence of strings")
-        object.__setattr__(self, "vocabulary", tuple(vocabulary))
-        for name, kind in (
-            ("mask_token", str), ("separator_token", str), ("embedding_dim", int),
-            ("word_order", int), ("buckets", int), ("seed", int),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        check(vars(self), _CONFIG_FIELDS, ValueError, "backend config")
+        object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
         if len(set(self.vocabulary)) != len(self.vocabulary):
             raise ValueError("vocabulary tokens must be distinct")
         for required in (self.mask_token, self.separator_token):
             if required not in self.vocabulary:
-                raise VocabularyError(f"vocabulary must contain {required!r}")
+                raise VocabularyError(f"vocabulary must contain {brief(required)}")
         if self.embedding_dim <= 0 or self.buckets <= 0 or self.word_order <= 0:
             raise ValueError("embedding_dim, buckets, and word_order must be positive")
 
@@ -102,12 +96,9 @@ def default_backend_config(extra_tokens: Iterable[str] = (), **overrides) -> Bac
 
 
 def backend_config_with(overrides: Mapping[str, object]) -> BackendConfig:
-    """default_backend_config() with the fields named in overrides replaced."""
-    if not isinstance(overrides, Mapping):
-        raise ValueError(f"backend options must be a JSON object, got {overrides!r}")
-    unknown = sorted(set(overrides) - {f.name for f in fields(BackendConfig)})
-    if unknown:
-        raise ValueError(f"unknown backend option(s): {unknown}")
+    """default_backend_config() with the fields named in overrides replaced;
+    ValueError naming the first override that is no field or of the wrong type."""
+    check(overrides, _CONFIG_FIELDS, ValueError, "the toy backend", closed=True)
     return replace(default_backend_config(), **overrides)
 
 
@@ -260,7 +251,7 @@ class ToyMaskedScorer:
     def _rows_for(self, tokens: Sequence[str]) -> np.ndarray:
         missing = [t for t in tokens if t not in self._row]
         if missing:
-            raise VocabularyError(f"tokens not in backend vocabulary: {missing}")
+            raise VocabularyError(f"tokens not in backend vocabulary: {brief(missing)}")
         return np.asarray([self._row[t] for t in tokens], dtype=np.int64)
 
     def score(self, x: SparseRows, candidates: Sequence[str]) -> np.ndarray:
@@ -289,7 +280,7 @@ class ToyMaskedScorer:
         position = {tok: k for k, tok in enumerate(candidates)}
         outside = [target for target in targets if target not in position]
         if outside:
-            raise VocabularyError(f"target token {outside[0]!r} outside candidate set")
+            raise VocabularyError(f"target token {brief(outside[0])} outside candidate set")
         onehot = np.eye(len(candidates))[[position[target] for target in targets]]
         features = featurize(self._featurizer, tuple(cloze.text for cloze, _ in rendered))
         return self.W, rows, features, onehot, seed, self._sched

@@ -15,13 +15,13 @@ import sys
 from pathlib import Path
 
 from .data import Dataset, load_dataset, read_json, save_dataset, split_no_leakage, validate_dataset
-from .errors import PairshotError, brief, port
+from .errors import PairshotError, check, port
 from .harness import (
     METHOD_TABLE,
     METHODS,
     ExperimentConfig,
     build_backend,
-    check_task,
+    check_data,
     emit_table,
     engine_config,
     load_sweep_payload,
@@ -128,12 +128,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     ratio = None
     if args.class_ratio:
-        with contextlib.suppress(ValueError, RecursionError):  # not JSON: refused below
-            ratio = json.loads(args.class_ratio)
-        if not isinstance(ratio, dict) or any(type(v) not in (int, float) for v in ratio.values()):
-            raise ValueError(
-                f"--class-ratio must be a JSON object of numbers, got {brief(args.class_ratio)}"
-            )
+        ratio = args.class_ratio
+        with contextlib.suppress(ValueError, RecursionError):  # not JSON: refused as text
+            ratio = json.loads(ratio)
+        check(ratio, {str: float}, ValueError, "--class-ratio")
     pool, test = split_no_leakage(
         dataset, args.train_pool, args.test, seed=args.seed, test_class_ratio=ratio
     )
@@ -148,12 +146,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train = load_dataset(args.train)
     test = load_dataset(args.test)
     method = METHOD_TABLE[args.method]
-    engine = engine_config(args.method, train.label_set.task_id, dict(args.option or []), "--option")
-    check_task(train.label_set.task_id, test, "the test set")
-    unlabeled = None
-    if args.unlabeled and method.uses_unlabeled:
-        unlabeled = load_dataset(args.unlabeled)
-        check_task(train.label_set.task_id, unlabeled, "the unlabeled pool")
+    task_id = train.label_set.task_id
+    engine = engine_config(args.method, task_id, dict(args.option or []), "--option")
+    unlabeled = load_dataset(args.unlabeled) if args.unlabeled and method.uses_unlabeled else None
+    check_data(task_id, train, test, unlabeled)
     backend = build_backend(args.backend, dict(args.backend_option or []))
     try:
         report = method.run(engine, train, unlabeled, test, backend, args.seed, args.out)

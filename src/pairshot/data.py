@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, DatasetSizeError, InfeasibleSplitError
+from .errors import DataFormatError, DatasetSizeError, InfeasibleSplitError, check
 from .rng import Rng
 
 KINDS = ("train", "test", "unlabeled")
@@ -481,8 +481,7 @@ def read_pair_lines(path: Path) -> Iterator[tuple[int, SentencePair, dict]]:
                 record = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
             except (ValueError, RecursionError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in "uv")):
-                raise DataFormatError(f"{path}:{lineno}: u and v must be strings")
+            check(record, {"u": str, "v": str}, DataFormatError, f"{path}:{lineno}")
             yield lineno, SentencePair(record["u"], record["v"]), record
 
 
@@ -507,9 +506,8 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DataFormatError(f"manifest {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "pairshot-dataset":
         raise DataFormatError(f"{manifest_path} is not a pairshot dataset manifest")
-    for key, kind in (("task_id", str), ("kind", str), ("labels", list)):
-        if not isinstance(manifest.get(key), kind):
-            raise DataFormatError(f"manifest {manifest_path} needs a {kind.__name__} {key!r}")
+    check(manifest, {"task_id": str, "kind": str, "labels": list}, DataFormatError,
+          f"manifest {manifest_path}")
     try:
         label_set = LabelSet(tuple(manifest["labels"]), manifest["task_id"])
     except ValueError as exc:

@@ -14,14 +14,14 @@ import json
 import platform
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .backend.contracts import Backend, check_ints
 from .backend.toy import ToyBackend, backend_config_with
 from .data import Dataset, read_json, sample_training_set, shared_sentences
-from .errors import DatasetSizeError, InfeasibleSplitError, brief
+from .errors import DatasetSizeError, InfeasibleSplitError, brief, check
 from .finetune import FinetuneConfig, run_finetune
 from .metrics import METRIC_NAMES, EvalReport, ReplicateSummary, aggregate_replicates, format_mean_std
 from .pet import PetConfig, run_pet
@@ -29,15 +29,16 @@ from .setfit import SetFitConfig, run_setfit
 
 
 class Method(NamedTuple):
-    """How to build a method's engine config and run it once.
+    """A method's engine config class and how to run it once.
 
-    make_config(task_id, **engine_options) builds the engine config;
+    The config's fields with a default are the engine options; a config
+    with a for_task constructor takes the rest from the task's built-ins.
     run(engine, train, unlabeled, test, backend, seed, artifacts_dir)
     returns the test report.  Only methods with uses_unlabeled read the
     unlabeled pool or write artifacts.
     """
 
-    make_config: Callable[..., object]
+    config: type
     run: Callable[..., EvalReport]
     uses_unlabeled: bool = False
 
@@ -55,12 +56,21 @@ def _run_pet(engine, train, unlabeled, test, backend, seed, artifacts_dir):
 
 
 METHOD_TABLE: dict[str, Method] = {
-    "finetune": Method(lambda task_id, **options: FinetuneConfig(**options), _run_finetune),
-    "setfit": Method(lambda task_id, **options: SetFitConfig(**options), _run_setfit),
-    "pet": Method(PetConfig.for_task, _run_pet, uses_unlabeled=True),
+    "finetune": Method(FinetuneConfig, _run_finetune),
+    "setfit": Method(SetFitConfig, _run_setfit),
+    "pet": Method(PetConfig, _run_pet, uses_unlabeled=True),
 }
 METHODS = tuple(METHOD_TABLE)
 DEFAULT_SIZES = (25, 50, 100, 200, 400)
+
+
+# The JSON form of an ExperimentConfig: every field with its type, the
+# fields with a default optional.
+_CONFIG = {
+    "task_id": str, "method": str, "sizes?": [int], "replicates?": int, "test_size?": int,
+    "unlabeled_size?": int, "seed_base?": int, "backend_kind?": str,
+    "backend_options?": dict, "engine_options?": dict,
+}
 
 
 @dataclass(frozen=True)
@@ -88,16 +98,12 @@ class ExperimentConfig:
     engine_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if isinstance(self.sizes, list):
-            object.__setattr__(self, "sizes", tuple(self.sizes))
-        if not isinstance(self.sizes, tuple):
-            raise TypeError(f"sizes must be a list of integers, got {self.sizes!r}")
+        check(vars(self), {"task_id": str, "method": str, "backend_kind": str, "sizes": list},
+              TypeError, "config")
+        object.__setattr__(self, "sizes", tuple(self.sizes))
         check_ints(self, "sizes", "replicates", "test_size", "unlabeled_size", "seed_base")
-        for name in ("task_id", "method", "backend_kind"):
-            if not isinstance(getattr(self, name), str):
-                raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise ValueError(f"method must be one of {METHODS}, got {brief(self.method)}")
         if not self.sizes or any(s <= 0 for s in self.sizes):
             raise ValueError("sizes must be a non-empty tuple of positive ints")
         if self.replicates < 1:
@@ -106,8 +112,7 @@ class ExperimentConfig:
             raise ValueError("test_size must be at least 1")
         if self.unlabeled_size < 0:
             raise ValueError("unlabeled_size must be non-negative")
-        if not isinstance(self.backend_options, dict) or not isinstance(self.engine_options, dict):
-            raise ValueError("config backend_options and engine_options must be JSON objects")
+        check(vars(self), {"backend_options": dict, "engine_options": dict}, ValueError, "config")
 
     def to_payload(self) -> dict:
         payload = asdict(self)
@@ -116,15 +121,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_payload(payload: Mapping[str, object]) -> "ExperimentConfig":
-        if not isinstance(payload, Mapping):
-            raise ValueError(f"a sweep config must be a JSON object, got {type(payload).__name__}")
-        unknown = set(payload) - {f.name for f in fields(ExperimentConfig)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return ExperimentConfig(**payload)  # type: ignore[arg-type]
-        except TypeError as exc:
-            raise ValueError(f"sweep config field has the wrong type: {exc}") from exc
+        """The config a sweep config file holds; ValueError naming the first
+        field that is missing, unknown or of the wrong JSON type."""
+        check(payload, _CONFIG, ValueError, "config", closed=True)
+        return ExperimentConfig(**payload)  # type: ignore[arg-type]
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_payload(), sort_keys=True)
@@ -136,6 +136,13 @@ def replicate_seed(seed_base: int, replicate_index: int) -> int:
     return seed_base * 1000 + replicate_index
 
 
+# The backend options of each adapter kind: deployment settings only.
+_ADAPTER_OPTIONS = {
+    "adapter-subprocess": {"command": [str]},
+    "adapter-tcp": {"port": int, "host?": str},
+}
+
+
 def build_backend(kind: str, options: Mapping[str, object]) -> Backend:
     """Construct the backend of this kind from its backend options.
 
@@ -144,41 +151,18 @@ def build_backend(kind: str, options: Mapping[str, object]) -> Backend:
     """
     if kind == "toy":
         return ToyBackend(backend_config_with(options))
+    if kind not in _ADAPTER_OPTIONS:
+        raise ValueError(f"unknown backend kind {brief(kind)}")
+    check(options, _ADAPTER_OPTIONS[kind], ValueError, f"the {kind} backend", closed=True)
+    from .backend.adapter import connect_subprocess, connect_tcp
+
     if kind == "adapter-subprocess":
-        from .backend.adapter import connect_subprocess
-
-        _check_options(kind, options, {"command"})
-        command = options["command"]
-        if not (
-            isinstance(command, (list, tuple))
-            and command
-            and all(isinstance(part, str) for part in command)
-        ):
-            raise ValueError(f"backend option 'command' must be a list of strings, got {command!r}")
-        return connect_subprocess(command)
-    if kind == "adapter-tcp":
-        from .backend.adapter import connect_tcp
-
-        _check_options(kind, options, {"port"}, {"host"})
-        host, port = options.get("host", "127.0.0.1"), options["port"]
-        if not isinstance(host, str):
-            raise ValueError(f"backend option 'host' must be a string, got {host!r}")
-        if not isinstance(port, int) or isinstance(port, bool) or not 0 < port < 1 << 16:
-            raise ValueError(f"backend option 'port' must be an integer port, got {port!r}")
-        return connect_tcp(host, port)
-    raise ValueError(f"unknown backend kind {kind!r}")
-
-
-def _check_options(
-    kind: str, options: Mapping[str, object], required: set[str], optional: frozenset = frozenset()
-) -> None:
-    """Refuse options that are missing or that the kind does not take."""
-    missing = sorted(required - set(options))
-    if missing:
-        raise ValueError(f"backend {kind!r} needs the backend option {missing[0]!r}")
-    unknown = sorted(set(options) - required - optional)
-    if unknown:
-        raise ValueError(f"backend {kind!r} takes no backend option(s) {unknown}")
+        if not options["command"]:
+            raise ValueError("backend option command must not be empty")
+        return connect_subprocess(options["command"])
+    if not 0 < options["port"] < 1 << 16:
+        raise ValueError(f"backend option port must be in 1-65535, got {brief(options['port'])}")
+    return connect_tcp(options.get("host", "127.0.0.1"), options["port"])
 
 
 @dataclass
@@ -250,21 +234,37 @@ def check_task(task_id: str, dataset: Dataset | None, what: str) -> None:
         raise DatasetSizeError(f"{what} holds {dataset.label_set.task_id!r} data, not {task_id!r}")
 
 
-def _assert_disjoint(pool: Dataset, test: Dataset) -> None:
-    clashes = shared_sentences(pool, test)
+def check_data(task_id: str, train: Dataset, test: Dataset, unlabeled: Dataset | None) -> None:
+    """Refuse data no run of task_id can train on and evaluate: a set of
+    another task or a test set with other labels (DatasetSizeError), an
+    empty test set, or training and test sets that share a sentence
+    (InfeasibleSplitError)."""
+    check_task(task_id, train, "the pool")
+    check_task(task_id, unlabeled, "the unlabeled pool")
+    if train.label_set.labels != test.label_set.labels:
+        raise DatasetSizeError("pool and test label sets differ")
+    check_task(task_id, test, "the test set")
+    if len(test) < 1:
+        raise DatasetSizeError("test set is empty")
+    clashes = shared_sentences(train, test)
     if clashes:
-        sample = sorted(clashes)[:3]
         raise InfeasibleSplitError(
-            f"training pool and test set share {len(clashes)} sentence(s), e.g. {sample}",
+            f"training pool and test set share {len(clashes)} sentence(s),"
+            f" e.g. {brief(sorted(clashes)[:3])}",
             max_test_size=0,
         )
 
 
 def engine_config(method: str, task_id: str, options: Mapping[str, object], what: str) -> object:
     """The engine config of method for task_id built from options; a
-    ValueError naming what and the options when the config refuses them."""
+    ValueError naming what and the first key that is no option of the
+    method, or the options when the config refuses their values."""
+    config = METHOD_TABLE[method].config
+    names = {f"{f.name}?": object for f in fields(config) if f.default is not MISSING}
+    check(options, names, ValueError, what, closed=True)
     try:
-        return METHOD_TABLE[method].make_config(task_id, **options)
+        build = getattr(config, "for_task", None)
+        return build(task_id, **options) if build else config(**options)
     except (TypeError, ValueError) as exc:
         given = " ".join(f"{key}={brief(value)}" for key, value in options.items())
         raise ValueError(f"{what} {given} refused by {method}: {exc}") from exc
@@ -309,18 +309,11 @@ def run_sweep(
     The data's task, the feasibility (pool size, sentence disjointness)
     and the engine options are validated before any training starts.
     """
-    check_task(config.task_id, pool, "the pool")
-    check_task(config.task_id, unlabeled, "the unlabeled pool")
-    if pool.label_set.labels != test.label_set.labels:
-        raise DatasetSizeError("pool and test label sets differ")
-    check_task(config.task_id, test, "the test set")
+    check_data(config.task_id, pool, test, unlabeled)
     if max(config.sizes) > len(pool):
         raise DatasetSizeError(
             f"largest size {max(config.sizes)} exceeds pool of {len(pool)} examples"
         )
-    if len(test) < 1:
-        raise DatasetSizeError("test set is empty")
-    _assert_disjoint(pool, test)
     engine = engine_config(config.method, config.task_id, config.engine_options, "engine_options")
     built = backend is None
     if built:
@@ -395,13 +388,13 @@ def save_sweep(result: SweepResult, out_dir: str | Path, name: str = "sweep") ->
     return result_path
 
 
-def _is_summary(summary: object) -> bool:
-    """Whether summary has means and stds that give a number for every metric."""
-    return isinstance(summary, dict) and all(
-        isinstance(summary.get(part), dict)
-        and all(type(summary[part].get(name)) in (int, float) for name in METRIC_NAMES)
-        for part in ("means", "stds")
-    )
+# The fields of a sweep result file that reports read.
+_SUMMARY = {part: {name: float for name in METRIC_NAMES} for part in ("means", "stds")}
+_RESULT = {
+    "config": {"task_id": str, "method": str, "backend_kind": str, "sizes": [int]},
+    "cells": [{"size": object, "status": object}],
+    "summaries": {str: _SUMMARY},
+}
 
 
 def load_sweep_payload(path: str | Path) -> dict:
@@ -410,31 +403,9 @@ def load_sweep_payload(path: str | Path) -> dict:
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != "pairshot-sweep":
         raise ValueError(f"{path} is not a sweep result file")
-    missing = [key for key in ("config", "cells", "summaries") if key not in payload]
-    if missing:
-        raise ValueError(f"sweep result {path} lacks {missing}")
-    config, cells, summaries = payload["config"], payload["cells"], payload["summaries"]
-    if not (
-        isinstance(config, dict)
-        and all(isinstance(config.get(key), str) for key in ("task_id", "method", "backend_kind"))
-        and isinstance(config.get("sizes"), list)
-        and all(type(size) is int for size in config["sizes"])
-    ):
-        raise ValueError(
-            f"sweep result {path}: 'config' needs string task_id, method and backend_kind"
-            " and a list of integer sizes"
-        )
-    if not isinstance(cells, list) or not all(
-        isinstance(cell, dict) and "size" in cell and "status" in cell for cell in cells
-    ):
-        raise ValueError(f"sweep result {path}: 'cells' is not a list of objects with size and status")
-    if not isinstance(summaries, dict) or not all(
-        size.isdecimal() and _is_summary(summary) for size, summary in summaries.items()
-    ):
-        raise ValueError(
-            f"sweep result {path}: 'summaries' is not an object of summaries by size whose"
-            f" means and stds give a number for each of {list(METRIC_NAMES)}"
-        )
+    check(payload, _RESULT, ValueError, f"sweep result {path}")
+    if not all(size.isdecimal() for size in payload["summaries"]):
+        raise ValueError(f"sweep result {path}: summaries are not keyed by size")
     return payload
 
 

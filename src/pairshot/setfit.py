@@ -20,7 +20,7 @@ import numpy as np
 
 from .backend.contracts import Backend, SentenceEncoder, check_ints, check_lr, resolve_lr
 from .data import Dataset, SentencePair, join_pair, read_json
-from .errors import DataFormatError, InfeasibleTripletsError, NoDataError, ShapeError
+from .errors import DataFormatError, InfeasibleTripletsError, NoDataError, ShapeError, check
 from .logistic import LogisticHead
 from .metrics import EvalReport, evaluate_predictions
 from .numerics import argmax_lowest
@@ -249,8 +249,18 @@ def save_setfit(model: SetFitModel, path: str | Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
+# A setfit bundle's parts; the encoder is model_from_payload's to check, and
+# the head's weights array_from_b64's.
+_BUNDLE = {
+    "encoder": object,
+    "head": {"n_classes": int, "dim": int, "l2": float, "W": object, "b": object},
+    "labels": [str],
+    "separator": str,
+}
+
+
 def load_setfit(path: str | Path) -> SetFitModel:
-    from .backend.state import array_from_b64, model_from_payload, payload_fields
+    from .backend.state import array_from_b64, model_from_payload
 
     path = Path(path)
     try:
@@ -259,21 +269,10 @@ def load_setfit(path: str | Path) -> SetFitModel:
         raise DataFormatError(str(exc)) from exc
     if not isinstance(payload, dict) or payload.get("format") != "pairshot-setfit":
         raise DataFormatError(f"{path} is not a setfit bundle")
-    encoder_data, head_data, labels, separator = payload_fields(
-        payload, ["encoder", "head", "labels", "separator"], f"{path}: setfit bundle"
-    )
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels + [separator]):
-        raise DataFormatError(f"{path}: setfit bundle labels and separator must be strings")
-    encoder = model_from_payload(encoder_data)
-    n_classes, dim, l2, W, b = payload_fields(
-        head_data, ["n_classes", "dim", "l2", "W", "b"], f"{path}: setfit head"
-    )
-    if type(n_classes) is not int or type(dim) is not int or type(l2) not in (int, float):
-        raise DataFormatError(
-            f"{path}: setfit head needs integer n_classes and dim and a numeric l2,"
-            f" got {n_classes!r}, {dim!r} and {l2!r}"
-        )
-    head = LogisticHead(n_classes, dim, l2)
-    head.W = array_from_b64(W, (n_classes, dim), "W")
-    head.b = array_from_b64(b, (n_classes,), "b")
-    return SetFitModel(encoder, head, tuple(labels), separator)
+    check(payload, _BUNDLE, DataFormatError, f"setfit bundle {path}")
+    encoder = model_from_payload(payload["encoder"])
+    head_data = payload["head"]
+    head = LogisticHead(head_data["n_classes"], head_data["dim"], head_data["l2"])
+    head.W = array_from_b64(head_data["W"], (head.n_classes, head.dim), "W")
+    head.b = array_from_b64(head_data["b"], (head.n_classes,), "b")
+    return SetFitModel(encoder, head, tuple(payload["labels"]), payload["separator"])

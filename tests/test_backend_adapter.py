@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import re
 import signal
 import socket
 import struct
@@ -334,6 +335,31 @@ class TestServerVerbs:
         assert field in response["error"]
         assert server._models == {}
         assert server.handle({"id": 25, "verb": "hello", "params": {}})["ok"] is True
+
+    @pytest.mark.parametrize(
+        "verb, params, error",
+        [
+            ("encode", {"model": ["m"], "texts": ["a"]},
+             "params: model must be a string, got ['m']"),
+            ("predict", {"labels": ["A", "B"], "texts": ["a"]}, "params: model is missing"),
+            ("score", {"models": [{"init_seed": 1}], "clozes": [], "candidates": ["Yes"]},
+             "params: models[0].model is missing"),
+            ("score", {"models": [{"model": "s"}], "candidates": ["Yes"],
+                       "clozes": [{"text": "a <mask>", "mask_position": "zz"}]},
+             "params: clozes[0].mask_position must be an integer, got 'zz'"),
+            ("train_mlm", {"jobs": [{"model": "s", "rows": [[{"text": "a <mask>"}, ["Yes"]]],
+                                     "seed": 0}], "steps": 1, "batch": 1, "lr": 0.1},
+             "params: jobs[0].rows[0][1] must be a string, got ['Yes']"),
+        ],
+    )
+    def test_every_field_is_checked_by_the_verb_shape(self, server, verb, params, error):
+        """A list or a missing key as a model name, a mask position that is
+        no integer and a training target that is no token are refused naming
+        their path, before any model is made, not with the KeyError or
+        TypeError of the handler that would have used them."""
+        response = server.handle({"id": 30, "verb": verb, "params": params})
+        assert response == {"id": 30, "ok": False, "error": error, "kind": "AdapterError"}
+        assert server._models == {}
 
     @pytest.mark.parametrize(
         "verb, params",
@@ -812,15 +838,13 @@ class TestTransportSafety:
         with pytest.raises(AdapterError, match="boom"):
             RemoteBackend(transport)
 
-    @pytest.mark.parametrize(
-        "answer, kind", [([1, 2], "array"), (42, "number"), ("x", "string"), (None, "null")]
-    )
-    def test_answer_that_is_not_an_object_is_typed(self, answer, kind):
-        """An answer that is JSON but not an object names its JSON type."""
+    @pytest.mark.parametrize("answer", [[1, 2], 42, "x", None])
+    def test_answer_that_is_not_an_object_is_typed(self, answer):
+        """An answer that is JSON but not an object is refused, echoing it."""
         closed = []
         transport = self.EchoTransport(lambda payload: answer)
         transport.close = lambda: closed.append(True)
-        with pytest.raises(AdapterError, match=f"JSON {kind}"):
+        with pytest.raises(AdapterError, match=re.escape(f"must be an object, got {answer!r}")):
             RemoteBackend(transport)
         assert closed == [True]
 
@@ -1087,7 +1111,7 @@ class TestRefusedHandshake:
         assert_refused_child_is_reaped(tmp_path, OLD_PROTOCOL_BACKEND, "protocol 1")
 
     def test_child_answering_an_array_is_stopped_and_reaped(self, tmp_path):
-        assert_refused_child_is_reaped(tmp_path, ARRAY_ANSWER_BACKEND, "JSON array")
+        assert_refused_child_is_reaped(tmp_path, ARRAY_ANSWER_BACKEND, "must be an object")
 
     def test_tcp_socket_is_closed(self):
         after_reply: list[bytes] = []

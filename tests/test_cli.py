@@ -136,6 +136,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == f"error: {what} holds '{task}' data, not 'so_duplicate'\n"
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_a_test_set_sharing_sentences_with_the_training_set_is_refused(
+        self, workspace, tmp_path, capsys, command
+    ):
+        """train checks its data as a sweep does: the training pool given as
+        the test set is refused before anything is trained or written."""
+        pool, out = str(workspace["pool"]), tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--method", "finetune", "--train", pool, "--test", pool,
+                    "--out", str(out)]
+        else:
+            config = tmp_path / "sweep.config.json"
+            config.write_text(json.dumps({"task_id": "so_duplicate", "method": "finetune",
+                                          "sizes": [10], "replicates": 1}))
+            argv = ["sweep", "--config", str(config), "--pool", pool, "--test", pool,
+                    "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: training pool and test set share 160 sentence(s)")
+        assert captured.err.count("\n") == 1 and len(captured.err) <= 300
+        assert not out.exists()
+
 
 class TestTrainMatchesLibrary:
     """``pairshot train`` writes the report the library call produces."""
@@ -816,6 +839,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "backend, flag, option",
+        [
+            ("adapter-tcp", "--backend-option", "port=" + "[" * 100_000),
+            ("toy", "--backend-option", "buckets=" + "[" * 100_000),
+            ("toy", "--option", "k" * 100_000 + "=1"),
+            ("toy", "--backend-option", "k" * 100_000 + "=1"),
+        ],
+        ids=["port-value", "buckets-value", "option-key", "backend-option-key"],
+    )
+    def test_a_huge_refused_value_or_key_gives_one_short_error_line(
+        self, workspace, tmp_path, capsys, backend, flag, option
+    ):
+        """A 100,000-character option value or key is echoed in part only."""
+        argv = [
+            "train",
+            "--method", "finetune",
+            "--train", str(workspace["pool"]),
+            "--test", str(workspace["test"]),
+            "--out", str(tmp_path / "out"),
+            "--backend", backend,
+            flag, option,
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) <= 300, captured.err[:400]
         assert not (tmp_path / "out").exists()
 
     def test_unknown_backend_option_exits_one(self, workspace, capsys):

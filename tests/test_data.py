@@ -301,8 +301,15 @@ class TestSerialization:
             load_dataset(path)
         assert str(err.value).startswith(f"{path}:5: invalid JSON: ")
 
-    @pytest.mark.parametrize("line", ["[1, 2]", "7", '{"u": "a", "v": null}'])
-    def test_line_that_is_not_a_pair_object_is_located(self, tmp_path, dup_pool, line):
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("[1, 2]", " must be an object, got [1, 2]"),
+            ("7", " must be an object, got 7"),
+            ('{"u": "a", "v": null}', ": v must be a string, got None"),
+        ],
+    )
+    def test_line_that_is_not_a_pair_object_is_located(self, tmp_path, dup_pool, line, problem):
         path = tmp_path / "pool.jsonl"
         save_dataset(dup_pool, path)
         lines = path.read_text().splitlines()
@@ -310,7 +317,7 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError) as err:
             load_dataset(path)
-        assert str(err.value) == f"{path}:3: u and v must be strings"
+        assert str(err.value) == f"{path}:3{problem}"
 
     @pytest.mark.parametrize("labels", [[["x"], ["y"]], ["x", 2], ["x"], ["x", "x"]])
     def test_manifest_labels_that_make_no_label_set_are_refused_by_file(

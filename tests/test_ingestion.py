@@ -463,7 +463,7 @@ class TestRequirementPairs:
         path = self.write_lines(
             tmp_path, [json.dumps({"u": 5, "v": "b", "label": "Neutral"})]
         )
-        with pytest.raises(DataFormatError, match="u and v"):
+        with pytest.raises(DataFormatError, match=":1: u must be a string, got 5"):
             load_requirement_pairs(path)
 
     def test_empty_file_rejected(self, tmp_path):

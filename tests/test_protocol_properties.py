@@ -1,12 +1,15 @@
-"""Property tests of the backend server: every input gets an answer, none an exception.
+"""Property tests of the backend server: every input gets an answer, none an
+exception, and a refusal's error stays short however long the input.
 
 Integers inside request params stay small, so that a request that
 happens to be a valid training call trains for a few steps only; ids
-and whole requests range over any JSON value.
+and whole requests range over any JSON value.  Strings run up to 10,000
+characters, in verbs and params alike.
 """
 
 import io
 import json
+import operator
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,8 +24,16 @@ SETTINGS = settings(
 )
 
 
+# The longest error a refusal may carry: it echoes refused values only in part.
+MAX_ERROR = 300
+# A short string repeated: up to 10,000 characters from a few bytes of input.
+LONG_TEXT = st.builds(operator.mul, st.text(min_size=1, max_size=4), st.integers(1, 2_500))
+
+
 def json_values(integers):
-    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=12)
+    scalars = (
+        st.none() | st.booleans() | integers | st.floats() | st.text(max_size=12) | LONG_TEXT
+    )
     return st.recursive(
         scalars,
         lambda inner: (
@@ -40,7 +51,7 @@ PARAM_KEYS = (
     "steps", "epochs", "batch", "lr", "seed",
 )
 REQUESTS = st.fixed_dictionaries(
-    {"id": ANY_VALUE, "verb": st.sampled_from(VERBS)},
+    {"id": ANY_VALUE, "verb": st.sampled_from(VERBS) | LONG_TEXT},
     optional={
         "params": SMALL_VALUE | st.dictionaries(st.sampled_from(PARAM_KEYS), SMALL_VALUE, max_size=8)
     },
@@ -62,6 +73,7 @@ def test_handle_answers_every_json_value(request):
     response = BackendServer(BACKEND).handle(request)
     assert isinstance(response, dict)
     assert isinstance(response["ok"], bool)
+    assert response["ok"] or len(response["error"]) <= MAX_ERROR
     json.dumps(response)
 
 
@@ -76,3 +88,4 @@ def test_serve_lines_answers_each_non_blank_line_once(lines):
     for answer in answers:
         response = json.loads(answer)
         assert isinstance(response, dict) and "ok" in response
+        assert response["ok"] or len(response["error"]) <= MAX_ERROR
