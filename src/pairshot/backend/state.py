@@ -38,7 +38,7 @@ def array_from_b64(data: str, shape: Sequence[int], name: str) -> np.ndarray:
         flat = np.frombuffer(base64.b64decode(data), dtype="<f8")
         array = flat.reshape(tuple(shape)).astype(np.float64)
     except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{name!r} is not an array of shape {shape!r}: {exc}") from exc
+        raise DataFormatError(f"{name!r} is not an array of shape {brief(shape)}: {exc}") from exc
     if not np.isfinite(array).all():
         raise DataFormatError(f"{name!r} holds a NaN or an infinity")
     return array

@@ -128,7 +128,7 @@ def _linear_scores(W: np.ndarray, x: SparseRows) -> np.ndarray:
     out = np.zeros((len(x), len(W)), dtype=np.float64)
     for start in range(0, len(x), _SCORE_ROWS):
         bounds = x.indptr[start : start + _SCORE_ROWS + 1]
-        filled = np.flatnonzero(np.diff(bounds))
+        filled = (bounds[1:] != bounds[:-1]).nonzero()[0]
         if len(filled):
             terms = np.take(W, x.indices[bounds[0] : bounds[-1]], axis=1)
             terms *= x.values[bounds[0] : bounds[-1]]
@@ -147,7 +147,7 @@ def _softmax_ce_gradient(W: np.ndarray, x: SparseRows, targets: np.ndarray) -> n
         raise NumericError("non-finite scores during training; lower the learning rate")
     residual = (stable_softmax(scores) - targets).T
     lo, hi = x.indptr[0], x.indptr[-1]
-    terms = np.repeat(residual, np.diff(x.indptr), axis=1)
+    terms = np.repeat(residual, x.indptr[1:] - x.indptr[:-1], axis=1)
     terms *= x.values[lo:hi]
     k, width = W.shape
     bins = np.arange(k)[:, None] * width + x.indices[lo:hi]

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, DatasetSizeError, InfeasibleSplitError, check
+from .errors import DataFormatError, DatasetSizeError, InfeasibleSplitError, brief, check
 from .rng import Rng
 
 KINDS = ("train", "test", "unlabeled")
@@ -517,7 +517,7 @@ def load_dataset(path: str | Path) -> Dataset:
     for lineno, pair, record in read_pair_lines(path):
         label = record.get("label")
         if label is not None and label not in label_set:
-            raise DataFormatError(f"{path}:{lineno}: unknown label {label!r}")
+            raise DataFormatError(f"{path}:{lineno}: unknown label {brief(label)}")
         examples.append(LabeledExample(pair, label))
     try:
         return Dataset(tuple(examples), label_set, kind)

@@ -270,31 +270,30 @@ def engine_config(method: str, task_id: str, options: Mapping[str, object], what
         raise ValueError(f"{what} {given} refused by {method}: {exc}") from exc
 
 
-def _train_cell(
+def _run_cell(
     config: ExperimentConfig,
     engine: object,
-    sample: Dataset,
+    pool: Dataset,
     test: Dataset,
     unlabeled: Dataset | None,
+    take: int,
     backend: Backend,
-    seed: int,
-) -> EvalReport:
-    method = METHOD_TABLE[config.method]
-    pool = None
-    if (
-        method.uses_unlabeled
-        and unlabeled is not None
-        and config.unlabeled_size > 0
-        and len(unlabeled)
-    ):
-        take = min(config.unlabeled_size, len(unlabeled))
-        if take < config.unlabeled_size:
-            warnings.warn(
-                f"unlabeled pool has {len(unlabeled)} examples; "
-                f"requested {config.unlabeled_size}, using all of them"
-            )
-        pool = sample_training_set(unlabeled, take, seed, kind="unlabeled")
-    return method.run(engine, sample, pool, test, backend, seed, None)
+    size: int,
+    replicate: int,
+) -> CellResult:
+    """Train and evaluate one (size, replicate) cell on a labeled sample
+    of pool, and on an unlabeled sample of take examples when take > 0; a
+    failure is recorded in the cell, not raised."""
+    seed = replicate_seed(config.seed_base, replicate)
+    started = time.perf_counter()
+    try:
+        sample = sample_training_set(pool, size, seed)
+        drawn = sample_training_set(unlabeled, take, seed, kind="unlabeled") if take else None
+        report = METHOD_TABLE[config.method].run(engine, sample, drawn, test, backend, seed, None)
+    except Exception as exc:  # keep sweeping; the cell is marked failed
+        return CellResult(size, replicate, seed, "failed", None, f"{type(exc).__name__}: {exc}",
+                          time.perf_counter() - started)
+    return CellResult(size, replicate, seed, "ok", report, None, time.perf_counter() - started)
 
 
 def run_sweep(
@@ -306,8 +305,10 @@ def run_sweep(
 ) -> SweepResult:
     """Run every (size, replicate) cell; failures are recorded, not fatal.
 
-    The data's task, the feasibility (pool size, sentence disjointness)
-    and the engine options are validated before any training starts.
+    The data's task, the feasibility (pool size, sentence disjointness),
+    the engine options and the unlabeled pool's size (one warning when it
+    holds fewer examples than unlabeled_size asks for) are settled before
+    any training starts.
     """
     check_data(config.task_id, pool, test, unlabeled)
     if max(config.sizes) > len(pool):
@@ -315,30 +316,25 @@ def run_sweep(
             f"largest size {max(config.sizes)} exceeds pool of {len(pool)} examples"
         )
     engine = engine_config(config.method, config.task_id, config.engine_options, "engine_options")
+    take = 0
+    if METHOD_TABLE[config.method].uses_unlabeled and unlabeled is not None:
+        take = min(config.unlabeled_size, len(unlabeled))
+        if 0 < take < config.unlabeled_size:
+            warnings.warn(
+                f"unlabeled pool has {len(unlabeled)} examples; "
+                f"requested {config.unlabeled_size}, using all of them"
+            )
     built = backend is None
     if built:
         backend = build_backend(config.backend_kind, config.backend_options)
 
     started = time.perf_counter()
-    cells: list[CellResult] = []
     try:
-        for size in config.sizes:
-            for replicate in range(config.replicates):
-                seed = replicate_seed(config.seed_base, replicate)
-                cell_start = time.perf_counter()
-                try:
-                    sample = sample_training_set(pool, size, seed)
-                    report = _train_cell(config, engine, sample, test, unlabeled, backend, seed)
-                    cells.append(
-                        CellResult(size, replicate, seed, "ok", report, None,
-                                   time.perf_counter() - cell_start)
-                    )
-                except Exception as exc:  # keep sweeping; the cell is marked failed
-                    cells.append(
-                        CellResult(size, replicate, seed, "failed", None,
-                                   f"{type(exc).__name__}: {exc}",
-                                   time.perf_counter() - cell_start)
-                    )
+        cells = [
+            _run_cell(config, engine, pool, test, unlabeled, take, backend, size, replicate)
+            for size in config.sizes
+            for replicate in range(config.replicates)
+        ]
     finally:
         if built:
             backend.close()

@@ -597,6 +597,15 @@ class TestStateRoundTrip:
         with pytest.raises(DataFormatError, match=field):
             model_from_payload(payload)
 
+    def test_a_huge_shape_is_echoed_cut(self):
+        """A shape of 100,000 entries is refused in a short message naming
+        the field."""
+        payload = model_to_payload(ToyBackend().create_classifier(["Neutral", "Duplicate"]))
+        payload["shape"] = [1] * 100_000
+        with pytest.raises(DataFormatError, match="'weights' is not an array of shape") as err:
+            model_from_payload(payload)
+        assert len(str(err.value)) < 300
+
     @pytest.mark.parametrize("rows", [[1], {"x": "AAAA"}, {"0": 7}])
     def test_malformed_encoder_rows_are_a_data_format_error(self, backend, rows):
         encoder = backend.create_encoder()

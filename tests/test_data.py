@@ -319,6 +319,19 @@ class TestSerialization:
             load_dataset(path)
         assert str(err.value) == f"{path}:3{problem}"
 
+    def test_an_unknown_label_is_echoed_cut_and_located(self, tmp_path, dup_pool):
+        """A 100,000-character label outside the manifest's set is refused
+        in a short message that still names the file and line."""
+        path = tmp_path / "pool.jsonl"
+        save_dataset(dup_pool, path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({"u": "a", "v": "b", "label": "x" * 100_000})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        assert str(err.value).startswith(f"{path}:3: unknown label 'xxx")
+        assert len(str(err.value)) < 300
+
     @pytest.mark.parametrize("labels", [[["x"], ["y"]], ["x", 2], ["x"], ["x", "x"]])
     def test_manifest_labels_that_make_no_label_set_are_refused_by_file(
         self, tmp_path, dup_pool, labels

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -14,6 +15,7 @@ from pairshot.harness import (
     DEFAULT_SIZES,
     METHODS,
     ExperimentConfig,
+    SweepResult,
     build_backend,
     emit_table,
     load_sweep_payload,
@@ -37,6 +39,12 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def pet_config(**overrides):
+    """A quick prompt-ensemble sweep: two replicates of each size."""
+    options = {"mlm_steps": 5, "distill_steps": 5, "batch": 4}
+    return small_config(method="pet", engine_options=options, **overrides)
 
 
 class UntrainableBackend(ToyBackend):
@@ -221,8 +229,7 @@ class TestRunSweep:
 
     def test_an_unlabeled_pool_of_another_task_is_refused(self, dup_pool, dup_test):
         other = synthetic_unlabeled("srs_conflict", 20, seed=3)
-        config = small_config(method="pet", sizes=(8,), replicates=1, unlabeled_size=10,
-                              engine_options={"mlm_steps": 5, "distill_steps": 5, "batch": 4})
+        config = pet_config(sizes=(8,), replicates=1, unlabeled_size=10)
         with pytest.raises(
             DatasetSizeError, match="unlabeled pool holds 'srs_conflict' data, not 'so_duplicate'"
         ):
@@ -240,17 +247,49 @@ class TestRunSweep:
             run_sweep(small_config(), dup_pool, leaky, backend=ToyBackend())
 
     def test_small_unlabeled_pool_warns_and_proceeds(self, dup_pool, dup_test, dup_unlabeled):
-        """Asking for more unlabeled data than exists uses it all with a warning."""
-        config = small_config(
-            method="pet",
-            sizes=(8,),
-            replicates=1,
-            unlabeled_size=500,
-            engine_options={"mlm_steps": 5, "distill_steps": 5, "batch": 4},
-        )
-        with pytest.warns(UserWarning, match="using all of them"):
+        """Asking for more unlabeled data than exists uses it all with one
+        warning: the pool is sized before the first cell, not in each of six."""
+        config = pet_config(sizes=(8, 12, 16), unlabeled_size=500)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             result = run_sweep(config, dup_pool, dup_test, dup_unlabeled, backend=ToyBackend())
+        assert len(result.cells) == 6 and not result.failed
+        assert [str(w.message) for w in caught if "using all of them" in str(w.message)] == [
+            "unlabeled pool has 80 examples; requested 500, using all of them"
+        ]
+
+    def test_a_short_pool_warning_made_an_error_stops_the_sweep_before_any_cell(
+        self, dup_pool, dup_test, dup_unlabeled, monkeypatch
+    ):
+        """An error filter on the warning refuses the sweep once, before a
+        backend is built or a cell samples, not once per failed cell."""
+        built, sampled = [], []
+        monkeypatch.setattr(harness, "build_backend", lambda *a: built.append(a) or ToyBackend())
+        monkeypatch.setattr(harness, "sample_training_set", lambda *a, **kw: sampled.append(a))
+        config = pet_config(sizes=(8, 12, 16), unlabeled_size=500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="using all of them"):
+                run_sweep(config, dup_pool, dup_test, dup_unlabeled)
+        assert built == [] and sampled == []
+
+    def test_cells_run_alone_in_reverse_order_give_the_sweep_cells(
+        self, dup_pool, dup_test, dup_unlabeled
+    ):
+        """A cell depends only on its size and replicate: running a sweep's
+        cells one by one, last first, on a fresh backend records the same bytes."""
+        config = pet_config(sizes=(8, 12), unlabeled_size=40)
+        result = run_sweep(config, dup_pool, dup_test, dup_unlabeled, backend=ToyBackend())
         assert not result.failed
+        engine = harness.engine_config("pet", config.task_id, config.engine_options, "options")
+        backend = ToyBackend()
+        cells = [
+            harness._run_cell(config, engine, dup_pool, dup_test, dup_unlabeled, 40, backend,
+                              cell.size, cell.replicate)
+            for cell in reversed(result.cells)
+        ]
+        again = SweepResult(config, cells[::-1], result.summaries, 0.0)
+        assert again.to_payload()["cells"] == result.to_payload()["cells"]
 
 
 class TestBackendLifetime:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pairshot.backend.state import model_to_payload
 from pairshot.data import Dataset, LabeledExample, LabelSet, SentencePair
 from pairshot.errors import DataFormatError, InfeasibleTripletsError
 from pairshot.setfit import (
@@ -173,6 +174,20 @@ class TestSetFitPipeline:
             path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_setfit(path)
+
+    def test_a_huge_model_shape_in_a_bundle_is_echoed_cut(self, tmp_path, dup_train, backend):
+        """A model payload in the bundle whose shape has 100,000 entries is
+        refused in a short message naming the field."""
+        path = tmp_path / "setfit.json"
+        model = setfit_fit(SetFitConfig(R=3, epochs=1, batch=8), dup_train, backend, seed=2)
+        save_setfit(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["encoder"] = model_to_payload(backend.create_classifier(["Neutral", "Duplicate"]))
+        payload["encoder"]["shape"] = [1] * 100_000
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="'weights' is not an array of shape") as err:
+            load_setfit(path)
+        assert len(str(err.value)) < 300
 
     @pytest.mark.parametrize(
         "content", [b"{not json", b'{"format": "\xff"}', b"[" * 100_000], ids=["json", "utf8", "deep"]
