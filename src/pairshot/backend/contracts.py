@@ -15,6 +15,7 @@ alone, and each scorer must end as if trained alone.
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -131,27 +132,41 @@ class Backend(Protocol):
 
 def check_lr(lr: object) -> None:
     """TypeError unless lr is a number or None (the backend default), and
-    ValueError naming lr unless that number is a positive finite float (an
-    int past float range is not)."""
+    ValueError naming lr unless that number is positive and finite."""
     if lr is None:
         return
     if isinstance(lr, bool) or not isinstance(lr, (int, float)):
         raise TypeError(f"lr must be a number or None, got {brief(lr)}")
-    if not 0 < lr <= sys.float_info.max:
+    check_positive("lr", lr)
+
+
+def check_positive(name: str, value: float) -> None:
+    """ValueError naming name unless value is a positive finite number (an
+    int past float range is not, nor is NaN)."""
+    if not 0 < value <= sys.float_info.max:
         try:
-            shown = repr(lr)
+            shown = repr(value)
         except ValueError:  # an int past the interpreter's digit limit has no repr
-            shown = f"an int of {lr.bit_length()} bits"
-        raise ValueError(f"lr must be positive and finite, got {shown}")
+            shown = f"an int of {value.bit_length()} bits"
+        raise ValueError(f"{name} must be positive and finite, got {shown}")
 
 
-def check_ints(config: object, *names: str) -> None:
-    """TypeError naming the first field that is not an int or a tuple of ints (a bool is not)."""
-    for name in names:
+def check_ints(config: object, **least: int | None) -> None:
+    """TypeError naming the first named field of the dataclass config that
+    is not an int, or, where the field is annotated as a tuple, a tuple of
+    ints (a bool is no int); then ValueError naming the first whose int, or
+    any item of whose tuple, is below the field's least value (None: no bound)."""
+    tuples = {f.name for f in fields(config) if str(f.type).startswith("tuple")}
+    items = {}
+    for name in least:
         value = getattr(config, name)
-        for item in value if isinstance(value, tuple) else (value,):
+        items[name] = value if name in tuples and isinstance(value, tuple) else (value,)
+        for item in items[name]:
             if isinstance(item, bool) or not isinstance(item, int):
                 raise TypeError(f"{name} takes integers only, got {brief(item)}")
+    for name, bound in least.items():
+        if bound is not None and any(item < bound for item in items[name]):
+            raise ValueError(f"{name} must be at least {bound}")
 
 
 def real_numbers(values: object, what: str) -> np.ndarray:

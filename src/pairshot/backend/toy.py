@@ -29,7 +29,7 @@ from ..errors import NoDataError, NumericError, ShapeError, VocabularyError, bri
 from ..numerics import safe_norm, stable_softmax
 from ..prompting import ClozeInput
 from ..rng import Rng
-from .contracts import real_numbers
+from .contracts import check_ints, real_numbers
 from .features import Featurizer, SparseRows, _unpaged
 
 _COSINE_EPS = 1e-12
@@ -74,8 +74,7 @@ class BackendConfig:
         for required in (self.mask_token, self.separator_token):
             if required not in self.vocabulary:
                 raise VocabularyError(f"vocabulary must contain {brief(required)}")
-        if self.embedding_dim <= 0 or self.buckets <= 0 or self.word_order <= 0:
-            raise ValueError("embedding_dim, buckets, and word_order must be positive")
+        check_ints(self, embedding_dim=1, word_order=1, buckets=1)
 
 
 def default_backend_config(extra_tokens: Iterable[str] = (), **overrides) -> BackendConfig:

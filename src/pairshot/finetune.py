@@ -30,11 +30,7 @@ class FinetuneConfig:
 
     def __post_init__(self) -> None:
         check_lr(self.lr)
-        check_ints(self, "steps", "batch")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
+        check_ints(self, steps=0, batch=1)
 
 
 def onehot_rows(train: Dataset, separator: str) -> list[tuple[str, Sequence[float]]]:

@@ -101,17 +101,11 @@ class ExperimentConfig:
         check(vars(self), {"task_id": str, "method": str, "backend_kind": str, "sizes": list},
               TypeError, "config")
         object.__setattr__(self, "sizes", tuple(self.sizes))
-        check_ints(self, "sizes", "replicates", "test_size", "unlabeled_size", "seed_base")
+        check_ints(self, sizes=1, replicates=1, test_size=1, unlabeled_size=0, seed_base=None)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {brief(self.method)}")
-        if not self.sizes or any(s <= 0 for s in self.sizes):
-            raise ValueError("sizes must be a non-empty tuple of positive ints")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
-        if self.test_size < 1:
-            raise ValueError("test_size must be at least 1")
-        if self.unlabeled_size < 0:
-            raise ValueError("unlabeled_size must be non-negative")
+        if not self.sizes:
+            raise ValueError("sizes must hold at least one size")
         check(vars(self), {"backend_options": dict, "engine_options": dict}, ValueError, "config")
 
     def to_payload(self) -> dict:
@@ -231,7 +225,9 @@ class SweepResult:
 def check_task(task_id: str, dataset: Dataset | None, what: str) -> None:
     """DatasetSizeError naming both tasks unless dataset (what) is None or holds task_id's data."""
     if dataset is not None and dataset.label_set.task_id != task_id:
-        raise DatasetSizeError(f"{what} holds {dataset.label_set.task_id!r} data, not {task_id!r}")
+        raise DatasetSizeError(
+            f"{what} holds {brief(dataset.label_set.task_id)} data, not {brief(task_id)}"
+        )
 
 
 def check_data(task_id: str, train: Dataset, test: Dataset, unlabeled: Dataset | None) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..data import Dataset, LabeledExample, read_pair_lines
-from ..errors import DataFormatError
+from ..errors import DataFormatError, brief
 from ..prompting import builtin_label_set
 
 
@@ -24,7 +24,7 @@ def load_requirement_pairs(path: str | Path) -> Dataset:
         label = record.get("label")
         if label not in label_set:
             raise DataFormatError(
-                f"{path}:{lineno}: label {label!r} is not one of {list(label_set.labels)} "
+                f"{path}:{lineno}: label {brief(label)} is not one of {list(label_set.labels)} "
                 "(labels are case-sensitive)"
             )
         examples.append(LabeledExample(pair, label))

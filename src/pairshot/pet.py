@@ -24,7 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend.contracts import Backend, MaskedScorer, TextClassifier, check_ints, check_lr, resolve_lr
+from .backend.contracts import (
+    Backend, MaskedScorer, TextClassifier, check_ints, check_lr, check_positive, resolve_lr,
+)
 from .data import Dataset, LabelSet, SentencePair, SoftLabeledExample, join_pair
 from .errors import EmptyEnsembleError, NoDataError, ShapeError
 from .finetune import onehot_rows
@@ -55,17 +57,12 @@ class PetConfig:
         object.__setattr__(self, "pvps", tuple(self.pvps))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         check_lr(self.lr)
-        check_ints(self, "mlm_steps", "distill_steps", "batch", "max_len", "seeds")
+        check_ints(self, mlm_steps=0, distill_steps=0, batch=1, max_len=1, seeds=None)
         if not self.pvps:
             raise ValueError("PetConfig needs at least one pattern verbalizer pair")
         if not self.seeds:
             raise ValueError("PetConfig needs at least one seed")
-        if self.mlm_steps < 0 or self.distill_steps < 0:
-            raise ValueError("step counts must be non-negative")
-        if self.batch <= 0 or self.max_len <= 0:
-            raise ValueError("batch and max_len must be positive")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        check_positive("temperature", self.temperature)
 
     @staticmethod
     def for_task(task_id: str, **overrides) -> "PetConfig":
@@ -89,8 +86,7 @@ def soften(scores: Sequence[float], temperature: float) -> np.ndarray:
     Stable under additive shifts of the scores and order-preserving for
     any positive temperature.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    check_positive("temperature", temperature)
     return stable_softmax(np.asarray(scores, dtype=np.float64) / temperature)
 
 

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .data import LabelSet, SentencePair
-from .errors import BudgetError, UnknownTaskError, VerbalizerError
+from .errors import BudgetError, UnknownTaskError, VerbalizerError, brief
 
 LITERAL = "literal"
 SLOT_U = "slot_u"
@@ -275,7 +275,7 @@ def builtin_task_ids() -> tuple[str, ...]:
 def builtin_label_set(task_id: str) -> LabelSet:
     """The canonical label order for a built-in task."""
     if task_id not in _BUILTIN_LABELS:
-        raise UnknownTaskError(f"no built-in task {task_id!r}; known: {sorted(_BUILTIN_LABELS)}")
+        raise UnknownTaskError(f"no built-in task {brief(task_id)}; known: {sorted(_BUILTIN_LABELS)}")
     return LabelSet(_BUILTIN_LABELS[task_id], task_id)
 
 
@@ -283,5 +283,5 @@ def builtin_pvps(task_id: str) -> list[PVP]:
     """The three built-in pattern/verbalizer pairs for a task."""
     table = _builtin_pvp_table()
     if task_id not in table:
-        raise UnknownTaskError(f"no built-in task {task_id!r}; known: {sorted(table)}")
+        raise UnknownTaskError(f"no built-in task {brief(task_id)}; known: {sorted(table)}")
     return table[task_id]

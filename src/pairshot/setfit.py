@@ -71,13 +71,7 @@ class SetFitConfig:
 
     def __post_init__(self) -> None:
         check_lr(self.lr)
-        check_ints(self, "R", "epochs", "batch")
-        if self.R < 0:
-            raise ValueError("R must be non-negative")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch <= 0:
-            raise ValueError("batch must be positive")
+        check_ints(self, R=0, epochs=0, batch=1)
 
 
 def generate_contrastive(
@@ -271,6 +265,8 @@ def load_setfit(path: str | Path) -> SetFitModel:
         raise DataFormatError(f"{path} is not a setfit bundle")
     check(payload, _BUNDLE, DataFormatError, f"setfit bundle {path}")
     encoder = model_from_payload(payload["encoder"])
+    if payload["encoder"]["kind"] != "sentence-encoder":
+        raise DataFormatError(f"setfit bundle {path}: encoder holds a {payload['encoder']['kind']}")
     head_data = payload["head"]
     head = LogisticHead(head_data["n_classes"], head_data["dim"], head_data["l2"])
     head.W = array_from_b64(head_data["W"], (head.n_classes, head.dim), "W")

@@ -471,6 +471,39 @@ class TestExitCodes:
         assert rc == 1
         assert "case-sensitive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest-srs", "train-finetune", "train-pet", "sweep"])
+    def test_a_huge_label_or_task_id_gives_one_short_error_line(
+        self, workspace, tmp_path, capsys, command
+    ):
+        """A 100,000-character label in a requirement file, or task id in a
+        dataset manifest or a sweep config, is echoed in part only."""
+        huge, out = "x" * 100_000, tmp_path / "out"
+        if command == "ingest-srs":
+            source = tmp_path / "reqs.jsonl"
+            source.write_text(json.dumps({"u": "a", "v": "b", "label": huge}) + "\n")
+            argv = ["ingest", "srs", "--file", str(source), "--out", str(out)]
+        elif command == "sweep":
+            config = tmp_path / "sweep.config.json"
+            config.write_text(json.dumps({"task_id": huge, "method": "finetune", "sizes": [10],
+                                          "replicates": 1}))
+            argv = ["sweep", "--config", str(config), "--pool", str(workspace["pool"]),
+                    "--test", str(workspace["test"]), "--out", str(out)]
+        else:  # a copy of the training pool whose manifest names a huge task
+            pool = tmp_path / "huge.jsonl"
+            pool.write_bytes(workspace["pool"].read_bytes())
+            manifest = workspace["pool"].with_name(workspace["pool"].stem + ".manifest.json")
+            (tmp_path / "huge.manifest.json").write_text(
+                json.dumps({**json.loads(manifest.read_text()), "task_id": huge})
+            )
+            argv = ["train", "--method", command.split("-")[1], "--train", str(pool),
+                    "--test", str(workspace["test"]), "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) <= 300, captured.err[:400]
+        assert not out.exists()
+
     def test_report_on_non_sweep_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"format": "nope"}))
@@ -651,6 +684,7 @@ class TestExitCodes:
             ("finetune", "lr=-0.5", "lr"),
             ("setfit", "lr=0", "lr"),
             ("pet", "lr=NaN", "lr"),
+            ("pet", "temperature=NaN", "temperature"),
             pytest.param("finetune", "lr=1" + "0" * 400, "lr", id="finetune-lr-past-float"),
             pytest.param("finetune", "steps=" + "[" * 100_000, "steps", id="finetune-deep-steps"),
         ],

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from pairshot.backend.toy import default_backend_config
 from pairshot.errors import NoDataError
 from pairshot.finetune import FinetuneConfig, finetune, finetune_predict, run_finetune
+from pairshot.harness import ExperimentConfig
 from pairshot.pet import PetConfig, distill, soft_label, train_ensemble
 from pairshot.setfit import SetFitConfig
 
@@ -32,6 +34,42 @@ def test_engine_counts_that_are_not_integers_are_a_type_error_naming_the_field(m
     bools that a comparison or a range() would take or truncate later."""
     with pytest.raises(TypeError, match=field):
         make(**{field: value})
+
+
+def _pet(**fields):
+    return PetConfig.for_task("so_duplicate", **fields)
+
+
+def _experiment(**fields):
+    if "sizes" in fields:
+        fields["sizes"] = (fields["sizes"],)
+    return ExperimentConfig("so_duplicate", "finetune", **fields)
+
+
+@pytest.mark.parametrize(
+    "make, field, least",
+    [
+        (FinetuneConfig, "steps", 0), (FinetuneConfig, "batch", 1),
+        (SetFitConfig, "R", 0), (SetFitConfig, "epochs", 0), (SetFitConfig, "batch", 1),
+        (_pet, "mlm_steps", 0), (_pet, "distill_steps", 0), (_pet, "batch", 1),
+        (_pet, "max_len", 1),
+        (_experiment, "sizes", 1), (_experiment, "replicates", 1),
+        (_experiment, "test_size", 1), (_experiment, "unlabeled_size", 0),
+        (default_backend_config, "embedding_dim", 1), (default_backend_config, "word_order", 1),
+        (default_backend_config, "buckets", 1),
+    ],
+)
+def test_each_bounded_int_field_takes_its_least_value_and_refuses_one_less(make, field, least):
+    """Every config bounds its int fields by one rule: the least value is
+    taken, one less is a ValueError that starts with the field's name, and
+    a bool is no int.  The toy backend config refuses a field of the wrong
+    type as ValueError, since its fields arrive as command-line options."""
+    make(**{field: least})
+    with pytest.raises(ValueError, match=f"^{field} must be at least {least}$"):
+        make(**{field: least - 1})
+    wrong_type = ValueError if make is default_backend_config else TypeError
+    with pytest.raises(wrong_type, match=field):
+        make(**{field: True})
 
 
 @pytest.mark.parametrize(

@@ -190,6 +190,7 @@ class TestRunSweep:
             ("finetune", {"lr": -0.5}, "lr"),
             ("finetune", {"batch": 0}, "batch"),
             ("setfit", {"separator": " | "}, "separator"),
+            ("pet", {"temperature": float("nan")}, "temperature"),
             ("pet", {"bogus_knob": 1}, "bogus_knob"),
         ],
     )

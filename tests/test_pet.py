@@ -54,11 +54,15 @@ class TestSoften:
         assert flat[0] < sharp[0]
         assert flat[0] > 0.5
 
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            soften((1.0, 0.0), 0.0)
-        with pytest.raises(ValueError):
-            soften((1.0, 0.0), -1.0)
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_a_temperature_that_is_not_positive_and_finite_is_refused(self, temperature):
+        """A NaN or infinite temperature would soften every soft label to
+        NaN or a uniform row, so soften and the config refuse it as they
+        refuse one that is not positive."""
+        with pytest.raises(ValueError, match="^temperature must be positive and finite"):
+            soften((1.0, 0.0), temperature)
+        with pytest.raises(ValueError, match="^temperature must be positive and finite"):
+            PetConfig.for_task("so_duplicate", temperature=temperature)
 
 
 class TestAggregateScores:

@@ -189,6 +189,23 @@ class TestSetFitPipeline:
             load_setfit(path)
         assert len(str(err.value)) < 300
 
+    @pytest.mark.parametrize("kind", ["text-classifier", "masked-scorer"])
+    def test_an_encoder_slot_holding_another_model_kind_is_refused_at_load(
+        self, tmp_path, dup_train, backend, kind
+    ):
+        """A bundle whose encoder is a classifier or a scorer is refused when
+        it is loaded, not at its first prediction."""
+        path = tmp_path / "setfit.json"
+        model = setfit_fit(SetFitConfig(R=3, epochs=1, batch=8), dup_train, backend, seed=2)
+        save_setfit(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        other = (backend.create_classifier(["Neutral", "Duplicate"])
+                 if kind == "text-classifier" else backend.create_scorer())
+        payload["encoder"] = model_to_payload(other)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"encoder holds a {kind}"):
+            load_setfit(path)
+
     @pytest.mark.parametrize(
         "content", [b"{not json", b'{"format": "\xff"}', b"[" * 100_000], ids=["json", "utf8", "deep"]
     )
