@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ..data import read_json
-from ..errors import DataFormatError, PairshotError, brief, check
+from ..errors import DataFormatError, PairshotError, ShapeError, brief, check
 from .toy import ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
 FORMAT = "pairshot-model"
@@ -51,9 +51,8 @@ def model_to_payload(model) -> dict:
         body = {"kind": "text-classifier" if classifier else "masked-scorer", "seed": model.seed}
         if classifier:
             body["labels"] = list(model.labels)
-        body.update(
-            weights=array_to_b64(model.W), shape=list(model.W.shape), schedule=dict(model._sched)
-        )
+        W = model.W
+        body.update(weights=array_to_b64(W), shape=list(W.shape), schedule=dict(model._sched))
     elif isinstance(model, ToyEncoder):
         body = {
             "kind": "sentence-encoder",
@@ -114,7 +113,10 @@ def model_from_payload(payload: dict):
         model = ToyMaskedScorer(config, seed)
     else:
         model = ToyTextClassifier(config, tuple(payload["labels"]), seed)
-    model.W = array_from_b64(payload["weights"], payload["shape"], "weights")
+    try:
+        model.W = array_from_b64(payload["weights"], payload["shape"], "weights")
+    except ShapeError as exc:
+        raise DataFormatError(f"model payload 'weights' do not fit its config: {exc}") from exc
     model._sched = dict(schedule)
     return model
 

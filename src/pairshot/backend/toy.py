@@ -13,6 +13,9 @@ mean gradient at the weights the step starts from, written once; a step
 with non-finite scores, cosines or update raises NumericError and writes
 nothing.  Every loop draws its minibatches from _batches, the one batch
 schedule.  Epoch-based callers convert via ceil(len(data) / batch) * epochs.
+
+The scorer and the classifier store weights only for the hashed buckets
+they have trained (_BucketWeights); every other weight is +0.0.
 """
 
 from __future__ import annotations
@@ -121,15 +124,17 @@ def _batches(n: int, batch: int, seed: int, start: int, steps: int) -> Iterator[
     return (slot for _, slot in zip(range(steps), slots))  # zip asks for no slot past the last step
 
 
-def _linear_scores(W: np.ndarray, x: SparseRows) -> np.ndarray:
+def _linear_scores(W: np.ndarray, x: SparseRows, column: np.ndarray | None = None) -> np.ndarray:
     """(len(x), len(W)) scores W . x_i, each summed over its own slice
-    alone, so a row scores the same in any batch; an empty row scores 0."""
+    alone, so a row scores the same in any batch; an empty row scores 0.
+    With column given, x's id j reads column[j] of W."""
     out = np.zeros((len(x), len(W)), dtype=np.float64)
     for start in range(0, len(x), _SCORE_ROWS):
         bounds = x.indptr[start : start + _SCORE_ROWS + 1]
         filled = (bounds[1:] != bounds[:-1]).nonzero()[0]
         if len(filled):
-            terms = np.take(W, x.indices[bounds[0] : bounds[-1]], axis=1)
+            ids = x.indices[bounds[0] : bounds[-1]]
+            terms = np.take(W, ids if column is None else column[ids], axis=1)
             terms *= x.values[bounds[0] : bounds[-1]]
             out[start + filled] = np.add.reduceat(terms, bounds[filled] - bounds[0], axis=1).T
     return out
@@ -155,7 +160,8 @@ def _softmax_ce_gradient(W: np.ndarray, x: SparseRows, targets: np.ndarray) -> n
 
 def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
     """Minibatch SGD on the cross-entropy of a softmax over W[rows], for
-    every job (W, rows, features, targets, seed, sched_state) in lockstep.
+    every job (model, rows, features, targets, seed) in lockstep, model
+    being a _BucketWeights.
 
     features holds one row per example, targets the (n, k) distributions.
     A step gathers each job's batch B, scores it at the weights it starts
@@ -164,11 +170,12 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
     when called again with the same seed and data size, so two calls of
     s1 and s2 steps match one call of s1 + s2.
 
-    Steps read and write only the columns the data has: each job's used
-    columns of W[rows] get their own range of one block.  The batches of
-    the next _PLAN_ROWS // (batch * jobs) steps (at least one) are
-    planned ahead and gathered in one take; each step scores its own row
-    range of that gather in one pass and sums its dense (k, width)
+    Steps read and write only stored columns: each model first stores
+    every bucket its data uses (_BucketWeights._widen), and each job's
+    stored columns of W[rows] get their own range of one block.  The
+    batches of the next _PLAN_ROWS // (batch * jobs) steps (at least one)
+    are planned ahead and gathered in one take; each step scores its own
+    row range of that gather in one pass and sums its dense (k, width)
     gradient with one bincount.  A column sums only its own job's rows,
     in order, and a column no row uses gets exactly 0.0, so the step
     subtracts lr * grad / |B| from the whole block and each job ends
@@ -181,13 +188,14 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
         raise ValueError("training needs jobs that each name one model once")
     if len({len(job[1]) for job in jobs}) > 1:
         raise ShapeError("training jobs must share one candidate count")
-    columns, parts, starts = [], [], []
-    for W, _, f, _, seed, state in jobs:
-        used = np.flatnonzero(np.bincount(f.indices, minlength=W.shape[1]))
-        local = np.searchsorted(used, f.indices)
-        local += sum(map(len, columns))
+    parts, widths, starts = [], [], []
+    for model, _, f, _, seed in jobs:
+        model._widen(f)
+        local = model._columns()[f.indices]
+        local += sum(widths)
         parts.append(SparseRows(f.indptr, local, f.values))
-        columns.append(used)
+        widths.append(len(model._ids))
+        state = model._sched
         starts.append(state["step"] if (state.get("seed"), state.get("n")) == (seed, len(f)) else 0)
     features = parts[0] if len(parts) == 1 else SparseRows(
         np.append(0, np.cumsum(np.concatenate([np.diff(part.indptr) for part in parts]))),
@@ -199,10 +207,10 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
     # Per step, every job's batch offset by its first row (map binds the offset now).
     lockstep = zip(*[
         map(np.add, _batches(len(f), batch, seed, start, steps), itertools.repeat(at))
-        for (_, _, f, _, seed, _), start, at in zip(jobs, starts, first_row)
+        for (_, _, f, _, seed), start, at in zip(jobs, starts, first_row)
     ])
-    owner = np.repeat(np.arange(len(jobs)), [len(c) for c in columns])
-    block = np.concatenate([W[rows[:, None], c] for (W, rows, *_), c in zip(jobs, columns)], axis=1)
+    owner = np.repeat(np.arange(len(jobs)), widths)
+    block = np.concatenate([model._block[rows] for model, rows, *_ in jobs], axis=1)
     per_plan = max(1, _PLAN_ROWS // (batch * len(jobs)))
     done = 0
     try:
@@ -225,17 +233,78 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
                 block -= update
                 done += 1
     finally:
-        blocks = np.split(block, np.cumsum([len(c) for c in columns])[:-1], axis=1)
-        for (W, rows, f, _, seed, state), c, own, start in zip(jobs, columns, blocks, starts):
-            W[rows[:, None], c] = own
-            state.update(seed=seed, n=len(f), step=start + done)
+        blocks = np.split(block, np.cumsum(widths)[:-1], axis=1)
+        for (model, rows, f, _, seed), own, start in zip(jobs, blocks, starts):
+            model._block[rows] = own
+            model._sched.update(seed=seed, n=len(f), step=start + done)
 
 
 # ---------------------------------------------------------------------------
 # Models
 
 
-class ToyMaskedScorer:
+class _BucketWeights:
+    """Linear weights W of shape (rows, buckets), stored for the buckets
+    trained only: _ids holds them in ascending order and _block their
+    (rows, len(_ids)) float64 columns.  Every other column of W is +0.0.
+    Hashed n-gram features are sparse, so a scorer that trained on 1,500
+    of 32,768 buckets holds about 5% of the bytes of the dense W.
+    """
+
+    def __init__(self, rows: int, buckets: int) -> None:
+        self._buckets = buckets
+        self._ids = np.empty(0, dtype=np.intp)
+        self._block = np.zeros((rows, 0), dtype=np.float64)
+        self._sched: dict = {}
+
+    @property
+    def W(self) -> np.ndarray:
+        """The dense weights, built on each read and read-only, so that a
+        write into them raises: assign a whole array to change them."""
+        dense = np.zeros((len(self._block), self._buckets), dtype=np.float64)
+        dense[:, self._ids] = self._block
+        dense.flags.writeable = False
+        return dense
+
+    @W.setter
+    def W(self, value: np.ndarray) -> None:
+        """Store every column of value that holds a nonzero or a -0.0;
+        ShapeError unless value has this model's (rows, buckets) shape."""
+        value, shape = np.asarray(value, dtype=np.float64), (len(self._block), self._buckets)
+        if value.shape != shape:
+            raise ShapeError(f"weights of shape {brief(value.shape)}, expected {shape}")
+        self._ids = np.flatnonzero((value != 0).any(axis=0) | np.signbit(value).any(axis=0))
+        self._block = value[:, self._ids]
+
+    def _widen(self, x: SparseRows) -> None:
+        """Store every bucket x uses as well; the new columns hold +0.0."""
+        kept = np.zeros(self._buckets, dtype=bool)
+        kept[self._ids] = True
+        kept[x.indices] = True
+        ids = np.flatnonzero(kept)
+        if len(ids) > len(self._ids):
+            block = np.zeros((len(self._block), len(ids)), dtype=np.float64)
+            block[:, np.searchsorted(ids, self._ids)] = self._block
+            self._ids, self._block = ids, block
+
+    def _columns(self) -> np.ndarray:
+        """The column of every bucket: its place in _ids, or len(_ids), the
+        zero column a scoring block ends with, if it is not stored."""
+        columns = np.full(self._buckets, len(self._ids), dtype=np.intp)
+        columns[self._ids] = np.arange(len(self._ids))
+        return columns
+
+    def _scores(self, rows, x: SparseRows) -> np.ndarray:
+        """_linear_scores of W[rows] on x, read from the stored columns and
+        one zero column that stands for every other bucket: each row sums
+        the same terms in the same order as on the dense W."""
+        block = self._block[rows]
+        weights = np.zeros((len(block), block.shape[1] + 1), dtype=np.float64)
+        weights[:, :-1] = block
+        return _linear_scores(weights, x, self._columns())
+
+
+class ToyMaskedScorer(_BucketWeights):
     """Linear cloze scorer: score(token | text) = W[token] . features(text)."""
 
     def __init__(self, config: BackendConfig, seed: int = 0) -> None:
@@ -244,8 +313,7 @@ class ToyMaskedScorer:
         self._featurizer = Featurizer(config.buckets, config.word_order)
         self._row: dict[str, int] = {tok: i for i, tok in enumerate(config.vocabulary)}
         # Zero init: an untrained scorer gives every candidate score 0.
-        self.W = np.zeros((len(config.vocabulary), config.buckets), dtype=np.float64)
-        self._sched: dict = {}
+        super().__init__(len(config.vocabulary), config.buckets)
 
     def _rows_for(self, tokens: Sequence[str]) -> np.ndarray:
         missing = [t for t in tokens if t not in self._row]
@@ -259,7 +327,7 @@ class ToyMaskedScorer:
         scorer (perfbench's tracer wraps it by name)."""
         if not candidates:
             raise VocabularyError("candidate token list is empty")
-        return _linear_scores(self.W[self._rows_for(candidates)], x)
+        return self._scores(self._rows_for(candidates), x)
 
     def _job(
         self,
@@ -268,8 +336,8 @@ class ToyMaskedScorer:
         candidates: Sequence[str] | None,
         featurize=Featurizer.counts_batch,
     ) -> tuple:
-        """The trainer's job for rendered: (W, rows, features, targets, seed,
-        schedule); featurize(featurizer, texts) gives the features."""
+        """The trainer's job for rendered: (self, rows, features, targets,
+        seed); featurize(featurizer, texts) gives the features."""
         if not rendered:
             raise NoDataError("train called with no rendered examples")
         targets = [target for _, target in rendered]
@@ -282,7 +350,7 @@ class ToyMaskedScorer:
             raise VocabularyError(f"target token {brief(outside[0])} outside candidate set")
         onehot = np.eye(len(candidates))[[position[target] for target in targets]]
         features = featurize(self._featurizer, tuple(cloze.text for cloze, _ in rendered))
-        return self.W, rows, features, onehot, seed, self._sched
+        return self, rows, features, onehot, seed
 
     def train(
         self,
@@ -303,7 +371,7 @@ class ToyMaskedScorer:
         _train_softmax_ce([self._job(rendered, seed, candidates)], steps, batch, lr)
 
 
-class ToyTextClassifier:
+class ToyTextClassifier(_BucketWeights):
     """Linear text classifier trained on soft target distributions."""
 
     def __init__(self, config: BackendConfig, labels: Sequence[str], seed: int = 0) -> None:
@@ -313,12 +381,11 @@ class ToyTextClassifier:
         self.labels = tuple(labels)
         self.seed = seed
         self._featurizer = Featurizer(config.buckets, config.word_order)
-        self.W = np.zeros((len(self.labels), config.buckets), dtype=np.float64)
-        self._sched: dict = {}
+        super().__init__(len(self.labels), config.buckets)
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
         """(n, k) raw scores, one row per text, columns in label order."""
-        return _linear_scores(self.W, self._featurizer.counts_batch(texts))
+        return self._scores(slice(None), self._featurizer.counts_batch(texts))
 
     def train(
         self,
@@ -339,7 +406,7 @@ class ToyTextClassifier:
                 raise ShapeError("target distribution entries must be >= 0 and sum to 1")
         x = self._featurizer.counts_batch([text for text, _ in rows])
         targets = np.array(targets)
-        _train_softmax_ce([(self.W, np.arange(k), x, targets, seed, self._sched)], steps, batch, lr)
+        _train_softmax_ce([(self, np.arange(k), x, targets, seed)], steps, batch, lr)
 
 
 class ToyEncoder:
@@ -373,7 +440,8 @@ class ToyEncoder:
 
     def _slots(self, buckets: np.ndarray) -> np.ndarray:
         """Slot of each bucket, drawing all missing rows in bulk."""
-        missing = np.unique(buckets[self._slot[buckets] < 0])
+        # return_index keeps numpy 2's unique off its path that imports numpy.ma.
+        missing = np.unique(buckets[self._slot[buckets] < 0], return_index=True)[0]
         self._append(missing, self._rng.derive_uniform_rows(missing, self.dim, -0.5, 0.5))
         return self._slot[buckets]
 

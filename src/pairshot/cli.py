@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .data import Dataset, load_dataset, read_json, save_dataset, split_no_leakage, validate_dataset
-from .errors import PairshotError, check, port
+from .errors import PairshotError, brief, check, port
 from .harness import (
     METHOD_TABLE,
     METHODS,
@@ -37,7 +37,7 @@ def _parse_option(text: str) -> tuple[str, object]:
     """Parse one ``key=value`` option; value is JSON if it parses."""
     key, sep, raw = text.partition("=")
     if not sep or not key:
-        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected key=value, got {brief(text)}")
     try:
         value = json.loads(raw)
     except (ValueError, RecursionError):

@@ -196,9 +196,10 @@ class TestMinibatchStep:
 
     @staticmethod
     def start_weights(model, rows):
-        W = np.random.default_rng(4).normal(scale=0.3, size=(len(rows), model.config.buckets))
-        model.W[rows] = W
-        return model.W.copy()
+        W = model.W.copy()
+        W[rows] = np.random.default_rng(4).normal(scale=0.3, size=(len(rows), model.config.buckets))
+        model.W = W
+        return W
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4], [2, 0, 5, 4, 1, 3]])
     def test_classifier_step_is_the_mean_gradient(self, backend, order):
@@ -249,14 +250,16 @@ class TestNonFiniteSteps:
         features = Featurizer(backend.config.buckets, backend.config.word_order)
         others = {b for cloze_input, _ in data[:7] for b in features.bucket_ids(cloze_input.text)}
         only_7 = min(set(features.bucket_ids(data[7][0].text)) - others)
-        scorer.W[scorer._row["Yes"], only_7] = np.inf
+        poisoned = scorer.W.copy()
+        poisoned[scorer._row["Yes"], only_7] = np.inf
+        scorer.W = poisoned
         failing = next(step for step, members in enumerate(_batches(8, 2, 5, 0, 50)) if 7 in members)
         assert failing > 0
         with pytest.raises(NumericError):
             scorer.train(data, steps=50, batch=2, lr=0.1, seed=5)
         assert model_to_payload(scorer)["schedule"] == {"seed": 5, "n": 8, "step": failing}
         reference = backend.create_scorer()
-        reference.W[scorer._row["Yes"], only_7] = np.inf
+        reference.W = poisoned
         reference.train(data, steps=failing, batch=2, lr=0.1, seed=5)
         assert model_to_payload(scorer) == model_to_payload(reference)
 
@@ -622,7 +625,9 @@ class TestStateRoundTrip:
         every text that reads it as inf."""
         backend = ToyBackend(default_backend_config(buckets=64, embedding_dim=4))
         for model in (backend.create_scorer(), backend.create_classifier(["A", "B"])):
-            model.W[1, 3] = value
+            W = model.W.copy()
+            W[1, 3] = value
+            model.W = W
             with pytest.raises(DataFormatError, match="weights"):
                 model_from_payload(model_to_payload(model))
         encoder = backend.create_encoder()

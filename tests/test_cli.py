@@ -428,6 +428,24 @@ class TestExitCodes:
             )
         assert excinfo.value.code == 2
 
+    def test_a_huge_malformed_option_is_echoed_cut(self, workspace, capsys):
+        """An --option of 100,000 characters without '=' is refused in a
+        short usage error, not echoed whole."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "train",
+                    "--method", "finetune",
+                    "--train", str(workspace["pool"]),
+                    "--test", str(workspace["test"]),
+                    "--option", "x" * 100_000,
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected key=value, got 'xxx" in err
+        assert len(err.encode("utf-8")) < 1000
+
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         rc = main(
             [

@@ -77,3 +77,19 @@ def test_the_backend_server_loads_no_engine_module():
     assert "pairshot.backend.serve" in loaded
     assert not {name for name in loaded if name in NOT_IN_THE_SERVER
                 or name.startswith("pairshot.ingestion.")}
+
+
+def test_a_setfit_fit_and_predict_do_not_load_numpy_ma():
+    """On numpy 2, np.unique without a return_* flag imports numpy.ma
+    (about 1.3 MB and 13 ms); no toy backend path calls it that way."""
+    printed = run_fresh(
+        "import sys\n"
+        "from pairshot.backend.toy import ToyBackend\n"
+        "from pairshot.setfit import SetFitConfig, setfit_fit, setfit_predict\n"
+        "from pairshot.synthetic import synthetic_pool\n"
+        "pool = synthetic_pool('so_duplicate', 24, seed=3)\n"
+        "model = setfit_fit(SetFitConfig(), pool, ToyBackend())\n"
+        "setfit_predict(model, [ex.pair for ex in pool])\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert printed.split() == ["False"]

@@ -219,6 +219,24 @@ class TestRunPet:
         np.testing.assert_array_equal(result.classifier.W, classifier.W)
         assert result.soft_labeled == len(softened) == len(dup_unlabeled)
 
+    def test_trained_models_hold_a_tenth_of_their_dense_weights(
+        self, dup_train, dup_unlabeled, backend
+    ):
+        """Members and the distilled classifier store only the bucket columns
+        they trained: their arrays take under 1/10 of the bytes of a dense
+        (rows, buckets) W, which is 2.88 MB for a scorer."""
+        config = PetConfig.for_task("so_duplicate", mlm_steps=30, distill_steps=60, batch=4)
+        members = train_ensemble(config, dup_train, backend, seed=1000)
+        softened = soft_label(members, dup_unlabeled, dup_train.label_set, config, backend)
+        classifier = backend.create_classifier(dup_train.label_set.labels)
+        distill(dup_train, softened, config, classifier, backend, seed=7)
+        rows = len(backend.config.vocabulary)
+        models = [(m.model, rows) for m in members] + [(classifier, 2)]
+        for model, rows in models:
+            assert model._sched["step"] > 0
+            held = sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
+            assert held < rows * backend.config.buckets * 8 / 10
+
     def test_artifacts_written(self, tmp_path, dup_train, dup_test, backend):
         config = PetConfig.for_task("so_duplicate", mlm_steps=5, distill_steps=10, batch=8)
         run_pet(
