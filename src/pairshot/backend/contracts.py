@@ -131,18 +131,17 @@ class Backend(Protocol):
 
 
 def check_lr(lr: object) -> None:
-    """TypeError unless lr is a number or None (the backend default), and
-    ValueError naming lr unless that number is positive and finite."""
-    if lr is None:
-        return
-    if isinstance(lr, bool) or not isinstance(lr, (int, float)):
-        raise TypeError(f"lr must be a number or None, got {brief(lr)}")
-    check_positive("lr", lr)
+    """check_positive("lr", lr) unless lr is None (the backend default)."""
+    if lr is not None:
+        check_positive("lr", lr)
 
 
-def check_positive(name: str, value: float) -> None:
-    """ValueError naming name unless value is a positive finite number (an
-    int past float range is not, nor is NaN)."""
+def check_positive(name: str, value: object) -> None:
+    """TypeError naming name unless value is an int or a float (a bool is
+    no number), then ValueError naming it unless that number is positive
+    and finite (an int past float range is not, nor is NaN)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {brief(value)}")
     if not 0 < value <= sys.float_info.max:
         try:
             shown = repr(value)

@@ -16,7 +16,8 @@ of at most _CHUNK_CHARS characters, which bounds the window arrays;
 byte offsets are held in 32 bits, and only the index arrays that numpy
 reads fastest as intp are 64-bit.
 Featurizer.counts_batch counts the ids of a batch, chunk by chunk, into
-one CSR.
+one CSR whose ids keep the table's dtype: uint16, 2 bytes an id, when
+buckets <= 65,536, else uint32.  Its values are float64.
 
 A sweep featurizes the same texts cell after cell, so _occurrences
 hashes only the distinct texts that its config has not hashed lately.
@@ -51,6 +52,11 @@ _TABLE_BYTES = 1 << 20
 # Texts a table's index may name, so that short texts cannot fill it with
 # hundreds of thousands of keys; a write past it empties the table first.
 _TABLE_TEXTS = 8192
+
+
+def _id_dtype(buckets: int) -> np.dtype:
+    """The narrowest unsigned dtype of 16 or 32 bits that holds every bucket id."""
+    return np.dtype(np.uint16 if buckets <= 1 << 16 else np.uint32)
 
 
 def _tag_seed(tag: str) -> int:
@@ -135,7 +141,7 @@ class _IdTable:
     """
 
     def __init__(self, buckets: int) -> None:
-        dtype = np.dtype(np.uint16 if buckets <= 1 << 16 else np.uint32)
+        dtype = _id_dtype(buckets)
         self.ids = _unpaged(_TABLE_BYTES // dtype.itemsize, dtype)
         # A kept entry has at most len(ids) ids, so its count fits below shift.
         self.shift = len(self.ids).bit_length()
@@ -308,7 +314,9 @@ class Featurizer:
         return indptr, hashes.astype(np.int64) % self.buckets
 
     def counts_batch(self, texts: Sequence[str]) -> SparseRows:
-        """sparse_counts of every text as one read-only CSR.
+        """sparse_counts of every text as one read-only CSR: int64 indptr,
+        bucket ids in the id table's dtype (uint16 when buckets <= 65,536,
+        else uint32) and float64 values.
 
         Each chunk's bucket ids come from _occurrences, which hashes a
         distinct text once, and are counted straight into buffers sized by
@@ -316,7 +324,7 @@ class Featurizer:
         """
         bound = sum(self.word_order * len(t.split()) + len(_CHAR_ORDERS) * len(t) for t in texts)
         indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-        indices, values = _unpaged(bound, np.int64), _unpaged(bound, np.float64)
+        indices, values = _unpaged(bound, _id_dtype(self.buckets)), _unpaged(bound, np.float64)
         for lo, hi in _chunks(texts):
             occ_indptr, ids = self._occurrences(texts[lo:hi])
             owner = np.repeat(np.arange(hi - lo), np.diff(occ_indptr))

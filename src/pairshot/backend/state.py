@@ -2,7 +2,10 @@
 
 Weight arrays are stored as base64-encoded little-endian float64, so a
 round trip is bit-exact and the files stay self-describing: the backend
-config travels inside the blob.
+config travels inside the blob.  Format 2 stores a scorer's or a
+classifier's weights as it holds them: its trained rows and bucket ids,
+ascending JSON integers, and their (rows, ids) block.  Format 1, which
+held the dense (rows, buckets) W, is refused.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from ..data import read_json
-from ..errors import DataFormatError, PairshotError, ShapeError, brief, check
+from ..errors import DataFormatError, PairshotError, brief, check
 from .toy import ToyEncoder, ToyMaskedScorer, ToyTextClassifier, backend_config_with
 
 FORMAT = "pairshot-model"
-VERSION = 1
+VERSION = 2
 
 
 def array_to_b64(arr: np.ndarray) -> str:
@@ -51,8 +54,12 @@ def model_to_payload(model) -> dict:
         body = {"kind": "text-classifier" if classifier else "masked-scorer", "seed": model.seed}
         if classifier:
             body["labels"] = list(model.labels)
-        W = model.W
-        body.update(weights=array_to_b64(W), shape=list(W.shape), schedule=dict(model._sched))
+        body.update(
+            rows=model._rows.tolist(),
+            ids=model._ids.tolist(),
+            block=array_to_b64(model._block),
+            schedule=dict(model._sched),
+        )
     elif isinstance(model, ToyEncoder):
         body = {
             "kind": "sentence-encoder",
@@ -67,11 +74,11 @@ def model_to_payload(model) -> dict:
     return body
 
 
-# The fields each kind of model payload needs besides its config; the
-# weights, shape and rows are array_from_b64's to check.
+# The fields each kind of model payload needs besides its config; a
+# block, and an encoder's rows, are array_from_b64's to check.
 _FIELDS = {
-    "masked-scorer": {"weights": object, "shape": object},
-    "text-classifier": {"weights": object, "shape": object, "labels": [str]},
+    "masked-scorer": {"rows": [int], "ids": [int], "block": object},
+    "text-classifier": {"rows": [int], "ids": [int], "block": object, "labels": [str]},
     "sentence-encoder": {"rows?": dict},
 }
 # A schedule that is not empty holds exactly these.
@@ -113,12 +120,20 @@ def model_from_payload(payload: dict):
         model = ToyMaskedScorer(config, seed)
     else:
         model = ToyTextClassifier(config, tuple(payload["labels"]), seed)
-    try:
-        model.W = array_from_b64(payload["weights"], payload["shape"], "weights")
-    except ShapeError as exc:
-        raise DataFormatError(f"model payload 'weights' do not fit its config: {exc}") from exc
+    rows, buckets = model._shape
+    model._rows = _ascending(payload["rows"], rows, "rows")
+    model._ids = _ascending(payload["ids"], buckets, "ids")
+    model._block = array_from_b64(payload["block"], (len(model._rows), len(model._ids)), "block")
     model._sched = dict(schedule)
     return model
+
+
+def _ascending(values: list[int], bound: int, name: str) -> np.ndarray:
+    """values, the payload field name, as an int array; DataFormatError
+    unless they ascend strictly within [0, bound)."""
+    if any(not 0 <= v < bound for v in values) or any(a >= b for a, b in zip(values, values[1:])):
+        raise DataFormatError(f"model payload {name!r} must be ascending integers in [0, {bound})")
+    return np.array(values, dtype=np.intp)
 
 
 def save_model(model, path: str | Path) -> None:

@@ -14,8 +14,9 @@ with non-finite scores, cosines or update raises NumericError and writes
 nothing.  Every loop draws its minibatches from _batches, the one batch
 schedule.  Epoch-based callers convert via ceil(len(data) / batch) * epochs.
 
-The scorer and the classifier store weights only for the hashed buckets
-they have trained (_BucketWeights); every other weight is +0.0.
+The scorer and the classifier store weights only for the rows and the
+hashed buckets they have trained (_BucketWeights); every other weight is
++0.0.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _softmax_ce_gradient(W: np.ndarray, x: SparseRows, targets: np.ndarray) -> n
 def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) -> None:
     """Minibatch SGD on the cross-entropy of a softmax over W[rows], for
     every job (model, rows, features, targets, seed) in lockstep, model
-    being a _BucketWeights.
+    being a _BucketWeights and rows an int array.
 
     features holds one row per example, targets the (n, k) distributions.
     A step gathers each job's batch B, scores it at the weights it starts
@@ -170,12 +171,12 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
     when called again with the same seed and data size, so two calls of
     s1 and s2 steps match one call of s1 + s2.
 
-    Steps read and write only stored columns: each model first stores
-    every bucket its data uses (_BucketWeights._widen), and each job's
-    stored columns of W[rows] get their own range of one block.  The
-    batches of the next _PLAN_ROWS // (batch * jobs) steps (at least one)
-    are planned ahead and gathered in one take; each step scores its own
-    row range of that gather in one pass and sums its dense (k, width)
+    Steps read and write only stored weights: each model first stores its
+    job's rows and every bucket its data uses (_BucketWeights._widen), and
+    each job's stored columns of W[rows] get their own range of one block.
+    The batches of the next _PLAN_ROWS // (batch * jobs) steps (at least
+    one) are planned ahead and gathered in one take; each step scores its
+    own row range of that gather in one pass and sums its dense (k, width)
     gradient with one bincount.  A column sums only its own job's rows,
     in order, and a column no row uses gets exactly 0.0, so the step
     subtracts lr * grad / |B| from the whole block and each job ends
@@ -188,9 +189,10 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
         raise ValueError("training needs jobs that each name one model once")
     if len({len(job[1]) for job in jobs}) > 1:
         raise ShapeError("training jobs must share one candidate count")
-    parts, widths, starts = [], [], []
-    for model, _, f, _, seed in jobs:
-        model._widen(f)
+    parts, widths, starts, places = [], [], [], []
+    for model, rows, f, _, seed in jobs:
+        model._widen(rows, f)
+        places.append(np.searchsorted(model._rows, rows))
         local = model._columns()[f.indices]
         local += sum(widths)
         parts.append(SparseRows(f.indptr, local, f.values))
@@ -210,7 +212,7 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
         for (_, _, f, _, seed), start, at in zip(jobs, starts, first_row)
     ])
     owner = np.repeat(np.arange(len(jobs)), widths)
-    block = np.concatenate([model._block[rows] for model, rows, *_ in jobs], axis=1)
+    block = np.concatenate([job[0]._block[at] for job, at in zip(jobs, places)], axis=1)
     per_plan = max(1, _PLAN_ROWS // (batch * len(jobs)))
     done = 0
     try:
@@ -234,8 +236,8 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
                 done += 1
     finally:
         blocks = np.split(block, np.cumsum(widths)[:-1], axis=1)
-        for (model, rows, f, _, seed), own, start in zip(jobs, blocks, starts):
-            model._block[rows] = own
+        for (model, _, f, _, seed), own, start, at in zip(jobs, blocks, starts, places):
+            model._block[at] = own
             model._sched.update(seed=seed, n=len(f), step=start + done)
 
 
@@ -243,64 +245,66 @@ def _train_softmax_ce(jobs: Sequence[tuple], steps: int, batch: int, lr: float) 
 # Models
 
 
+def _union(size: int, *parts: np.ndarray) -> np.ndarray:
+    """The distinct values of parts, int arrays in [0, size), in ascending
+    order (np.union1d would import numpy.ma, about 1 MB, on numpy 2)."""
+    kept = np.zeros(size, dtype=bool)
+    for part in parts:
+        kept[part] = True
+    return np.flatnonzero(kept)
+
+
 class _BucketWeights:
-    """Linear weights W of shape (rows, buckets), stored for the buckets
-    trained only: _ids holds them in ascending order and _block their
-    (rows, len(_ids)) float64 columns.  Every other column of W is +0.0.
-    Hashed n-gram features are sparse, so a scorer that trained on 1,500
-    of 32,768 buckets holds about 5% of the bytes of the dense W.
+    """Linear weights W of shape (rows, buckets), stored for the rows and
+    buckets trained only: _rows and _ids hold them in ascending order and
+    _block their (len(_rows), len(_ids)) float64 weights.  Every other
+    weight of W is +0.0.  Hashed n-gram features are sparse, and a PET
+    member trains only its verbalizer rows: the block of a scorer that
+    trained 2 of 11 rows on 1,400 of 32,768 buckets takes under 1% of the
+    bytes of the dense W, which only tests and tracing build.
     """
 
     def __init__(self, rows: int, buckets: int) -> None:
-        self._buckets = buckets
+        self._shape = (rows, buckets)
+        self._rows = np.empty(0, dtype=np.intp)
         self._ids = np.empty(0, dtype=np.intp)
-        self._block = np.zeros((rows, 0), dtype=np.float64)
+        self._block = np.zeros((0, 0), dtype=np.float64)
         self._sched: dict = {}
 
     @property
     def W(self) -> np.ndarray:
-        """The dense weights, built on each read and read-only, so that a
-        write into them raises: assign a whole array to change them."""
-        dense = np.zeros((len(self._block), self._buckets), dtype=np.float64)
-        dense[:, self._ids] = self._block
+        """The dense weights, built on each read: a read-only property of a
+        read-only array, for tests and tracing."""
+        dense = np.zeros(self._shape, dtype=np.float64)
+        dense[np.ix_(self._rows, self._ids)] = self._block
         dense.flags.writeable = False
         return dense
 
-    @W.setter
-    def W(self, value: np.ndarray) -> None:
-        """Store every column of value that holds a nonzero or a -0.0;
-        ShapeError unless value has this model's (rows, buckets) shape."""
-        value, shape = np.asarray(value, dtype=np.float64), (len(self._block), self._buckets)
-        if value.shape != shape:
-            raise ShapeError(f"weights of shape {brief(value.shape)}, expected {shape}")
-        self._ids = np.flatnonzero((value != 0).any(axis=0) | np.signbit(value).any(axis=0))
-        self._block = value[:, self._ids]
-
-    def _widen(self, x: SparseRows) -> None:
-        """Store every bucket x uses as well; the new columns hold +0.0."""
-        kept = np.zeros(self._buckets, dtype=bool)
-        kept[self._ids] = True
-        kept[x.indices] = True
-        ids = np.flatnonzero(kept)
-        if len(ids) > len(self._ids):
-            block = np.zeros((len(self._block), len(ids)), dtype=np.float64)
-            block[:, np.searchsorted(ids, self._ids)] = self._block
-            self._ids, self._block = ids, block
+    def _widen(self, rows: np.ndarray, x: SparseRows) -> None:
+        """Store rows and every bucket x uses as well; the new weights hold +0.0."""
+        rows = _union(self._shape[0], self._rows, rows)
+        ids = _union(self._shape[1], self._ids, x.indices)
+        if len(ids) > len(self._ids) or len(rows) > len(self._rows):
+            block = np.zeros((len(rows), len(ids)), dtype=np.float64)
+            held = np.ix_(np.searchsorted(rows, self._rows), np.searchsorted(ids, self._ids))
+            block[held] = self._block
+            self._rows, self._ids, self._block = rows, ids, block
 
     def _columns(self) -> np.ndarray:
         """The column of every bucket: its place in _ids, or len(_ids), the
         zero column a scoring block ends with, if it is not stored."""
-        columns = np.full(self._buckets, len(self._ids), dtype=np.intp)
+        columns = np.full(self._shape[1], len(self._ids), dtype=np.int32)
         columns[self._ids] = np.arange(len(self._ids))
         return columns
 
-    def _scores(self, rows, x: SparseRows) -> np.ndarray:
-        """_linear_scores of W[rows] on x, read from the stored columns and
-        one zero column that stands for every other bucket: each row sums
-        the same terms in the same order as on the dense W."""
-        block = self._block[rows]
-        weights = np.zeros((len(block), block.shape[1] + 1), dtype=np.float64)
-        weights[:, :-1] = block
+    def _scores(self, rows: np.ndarray, x: SparseRows) -> np.ndarray:
+        """_linear_scores of W[rows] on x, read from the stored weights, a
+        zero row for every row not stored and one zero column that stands
+        for every bucket not stored: each row sums the same terms in the
+        same order as on the dense W."""
+        weights = np.zeros((len(rows), len(self._ids) + 1), dtype=np.float64)
+        stored = np.isin(rows, self._rows)
+        weights[stored, :-1] = self._block[np.searchsorted(self._rows, rows[stored])]
         return _linear_scores(weights, x, self._columns())
 
 
@@ -385,7 +389,7 @@ class ToyTextClassifier(_BucketWeights):
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
         """(n, k) raw scores, one row per text, columns in label order."""
-        return self._scores(slice(None), self._featurizer.counts_batch(texts))
+        return self._scores(np.arange(len(self.labels)), self._featurizer.counts_batch(texts))
 
     def train(
         self,

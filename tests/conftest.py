@@ -1,7 +1,9 @@
-"""Shared fixtures: a toy backend and small synthetic datasets."""
+"""Shared fixtures: a toy backend and small synthetic datasets; load_dense
+gives a toy model dense weights."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pairshot.backend.toy import ToyBackend
@@ -42,3 +44,14 @@ def dup_train(dup_pool):
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA_DIR
+
+
+def load_dense(model, W):
+    """Give a toy scorer or classifier the dense weights W as a trained
+    model stores them: every row and every column of W that holds a
+    nonzero or a -0.0."""
+    W = np.asarray(W, dtype=np.float64)
+    assert W.shape == model._shape
+    held = (W != 0) | np.signbit(W)
+    model._rows, model._ids = np.flatnonzero(held.any(axis=1)), np.flatnonzero(held.any(axis=0))
+    model._block = W[np.ix_(model._rows, model._ids)]

@@ -8,6 +8,7 @@ softmax cross-entropy and cosine-MSE encoder gradients.
 
 import numpy as np
 import pytest
+from conftest import load_dense
 
 from pairshot.backend.contracts import resolve_lr
 from pairshot.backend.features import Featurizer
@@ -198,7 +199,7 @@ class TestMinibatchStep:
     def start_weights(model, rows):
         W = model.W.copy()
         W[rows] = np.random.default_rng(4).normal(scale=0.3, size=(len(rows), model.config.buckets))
-        model.W = W
+        load_dense(model, W)
         return W
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 2, 4], [2, 0, 5, 4, 1, 3]])
@@ -252,14 +253,14 @@ class TestNonFiniteSteps:
         only_7 = min(set(features.bucket_ids(data[7][0].text)) - others)
         poisoned = scorer.W.copy()
         poisoned[scorer._row["Yes"], only_7] = np.inf
-        scorer.W = poisoned
+        load_dense(scorer, poisoned)
         failing = next(step for step, members in enumerate(_batches(8, 2, 5, 0, 50)) if 7 in members)
         assert failing > 0
         with pytest.raises(NumericError):
             scorer.train(data, steps=50, batch=2, lr=0.1, seed=5)
         assert model_to_payload(scorer)["schedule"] == {"seed": 5, "n": 8, "step": failing}
         reference = backend.create_scorer()
-        reference.W = poisoned
+        load_dense(reference, poisoned)
         reference.train(data, steps=failing, batch=2, lr=0.1, seed=5)
         assert model_to_payload(scorer) == model_to_payload(reference)
 
@@ -526,6 +527,36 @@ class TestStateRoundTrip:
         resumed.train(data, steps=18, batch=4, lr=0.1, seed=1)
         np.testing.assert_array_equal(straight.W, resumed.W)
 
+    def test_a_payload_holds_the_stored_rows_ids_and_block_bit_for_bit(self, backend):
+        """Format 2 writes what the model stores, a member's two trained rows
+        and not the dense W, and loads it back byte for byte."""
+        scorer = backend.create_scorer(seed=2)
+        scorer.train(yes_no_rendering(8), steps=30, batch=4, lr=0.1, seed=1)
+        payload = model_to_payload(scorer)
+        assert payload["version"] == 2 and "weights" not in payload
+        assert payload["rows"] == scorer._rows.tolist() == [
+            backend.config.vocabulary.index(token) for token in ("No", "Yes")
+        ]
+        again = model_from_payload(payload)
+        for name in ("_rows", "_ids", "_block"):
+            assert getattr(again, name).tobytes() == getattr(scorer, name).tobytes()
+        probe = cloze("service healthy fast stable run77")
+        vocabulary = backend.config.vocabulary
+        assert (
+            backend.score_scorers([again], [probe], vocabulary).tobytes()
+            == backend.score_scorers([scorer], [probe], vocabulary).tobytes()
+        )
+        assert model_to_payload(again) == payload
+
+    def test_a_version_1_payload_is_refused_by_name(self, backend):
+        """Format 1 held the dense W; it is refused, not read a second way."""
+        payload = model_to_payload(backend.create_classifier(["Neutral", "Duplicate"]))
+        for field in ("rows", "ids", "block"):
+            del payload[field]
+        payload.update(version=1, weights="", shape=[2, backend.config.buckets])
+        with pytest.raises(DataFormatError, match="^unsupported model payload version 1$"):
+            model_from_payload(payload)
+
     def test_classifier_round_trip(self, backend, tmp_path):
         clf = backend.create_classifier(["Neutral", "Duplicate"], seed=5)
         clf.train([("some text here", (0.3, 0.7))], steps=5, batch=1, lr=0.1, seed=0)
@@ -564,13 +595,19 @@ class TestStateRoundTrip:
         "field, damage",
         [
             ("config", None),
-            ("weights", None),
-            ("shape", None),
+            ("rows", None),
+            ("ids", None),
+            ("block", None),
             ("labels", None),
-            ("weights", "size"),
-            ("shape", [-1]),
-            ("shape", 7),
-            ("weights", 7),
+            ("block", "size"),
+            ("rows", [2]),
+            ("rows", [1, 0]),
+            ("ids", [-1]),
+            ("ids", [5, 5]),
+            ("ids", [32768]),
+            ("ids", [True]),
+            ("ids", 7),
+            ("block", 7),
             ("labels", 7),
             ("config", [1]),
             ("config", {"bukets": 1024}),
@@ -587,25 +624,26 @@ class TestStateRoundTrip:
         ],
     )
     def test_malformed_classifier_payload_is_a_data_format_error(self, field, damage):
-        """A missing or malformed field, a weights blob whose size does not
-        match the shape, or a refused config ends in DataFormatError naming
-        the field, never in a KeyError or TypeError."""
+        """A missing or malformed field, rows or ids that do not ascend in
+        the model's shape, a block whose size does not match them, or a
+        refused config ends in DataFormatError naming the field, never in a
+        KeyError or TypeError."""
         payload = model_to_payload(ToyBackend().create_classifier(["Neutral", "Duplicate"]))
         if damage is None:
             del payload[field]
         elif damage == "size":
-            payload["shape"] = [payload["shape"][0], payload["shape"][1] - 1]
+            payload.update(rows=[0], ids=[5])
         else:
             payload[field] = damage
         with pytest.raises(DataFormatError, match=field):
             model_from_payload(payload)
 
-    def test_a_huge_shape_is_echoed_cut(self):
-        """A shape of 100,000 entries is refused in a short message naming
+    def test_a_huge_id_list_is_refused_in_a_short_message(self):
+        """An id list of 100,000 entries is refused in a short message naming
         the field."""
         payload = model_to_payload(ToyBackend().create_classifier(["Neutral", "Duplicate"]))
-        payload["shape"] = [1] * 100_000
-        with pytest.raises(DataFormatError, match="'weights' is not an array of shape") as err:
+        payload["ids"] = [1] * 100_000
+        with pytest.raises(DataFormatError, match="'ids' must be ascending") as err:
             model_from_payload(payload)
         assert len(str(err.value)) < 300
 
@@ -627,8 +665,8 @@ class TestStateRoundTrip:
         for model in (backend.create_scorer(), backend.create_classifier(["A", "B"])):
             W = model.W.copy()
             W[1, 3] = value
-            model.W = W
-            with pytest.raises(DataFormatError, match="weights"):
+            load_dense(model, W)
+            with pytest.raises(DataFormatError, match="'block' holds a NaN or an infinity"):
                 model_from_payload(model_to_payload(model))
         encoder = backend.create_encoder()
         encoder.encode(["alpha beta gamma"])

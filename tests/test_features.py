@@ -88,8 +88,9 @@ class TestGoldenFeatures:
     def test_sparse_counts_byte_equal_to_reference(self, text, buckets, word_order):
         idx, val = Featurizer(buckets, word_order).sparse_counts(text)
         ref_idx, ref_val = reference_sparse_counts(text, buckets, word_order)
-        assert idx.dtype == np.int64 and val.dtype == np.float64
-        assert idx.tobytes() == ref_idx.tobytes()
+        assert idx.dtype == features._tables[buckets, word_order].ids.dtype
+        assert val.dtype == np.float64
+        assert idx.astype(np.int64).tobytes() == ref_idx.tobytes()
         assert val.tobytes() == ref_val.tobytes()
 
     def test_hashing_scheme_is_pinned(self):
@@ -119,7 +120,7 @@ class TestFeatureCache:
         for _ in range(3):
             for featurizer, (ref_idx, ref_val) in zip(configs, expected):
                 idx, val = featurizer.sparse_counts(text)
-                assert idx.tobytes() == ref_idx.tobytes()
+                assert idx.astype(np.int64).tobytes() == ref_idx.tobytes()
                 assert val.tobytes() == ref_val.tobytes()
 
     def test_batch_rows_equal_sparse_counts_for_every_config(self):
@@ -137,7 +138,7 @@ class TestFeatureCache:
                     ref_idx, ref_val = reference_sparse_counts(
                         text, featurizer.buckets, featurizer.word_order
                     )
-                    assert idx.tobytes() == ref_idx.tobytes()
+                    assert idx.astype(np.int64).tobytes() == ref_idx.tobytes()
                     assert val.tobytes() == ref_val.tobytes()
 
 
@@ -240,7 +241,8 @@ def assert_batch_equals_reference(featurizer, texts):
         expected = reference_bucket_ids(text, featurizer.buckets, featurizer.word_order)
         assert ids[indptr[i] : indptr[i + 1]].tolist() == expected
         ref_idx, ref_val = reference_sparse_counts(text, featurizer.buckets, featurizer.word_order)
-        assert rows.indices[rows.indptr[i] : rows.indptr[i + 1]].tobytes() == ref_idx.tobytes()
+        idx = rows.indices[rows.indptr[i] : rows.indptr[i + 1]]
+        assert idx.astype(np.int64).tobytes() == ref_idx.tobytes()
         assert rows.values[rows.indptr[i] : rows.indptr[i + 1]].tobytes() == ref_val.tobytes()
 
 
@@ -377,6 +379,14 @@ class TestBatchHashing:
         assert (wide.dtype, edge.dtype, narrow.dtype) == (np.uint32, np.uint16, np.uint16)
         assert wide.nbytes == narrow.nbytes == features._TABLE_BYTES == 1 << 20
         assert (len(wide), len(narrow)) == (262_144, 524_288)
+
+    def test_batch_ids_keep_the_table_dtype(self):
+        """counts_batch's ids take 2 bytes at 32,768 buckets and 4 at
+        1,048,576, as the id tables do; the values stay float64."""
+        for buckets, dtype in ((32768, np.uint16), (1 << 20, np.uint32)):
+            rows = Featurizer(buckets, 2).counts_batch(["compact ids", "", "compact ids"])
+            assert rows.indices.dtype == dtype and rows.values.dtype == np.float64
+            assert rows.indptr.dtype == np.int64
 
     def test_index_bytes_per_held_text(self):
         """One int per held text in one flat dict per config: about 58 bytes

@@ -64,6 +64,15 @@ class TestSoften:
         with pytest.raises(ValueError, match="^temperature must be positive and finite"):
             PetConfig.for_task("so_duplicate", temperature=temperature)
 
+    @pytest.mark.parametrize("temperature", [True, "1", None])
+    def test_a_temperature_that_is_no_number_is_refused_by_name(self, temperature):
+        """A bool is no number, and a string or None would fail the range
+        check with a TypeError that names no field."""
+        with pytest.raises(TypeError, match="^temperature must be a number, got "):
+            soften((1.0, 0.0), temperature)
+        with pytest.raises(TypeError, match="^temperature must be a number, got "):
+            PetConfig.for_task("so_duplicate", temperature=temperature)
+
 
 class TestAggregateScores:
     def test_hand_case(self):
@@ -222,9 +231,10 @@ class TestRunPet:
     def test_trained_models_hold_a_tenth_of_their_dense_weights(
         self, dup_train, dup_unlabeled, backend
     ):
-        """Members and the distilled classifier store only the bucket columns
-        they trained: their arrays take under 1/10 of the bytes of a dense
-        (rows, buckets) W, which is 2.88 MB for a scorer."""
+        """Members and the distilled classifier store only the rows and
+        bucket columns they trained: a member its 2 verbalizer rows, and
+        their arrays take under 1/10 of the bytes of a dense (rows, buckets)
+        W, which is 2.88 MB for a scorer."""
         config = PetConfig.for_task("so_duplicate", mlm_steps=30, distill_steps=60, batch=4)
         members = train_ensemble(config, dup_train, backend, seed=1000)
         softened = soft_label(members, dup_unlabeled, dup_train.label_set, config, backend)
@@ -234,6 +244,7 @@ class TestRunPet:
         models = [(m.model, rows) for m in members] + [(classifier, 2)]
         for model, rows in models:
             assert model._sched["step"] > 0
+            assert len(model._rows) == len(model._block) == 2
             held = sum(v.nbytes for v in vars(model).values() if isinstance(v, np.ndarray))
             assert held < rows * backend.config.buckets * 8 / 10
 

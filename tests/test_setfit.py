@@ -175,17 +175,19 @@ class TestSetFitPipeline:
         with pytest.raises(DataFormatError):
             load_setfit(path)
 
-    def test_a_huge_model_shape_in_a_bundle_is_echoed_cut(self, tmp_path, dup_train, backend):
-        """A model payload in the bundle whose shape has 100,000 entries is
+    def test_a_huge_model_id_list_in_a_bundle_is_refused_in_a_short_message(
+        self, tmp_path, dup_train, backend
+    ):
+        """A model payload in the bundle whose id list has 100,000 entries is
         refused in a short message naming the field."""
         path = tmp_path / "setfit.json"
         model = setfit_fit(SetFitConfig(R=3, epochs=1, batch=8), dup_train, backend, seed=2)
         save_setfit(model, path)
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["encoder"] = model_to_payload(backend.create_classifier(["Neutral", "Duplicate"]))
-        payload["encoder"]["shape"] = [1] * 100_000
+        payload["encoder"]["ids"] = [1] * 100_000
         path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(DataFormatError, match="'weights' is not an array of shape") as err:
+        with pytest.raises(DataFormatError, match="'ids' must be ascending") as err:
             load_setfit(path)
         assert len(str(err.value)) < 300
 

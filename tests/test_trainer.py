@@ -5,9 +5,9 @@ an ensemble trained side by side: one job per call on a dense W, its
 used columns in a block of their own, and per step one gather, one
 scoring pass and a mean gradient over that job's batch.
 _train_softmax_ce trains any number of models, which store only some
-columns of W, in lockstep and must leave every model's dense W and
-schedule byte for byte where LoopTrainer leaves the dense reference,
-also when a step of one job fails and when a job's data widens the
+rows and columns of W, in lockstep and must leave every model's dense W
+and schedule byte for byte where LoopTrainer leaves the dense reference,
+also when a step of one job fails and when a job widens the rows or
 columns its model stores.  Runs of up to 40 steps cross both the
 trainer's planned gathers and the schedule's passes, from any resume
 point.
@@ -19,6 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import load_dense
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -111,7 +112,7 @@ def model_job(job):
     """The dense job as the trainer's job: a model holding a copy of W."""
     W, rows, features, targets, seed, sched_state = job
     model = ToyBackend(default_backend_config(buckets=BUCKETS)).create_classifier("ABCD")
-    model.W = W
+    load_dense(model, W)
     model._sched = dict(sched_state)
     return model, rows, features, targets, seed
 
@@ -268,9 +269,9 @@ def test_batches_refuse_a_batch_size_below_one_on_the_call(batch):
         _batches(10, batch, 0, 0, 5)
 
 
-def clozes(words):
+def clozes(words, yes="Yes", no="No"):
     return [
-        (ClozeInput(f"{word} shared <mask>", 2, None), "Yes" if i % 2 else "No")
+        (ClozeInput(f"{word} shared <mask>", 2, None), yes if i % 2 else no)
         for i, word in enumerate(words)
     ]
 
@@ -338,9 +339,10 @@ PROBES = ["alpha shared <mask>", "unseen words only <mask>", "", "crash fine pan
 
 
 class TestStoredColumns:
-    """A scorer stores the columns of W it trained and nothing else; its
-    dense W, schedule, scores and payload match a dense model's byte for
-    byte through every way the stored columns can change."""
+    """A scorer stores the rows and columns of W it trained and nothing
+    else; its dense W, schedule, scores of every vocabulary row and payload
+    match a dense model's byte for byte through every way the stored rows
+    and columns can change."""
 
     config = default_backend_config(buckets=4096)  # sparse enough to widen
 
@@ -351,8 +353,25 @@ class TestStoredColumns:
         assert scorer.W.tobytes() == dense.W.tobytes()
         assert scorer._sched == dense.sched
         probes = [ClozeInput(text, 0, None) for text in PROBES]
-        scores = ToyBackend(self.config).score_scorers([scorer], probes, ["Yes", "No"])[0]
-        assert scores.tobytes() == dense.scores(PROBES).tobytes()
+        vocabulary = self.config.vocabulary
+        scores = ToyBackend(self.config).score_scorers([scorer], probes, vocabulary)[0]
+        assert scores.tobytes() == dense.scores(PROBES, vocabulary).tobytes()
+        # A row not stored scores +0.0, never -0.0.
+        unstored = scores[:, ~np.isin(np.arange(len(vocabulary)), scorer._rows)]
+        assert not unstored.any() and not np.signbit(unstored).any()
+
+    def test_train_calls_on_two_candidate_pairs_widen_the_rows(self):
+        scorer, dense = self.pair()
+        scorer.train(clozes(WORDS[:5]), 9, 2, 0.3, 1, ["Yes", "No"])
+        dense.train(clozes(WORDS[:5]), 9, 2, 0.3, 1, ["Yes", "No"])
+        assert scorer._rows.tolist() == sorted(dense.rows(["Yes", "No"]))
+        assert scorer._block.shape == (2, len(scorer._ids))
+        self.assert_matches(scorer, dense)
+        data = clozes(WORDS, "true", "false")
+        scorer.train(data, 9, 2, 0.3, 2, ["true", "false"])
+        dense.train(data, 9, 2, 0.3, 2, ["true", "false"])
+        assert scorer._rows.tolist() == sorted(dense.rows(["Yes", "No", "true", "false"]))
+        self.assert_matches(scorer, dense)
 
     def test_train_calls_that_widen_the_columns(self):
         scorer, dense = self.pair()
@@ -365,13 +384,17 @@ class TestStoredColumns:
         assert widths[0] < widths[1] < widths[2] < self.config.buckets
 
     def test_nine_jobs_in_lockstep(self):
-        """Three patterns' data × three seeds, as a PET ensemble trains."""
-        data = [clozes(WORDS[:n]) for n in (4, 6, 9)]
+        """Three patterns' data × three seeds, as a PET ensemble trains,
+        each pattern with its own verbalizer pair: every scorer stores its
+        pair's two rows alone."""
+        verbalizers = [("Yes", "No"), ("true", "false"), ("Maybe", "neither")]
+        data = [clozes(WORDS[:n], *pair) for n, pair in zip((4, 6, 9), verbalizers)]
         pairs = [self.pair(seed) for seed in range(9)]
-        jobs = [(s, data[i // 3], i, ["Yes", "No"]) for i, (s, _) in enumerate(pairs)]
+        jobs = [(s, data[i // 3], i, list(verbalizers[i // 3])) for i, (s, _) in enumerate(pairs)]
         ToyBackend(self.config).train_scorers(jobs, 23, 3, 0.3)
         for i, (scorer, dense) in enumerate(pairs):
-            dense.train(data[i // 3], 23, 3, 0.3, i)
+            dense.train(data[i // 3], 23, 3, 0.3, i, verbalizers[i // 3])
+            assert scorer._rows.tolist() == sorted(dense.rows(verbalizers[i // 3]))
             self.assert_matches(scorer, dense)
 
     def test_resuming_with_the_same_seed(self):
@@ -384,9 +407,10 @@ class TestStoredColumns:
 
     def test_a_numeric_error_mid_run(self):
         """An infinite weight on a bucket only the last text uses fails the
-        step that first batches it; the stored columns are the ones the
-        model held plus every bucket of the data, and W and the schedule
-        keep the steps before the failing one, as on the dense model."""
+        step that first batches it; the stored rows are the ones the model
+        held plus the job's, the stored columns the ones it held plus every
+        bucket of the data, and W and the schedule keep the steps before the
+        failing one, as on the dense model."""
         scorer, dense = self.pair()
         data = clozes(WORDS)
         scorer.train(data[:4], 5, 2, 0.3, 1, ["Yes", "No"])
@@ -395,14 +419,15 @@ class TestStoredColumns:
         others = {b for cloze, _ in data[:-1] for b in featurizer.bucket_ids(cloze.text)}
         only_last = min(set(featurizer.bucket_ids(data[-1][0].text)) - others)
         dense.W[dense.rows(["Yes"])[0], only_last] = np.inf
-        scorer.W = dense.W
+        load_dense(scorer, dense.W)
         held = np.flatnonzero(dense.W.any(axis=0))
         with pytest.raises(NumericError):
-            scorer.train(data, 40, 2, 0.3, 2, ["Yes", "No"])
+            scorer.train(data, 40, 2, 0.3, 2, ["Yes", "No", "Maybe"])
         with pytest.raises(NumericError):
-            dense.train(data, 40, 2, 0.3, 2)
+            dense.train(data, 40, 2, 0.3, 2, ["Yes", "No", "Maybe"])
         assert 0 < dense.sched["step"] < 40
         used = featurizer.counts_batch([cloze.text for cloze, _ in data]).indices
+        assert scorer._rows.tolist() == sorted(dense.rows(["Yes", "No", "Maybe"]))
         assert scorer._ids.tolist() == sorted(set(held) | set(used))
         assert scorer.W.tobytes() == dense.W.tobytes()
         assert scorer._sched == dense.sched
@@ -414,17 +439,21 @@ class TestStoredColumns:
         again = model_from_payload(model_to_payload(scorer))
         self.assert_matches(again, dense)
         from_dense = ToyBackend(self.config).create_scorer()
-        from_dense.W, from_dense._sched = dense.W, dict(dense.sched)
+        load_dense(from_dense, dense.W)
+        from_dense._sched = dict(dense.sched)
         assert model_to_payload(again) == model_to_payload(from_dense)
 
     def test_a_loaded_w_that_holds_negative_zero(self):
-        """A column whose only nonzero bits are a -0.0 stays stored: the
-        dense W, training on from it and the payload keep the sign."""
+        """A row or a column whose only nonzero bits are a -0.0 stays
+        stored, also a row no training touches: the dense W, training on
+        from it and the payload keep the sign."""
         scorer, dense = self.pair()
         dense.W[dense.rows(["No"])[0], [5, 17]] = -0.0
         dense.W[dense.rows(["Yes"])[0], 17] = 0.25
-        scorer.W = dense.W
-        assert scorer._ids.tolist() == [5, 17]
+        dense.W[dense.rows(["False"])[0], 40] = -0.0
+        load_dense(scorer, dense.W)
+        assert scorer._ids.tolist() == [5, 17, 40]
+        assert scorer._rows.tolist() == sorted(dense.rows(["No", "Yes", "False"]))
         self.assert_matches(scorer, dense)
         scorer.train(clozes(WORDS), 6, 2, 0.3, 8, ["Yes", "No"])
         dense.train(clozes(WORDS), 6, 2, 0.3, 8)
@@ -432,14 +461,15 @@ class TestStoredColumns:
         again = model_from_payload(model_to_payload(scorer))
         self.assert_matches(again, dense)
 
-    def test_the_dense_w_is_read_only_and_its_shape_is_checked(self):
+    def test_the_dense_w_is_read_only_and_a_payload_must_fit_the_config(self):
         scorer, _ = self.pair()
         with pytest.raises(ValueError, match="read-only"):
             scorer.W[0, 0] = 1.0
-        with pytest.raises(ShapeError, match="weights of shape"):
-            scorer.W = np.zeros((2, self.config.buckets))
+        with pytest.raises(AttributeError):
+            scorer.W = np.zeros((len(self.config.vocabulary), self.config.buckets))
         payload = model_to_payload(scorer)
         rows = len(self.config.vocabulary)
-        payload.update(weights=array_to_b64(np.zeros((rows, 64))), shape=[rows, 64])
-        with pytest.raises(DataFormatError, match="'weights' do not fit its config"):
-            model_from_payload(payload)
+        for field, bound in (("rows", rows), ("ids", self.config.buckets)):
+            damaged = {**payload, field: [bound], "block": array_to_b64(np.zeros(1))}
+            with pytest.raises(DataFormatError, match=f"'{field}' must be ascending integers in"):
+                model_from_payload(damaged)
