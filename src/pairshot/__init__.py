@@ -36,7 +36,7 @@ _EXPORTS = {
         "replicate_seed", "run_sweep", "save_sweep",
     ),
     "metrics": (
-        "ConfusionMatrix", "EvalReport", "ReplicateSummary", "aggregate_replicates",
+        "ConfusionMatrix", "EvalReport", "ReplicateSummary", "RunResult", "aggregate_replicates",
         "confusion", "evaluate_predictions", "format_mean_std", "report",
     ),
     "pet": (

@@ -154,7 +154,8 @@ def check_ints(config: object, **least: int | None) -> None:
     """TypeError naming the first named field of the dataclass config that
     is not an int, or, where the field is annotated as a tuple, a tuple of
     ints (a bool is no int); then ValueError naming the first whose int, or
-    any item of whose tuple, is below the field's least value (None: no bound)."""
+    any item of whose tuple, is below the field's least value (None: no
+    bound), or whose tuple holds an item twice."""
     tuples = {f.name for f in fields(config) if str(f.type).startswith("tuple")}
     items = {}
     for name in least:
@@ -166,6 +167,9 @@ def check_ints(config: object, **least: int | None) -> None:
     for name, bound in least.items():
         if bound is not None and any(item < bound for item in items[name]):
             raise ValueError(f"{name} must be at least {bound}")
+        repeated = [item for i, item in enumerate(items[name]) if item in items[name][:i]]
+        if repeated:
+            raise ValueError(f"{name} holds {repeated[0]} more than once")
 
 
 def real_numbers(values: object, what: str) -> np.ndarray:

@@ -152,7 +152,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     check_data(task_id, train, test, unlabeled)
     backend = build_backend(args.backend, dict(args.backend_option or []))
     try:
-        report = method.run(engine, train, unlabeled, test, backend, args.seed, args.out)
+        report = method.report(engine, train, unlabeled, test, backend, args.seed, args.out)
     finally:
         backend.close()
     if args.out:
@@ -176,8 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(emit_table(result.to_payload(), metric=args.metric))
     print(f"result written to {path}")
     if result.failed:
-        failed = sum(1 for c in result.cells if c.status != "ok")
-        print(f"{failed} cell(s) failed", file=sys.stderr)
+        print(f"{result.failed} cell(s) failed", file=sys.stderr)
         return 1
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 from .backend.contracts import Backend, TextClassifier, check_ints, check_lr, resolve_lr
 from .data import Dataset, SentencePair, join_pair
 from .errors import NoDataError
-from .metrics import EvalReport, evaluate_predictions
+from .metrics import RunResult, evaluate_predictions
 from .numerics import argmax_lowest
 
 
@@ -78,9 +78,9 @@ def run_finetune(
     test: Dataset,
     backend: Backend,
     seed: int = 0,
-) -> tuple[TextClassifier, EvalReport]:
-    """Train on train, evaluate on test."""
+) -> RunResult:
+    """Train on train, evaluate on test: the classifier and its test report."""
     classifier = finetune(config, train, backend, seed)
     golds = [ex.label for ex in test]
     preds = finetune_predict(classifier, [ex.pair for ex in test], backend.separator_token)[0]
-    return classifier, evaluate_predictions(golds, preds, train.label_set.labels)
+    return RunResult(classifier, evaluate_predictions(golds, preds, train.label_set.labels))

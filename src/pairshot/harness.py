@@ -29,36 +29,30 @@ from .setfit import SetFitConfig, run_setfit
 
 
 class Method(NamedTuple):
-    """A method's engine config class and how to run it once.
+    """A method is its engine config class and its engine's run function;
+    a new method is one METHOD_TABLE entry.
 
     The config's fields with a default are the engine options; a config
     with a for_task constructor takes the rest from the task's built-ins.
-    run(engine, train, unlabeled, test, backend, seed, artifacts_dir)
-    returns the test report.  Only methods with uses_unlabeled read the
-    unlabeled pool or write artifacts.
+    run(engine, train, test=, backend=, seed=) returns a result with a
+    report; one that uses_unlabeled also takes unlabeled= and artifacts_dir=.
     """
 
     config: type
-    run: Callable[..., EvalReport]
+    run: Callable[..., object]
     uses_unlabeled: bool = False
 
-
-def _run_finetune(engine, train, unlabeled, test, backend, seed, artifacts_dir):
-    return run_finetune(engine, train, test, backend, seed)[1]
-
-
-def _run_setfit(engine, train, unlabeled, test, backend, seed, artifacts_dir):
-    return run_setfit(engine, train, test, backend, seed)[1]
-
-
-def _run_pet(engine, train, unlabeled, test, backend, seed, artifacts_dir):
-    return run_pet(engine, train, unlabeled, test, backend, seed, artifacts_dir=artifacts_dir).report
+    def report(self, engine, train, unlabeled, test, backend, seed, artifacts_dir=None) -> EvalReport:
+        """The test report of one run; only a method that uses_unlabeled
+        reads the unlabeled pool or writes artifacts."""
+        extra = {"unlabeled": unlabeled, "artifacts_dir": artifacts_dir} if self.uses_unlabeled else {}
+        return self.run(engine, train, test=test, backend=backend, seed=seed, **extra).report
 
 
 METHOD_TABLE: dict[str, Method] = {
-    "finetune": Method(FinetuneConfig, _run_finetune),
-    "setfit": Method(SetFitConfig, _run_setfit),
-    "pet": Method(PetConfig, _run_pet, uses_unlabeled=True),
+    "finetune": Method(FinetuneConfig, run_finetune),
+    "setfit": Method(SetFitConfig, run_setfit),
+    "pet": Method(PetConfig, run_pet, uses_unlabeled=True),
 }
 METHODS = tuple(METHOD_TABLE)
 DEFAULT_SIZES = (25, 50, 100, 200, 400)
@@ -180,8 +174,9 @@ class SweepResult:
     wall_seconds: float
 
     @property
-    def failed(self) -> bool:
-        return any(cell.status != "ok" for cell in self.cells)
+    def failed(self) -> int:
+        """The number of failed cells."""
+        return sum(cell.status != "ok" for cell in self.cells)
 
     @property
     def cell_seconds(self) -> float:
@@ -285,7 +280,7 @@ def _run_cell(
     try:
         sample = sample_training_set(pool, size, seed)
         drawn = sample_training_set(unlabeled, take, seed, kind="unlabeled") if take else None
-        report = METHOD_TABLE[config.method].run(engine, sample, drawn, test, backend, seed, None)
+        report = METHOD_TABLE[config.method].report(engine, sample, drawn, test, backend, seed)
     except Exception as exc:  # keep sweeping; the cell is marked failed
         return CellResult(size, replicate, seed, "failed", None, f"{type(exc).__name__}: {exc}",
                           time.perf_counter() - started)

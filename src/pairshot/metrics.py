@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -163,6 +163,13 @@ def report(conf: ConfusionMatrix) -> EvalReport:
 def evaluate_predictions(golds: Sequence[str], preds: Sequence[str], labels: Sequence[str]) -> EvalReport:
     """Convenience composition of confusion and report."""
     return report(confusion(golds, preds, labels))
+
+
+class RunResult(NamedTuple):
+    """A trained model and its report on the test set."""
+
+    model: object
+    report: EvalReport
 
 
 @dataclass(frozen=True)

@@ -256,7 +256,6 @@ class PetRunResult:
     report: EvalReport
     ensemble_report: EvalReport | None
     member_weights: list[dict]
-    pvp_untrained_accuracy: dict[str, list[float]]
     soft_labeled: int
     metadata: dict
 
@@ -287,11 +286,7 @@ def run_pet(
     members = train_ensemble(config, train, backend, seed)
     label_set = train.label_set
     classifier = backend.create_classifier(label_set.labels, Rng(seed).derive("distill").next_u64())
-    softened = (
-        soft_label(members, unlabeled, label_set, config, backend)
-        if unlabeled is not None and len(unlabeled)
-        else []
-    )
+    softened = soft_label(members, unlabeled, label_set, config, backend) if unlabeled else []
     distill_seed = Rng(seed).derive("distill-order").next_u64()
     distill(train, softened, config, classifier, backend, distill_seed)
 
@@ -308,9 +303,6 @@ def run_pet(
     member_weights = [
         {"pvp": m.pvp.id, "seed": m.seed, "weight": m.weight} for m in members
     ]
-    pvp_untrained: dict[str, list[float]] = {}
-    for m in members:
-        pvp_untrained.setdefault(m.pvp.id, []).append(m.weight)
     metadata = {
         "temperature": config.temperature,
         "temperature_interpretation": "scores divided by temperature before softmax",
@@ -329,7 +321,6 @@ def run_pet(
         report=report_distilled,
         ensemble_report=ensemble_report,
         member_weights=member_weights,
-        pvp_untrained_accuracy=pvp_untrained,
         soft_labeled=len(softened),
         metadata=metadata,
     )
@@ -347,12 +338,12 @@ def _write_artifacts(
     from .backend.state import model_to_payload
 
     out.mkdir(parents=True, exist_ok=True)
+    by_pattern: dict[str, list[float]] = {}
+    for member in result.member_weights:
+        by_pattern.setdefault(member["pvp"], []).append(member["weight"])
     (out / "member_weights.json").write_text(
         json.dumps(
-            {
-                "member_weights": result.member_weights,
-                "pvp_untrained_accuracy": result.pvp_untrained_accuracy,
-            },
+            {"member_weights": result.member_weights, "pvp_untrained_accuracy": by_pattern},
             indent=2,
             sort_keys=True,
         ),

@@ -22,7 +22,7 @@ from .backend.contracts import Backend, SentenceEncoder, check_ints, check_lr, r
 from .data import Dataset, SentencePair, join_pair, read_json
 from .errors import DataFormatError, InfeasibleTripletsError, NoDataError, ShapeError, check
 from .logistic import LogisticHead
-from .metrics import EvalReport, evaluate_predictions
+from .metrics import RunResult, evaluate_predictions
 from .numerics import argmax_lowest
 from .rng import Rng
 
@@ -209,12 +209,12 @@ def run_setfit(
     test: Dataset,
     backend: Backend,
     seed: int = 0,
-) -> tuple[SetFitModel, EvalReport]:
-    """Fit on train, evaluate on test."""
+) -> RunResult:
+    """Fit on train, evaluate on test: the model and its test report."""
     model = setfit_fit(config, train, backend, seed)
     golds = [ex.label for ex in test]
     preds = setfit_predict(model, [ex.pair for ex in test])[0]
-    return model, evaluate_predictions(golds, preds, train.label_set.labels)
+    return RunResult(model, evaluate_predictions(golds, preds, train.label_set.labels))
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ class TestSweepAndReport:
         monkeypatch.setattr(ToyTextClassifier, "train", diverge)
         assert self.bad_sweep(workspace, {"steps": 5}, tmp_path / "out") == 1
         captured = capsys.readouterr()
-        assert "cell(s) failed" in captured.err
+        assert "1 cell(s) failed" in captured.err
 
     @pytest.mark.parametrize(
         "options, name", [({"bogus_knob": 1}, "bogus_knob"), ({"lr": -0.5}, "lr")]

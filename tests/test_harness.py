@@ -9,8 +9,10 @@ import pytest
 
 from pairshot import harness
 from pairshot.backend.toy import ToyBackend
-from pairshot.data import Dataset
+from pairshot.cli import main
+from pairshot.data import Dataset, load_dataset, sample_training_set, save_dataset
 from pairshot.errors import DatasetSizeError, InfeasibleSplitError, NumericError
+from pairshot.finetune import FinetuneConfig, run_finetune
 from pairshot.harness import (
     DEFAULT_SIZES,
     METHODS,
@@ -24,6 +26,8 @@ from pairshot.harness import (
     run_sweep,
     save_sweep,
 )
+from pairshot.pet import run_pet
+from pairshot.setfit import run_setfit
 from pairshot.synthetic import synthetic_pool, synthetic_unlabeled
 
 
@@ -90,6 +94,7 @@ class TestExperimentConfig:
             {"replicates": 0},
             {"test_size": 0},
             {"unlabeled_size": -1},
+            {"sizes": (10, 10)},
         ],
     )
     def test_invalid_fields_rejected(self, overrides):
@@ -107,6 +112,41 @@ class TestExperimentConfig:
 
     def test_known_methods(self):
         assert METHODS == ("finetune", "setfit", "pet")
+
+
+class TestDispatch:
+    def test_each_method_runs_its_engines_public_run_function(self):
+        table = harness.METHOD_TABLE
+        assert table["finetune"].run is run_finetune
+        assert table["setfit"].run is run_setfit
+        assert table["pet"].run is run_pet
+
+    def test_cells_and_train_run_the_table_entry(self, dup_pool, dup_test, tmp_path, monkeypatch):
+        """A sweep cell and pairshot train both call the method's table
+        entry with the engine config, training set, test set and seed."""
+        calls = []
+
+        def spy(engine, train, **kwargs):
+            calls.append((engine, train.examples, kwargs["test"].examples, kwargs["seed"]))
+            return run_finetune(engine, train, **kwargs)
+
+        monkeypatch.setitem(harness.METHOD_TABLE, "finetune", harness.Method(FinetuneConfig, spy))
+        config = small_config()
+        engine = FinetuneConfig(steps=30, batch=4)
+        cell = harness._run_cell(config, engine, dup_pool, dup_test, None, 0, ToyBackend(), 10, 1)
+        assert cell.status == "ok"
+        sample = sample_training_set(dup_pool, 10, cell.seed)
+        assert calls == [(engine, sample.examples, dup_test.examples, 1001)]
+
+        calls.clear()
+        save_dataset(sample, tmp_path / "train.jsonl")
+        save_dataset(dup_test, tmp_path / "test.jsonl")
+        argv = ["train", "--method", "finetune", "--train", str(tmp_path / "train.jsonl"),
+                "--test", str(tmp_path / "test.jsonl"), "--seed", "17", "--option", "steps=30",
+                "--option", "batch=4"]
+        assert main(argv) == 0
+        train, test = (load_dataset(tmp_path / f"{part}.jsonl") for part in ("train", "test"))
+        assert calls == [(engine, train.examples, test.examples, 17)]
 
 
 class TestReplicateSeed:
@@ -175,8 +215,7 @@ class TestRunSweep:
     def test_failed_cells_recorded_not_fatal(self, dup_pool, dup_test):
         """A cell whose training fails is marked failed; the sweep finishes."""
         result = run_sweep(small_config(), dup_pool, dup_test, backend=UntrainableBackend())
-        assert result.failed
-        assert len(result.cells) == 4
+        assert result.failed == len(result.cells) == 4
         assert all(cell.status == "failed" for cell in result.cells)
         assert all("NumericError" in cell.error for cell in result.cells)
         assert result.summaries == {}

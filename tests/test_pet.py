@@ -134,6 +134,12 @@ class TestEnsembleTraining:
         grid = {(m.pvp.id, m.seed) for m in members}
         assert len(grid) == 9
 
+    def test_a_repeated_seed_is_refused_naming_it(self):
+        """A repeated seed would train an identical member twice per pattern,
+        which the ensemble weights double."""
+        with pytest.raises(ValueError, match="seeds holds 1 more than once"):
+            PetConfig.for_task("so_duplicate", seeds=(1, 1))
+
     def test_single_pvp_single_seed(self, dup_train, backend):
         config = PetConfig(
             pvps=(builtin_pvps("so_duplicate")[0],), seeds=(1,), mlm_steps=5, batch=4
