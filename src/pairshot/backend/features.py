@@ -6,18 +6,27 @@ bucket is crc32(f"{tag}:{gram}".encode("utf-8")) % buckets.  crc32 is
 stable across platforms and Python versions, which keeps feature
 extraction deterministic everywhere.
 
-Featurizer._occurrences hashes a whole batch at once.  It lays the
-texts and their space-joined words out in one UTF-8 buffer, describes
-every n-gram as a (byte start, byte length, tag seed) window, and runs
-the reflected table-driven crc32 over all windows together in numpy,
-longest first, so byte step j touches only the windows still running.
-The result equals zlib.crc32 bit for bit.  Texts are hashed in chunks
-of at most _CHUNK_CHARS characters, which bounds the window arrays;
-byte offsets are held in 32 bits, and only the index arrays that numpy
-reads fastest as intp are 64-bit.
-Featurizer.counts_batch counts the ids of a batch, chunk by chunk, into
-one CSR whose ids keep the table's dtype: uint16, 2 bytes an id, when
-buckets <= 65,536, else uint32.  Its values are float64.
+Featurizer._occurrences hashes a whole batch at once, in chunks of at
+most _CHUNK_CHARS characters, which bound the work arrays.  A chunk's
+texts and their space-joined words lie in one UTF-8 buffer.  crc32 is
+linear over GF(2): from register r, bytes g_0 .. g_{L-1} leave the
+register Z^L(r) ^ T_{L-1}[g_0] ^ ... ^ T_0[g_{L-1}], where Z advances a
+register by one zero byte and T_m is the crc table advanced by m zero
+bytes (_TABLES holds T_0 .. T_3, 4 KiB).  So four table lookups per byte
+give the register of every run of 1-4 bytes that ends there
+(_partials).  In a chunk whose chars all take one byte, each char 3- and
+4-gram is such a run: its crc is one entry of those rows XOR its tag's
+constant, and no n-gram needs a window array.  Word n-grams, and the char
+n-grams of a chunk with a multi-byte char, are windows of the buffer,
+hashed in blocks of 4 bytes, longest first, so block step k touches only
+the windows still running (_crc32).  Every family hashes its n-grams
+over the whole chunk into one slice of a pool, and one gather lays each
+text's ids out in bucket_ids order.  The result equals zlib.crc32 bit
+for bit.  Byte offsets take 32 bits.
+Featurizer.counts_batch counts the ids of a batch, chunk by chunk, by
+sorting 32-bit (text, bucket) keys, into one CSR whose ids keep the
+table's dtype: uint16, 2 bytes an id, when buckets <= 65,536, else
+uint32.  Its values are float64.
 
 A sweep featurizes the same texts cell after cell, so _occurrences
 hashes only the distinct texts that its config has not hashed lately.
@@ -32,7 +41,9 @@ empties first and the texts hashed before are hashed again if asked for.
 from __future__ import annotations
 
 import mmap
+import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Iterator, Sequence
 from zlib import crc32
@@ -41,8 +52,9 @@ import numpy as np
 
 _CHAR_ORDERS = (3, 4)
 # Characters per hashing chunk (a longer text is one chunk alone).  A
-# chunk's work arrays peak at about 140 bytes per character (1.1 MB for
-# 8,192 characters of PET clozes): 32-bit byte offsets, intp indices.
+# chunk's work arrays peak at about 140 bytes per one-byte character (1.1
+# MB for 8,192 characters of PET clozes); multi-byte characters, hashed as
+# windows, take up to about 270.
 _CHUNK_CHARS = 8192
 # Bytes of each config's table of hashed bucket ids: 524,288 uint16 ids
 # (262,144 uint32).  The sweep-cli benchmark's 1,446 texts fill 62% of
@@ -59,53 +71,99 @@ def _id_dtype(buckets: int) -> np.dtype:
     return np.dtype(np.uint16 if buckets <= 1 << 16 else np.uint32)
 
 
-def _tag_seed(tag: str) -> int:
-    # crc32(gram, crc32(prefix)) == crc32(prefix + gram): hashing the
-    # "tag:" prefix once per family gives crc32(f"{tag}:{gram}").
-    return crc32(f"{tag}:".encode("utf-8"))
-
-
-_CHAR_SEEDS = tuple((order, _tag_seed(f"c{order}")) for order in _CHAR_ORDERS)
-
-
-def _crc_table() -> np.ndarray:
-    """The 256-entry table of the reflected crc32 polynomial 0xEDB88320."""
+def _crc_tables() -> np.ndarray:
+    """(4, 256) uint32: row m maps a byte to crc32's register after that
+    byte and m zero bytes, from register 0.  Row 0 is the table of the
+    reflected polynomial 0xEDB88320, and a zero byte advances a register r
+    to (r >> 8) ^ row0[r & 0xFF]."""
     table = np.arange(256, dtype=np.uint32)
     for _ in range(8):
         shifted = table >> np.uint32(1)
         table = np.where(table & np.uint32(1), shifted ^ np.uint32(0xEDB88320), shifted)
-    return table
+    rows = [table]
+    for _ in range(3):
+        rows.append(rows[-1] >> np.uint32(8) ^ table[rows[-1] & np.uint32(0xFF)])
+    return np.stack(rows)
 
 
-_CRC_TABLE = _crc_table()
-_ALL_ONES = np.uint32(0xFFFFFFFF)
+_TABLES = _crc_tables()
+# The rows that advance a register by four zero bytes, by the order its
+# bytes lie in memory: byte k of the value (k = 0 the lowest) takes row 3 - k.
+_MEMORY_ROWS = _TABLES[::-1] if sys.byteorder == "little" else _TABLES
+
+
+@cache
+def _heads(tag: str) -> np.ndarray:
+    """The register of crc32(f"{tag}:") advanced by 1, 2, 3 and 4 zero
+    bytes: the seed's share of the register after a first block of 1-4
+    bytes of a gram tagged tag."""
+    # crc32(gram, crc32(prefix)) == crc32(prefix + gram), and crc32 starts
+    # from and ends with the register's complement.
+    register, heads = crc32(f"{tag}:".encode("utf-8")) ^ 0xFFFFFFFF, []
+    for _ in range(4):
+        register = register >> 8 ^ int(_TABLES[0, register & 0xFF])
+        heads.append(register)
+    heads = np.array(heads, dtype=np.uint32)
+    heads.flags.writeable = False  # one array, cached, for every caller
+    return heads
+
+
+def _partials(buf: np.ndarray) -> np.ndarray:
+    """(4, len(buf)) uint32: row r - 1 at p is the register after the r
+    bytes buf[p - r + 1 : p + 1] from register 0 (unset where p < r - 1)."""
+    at = buf.astype(np.intp)
+    parts = np.empty((4, len(buf)), dtype=np.uint32)
+    np.take(_TABLES[0], at, out=parts[0])
+    for m in (1, 2, 3):
+        np.take(_TABLES[m], at[:-m], out=parts[m, m:])
+        parts[m, m:] ^= parts[m - 1, m:]
+    return parts
+
+
+def _advance4(registers: np.ndarray) -> np.ndarray:
+    """Every register advanced by four zero bytes: one table row per byte."""
+    columns = registers.view(np.uint8).reshape(-1, 4)
+    rows = _MEMORY_ROWS
+    return (
+        rows[0].take(columns[:, 0])
+        ^ rows[1].take(columns[:, 1])
+        ^ rows[2].take(columns[:, 2])
+        ^ rows[3].take(columns[:, 3])
+    )
+
+
+def _crc32(
+    parts: np.ndarray, starts: np.ndarray, lengths: np.ndarray, heads: np.ndarray
+) -> np.ndarray:
+    """zlib.crc32(buf[starts[i] : starts[i] + lengths[i]], seed) for every
+    window i, where parts = _partials(buf), lengths >= 1 and heads[i] is
+    _heads(tag)[(lengths[i] - 1) % 4] for the seed's tag.
+
+    A window is hashed in blocks of 4 bytes, the first of 1-4 bytes: its
+    register after a block is the one before, advanced by four zero bytes,
+    XOR the block's own register from parts.  Windows run longest first,
+    so block step k touches only the windows still running.
+    """
+    blocks = (lengths + 3) >> 2
+    # Longest first: a stable sort of small unsigned keys is a radix sort.
+    key = blocks.max(initial=0) - blocks
+    order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
+    first = ((lengths - 1) & 3).take(order)  # the first block's length - 1
+    end = starts.take(order) + first  # the last byte of the block just hashed
+    h = heads.take(order) ^ parts.take(first * parts.shape[1] + end)
+    last = parts[3]
+    for a in (len(blocks) - np.cumsum(np.bincount(blocks))[1:-1]).tolist():
+        end[:a] += 4
+        h[:a] = _advance4(h[:a]) ^ last.take(end[:a])
+    out = np.empty_like(h)
+    out[order] = ~h
+    return out
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """starts[i], ..., starts[i] + lengths[i] - 1 for every i, concatenated."""
     offsets = np.cumsum(lengths) - lengths
     return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
-
-
-def _crc32(
-    buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray, seeds: np.ndarray
-) -> np.ndarray:
-    """zlib.crc32(buf[starts[i] : starts[i] + lengths[i]], seeds[i]) for every i."""
-    order = np.argsort(-lengths)
-    # Offsets may come as int32; numpy indexes fastest with intp.
-    pos = starts[order].astype(np.intp)
-    crc = seeds[order] ^ _ALL_ONES
-    # Windows still running at byte step j: a prefix, as the longest come first.
-    active = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
-    for a in active.tolist():
-        low = crc[:a].astype(np.uint8)
-        low ^= buf[pos[:a]]
-        crc[:a] >>= np.uint32(8)
-        crc[:a] ^= _CRC_TABLE[low]
-        pos[:a] += 1
-    out = np.empty_like(crc)
-    out[order] = crc ^ _ALL_ONES
-    return out
 
 
 def _unpaged(n: int, dtype) -> np.ndarray:
@@ -233,8 +291,9 @@ class Featurizer:
         return rows.indices, rows.values
 
     def _occurrences(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Every n-gram bucket of every text as CSR (indptr, ids): row t lists
-        bucket_ids(texts[t]), word n-grams by order, then char 3- and 4-grams.
+        """Every n-gram bucket of every text as CSR (indptr, ids), ids in the
+        id table's dtype: row t lists bucket_ids(texts[t]), word n-grams by
+        order, then char 3- and 4-grams.
 
         Each distinct text is read back from the config's table if it
         holds the text; the rest are hashed, chunk by chunk, and written to
@@ -252,11 +311,11 @@ class Featurizer:
                 held[text] = entry
         # Rows: the held texts, then the fresh ones.  Read the held ones
         # before the fresh ones' write can empty the table.
-        indptr, ids = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        indptr, ids = [np.zeros(1, dtype=np.int64)], [table.ids[:0]]
         if held:
             counts, held_ids = table.read(list(held.values()))
             indptr.append(np.cumsum(counts))
-            ids.append(held_ids.astype(np.int64))
+            ids.append(held_ids)
         hashed = list(fresh)
         for lo, hi in _chunks(hashed):
             chunk_indptr, chunk_ids = self._hash_chunk(hashed[lo:hi])
@@ -275,43 +334,62 @@ class Featurizer:
 
     def _hash_chunk(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """What _occurrences returns for texts, hashed in one pass over one buffer."""
-        n = len(texts)
+        joined = "".join(texts)
         splits = [text.split() for text in texts]
-        raw = "".join(texts).encode("utf-8")
+        raw = joined.encode("utf-8")
         # Every word followed by one space: the buffer's spaces after raw
         # are exactly the word ends, as split() leaves no whitespace in words.
         words = " ".join(chain.from_iterable(splits))
         buf = np.frombuffer(raw + (words + " " if words else "").encode("utf-8"), dtype=np.uint8)
-        # Byte offsets take 32 bits unless the buffer is longer (one huge text).
-        offset = np.int32 if len(buf) < 1 << 31 else np.int64
-        # Byte offset of every raw character (its UTF-8 lead byte), and the end.
-        char_at = np.append(np.flatnonzero((buf[: len(raw)] & 0xC0) != 0x80), len(raw))
-        char_at = char_at.astype(offset)
+        parts = _partials(buf)
+        # Byte offsets, and flat indices into parts, take 32 bits unless the
+        # buffer is longer (one huge text).
+        offset = np.int32 if len(buf) < 1 << 29 else np.int64
         word_end = (np.flatnonzero(buf[len(raw) :] == 0x20) + len(raw)).astype(offset)
-        word_start = np.concatenate(([len(raw)], word_end[:-1] + 1)).astype(offset)
-        chars = np.fromiter(map(len, texts), dtype=np.int64, count=n)
-        nwords = np.fromiter(map(len, splits), dtype=np.int64, count=n)
-        # Per family: units per text, each unit's first byte and end byte.
-        families = [
-            (nwords, word_start, word_end, order, _tag_seed(f"w{order}"))
-            for order in range(1, self.word_order + 1)
-        ] + [(chars, char_at[:-1], char_at[1:], order, seed) for order, seed in _CHAR_SEEDS]
-        windows = [np.maximum(units - order + 1, 0) for units, _, _, order, _ in families]
-        indptr = np.concatenate(([0], np.cumsum(sum(windows))))
-        # Each text's windows, family by family, in bucket_ids order: text
-        # t's windows of the next family go to base[t] onward.
-        start, end = np.empty(indptr[-1], dtype=offset), np.empty(indptr[-1], dtype=offset)
-        seeds = np.empty(indptr[-1], dtype=np.uint32)
-        base = indptr[:-1].copy()
-        for (units, unit_start, unit_end, order, seed), count in zip(families, windows):
-            first = _spans(np.cumsum(units) - units, count)
-            slots = _spans(base, count)
-            start[slots] = unit_start[first]
-            end[slots] = unit_end[first + (order - 1)]
-            seeds[slots] = seed
-            base += count
-        hashes = _crc32(buf, start, end - start, seeds)
-        return indptr, hashes.astype(np.int64) % self.buckets
+        # Each unit's first byte and end byte, by family kind; the chars of
+        # a chunk of one-byte chars need none.
+        bounds = {"w": (np.append(len(raw), word_end[:-1] + 1).astype(offset), word_end)}
+        if len(raw) > len(joined):
+            char_at = np.flatnonzero((buf[: len(raw)] & 0xC0) != 0x80)
+            char_at = np.append(char_at, len(raw)).astype(offset)
+            bounds["c"] = (char_at[:-1], char_at[1:])
+        units = {
+            "w": np.fromiter(map(len, splits), dtype=np.int64, count=len(texts)),
+            "c": np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)),
+        }
+        families = [("w", order) for order in range(1, self.word_order + 1)]
+        families += [("c", order) for order in _CHAR_ORDERS]
+        # A family hashes every run of order units end to end, runs from one
+        # text into the next included: one slice of pool per family, in
+        # family order, and a text's runs are one slice of its family's.
+        # Families with bounds, words first, are hashed as windows.
+        windows = [(np.zeros(0, offset), np.zeros(0, offset), np.zeros(0, np.uint32))]
+        direct, first, count = [], [], []
+        base = 0
+        for kind, order in families:
+            per_text = units[kind]
+            runs = max(int(per_text.sum()) - order + 1, 0)
+            first.append(np.cumsum(per_text) - per_text + base)
+            count.append(np.maximum(per_text - (order - 1), 0))
+            base += runs
+            seed = _heads(f"{kind}{order}")
+            if kind in bounds:
+                start, end = bounds[kind]
+                length = end[order - 1 :] - start[:runs]
+                windows.append((start[:runs], length, seed.take((length - 1) & 3)))
+            else:  # one block of order one-byte chars, ending at byte p + order - 1
+                direct.append(parts[order - 1, order - 1 : len(raw)] ^ ~seed[order - 1])
+        starts, lengths, heads = (np.concatenate(column) for column in zip(*windows))
+        pool = np.concatenate([_crc32(parts, starts, lengths, heads), *direct])
+        if self.buckets <= 0xFFFFFFFF:  # else every crc32 is its own bucket
+            # Floor division by a scalar is several times faster than %.
+            quotient = pool // np.uint32(self.buckets)
+            quotient *= np.uint32(self.buckets)
+            pool -= quotient
+        count = np.stack(count, axis=1)
+        indptr = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
+        ids = pool.take(_spans(np.stack(first, axis=1).ravel(), count.ravel()))
+        return indptr, ids.astype(_id_dtype(self.buckets), copy=False)
 
     def counts_batch(self, texts: Sequence[str]) -> SparseRows:
         """sparse_counts of every text as one read-only CSR: int64 indptr,
@@ -322,19 +400,32 @@ class Featurizer:
         distinct text once, and are counted straight into buffers sized by
         the batch's n-gram bound, so their unwritten tails are never paged in.
         """
-        bound = sum(self.word_order * len(t.split()) + len(_CHAR_ORDERS) * len(t) for t in texts)
+        chars = sum(map(len, texts))
+        # A text of c chars has at most (c + 1) // 2 words.
+        bound = self.word_order * (chars + len(texts)) // 2 + len(_CHAR_ORDERS) * chars
         indptr = np.zeros(len(texts) + 1, dtype=np.int64)
         indices, values = _unpaged(bound, _id_dtype(self.buckets)), _unpaged(bound, np.float64)
         for lo, hi in _chunks(texts):
             occ_indptr, ids = self._occurrences(texts[lo:hi])
-            owner = np.repeat(np.arange(hi - lo), np.diff(occ_indptr))
-            keys, counts = np.unique(owner * self.buckets + ids, return_counts=True)
-            row, idx = np.divmod(keys, self.buckets)
-            indptr[lo + 1 : hi + 1] = indptr[lo] + np.cumsum(np.bincount(row, minlength=hi - lo))
-            # The sum of squared integer counts is exact: this equals np.linalg.norm.
-            norms = np.sqrt(np.bincount(row, counts * counts, minlength=hi - lo))
+            # Sorted (text, bucket) keys, 32-bit where they fit: each text's
+            # keys stay in its own slice, a run per distinct bucket.
+            key = np.uint32 if (hi - lo) * self.buckets < 1 << 32 else np.uint64
+            base = np.repeat(np.arange(hi - lo, dtype=key) * key(self.buckets), np.diff(occ_indptr))
+            keys = base + ids
+            keys.sort()
+            new = np.empty(len(keys), dtype=bool)
+            new[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
+            counts = np.diff(np.append(starts, len(keys)))
+            distinct = np.searchsorted(starts, occ_indptr)  # each text's first run
+            indptr[lo + 1 : hi + 1] = indptr[lo] + distinct[1:]
+            # Integer sums of squared counts, exact: this equals np.linalg.norm.
+            # reduceat's value for a text without n-grams goes unused.
+            norms = np.sqrt(np.add.reduceat(np.append(counts * counts, 0), distinct[:-1]))
             written = slice(indptr[lo], indptr[hi])
-            indices[written], values[written] = idx, counts / norms[row]
+            np.subtract(keys.take(starts), base.take(starts), out=indices[written])
+            np.divide(counts, np.repeat(norms, np.diff(distinct)), out=values[written])
         rows = SparseRows(indptr, indices[: indptr[-1]], values[: indptr[-1]])
         for array in (rows.indptr, rows.indices, rows.values):
             array.flags.writeable = False

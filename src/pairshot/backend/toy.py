@@ -467,21 +467,26 @@ class ToyEncoder:
     def _table(self, texts: Sequence[str]) -> SparseRows:
         """Row t: the distinct buckets of texts[t] in first-occurrence order, with multiplicities.
 
-        One stable argsort of the (text, bucket) keys puts the occurrences
-        of each distinct pair in one run, first occurrence first.  Each
-        run's length, scattered onto its first occurrence, leaves the
-        distinct pairs as the nonzero entries of an occurrence-long array,
-        which flatnonzero reads back in first-occurrence order.
+        One sort of the (text, bucket) keys, each with its position in its
+        low bits, puts the occurrences of each distinct pair in one run,
+        first occurrence first.  Each run's length, scattered onto its first
+        occurrence, leaves the distinct pairs as the nonzero entries of an
+        occurrence-long array, which flatnonzero reads back in
+        first-occurrence order.
         """
         indptr, ids = self._featurizer._occurrences(texts)
         owner = np.repeat(np.arange(len(texts)), np.diff(indptr))
         keys = owner * self.config.buckets + ids
-        order = np.argsort(keys, kind="stable")
+        shift = len(keys).bit_length()
+        if (len(texts) * self.config.buckets) >> (63 - shift):  # no room for positions
+            order = np.argsort(keys, kind="stable")
+        else:
+            order = np.sort(keys << shift | np.arange(len(keys))) & ((1 << shift) - 1)
         starts = np.flatnonzero(np.diff(keys[order], prepend=-1))  # keys are >= 0
         mult = np.zeros(len(keys), dtype=np.int64)
         mult[order[starts]] = np.diff(starts, append=len(keys))
         first = np.flatnonzero(mult)
-        return SparseRows(np.searchsorted(first, indptr), ids[first], mult[first])
+        return SparseRows(np.searchsorted(first, indptr), ids[first].astype(np.int64), mult[first])
 
     def _mean_rows(self, table: SparseRows) -> np.ndarray:
         """(len(table), dim) mean bucket rows over each text's n-gram occurrences.

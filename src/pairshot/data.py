@@ -481,8 +481,21 @@ def read_pair_lines(path: Path) -> Iterator[tuple[int, SentencePair, dict]]:
                 record = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
             except (ValueError, RecursionError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            check(record, {"u": str, "v": str}, DataFormatError, f"{path}:{lineno}")
-            yield lineno, SentencePair(record["u"], record["v"]), record
+            # The path:line label is built only for a line that is refused.
+            u = v = None
+            if isinstance(record, dict):
+                u, v = record.get("u"), record.get("v")
+            if not (isinstance(u, str) and isinstance(v, str)):
+                check(record, {"u": str, "v": str}, DataFormatError, f"{path}:{lineno}")
+            if "\\u" in line:  # only an escape decodes to a lone surrogate
+                for key, text in (("u", u), ("v", v)):
+                    try:
+                        text.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise DataFormatError(
+                            f"{path}:{lineno}: {key} is not UTF-8 text: {exc}"
+                        ) from exc
+            yield lineno, SentencePair(u, v), record
 
 
 def read_json(path: str | Path) -> object:

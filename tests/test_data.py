@@ -301,6 +301,26 @@ class TestSerialization:
             load_dataset(path)
         assert str(err.value).startswith(f"{path}:5: invalid JSON: ")
 
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_a_lone_surrogate_is_refused_at_load(self, tmp_path, dup_pool, field):
+        """An escaped lone surrogate is valid ASCII JSON but no UTF-8 text:
+        it is refused at its line, before any featurizer encodes it; an
+        escaped surrogate pair is one character and loads."""
+        path = tmp_path / "pool.jsonl"
+        save_dataset(dup_pool, path)
+        lines = path.read_text().splitlines()
+        record = {"u": "the indexer", "v": "the cache", "label": "Neutral"}
+        record[field] = "\ud800 " + record[field]
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        assert str(err.value).startswith(f"{path}:4: {field} is not UTF-8 text: ")
+        record[field] = "🚀 " + record[field][2:]
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert getattr(load_dataset(path)[3].pair, field) == record[field]
+
     @pytest.mark.parametrize(
         "line, problem",
         [

@@ -11,6 +11,7 @@ must match it byte for byte.
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,6 +293,20 @@ class TestKernels:
                 assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
         assert encoder.encode(texts).tobytes() == reference.encode(texts).tobytes()
         assert_same_model(encoder, reference)
+
+    def test_keys_without_room_for_positions_give_the_same_table(self):
+        """(text, bucket) keys too wide to carry their positions in their
+        low bits are sorted by a stable argsort instead, to the same table."""
+        config = default_backend_config(buckets=997, embedding_dim=3)
+        encoder = ToyEncoder(config, 4)
+        texts = ["a b a b c", "", "c c c d", "a b a b c"]
+        narrow = encoder._table(texts)
+        encoder.config = replace(config, buckets=1 << 60)  # the featurizer keeps 997
+        wide = encoder._table(texts)
+        for got, want in zip((wide.indptr, wide.indices, wide.values),
+                             (narrow.indptr, narrow.indices, narrow.values)):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        assert narrow.indices.tolist() == unique_table(encoder, texts)[1].tolist()
 
     @pytest.mark.parametrize("epochs", [1, 2, 5])
     @pytest.mark.parametrize("buckets", [61, 32768])

@@ -3,6 +3,7 @@ the safety of the table of bucket ids behind _occurrences, and how often
 the toy backend featurizes a batch.
 """
 
+import string
 import sys
 import tracemalloc
 import zlib
@@ -422,3 +423,76 @@ class TestBatchHashing:
                 Featurizer(32768, 2)._occurrences(texts)
             with pytest.raises(UnicodeEncodeError):
                 Featurizer(32768, 2).counts_batch(texts)
+
+
+# Printable ASCII, and the four ASCII separators that str.split() also
+# splits on: every char one byte, so chunks of these take the table path.
+ASCII = st.text(st.sampled_from(string.printable + "\x1c\x1d\x1e\x1f"), max_size=40)
+# Multi-byte chars, whitespace among them (U+0085, U+2003, U+3000).
+MULTI_BYTE = st.sampled_from(["é", "应", "🚀", "\x85", " ", "　"])
+
+
+class TestTableHashing:
+    """A chunk whose chars are all one byte hashes its char n-grams by
+    table lookups over its bytes; any other chunk, and every word n-gram,
+    runs as windows of 4-byte blocks.  Both must equal zlib bit for bit."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        texts=st.lists(ASCII, max_size=12),
+        chunk=st.sampled_from([1, 5, 40, features._CHUNK_CHARS]),
+        setting=st.sampled_from(SETTINGS),
+    )
+    def test_ascii_batches_equal_the_zlib_reference(self, texts, chunk, setting):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "_CHUNK_CHARS", chunk)
+            patch.setattr(features, "_tables", {})
+            assert_batch_equals_reference(Featurizer(*setting), texts)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        texts=st.lists(ASCII, min_size=1, max_size=12),
+        char=MULTI_BYTE,
+        where=st.integers(min_value=0),
+        setting=st.sampled_from(SETTINGS),
+    )
+    def test_one_multi_byte_char_moves_its_chunk_off_the_table_path(
+        self, texts, char, where, setting
+    ):
+        text = texts[where % len(texts)]
+        at = where % (len(text) + 1)
+        texts[where % len(texts)] = text[:at] + char + text[at:]
+        assert_batch_equals_reference(Featurizer(*setting), texts)
+
+    @pytest.mark.parametrize("word_bytes", [255, 256, 257, 1030, 65_537])
+    def test_long_words_equal_the_zlib_reference(self, word_bytes):
+        """Words of 256 bytes and more run hundreds of block steps, and past
+        1,020 bytes their block counts no longer fit a byte."""
+        word = ("abcdefghij" * (word_bytes // 10 + 1))[:word_bytes]
+        texts = [word, f"x {word} y", f"{word[:-2]}é", "short words"]
+        assert_batch_equals_reference(Featurizer(32768, 3), texts)
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(tail=ASCII, char=st.none() | MULTI_BYTE)
+    def test_a_text_longer_than_a_chunk_is_one_chunk(self, tail, char):
+        text = " ".join(f"w{i} of the long text" for i in range(700)) + (char or "") + tail
+        assert len(text) > features._CHUNK_CHARS
+        texts = ["before", text, "after"]
+        assert list(features._chunks(texts)) == [(0, 1), (1, 2), (2, 3)]
+        assert_batch_equals_reference(Featurizer(32768, 2), texts)
+
+    def test_table_path_arrays_stay_uint32(self):
+        """numpy 1.x promotes by value, 2.x by type (NEP 50): every table,
+        register and crc stays uint32 under both."""
+        buf = np.frombuffer(b"the table path w1:ab", dtype=np.uint8)
+        parts = features._partials(buf)
+        heads = features._heads("w1")
+        assert features._TABLES.dtype == parts.dtype == heads.dtype == np.uint32
+        starts, lengths = np.array([0, 4, 16, 0], np.int32), np.array([3, 5, 4, 20], np.int32)
+        crcs = features._crc32(parts, starts, lengths, heads.take((lengths - 1) & 3))
+        assert crcs.dtype == features._advance4(crcs).dtype == np.uint32
+        assert crcs.tolist() == [
+            zlib.crc32(bytes(buf[s : s + n]), zlib.crc32(b"w1:")) for s, n in zip(starts, lengths)
+        ]
+        indptr, ids = Featurizer(1 << 20, 2)._hash_chunk(["uint32 ids", "é"])
+        assert ids.dtype == np.uint32 and indptr.dtype == np.int64
