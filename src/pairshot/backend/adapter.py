@@ -66,6 +66,9 @@ from .contracts import PROTOCOL_VERSION, check_lr, real_numbers
 
 
 _TIMEOUT_S = 60.0
+# The longest answer line a transport buffers.  An encode of 5,000 texts
+# at 768 dimensions answers in about 80 MB.
+_MAX_LINE_BYTES = 256 << 20
 # The hello fields every backend must send, with their JSON types.
 _HELLO = {"mask_token": str, "separator_token": str, "default_lr": float, "embedding_dim": int}
 
@@ -79,11 +82,12 @@ class LineTransport:
 
     A request has timeout seconds to be written and answered in full.
     A request that fails -- an OSError, the deadline, the end of the
-    backend's output, or an answer that is not UTF-8 JSON or that the
-    parser refuses for its nesting depth or a number's length -- closes
-    the transport and raises AdapterError; every later request raises
-    AdapterError at once.  close() runs release, which frees whatever
-    owns the fds: a child process or a socket.
+    backend's output, an answer line past _MAX_LINE_BYTES, or an answer
+    that is not UTF-8 JSON or that the parser refuses for its nesting
+    depth or a number's length -- closes the transport and raises
+    AdapterError; every later request raises AdapterError at once.
+    close() runs release, which frees whatever owns the fds: a child
+    process or a socket.
     """
 
     def __init__(
@@ -129,9 +133,13 @@ class LineTransport:
                 view = view[os.write(self._write_fd, view) :]
 
     def _readline(self, deadline: float) -> bytes:
-        """The next line of output; EOFError at its end."""
+        """The next line of output; EOFError at its end, ValueError once
+        more than _MAX_LINE_BYTES arrive without a newline."""
         chunks = [self._pending]
+        size = len(self._pending)
         while b"\n" not in chunks[-1]:
+            if size > _MAX_LINE_BYTES:
+                raise ValueError(f"an answer line ran past {_MAX_LINE_BYTES} bytes")
             self._wait(self._read_fd, False, deadline)
             # A socket's fd is non-blocking: a spurious wake-up reads nothing.
             with contextlib.suppress(BlockingIOError):
@@ -139,6 +147,7 @@ class LineTransport:
                 if not chunk:
                     raise EOFError("the backend closed its output")
                 chunks.append(chunk)
+                size += len(chunk)
         line, _, self._pending = b"".join(chunks).partition(b"\n")
         return line
 

@@ -508,7 +508,8 @@ def read_json(path: str | Path) -> object:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset written by save_dataset, validating as it goes."""
+    """Read a dataset written by save_dataset, validating as it goes; a
+    file that holds other than the count its manifest stores is refused."""
     path = Path(path)
     manifest_path = _manifest_path(path)
     if not manifest_path.exists():
@@ -519,7 +520,7 @@ def load_dataset(path: str | Path) -> Dataset:
         raise DataFormatError(f"manifest {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "pairshot-dataset":
         raise DataFormatError(f"{manifest_path} is not a pairshot dataset manifest")
-    check(manifest, {"task_id": str, "kind": str, "labels": list}, DataFormatError,
+    check(manifest, {"task_id": str, "kind": str, "labels": list, "count": int}, DataFormatError,
           f"manifest {manifest_path}")
     try:
         label_set = LabelSet(tuple(manifest["labels"]), manifest["task_id"])
@@ -532,6 +533,10 @@ def load_dataset(path: str | Path) -> Dataset:
         if label is not None and label not in label_set:
             raise DataFormatError(f"{path}:{lineno}: unknown label {brief(label)}")
         examples.append(LabeledExample(pair, label))
+    if len(examples) != manifest["count"]:
+        raise DataFormatError(
+            f"{path} holds {len(examples)} records but its manifest counts {manifest['count']}"
+        )
     try:
         return Dataset(tuple(examples), label_set, kind)
     except ValueError as exc:

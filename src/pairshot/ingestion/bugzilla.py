@@ -1,22 +1,30 @@
 """Bug tracker REST ingestion and pair construction.
 
 The client pages backwards from the newest bug inside a creation-time
-window, requesting exactly the seven fields the rest of the pipeline
-consumes.  Pair construction turns duplicate-resolution links into
+window over urllib, requesting exactly the seven fields the rest of the
+pipeline consumes; it retries a transport failure or a 5xx answer
+MAX_RETRIES times, waiting BACKOFF_BASE seconds and doubling up to
+BACKOFF_CAP.  Pair construction turns duplicate-resolution links into
 Duplicate pairs, dependency links into Entailment pairs (u depends on
 v), and samples Neutral pairs uniformly from unlinked open bugs with
 Rng.sample_pairs, which never lists the candidate pairs.
-Summaries, not descriptions, become the sentences.
+Summaries, not descriptions, become the sentences.  mix_neutral_pairs,
+shared with the question-pair source, sets the Neutral count from a
+neutral_ratio that must be a finite non-negative number.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
+import math
 import time
+import urllib.request
 from dataclasses import dataclass
 from datetime import date
 from typing import Callable, Iterable, Mapping, Sequence
-
-import requests
+from urllib.error import HTTPError
+from urllib.parse import urlencode
 
 from ..data import Dataset, LabeledExample, SentencePair
 from ..errors import DatasetSizeError, IngestError
@@ -32,6 +40,9 @@ DEFAULT_FIELDS = (
     "dupe_of",
     "depends_on",
 )
+MAX_RETRIES = 3
+BACKOFF_BASE = 0.5  # seconds before the first retry; each later wait doubles
+BACKOFF_CAP = 8.0
 
 
 @dataclass(frozen=True)
@@ -111,11 +122,6 @@ def fetch_bugs(
     endpoint: str,
     window: IngestionWindow,
     page_size: int = 100,
-    fields: Sequence[str] = DEFAULT_FIELDS,
-    session: requests.Session | None = None,
-    max_retries: int = 3,
-    backoff_base: float = 0.5,
-    backoff_cap: float = 8.0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> FetchResult:
     """Page through /rest/bug newest-first within the window.
@@ -127,81 +133,69 @@ def fetch_bugs(
     """
     if page_size <= 0:
         raise ValueError("page_size must be positive")
-    owns_session = session is None
-    sess = session or requests.Session()
     url = endpoint.rstrip("/") + "/rest/bug"
     records: list[BugRecord] = []
     seen: set[int] = set()
     skipped = 0
     requests_made = 0
     offset = 0
-    try:
-        while True:
-            params = {
-                "include_fields": ",".join(fields),
-                "creation_time_from": window.start,
-                "creation_time_to": window.end,
-                "order": "creation_time desc",
-                "limit": str(page_size),
-                "offset": str(offset),
-            }
-            payload = _get_with_retry(
-                sess, url, params, max_retries, backoff_base, backoff_cap, sleep
-            )
-            requests_made += 1
-            bugs = payload.get("bugs")
-            if not isinstance(bugs, list):
-                raise IngestError(f"{url} returned no 'bugs' list")
-            for raw in bugs:
-                try:
-                    record = parse_bug(raw)
-                except (ValueError, TypeError, KeyError):
-                    skipped += 1
-                    continue
-                if record.id in seen:
-                    continue
-                seen.add(record.id)
-                records.append(record)
-            offset += len(bugs)
-            total = payload.get("total")
-            if len(bugs) < page_size:
-                break
-            if isinstance(total, int) and offset >= total:
-                break
-        return FetchResult(records, requests_made, skipped)
-    finally:
-        if owns_session:
-            sess.close()
+    while True:
+        params = {
+            "include_fields": ",".join(DEFAULT_FIELDS),
+            "creation_time_from": window.start,
+            "creation_time_to": window.end,
+            "order": "creation_time desc",
+            "limit": str(page_size),
+            "offset": str(offset),
+        }
+        payload = _get_with_retry(url, params, sleep)
+        requests_made += 1
+        bugs = payload.get("bugs")
+        if not isinstance(bugs, list):
+            raise IngestError(f"{url} returned no 'bugs' list")
+        for raw in bugs:
+            try:
+                record = parse_bug(raw)
+            except (ValueError, TypeError, KeyError):
+                skipped += 1
+                continue
+            if record.id in seen:
+                continue
+            seen.add(record.id)
+            records.append(record)
+        offset += len(bugs)
+        total = payload.get("total")
+        if len(bugs) < page_size:
+            break
+        if isinstance(total, int) and offset >= total:
+            break
+    return FetchResult(records, requests_made, skipped)
 
 
-def _get_with_retry(
-    session: requests.Session,
-    url: str,
-    params: Mapping[str, str],
-    max_retries: int,
-    backoff_base: float,
-    backoff_cap: float,
-    sleep: Callable[[float], None],
-) -> dict:
+def _get_with_retry(url: str, params: Mapping[str, str], sleep: Callable[[float], None]) -> dict:
     last_error: Exception | None = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         if attempt:
-            sleep(min(backoff_cap, backoff_base * 2 ** (attempt - 1)))
+            sleep(min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1)))
         try:
-            response = session.get(url, params=params, timeout=30)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(f"{url}?{urlencode(params)}", timeout=30) as response:
+                status, body = response.status, response.read()
+        except HTTPError as exc:  # an answer, with a status that is not 2xx
+            with exc:
+                status = exc.code
+        except (http.client.HTTPException, OSError) as exc:  # no answer; URLError is an OSError
             last_error = exc
             continue
-        if response.status_code >= 500:
-            last_error = IngestError(f"{url} returned {response.status_code}")
+        if status >= 500:
+            last_error = IngestError(f"{url} returned {status}")
             continue
-        if response.status_code != 200:
-            raise IngestError(f"{url} returned {response.status_code}")
+        if status != 200:
+            raise IngestError(f"{url} returned {status}")
         try:
-            return response.json()
+            return json.loads(body)
         except ValueError as exc:
             raise IngestError(f"{url} returned invalid JSON: {exc}") from exc
-    raise IngestError(f"{url} unreachable after {max_retries + 1} attempts: {last_error}")
+    raise IngestError(f"{url} unreachable after {MAX_RETRIES + 1} attempts: {last_error}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +255,11 @@ def build_neutral_pairs(
     """
     if n < 0:
         raise DatasetSizeError("neutral pair count must be non-negative")
+    return sample_neutral_pairs(*_neutral_space(records), n, Rng(seed).derive("neutral-pairs"))
+
+
+def _neutral_space(records: Sequence[BugRecord]) -> tuple[list[str], set[tuple[int, int]]]:
+    """The open bugs' summaries, and the index pairs i < j of them that a link relates."""
     open_records = [r for r in records if r.is_open]
     positions: dict[int, list[int]] = {}
     for i, record in enumerate(open_records):
@@ -273,17 +272,36 @@ def build_neutral_pairs(
         for j in positions.get(target, ())
         if i != j
     }
-    m = len(open_records)
+    return [r.summary for r in open_records], excluded
+
+
+def sample_neutral_pairs(
+    sentences: Sequence[str], excluded: set[tuple[int, int]], n: int, rng: Rng
+) -> list[tuple[str, str]]:
+    """n uniform pairs of sentences whose index pair i < j is not in excluded."""
+    m = len(sentences)
     allowed_total = m * (m - 1) // 2 - len(excluded)
     if n > allowed_total:
-        raise DatasetSizeError(
-            f"requested {n} neutral pairs but only {allowed_total} unlinked open pairs exist"
-        )
-    rng = Rng(seed).derive("neutral-pairs")
-    return [
-        (open_records[i].summary, open_records[j].summary)
-        for i, j in rng.sample_pairs(m, n, excluded)
+        raise DatasetSizeError(f"requested {n} neutral pairs but only {allowed_total} exist")
+    return [(sentences[i], sentences[j]) for i, j in rng.sample_pairs(m, n, excluded)]
+
+
+def mix_neutral_pairs(
+    task_id: str, positives: Sequence[tuple[str, str]], labels: tuple[str, str],
+    neutral_ratio: float, sentences: Sequence[str], excluded: set[tuple[int, int]], rng: Rng,
+) -> Dataset:
+    """The positives labeled labels[0], then round(neutral_ratio x their count)
+    pairs from sample_neutral_pairs labeled labels[1], in one Dataset."""
+    number = isinstance(neutral_ratio, (int, float)) and not isinstance(neutral_ratio, bool)
+    if not (number and 0 <= neutral_ratio < math.inf):
+        raise ValueError(f"neutral_ratio must be finite and non-negative, got {neutral_ratio!r}")
+    wanted = neutral_ratio * len(positives)  # inf past float range: more than any space holds
+    n = round(wanted) if wanted < math.inf else wanted
+    neutral = sample_neutral_pairs(sentences, excluded, n, rng)
+    examples = [LabeledExample(SentencePair(u, v), labels[0]) for u, v in positives] + [
+        LabeledExample(SentencePair(u, v), labels[1]) for u, v in neutral
     ]
+    return Dataset(tuple(examples), builtin_label_set(task_id), "train")
 
 
 @dataclass
@@ -292,6 +310,13 @@ class BugzillaIngestReport:
     entailment_pairs: int
     neutral_pairs: int
     skipped_unresolved: int
+
+
+# Each bug tracker task: its link pairs, and its positive and negative labels.
+_TASKS = {
+    "bugzilla_duplicate": (build_duplicate_pairs, ("Duplicate", "Neutral")),
+    "bugzilla_entailment": (build_dependency_pairs, ("Entailment", "Not Entailment")),
+}
 
 
 def bugzilla_task_dataset(
@@ -307,29 +332,17 @@ def bugzilla_task_dataset(
     samples.  The negative class is sampled at neutral_ratio times the
     positive count (rounded), matching a 1:1 mix by default.
     """
-    if neutral_ratio < 0:
-        raise ValueError("neutral_ratio must be non-negative")
-    label_set = builtin_label_set(task_id)
-    if task_id == "bugzilla_duplicate":
-        link_report = build_duplicate_pairs(records)
-        positive_label = "Duplicate"
-        negative_label = "Neutral"
-    elif task_id == "bugzilla_entailment":
-        link_report = build_dependency_pairs(records)
-        positive_label = "Entailment"
-        negative_label = "Not Entailment"
-    else:
+    if task_id not in _TASKS:
         raise ValueError(f"task {task_id!r} is not a bug tracker task")
-    n_neutral = round(neutral_ratio * len(link_report.pairs))
-    neutral = build_neutral_pairs(records, n_neutral, seed)
-    examples = [
-        LabeledExample(SentencePair(u, v), positive_label) for u, v in link_report.pairs
-    ] + [LabeledExample(SentencePair(u, v), negative_label) for u, v in neutral]
-    dataset = Dataset(tuple(examples), label_set, "train")
+    build_links, labels = _TASKS[task_id]
+    link_report = build_links(records)
+    space, rng = _neutral_space(records), Rng(seed).derive("neutral-pairs")
+    dataset = mix_neutral_pairs(task_id, link_report.pairs, labels, neutral_ratio, *space, rng)
+    positives = len(link_report.pairs)
     report = BugzillaIngestReport(
-        duplicate_pairs=len(link_report.pairs) if task_id == "bugzilla_duplicate" else 0,
-        entailment_pairs=len(link_report.pairs) if task_id == "bugzilla_entailment" else 0,
-        neutral_pairs=len(neutral),
+        duplicate_pairs=positives if task_id == "bugzilla_duplicate" else 0,
+        entailment_pairs=positives if task_id == "bugzilla_entailment" else 0,
+        neutral_pairs=len(dataset) - positives,
         skipped_unresolved=link_report.skipped_unresolved,
     )
     return dataset, report

@@ -4,7 +4,8 @@ Two exports feed the pipeline: a duplicates export (closed-as-duplicate
 questions joined to their targets) and a neutral export (answered open
 questions).  Duplicate pairs come from the question/target title
 columns; Neutral pairs are sampled uniformly from the neutral title
-pairs by Rng.sample_pairs, which never lists them.
+pairs by the bug tracker source's mix_neutral_pairs, which never lists
+them and refuses a neutral_ratio that is not a finite non-negative number.
 Rows failing the python-tag or creation-window checks are rejected and
 counted rather than aborting the run.
 """
@@ -17,11 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from ..data import Dataset, LabeledExample, SentencePair
-from ..errors import DatasetSizeError, ParseError
-from ..prompting import builtin_label_set
+from ..data import Dataset
+from ..errors import ParseError
 from ..rng import Rng
-from .bugzilla import IngestionWindow
+from .bugzilla import IngestionWindow, mix_neutral_pairs
 
 # Column lists mirror the export queries that produce these files.
 DUPLICATE_COLUMNS = (
@@ -83,8 +83,6 @@ def ingest_stackoverflow_exports(
     replacement from in-window neutral titles, neutral_ratio times the
     duplicate count (rounded).
     """
-    if neutral_ratio < 0:
-        raise ValueError("neutral_ratio must be non-negative")
     rejected_tag = 0
     rejected_window = 0
     malformed = 0
@@ -129,26 +127,12 @@ def ingest_stackoverflow_exports(
             continue
         neutral_titles.append(title)
 
-    n_neutral = round(neutral_ratio * len(duplicate_pairs))
-    total_neutral_pairs = len(neutral_titles) * (len(neutral_titles) - 1) // 2
-    if n_neutral > total_neutral_pairs:
-        raise DatasetSizeError(
-            f"requested {n_neutral} neutral pairs but only {total_neutral_pairs} title pairs exist"
-        )
     rng = Rng(seed).derive("so-neutral")
-    neutral_pairs = [
-        (neutral_titles[i], neutral_titles[j])
-        for i, j in rng.sample_pairs(len(neutral_titles), n_neutral)
-    ]
-
-    label_set = builtin_label_set("so_duplicate")
-    examples = [
-        LabeledExample(SentencePair(u, v), "Duplicate") for u, v in duplicate_pairs
-    ] + [LabeledExample(SentencePair(u, v), "Neutral") for u, v in neutral_pairs]
-    dataset = Dataset(tuple(examples), label_set, "train")
+    dataset = mix_neutral_pairs("so_duplicate", duplicate_pairs, ("Duplicate", "Neutral"),
+                                neutral_ratio, neutral_titles, set(), rng)
     report = StackOverflowReport(
         duplicate_pairs=len(duplicate_pairs),
-        neutral_pairs=len(neutral_pairs),
+        neutral_pairs=len(dataset) - len(duplicate_pairs),
         rejected_tag=rejected_tag,
         rejected_window=rejected_window,
         skipped_malformed=malformed,

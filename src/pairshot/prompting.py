@@ -150,7 +150,10 @@ def render(
     from the end of whichever sentence currently has more of them
     (alternating on ties) until the render fits.  Literals, the mask,
     and the separator are never truncated; if they alone exceed the
-    budget a BudgetError is raised.
+    budget a BudgetError is raised.  A removal lowers the render's token
+    count by at most one, so a render d tokens over the budget is
+    followed by d removals before the next render: no render that fits
+    is skipped, and a long pair renders a few times, not once a token.
     """
     cloze = _assemble(pvp.pattern.segments, pair.u, pair.v, mask_token, separator_token)
     if len(cloze.text.split()) <= max_len:
@@ -169,21 +172,23 @@ def render(
         cloze = _assemble(
             pvp.pattern.segments, " ".join(u_tokens), " ".join(v_tokens), mask_token, separator_token
         )
-        if len(cloze.text.split()) <= max_len:
+        excess = len(cloze.text.split()) - max_len
+        if excess <= 0:
             return cloze
-        if len(u_tokens) > len(v_tokens):
-            pick = "u"
-        elif len(v_tokens) > len(u_tokens):
-            pick = "v"
-        elif u_tokens:
-            pick = "v" if last_removed == "u" else "u"
-        else:
-            raise AssertionError("skeleton fits but truncation ran out of tokens")
-        if pick == "u":
-            u_tokens.pop()
-        else:
-            v_tokens.pop()
-        last_removed = pick
+        for _ in range(excess):
+            if len(u_tokens) > len(v_tokens):
+                pick = "u"
+            elif len(v_tokens) > len(u_tokens):
+                pick = "v"
+            elif u_tokens:
+                pick = "v" if last_removed == "u" else "u"
+            else:
+                raise AssertionError("skeleton fits but truncation ran out of tokens")
+            if pick == "u":
+                u_tokens.pop()
+            else:
+                v_tokens.pop()
+            last_removed = pick
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Shared fixtures: a toy backend and small synthetic datasets; load_dense
-gives a toy model dense weights."""
+gives a toy model dense weights, and saved_sha256 pins a dataset's saved bytes."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pairshot.backend.toy import ToyBackend
-from pairshot.data import sample_training_set
+from pairshot.data import sample_training_set, save_dataset
 from pairshot.synthetic import synthetic_pool, synthetic_unlabeled
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -55,3 +56,13 @@ def load_dense(model, W):
     held = (W != 0) | np.signbit(W)
     model._rows, model._ids = np.flatnonzero(held.any(axis=1)), np.flatnonzero(held.any(axis=0))
     model._block = W[np.ix_(model._rows, model._ids)]
+
+
+def saved_sha256(datasets, directory: Path) -> str:
+    """sha256 of the JSONL bytes save_dataset writes for each of datasets, in order."""
+    digest = hashlib.sha256()
+    for index, dataset in enumerate(datasets):
+        path = directory / f"pinned-{index}.jsonl"
+        save_dataset(dataset, path)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()

@@ -26,6 +26,7 @@ from pairshot.backend.adapter import (
     connect_subprocess,
     connect_tcp,
 )
+from pairshot.backend import adapter as adapter_module
 from pairshot.backend.contracts import Backend
 from pairshot.backend.serve import BackendServer, serve_tcp
 from pairshot import errors
@@ -1058,6 +1059,33 @@ class TestUnparsableAnswer:
         try:
             with pytest.raises(AdapterError):
                 transport.request({"id": 1, "verb": "hello", "params": {}})
+            assert proc.poll() is not None
+            with pytest.raises(AdapterError):
+                transport.request({"id": 2, "verb": "hello", "params": {}})
+        finally:
+            transport.close()
+
+
+# Answers its first request with 1 MiB that no newline ends, then waits.
+ENDLESS_LINE_BACKEND = """
+import sys, time
+sys.stdin.readline()
+sys.stdout.write("x" * (1 << 20))
+sys.stdout.flush()
+time.sleep(60)
+"""
+
+
+class TestAnswerLineBound:
+    def test_a_line_past_the_bound_is_typed_and_reaps_the_child(self, monkeypatch):
+        """The client stops buffering at the bound, not at the deadline."""
+        monkeypatch.setattr(adapter_module, "_MAX_LINE_BYTES", 1 << 16)
+        proc, transport = subprocess_transport([sys.executable, "-c", ENDLESS_LINE_BACKEND], 30)
+        try:
+            started = time.perf_counter()
+            with pytest.raises(AdapterError, match="ran past 65536 bytes"):
+                transport.request({"id": 1, "verb": "hello", "params": {}})
+            assert time.perf_counter() - started < 10
             assert proc.poll() is not None
             with pytest.raises(AdapterError):
                 transport.request({"id": 2, "verb": "hello", "params": {}})

@@ -370,6 +370,24 @@ class TestIngestRemoteSources:
         dataset = load_dataset(tmp_path / "so_duplicate.pool.jsonl")
         assert len(dataset) == 4
 
+    @pytest.mark.parametrize("source", ["bugzilla", "stackoverflow"])
+    def test_infinite_neutral_ratio_exits_one(self, tmp_path, data_dir, capsys, source):
+        """--neutral-ratio inf ends in one error line naming it, and writes nothing."""
+        out = tmp_path / "out"
+        bugs = make_fixture_bugs(60, duplicate_links=2, dependency_links=3, seed=7, resolved_fixed=5)
+        with MockBugzillaServer(bugs) as server:
+            inputs = {
+                "bugzilla": ["--endpoint", server.endpoint, "--task", "bugzilla_duplicate"],
+                "stackoverflow": ["--duplicates", str(data_dir / "so_duplicates.csv"),
+                                  "--neutral", str(data_dir / "so_neutral.csv")],
+            }[source]
+            rc = main(["ingest", source, *inputs, "--neutral-ratio", "inf", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "neutral_ratio" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_ingest_srs_file(self, tmp_path, capsys):
         source = tmp_path / "reqs.jsonl"
         lines = [

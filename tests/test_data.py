@@ -271,6 +271,27 @@ class TestSerialization:
         assert manifest["task_id"] == "so_duplicate"
         assert manifest["source"] == "unit-test"
 
+    def test_a_file_short_of_its_manifest_count_is_refused(self, tmp_path, dup_pool):
+        """A write that failed part-way leaves fewer lines than the manifest counts."""
+        path = tmp_path / "pool.jsonl"
+        save_dataset(dup_pool, path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        message = str(err.value)
+        assert str(path) in message
+        assert str(len(dup_pool)) in message and str(len(dup_pool) - 1) in message
+
+    @pytest.mark.parametrize("count", [None, "40", 40.0, True])
+    def test_a_manifest_count_that_is_no_int_is_refused(self, tmp_path, dup_pool, count):
+        path = tmp_path / "pool.jsonl"
+        manifest_path = save_dataset(dup_pool, path)
+        manifest = json.loads(manifest_path.read_text())
+        manifest["count"] = count
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match="count"):
+            load_dataset(path)
+
     def test_unlabeled_round_trip(self, tmp_path, dup_unlabeled):
         path = tmp_path / "unl.jsonl"
         save_dataset(dup_unlabeled, path)

@@ -1,11 +1,18 @@
 """Bug tracker ingestion: wire contract, retries, and pair construction."""
 
+import hashlib
 import json
+import math
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from conftest import saved_sha256
 from pairshot.data import Dataset
 from pairshot.errors import DataFormatError, DatasetSizeError, IngestError
+from pairshot.ingestion import bugzilla
 from pairshot.ingestion.bugzilla import (
     DEFAULT_FIELDS,
     BugRecord,
@@ -170,35 +177,25 @@ class TestRetries:
         assert log_size == 5  # two failures plus three successes
         assert sleeps == [0.5, 1.0]
 
-    def test_backoff_is_capped(self, fixture_bugs):
+    def test_backoff_is_capped(self, fixture_bugs, monkeypatch):
         """Waits double per attempt but never exceed the configured cap."""
+        monkeypatch.setattr(bugzilla, "MAX_RETRIES", 5)
+        monkeypatch.setattr(bugzilla, "BACKOFF_CAP", 2.0)
         sleeps = []
         with MockBugzillaServer(fixture_bugs[:5]) as server:
             server.failures_remaining = 5
-            result = fetch_bugs(
-                server.endpoint,
-                WINDOW,
-                page_size=100,
-                max_retries=5,
-                backoff_cap=2.0,
-                sleep=sleeps.append,
-            )
+            result = fetch_bugs(server.endpoint, WINDOW, page_size=100, sleep=sleeps.append)
         assert sleeps == [0.5, 1.0, 2.0, 2.0, 2.0]
         assert len(result.records) == 5
 
-    def test_persistent_503_raises_after_retry_budget(self, fixture_bugs):
+    def test_persistent_503_raises_after_retry_budget(self, fixture_bugs, monkeypatch):
         """When every attempt fails, the fetch raises instead of looping."""
+        monkeypatch.setattr(bugzilla, "MAX_RETRIES", 2)
         sleeps = []
         with MockBugzillaServer(fixture_bugs[:5]) as server:
             server.failures_remaining = 99
             with pytest.raises(IngestError, match="after 3 attempts"):
-                fetch_bugs(
-                    server.endpoint,
-                    WINDOW,
-                    page_size=100,
-                    max_retries=2,
-                    sleep=sleeps.append,
-                )
+                fetch_bugs(server.endpoint, WINDOW, page_size=100, sleep=sleeps.append)
         assert sleeps == [0.5, 1.0]
 
     def test_client_error_fails_immediately(self, fixture_bugs):
@@ -208,6 +205,38 @@ class TestRetries:
             bad_endpoint = server.endpoint + "/missing"
             with pytest.raises(IngestError, match="404"):
                 fetch_bugs(bad_endpoint, WINDOW, page_size=100, sleep=sleeps.append)
+        assert sleeps == []
+
+    def test_refused_connection_is_retried_then_raises(self, monkeypatch):
+        """No answer at all is retried like a 5xx, within the same budget."""
+        monkeypatch.setattr(bugzilla, "MAX_RETRIES", 2)
+        with socket.socket() as probe:  # a local port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        sleeps = []
+        with pytest.raises(IngestError, match="after 3 attempts"):
+            fetch_bugs(f"http://127.0.0.1:{port}", WINDOW, sleep=sleeps.append)
+        assert sleeps == [0.5, 1.0]
+
+    def test_a_body_that_is_not_json_fails_immediately(self):
+        class NotJson(BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 (http.server API)
+                self.send_response(200)
+                self.end_headers()
+                self.wfile.write(b"{not json")
+
+            def log_message(self, fmt, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), NotJson)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        sleeps = []
+        try:
+            with pytest.raises(IngestError, match="invalid JSON"):
+                fetch_bugs(f"http://127.0.0.1:{server.server_port}", WINDOW, sleep=sleeps.append)
+        finally:
+            server.shutdown()
+            server.server_close()
         assert sleeps == []
 
 
@@ -416,6 +445,43 @@ class TestTaskDatasets:
             bugzilla_task_dataset(
                 result.records, "bugzilla_duplicate", seed=13, neutral_ratio=-0.5
             )
+
+
+class TestNeutralRatio:
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan, -1, True], ids=repr)
+    def test_bad_ratio_is_refused_naming_it(self, fetched, ratio):
+        """neutral_ratio must be a finite non-negative number; a bool is none."""
+        result, _ = fetched
+        with pytest.raises(ValueError, match="neutral_ratio"):
+            bugzilla_task_dataset(result.records, "bugzilla_duplicate", seed=13, neutral_ratio=ratio)
+
+    def test_a_ratio_whose_count_passes_float_range_is_too_many_pairs(self, fetched):
+        result, _ = fetched
+        with pytest.raises(DatasetSizeError, match="requested inf neutral pairs"):
+            bugzilla_task_dataset(result.records, "bugzilla_duplicate", seed=13, neutral_ratio=1e308)
+
+
+class TestPinnedBytes:
+    """The saved bytes of the task datasets and one neutral draw at fixed
+    seeds and ratios: a refactor of the pair construction leaves them as
+    they are."""
+
+    def test_task_datasets(self, fetched, tmp_path):
+        result, _ = fetched
+        datasets = [
+            bugzilla_task_dataset(result.records, task, seed=seed, neutral_ratio=ratio)[0]
+            for task in ("bugzilla_duplicate", "bugzilla_entailment")
+            for seed in (1, 7)
+            for ratio in (0, 0.5, 1, 2)
+        ]
+        digest = saved_sha256(datasets, tmp_path)
+        assert digest == "be060c8c98d69ff8443f29a777fdd2f1f0ce041907024086b1517c2f48ab0849"
+
+    def test_neutral_pairs(self, fetched):
+        result, _ = fetched
+        pairs = build_neutral_pairs(result.records, 40, 3)
+        digest = hashlib.sha256(json.dumps(pairs).encode("utf-8")).hexdigest()
+        assert digest == "6a1fad1eddea59d16cd045352011952074c8bdcd885763413759b61b66261cf0"
 
 
 class TestRequirementPairs:

@@ -1,7 +1,10 @@
 """Cloze templates: built-in patterns, rendering, truncation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pairshot import prompting
 from pairshot.data import SentencePair
 from pairshot.errors import BudgetError, UnknownTaskError, VerbalizerError
 from pairshot.prompting import (
@@ -207,3 +210,66 @@ class TestTruncation:
     def test_untruncated_text_preserves_inner_spacing(self):
         cloze = rendered("so_duplicate", 2, "a  b", "c", max_len=100)
         assert '"a  b"' in cloze.text
+
+
+def render_one_token_at_a_time(pvp, pair, max_len):
+    """render as the truncation rule states it: one token removed, then
+    the whole cloze rendered again, until it fits."""
+    segments, assemble = pvp.pattern.segments, prompting._assemble
+    cloze = assemble(segments, pair.u, pair.v, "<mask>", "||")
+    if words(cloze.text) <= max_len:
+        return cloze
+    if words(assemble(segments, "", "", "<mask>", "||").text) > max_len:
+        raise BudgetError("skeleton")
+    u_tokens, v_tokens, last_removed = pair.u.split(), pair.v.split(), ""
+    while True:
+        cloze = assemble(segments, " ".join(u_tokens), " ".join(v_tokens), "<mask>", "||")
+        if words(cloze.text) <= max_len:
+            return cloze
+        if len(u_tokens) > len(v_tokens) or (
+            len(u_tokens) == len(v_tokens) and last_removed != "u"
+        ):
+            u_tokens.pop()
+            last_removed = "u"
+        else:
+            v_tokens.pop()
+            last_removed = "v"
+
+
+ALL_PVPS = [pvp for task in builtin_task_ids() for pvp in builtin_pvps(task)]
+# Sentences of a few short words, with tabs, runs of spaces and leading or
+# trailing whitespace, empty ones among them.
+SENTENCES = st.lists(st.sampled_from(["a", "bc", "d.e", '"q"', " ", "  ", "\t"]), max_size=30).map(
+    "".join
+)
+
+
+class TestTruncationAgreesWithTheRule:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pvp=st.sampled_from(ALL_PVPS),
+        u=SENTENCES,
+        v=SENTENCES,
+        max_len=st.integers(0, 40),
+    )
+    def test_render_equals_one_token_at_a_time(self, pvp, u, v, max_len):
+        pair = SentencePair(u, v)
+        try:
+            expected = render_one_token_at_a_time(pvp, pair, max_len)
+        except BudgetError:
+            with pytest.raises(BudgetError):
+                render(pvp, pair, max_len)
+            return
+        assert render(pvp, pair, max_len) == expected
+
+    def test_a_long_pair_renders_a_few_times(self, monkeypatch):
+        """A 4,000-word u and a 2,000-word v truncate to 256 in at most 4 assemblies."""
+        pvp = builtin_pvps("so_duplicate")[1]
+        pair = SentencePair(" ".join(f"u{i}" for i in range(4000)),
+                            " ".join(f"v{i}" for i in range(2000)))
+        expected = render_one_token_at_a_time(pvp, pair, 256)
+        calls = []
+        assemble = prompting._assemble
+        monkeypatch.setattr(prompting, "_assemble", lambda *args: calls.append(1) or assemble(*args))
+        assert render(pvp, pair, 256) == expected
+        assert len(calls) <= 4

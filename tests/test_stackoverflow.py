@@ -1,10 +1,12 @@
 """Question-pair CSV ingestion: fixtures, filters, and column contracts."""
 
 import csv
+import math
 import tracemalloc
 
 import pytest
 
+from conftest import saved_sha256
 from pairshot.errors import DatasetSizeError, ParseError
 from pairshot.ingestion.bugzilla import IngestionWindow
 from pairshot.ingestion.stackoverflow import (
@@ -145,6 +147,22 @@ class TestNeutralRatio:
     def test_negative_ratio_rejected(self, fixture_paths):
         with pytest.raises(ValueError):
             ingest_stackoverflow_exports(*fixture_paths, seed=0, neutral_ratio=-1.0)
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan, -1, True], ids=repr)
+    def test_bad_ratio_is_refused_naming_it(self, fixture_paths, ratio):
+        """neutral_ratio must be a finite non-negative number; a bool is none."""
+        with pytest.raises(ValueError, match="neutral_ratio"):
+            ingest_stackoverflow_exports(*fixture_paths, seed=0, neutral_ratio=ratio)
+
+    def test_saved_bytes_are_pinned(self, fixture_paths, tmp_path):
+        """The saved datasets at fixed seeds and ratios keep their bytes."""
+        datasets = [
+            ingest_stackoverflow_exports(*fixture_paths, seed=seed, neutral_ratio=ratio)[0]
+            for seed in (0, 5)
+            for ratio in (0.5, 1)
+        ]
+        digest = saved_sha256(datasets, tmp_path)
+        assert digest == "a4835a190a0ca3e537dec10e3e3a5bd14f748d6554982ac8b1cc3eb1b99ad464"
 
 
 class TestNeutralSampleMemory:
